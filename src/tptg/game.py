@@ -8,6 +8,7 @@ label; the solver gives them reach probability 0 and infinite expected price.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ModelError
@@ -98,6 +99,17 @@ class Tsg:
 
     def player_states(self, player: Player) -> frozenset[int]:
         return frozenset(i for i, p in enumerate(self.owner) if p == player)
+
+    @cached_property
+    def predecessors(self) -> list[list[tuple[int, int]]]:
+        """Per state, the (state, move index) pairs with a positive branch into it."""
+        preds: list[list[tuple[int, int]]] = [[] for _ in self.states]
+        for s, moves in enumerate(self.moves):
+            for mi, move in enumerate(moves):
+                for target, prob in move.branches:
+                    if prob > 0:
+                        preds[target].append((s, mi))
+        return preds
 
     def validate(self) -> list[str]:
         """Check structural invariants, returning one diagnostic per violation."""

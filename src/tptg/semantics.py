@@ -26,24 +26,6 @@ class DigitalState:
     location: str
     valuation: ClockValuation
 
-    @property
-    def base_location(self) -> str:
-        """Location name with discrete-variable suffixes stripped (first
-        product component for composed models)."""
-        return self.location.split(".", 1)[0].split("#", 1)[0]
-
-    @property
-    def variables(self) -> dict[str, int]:
-        """Discrete-variable assignment folded into the location name."""
-        assignment: dict[str, int] = {}
-        for component in self.location.split("."):
-            if "#" not in component:
-                continue
-            for item in component.split("#", 1)[1].split(","):
-                name, _, value = item.partition("=")
-                assignment[name] = int(value)
-        return assignment
-
     def __str__(self) -> str:
         values = ",".join(f"{x}={v}" for x, v in self.valuation.as_dict().items())
         return f"({self.location} | {values})"

@@ -3,8 +3,14 @@
 Values are computed by Gauss-Seidel value iteration over binary64, with
 graph-based qualitative precomputation pinning the certainly-0 and
 certainly-1 states for reachability and the infinite states for expected
-price. Synthesis extracts memoryless deterministic profiles and certifies
-them by re-evaluating the induced chain.
+price. Every graph fixpoint is one layered two-player attractor over the
+game's cached predecessor index: positive reach is one attractor, almost-sure
+reach a shrinking sequence of them, and synthesis settles the reaching side
+on an attractor over its optimal moves. Synthesis extracts memoryless
+deterministic profiles and certifies them by re-evaluating the induced
+chain. An expected-price solve is refused when the payer's profile does not
+force the target almost surely from every finite-valued state, because the
+values iterated from below then credit a zero-price cycle as free.
 """
 
 import math
@@ -17,7 +23,7 @@ from .game import Move, Tsg
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 10**6
 
-#: slack for the monotonicity assertion on value-iteration sweeps
+#: slack for the monotonicity check on value-iteration sweeps
 _MONOTONE_SLACK = 1e-9
 
 KINDS = ("prob-reach", "exp-price", "bounded-exp-price")
@@ -112,83 +118,85 @@ def _check_two_players(game: Tsg):
 
 def _reach_maximizer(direction: str) -> int:
     """Index (0/1) into game.players of the side maximizing reach probability."""
+    if direction not in DIRECTIONS:
+        raise ModelError(f"unknown direction {direction!r}")
     return 0 if direction == "maxmin" else 1
 
 
-def _reverse_index(game: Tsg) -> list[list[tuple[int, int]]]:
-    rev: list[list[tuple[int, int]]] = [[] for _ in game.states]
-    for s, moves in enumerate(game.moves):
-        for mi, move in enumerate(moves):
-            for target, prob in move.branches:
-                if prob > 0:
-                    rev[target].append((s, mi))
-    return rev
+def _attractor(
+    game: Tsg,
+    targets: Iterable[int],
+    exists: frozenset[int],
+    usable: dict[int, set[int]] | None = None,
+) -> dict[int, set[int]]:
+    """Layered two-player attractor of `targets`, with the moves that hit.
 
-
-def positive_reach(game: Tsg, targets: frozenset[int], maximizer_states: frozenset[int]) -> frozenset[int]:
-    """States from which the maximizer can reach the target with positive probability."""
-    rev = _reverse_index(game)
-    inside = set(targets)
-    hit_moves: list[set[int]] = [set() for _ in game.states]
-    queue = list(targets)
-    while queue:
-        t = queue.pop()
-        for s, mi in rev[t]:
-            if s in inside:
-                continue
-            hits = hit_moves[s]
-            if mi in hits:
-                continue
-            hits.add(mi)
-            if s in maximizer_states or len(hits) == len(game.moves[s]):
-                # the minimizer only fails to avoid when every move can stray
-                inside.add(s)
-                queue.append(s)
-    return frozenset(inside)
-
-
-def almost_sure_reach(game: Tsg, targets: frozenset[int], maximizer_states: frozenset[int]) -> frozenset[int]:
-    """States from which the maximizer can force the target with probability one.
-
-    Greatest fixpoint over candidate sets X: inside X, grow from the target
-    the states with a move that stays in X and makes progress (for the
-    maximizer: some such move; for the minimizer: every move). Shrink X to
-    that growth and repeat.
+    A state in `exists` joins once one of its usable moves has a positive
+    branch into an earlier layer; any other state joins once it has usable
+    moves and all of them have such a branch. `usable[s]` holds the usable
+    move indices of s (a state missing from it has none); by default every
+    move is usable. Returns, for each member, the indices of the usable moves
+    that hit when it joined (none for targets).
     """
-    rev = _reverse_index(game)
-    n = len(game.states)
-    candidate = set(range(n))
+    preds = game.predecessors
+    member: dict[int, set[int]] = {t: set() for t in targets}
+    hits: dict[int, set[int]] = {}
+    frontier = list(member)
+    while frontier:
+        touched = set()
+        for t in frontier:
+            for s, mi in preds[t]:
+                if s in member or (usable is not None and mi not in usable.get(s, ())):
+                    continue
+                hits.setdefault(s, set()).add(mi)
+                touched.add(s)
+        frontier = []
+        for s in touched:
+            count = len(game.moves[s]) if usable is None else len(usable[s])
+            if s in exists or len(hits[s]) == count:
+                member[s] = hits[s]
+                frontier.append(s)
+    return member
+
+
+def _almost_sure(
+    game: Tsg, targets: frozenset[int], reacher
+) -> tuple[frozenset[int], dict[int, Move]]:
+    """States from which `reacher` forces `targets` with probability one, and
+    a spoiling move for each state of the other side outside them.
+
+    Greatest fixpoint: shrink the candidate set to the attractor of the
+    targets over the moves that stay in it until no state drops. A dropped
+    state of the avoiding side spoils with its (delay, action)-smallest move
+    that leaves the candidate set, or else with the smallest that misses the
+    attractor; playing these keeps the target unreached with positive
+    probability from every dropped state.
+    """
+    exists = game.player_states(reacher)
+    candidate = set(range(len(game.states)))
+    spoilers: dict[int, Move] = {}
     while True:
-        move_ok: list[list[bool]] = []
-        for s, moves in enumerate(game.moves):
-            move_ok.append(
-                [all(t in candidate for t, p in m.branches if p > 0) for m in moves]
-            )
-        grown = set(t for t in targets if t in candidate)
-        satisfied: list[set[int]] = [set() for _ in range(n)]
-        queue = list(grown)
-        while queue:
-            t = queue.pop()
-            for s, mi in rev[t]:
-                if s not in candidate or s in grown:
-                    continue
-                if not move_ok[s][mi]:
-                    continue
-                hits = satisfied[s]
-                if mi in hits:
-                    continue
-                hits.add(mi)
-                if s in maximizer_states:
-                    grown.add(s)
-                    queue.append(s)
-                else:
-                    moves = game.moves[s]
-                    if moves and all(move_ok[s]) and len(hits) == len(moves):
-                        grown.add(s)
-                        queue.append(s)
-        if grown == candidate:
-            return frozenset(candidate)
-        candidate = grown
+        usable = {}
+        for s in candidate:
+            moves = game.moves[s]
+            stay = {
+                mi for mi, m in enumerate(moves)
+                if all(t in candidate for t, p in m.branches if p > 0)
+            }
+            if s in exists or len(stay) == len(moves):
+                usable[s] = stay
+        attracted = _attractor(game, targets, exists, usable)
+        dropped = [s for s in candidate if s not in attracted]
+        if not dropped:
+            return frozenset(candidate), spoilers
+        for s in dropped:
+            moves = game.moves[s]
+            if s in exists or not moves:
+                continue
+            leave = [m for m in moves if any(p > 0 and t not in candidate for t, p in m.branches)]
+            miss = [m for m in moves if not any(p > 0 and t in attracted for t, p in m.branches)]
+            spoilers[s] = min(leave or miss, key=Move.sort_key)
+        candidate = set(attracted)
 
 
 def qualitative_reach(
@@ -198,19 +206,16 @@ def qualitative_reach(
     _check_two_players(game)
     target_set = _target_set(game, targets)
     maximizer = game.players[_reach_maximizer(direction)]
-    maximizer_states = game.player_states(maximizer)
-    positive = positive_reach(game, target_set, maximizer_states)
-    prob0 = frozenset(range(len(game.states))) - positive
-    prob1 = almost_sure_reach(game, target_set, maximizer_states)
+    positive = _attractor(game, target_set, game.player_states(maximizer))
+    prob0 = frozenset(s for s in range(len(game.states)) if s not in positive)
+    prob1, _ = _almost_sure(game, target_set, maximizer)
     return prob0, prob1
 
 
 def _opt_for(game: Tsg, direction: str) -> list:
     """Per-state choice of max or min for the one-step backup."""
-    player1 = game.players[0]
-    if direction == "maxmin":
-        return [max if p == player1 else min for p in game.owner]
-    return [min if p == player1 else max for p in game.owner]
+    maximizer = game.players[_reach_maximizer(direction)]
+    return [max if p == maximizer else min for p in game.owner]
 
 
 def prob_reach(
@@ -227,65 +232,8 @@ def prob_reach(
     prob0, prob1 = qualitative_reach(game, target_set, direction)
     values = [1.0 if s in prob1 else 0.0 for s in range(len(game.states))]
     active = [s for s in range(len(game.states)) if s not in prob0 and s not in prob1]
-    opt = _opt_for(game, direction)
-
     warnings = _deadlock_warnings(game, target_set, "probability 0")
-    iterations, residual, converged = _iterate(game, values, active, opt, tol, max_iters, prices=False)
-    result = SolveResult(
-        objective=objective,
-        values=values,
-        initial_value=values[game.initial],
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-        prob0=prob0,
-        prob1=prob1,
-        warnings=warnings,
-    )
-    if converged:
-        p1, p2 = synthesize(game, objective, result, tol)
-        result.strategy = {**p1, **p2}
-    else:
-        result.warnings.append("value iteration did not converge; no strategy synthesized")
-    return result
-
-
-def _zero_price_stall(
-    game: Tsg,
-    target_set: frozenset[int],
-    region: frozenset[int],
-    minimizer,
-) -> frozenset[int]:
-    """Largest target-free part of `region` where the price minimizer can
-    force the play to stay forever along zero-price moves.
-
-    Value iteration from zero cannot price such states correctly: sitting
-    there looks free although the strict convention makes never reaching
-    infinitely expensive.
-    """
-    inside = set(region) - set(target_set)
-    for s in list(inside):
-        if not game.moves[s]:
-            inside.discard(s)
-
-    def move_ok(s: int, move: Move) -> bool:
-        if game.owner[s] == minimizer and move.price != 0:
-            return False
-        return all(t in inside for t, p in move.branches if p > 0)
-
-    changed = True
-    while changed:
-        changed = False
-        for s in list(inside):
-            moves = game.moves[s]
-            if game.owner[s] == minimizer:
-                keep = any(move_ok(s, m) for m in moves)
-            else:
-                keep = all(move_ok(s, m) for m in moves)
-            if not keep:
-                inside.discard(s)
-                changed = True
-    return frozenset(inside)
+    return _solve_active(game, objective, values, active, tol, max_iters, warnings, prob0, prob1)
 
 
 def expected_price(
@@ -301,9 +249,10 @@ def expected_price(
     surely get value infinity: a profile that leaves the target unreached
     with positive probability counts as infinitely expensive.
 
-    Games where the minimizing side could cycle forever at price zero inside
-    the almost-sure region are refused: their Bellman equation has several
-    fixpoints and plain value iteration would silently undershoot.
+    Values are iterated from below, which credits a zero-price cycle as free
+    although never reaching the target is infinitely expensive. Synthesis
+    therefore refuses the game when the minimizing side's extracted profile
+    does not force the target almost surely from every finite-valued state.
     """
     _check_two_players(game)
     target_set = _target_set(game, targets)
@@ -311,20 +260,9 @@ def expected_price(
     # the side made to pay wants the target reached almost surely
     reach_direction = "minmax" if direction == "maxmin" else "maxmin"
     _, prob1 = qualitative_reach(game, target_set, reach_direction)
-    minimizer = game.players[1 if direction == "maxmin" else 0]
-    stalled = _zero_price_stall(game, target_set, prob1, minimizer)
-    if stalled:
-        raise ModelError(
-            f"expected price is ill-posed here: the minimizing side can stall at "
-            f"zero price in {len(stalled)} state(s) (e.g. state {min(stalled)}); "
-            f"give the stalling moves positive prices"
-        )
-
     n = len(game.states)
     values = [0.0 if s in prob1 else math.inf for s in range(n)]
     active = [s for s in range(n) if s in prob1 and s not in target_set]
-    opt = _opt_for(game, direction)
-
     warnings = _deadlock_warnings(game, target_set, "infinite price")
     infinite = n - len(prob1)
     if infinite:
@@ -332,7 +270,15 @@ def expected_price(
             f"{infinite} state(s) cannot be forced to reach the target almost surely; "
             f"their expected price is infinite"
         )
-    iterations, residual, converged = _iterate(game, values, active, opt, tol, max_iters, prices=True)
+    return _solve_active(game, objective, values, active, tol, max_iters, warnings, None, prob1)
+
+
+def _solve_active(game, objective, values, active, tol, max_iters, warnings, prob0, prob1) -> SolveResult:
+    """Iterate the active states of `values` in place, then synthesize."""
+    prices = objective.kind == "exp-price"
+    iterations, residual, converged = _iterate(
+        game, values, active, _opt_for(game, objective.direction), tol, max_iters, prices
+    )
     result = SolveResult(
         objective=objective,
         values=values,
@@ -340,6 +286,7 @@ def expected_price(
         iterations=iterations,
         residual=residual,
         converged=converged,
+        prob0=prob0,
         prob1=prob1,
         warnings=warnings,
     )
@@ -415,9 +362,8 @@ def _iterate(
                 new = opt[s](
                     sum(p * values[t] for t, p in m.branches) for m in moves[s]
                 )
-            assert new >= old - _MONOTONE_SLACK, (
-                f"non-monotone sweep at state {s}: {old} -> {new}"
-            )
+            if new < old - _MONOTONE_SLACK:
+                raise ModelError(f"non-monotone sweep at state {s}: {old} -> {new}")
             if new != old:
                 diff = new - old
                 if diff > residual:
@@ -446,8 +392,12 @@ def synthesize(
     Each state picks a one-step-optimal move; ties break towards the
     (delay, action)-smallest move, except that the side trying to reach the
     target prefers, among the optimal moves, one that makes progress towards
-    it (otherwise a value-preserving loop could stall forever). The induced
-    chain is re-solved and must reproduce the values within ``10 * tol``.
+    it (otherwise a value-preserving loop could stall forever). At states of
+    infinite expected price the avoiding side plays a spoiling move, and the
+    payer's profile must force the target almost surely from every
+    finite-valued state, else the solve is refused as a zero-price stall.
+    The induced chain is re-solved and must reproduce the values within
+    ``10 * tol``.
     """
     _check_two_players(game)
     if isinstance(values, SolveResult):
@@ -463,13 +413,12 @@ def synthesize(
     opt = _opt_for(game, objective.direction)
 
     # the reaching side: maximizer of probability, or payer of price
-    if objective.kind == "prob-reach":
-        reacher = game.players[_reach_maximizer(objective.direction)]
-    else:
-        reacher = game.players[1 if objective.direction == "maxmin" else 0]
+    maximizer = _reach_maximizer(objective.direction)
+    reacher = game.players[1 - maximizer if prices else maximizer]
+    reaching = game.player_states(reacher)
 
-    candidates: dict[int, list[Move]] = {}
-    chosen: dict[int, Move] = {}
+    choice: dict[int, Move] = {}
+    tied: dict[int, set[int]] = {}
     for s, moves in enumerate(game.moves):
         if not moves:
             continue
@@ -478,146 +427,51 @@ def synthesize(
         # converged values are only residual-accurate, so moves within that
         # slack of the optimum count as tied
         if math.isinf(best):
-            tied = [m for m, b in zip(moves, backups) if b == best]
+            optimal = [i for i, b in enumerate(backups) if b == best]
         else:
             slack = 2 * tol * max(1.0, abs(best))
-            tied = [m for m, b in zip(moves, backups) if abs(b - best) <= slack]
-        ordered = sorted(tied, key=Move.sort_key)
-        if game.owner[s] == reacher and s not in target_set:
-            candidates[s] = ordered
-        else:
-            chosen[s] = ordered[0]
+            optimal = [i for i, b in enumerate(backups) if abs(b - best) <= slack]
+        first = _smallest(moves, optimal)
+        choice[s] = moves[first]
+        tied[s] = set(optimal) if s in reaching and s not in target_set else {first}
 
-    _settle_reachers(game, target_set, candidates, chosen)
-    if prices:
-        # at infinite-value states the avoider must witness the infinity:
-        # steer towards the region it can keep target-free forever
-        infinite = {s for s, v in enumerate(vector) if math.isinf(v)}
-        avoider = game.players[0] if reacher == game.players[1] else game.players[1]
-        for s, move in _avoidance_witness(game, target_set, avoider, infinite).items():
-            chosen[s] = move
+    # the reaching side settles, layer by layer from the target, on its
+    # smallest tied move that steps into an earlier layer
+    for s, hits in _attractor(game, target_set, reaching, tied).items():
+        if hits:
+            choice[s] = game.moves[s][_smallest(game.moves[s], hits)]
+    if prices and any(math.isinf(v) for v in vector):
+        # at infinite-value states the avoider must witness the infinity
+        _, spoilers = _almost_sure(game, target_set, reacher)
+        choice.update((s, m) for s, m in spoilers.items() if math.isinf(vector[s]))
 
     profile1: dict[int, str] = {}
     profile2: dict[int, str] = {}
-    for s, move in chosen.items():
+    for s, move in choice.items():
         side = profile1 if game.owner[s] == game.players[0] else profile2
         side[s] = move.label
 
+    if prices:
+        # iteration from below credits zero-price cycles as free; its values
+        # are the game's when the payer's profile forces the target almost
+        # surely from every finite-valued state
+        payer = profile1 if reacher == game.players[0] else profile2
+        forced, _ = _almost_sure(restrict_to_profile(game, payer), target_set, reacher)
+        stalled = [s for s, v in enumerate(vector) if not math.isinf(v) and s not in forced]
+        if stalled:
+            raise ModelError(
+                f"expected price is ill-posed here: the minimizing side can stall at "
+                f"zero price in {len(stalled)} state(s) (e.g. state {min(stalled)}); "
+                f"give the stalling moves positive prices"
+            )
     _certify(game, objective, vector, {**profile1, **profile2}, tol)
     return profile1, profile2
 
 
-def _settle_reachers(
-    game: Tsg,
-    target_set: frozenset[int],
-    candidates: dict[int, list[Move]],
-    chosen: dict[int, Move],
-):
-    """Pick progress-making optimal moves for the reaching side.
-
-    Breadth-first from the target over the optimal-move structure: a state
-    settles once one of its optimal moves can step onto an already-settled
-    level. States that never settle (unreachable targets, infinite prices)
-    fall back to the (delay, action)-smallest optimal move.
-    """
-    level: dict[int, int] = {t: 0 for t in target_set}
-    frontier = set(target_set)
-    rev: dict[int, list[int]] = {}
-    for s in list(candidates) + list(chosen):
-        moves = candidates.get(s) or [chosen[s]]
-        for m in moves:
-            for t, p in m.branches:
-                if p > 0:
-                    rev.setdefault(t, []).append(s)
-    depth = 0
-    while frontier:
-        depth += 1
-        touched = set()
-        for t in frontier:
-            for s in rev.get(t, ()):
-                if s not in level:
-                    touched.add(s)
-        frontier = set()
-        for s in sorted(touched):
-            if s in candidates:
-                for m in candidates[s]:
-                    if any(p > 0 and level.get(t, depth + 1) < depth for t, p in m.branches):
-                        chosen[s] = m
-                        level[s] = depth
-                        frontier.add(s)
-                        break
-            elif s in chosen and s not in level:
-                m = chosen[s]
-                if any(p > 0 and level.get(t, depth + 1) < depth for t, p in m.branches):
-                    level[s] = depth
-                    frontier.add(s)
-    for s, moves in candidates.items():
-        if s not in chosen:
-            chosen[s] = moves[0]
-
-
-def _avoidance_witness(
-    game: Tsg,
-    target_set: frozenset[int],
-    avoider,
-    infinite: set[int],
-) -> dict[int, "Move"]:
-    """Moves letting the avoider keep the target unreached with positive
-    probability: inside the largest target-free trap it stays put, elsewhere
-    in the infinite region it steers towards that trap."""
-    if not infinite:
-        return {}
-    n = len(game.states)
-    trap = set(range(n)) - set(target_set)
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        for s in list(trap):
-            moves = game.moves[s]
-            if not moves:
-                continue  # deadlocks never reach anything
-            inside = [
-                m for m in moves
-                if all(t in trap for t, p in m.branches if p > 0)
-            ]
-            keep = bool(inside) if game.owner[s] == avoider else len(inside) == len(moves)
-            if not keep:
-                trap.discard(s)
-                shrinking = True
-
-    choice: dict[int, Move] = {}
-    for s in trap:
-        if game.owner[s] == avoider and s in infinite and game.moves[s]:
-            choice[s] = sorted(
-                (m for m in game.moves[s]
-                 if all(t in trap for t, p in m.branches if p > 0)),
-                key=Move.sort_key,
-            )[0]
-
-    # positive-probability attractor towards the trap
-    level = set(trap)
-    frontier = set(trap)
-    while frontier:
-        frontier = set()
-        for s in range(n):
-            if s in level or s in target_set:
-                continue
-            moves = game.moves[s]
-            if not moves:
-                continue
-            stepping = [
-                m for m in moves
-                if any(p > 0 and t in level for t, p in m.branches)
-            ]
-            if game.owner[s] == avoider:
-                if stepping:
-                    if s in infinite:
-                        choice[s] = sorted(stepping, key=Move.sort_key)[0]
-                    frontier.add(s)
-            elif len(stepping) == len(moves):
-                frontier.add(s)
-        level |= frontier
-    return choice
+def _smallest(moves: Sequence[Move], indices: Iterable[int]) -> int:
+    """Index of the (delay, action)-smallest of the indexed moves, the
+    earlier one on equal keys."""
+    return min(indices, key=lambda i: (moves[i].sort_key(), i))
 
 
 def restrict_to_profile(game: Tsg, profile: dict[int, str]) -> Tsg:

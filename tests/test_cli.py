@@ -1,3 +1,5 @@
+import hashlib
+import importlib.resources
 import json
 import pathlib
 
@@ -106,6 +108,31 @@ def test_sweep_csv_is_deterministic(tmp_path):
     assert main(args + ["--csv", str(first)]) == 0
     assert main(args + ["--csv", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+#: sha256 of `tptg synth --json` output; strategies are part of the
+#: determinism contract, so these move only by a recorded decision
+PINNED_SYNTH = [
+    ([str(importlib.resources.files("tptg") / "models" / "fig1.tptg")],
+     "d29b8903fdd88c92d6e9ae382644039af205899fd558db76b1cf2c1dfef2d5f2"),
+    (
+        ["--gen", "taskgraph", "--k1", "1", "--k2", "1", "--p", "1/2",
+         "--prop", "Emin [ F all_done ] price time coalition {sched}"],
+        "f43efa687c5ce8ec5df010231cb7a3ffbf644cd170ce334176f4db03cfc96113",
+    ),
+    (
+        ["--gen", "nonrepudiation", "--variant", "malicious1",
+         "--prop", "Pmax [ F r_gains_info ] coalition {R}"],
+        "aa634e5549dbd2dad81c9d3c3985fd85eb4bc52c74f9ede15791775142afd5da",
+    ),
+]
+
+
+def test_synth_json_bytes_are_pinned(tmp_path):
+    for args, digest in PINNED_SYNTH:
+        out = tmp_path / "synth.json"
+        assert main(["synth", *args, "--json", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args
 
 
 SHIPPED_SWEEPS = {

@@ -14,6 +14,7 @@ from tptg import (
     enumerate_moves,
     initial_state,
 )
+from tptg.elaborate import _variable_assignment
 
 from gamegen import naive_digital_reach, random_tptg
 
@@ -180,6 +181,6 @@ def test_reprice_swaps_price_structure():
 def test_variable_provenance_parsing(taskgraph_k1_p1):
     _, game = taskgraph_k1_p1
     start = game.states[game.initial]
-    assert start.base_location == "decide0"
-    variables = start.variables
+    assert start.location.startswith("decide0#")
+    variables = _variable_assignment(start.location)
     assert variables["st1"] == 0 and variables["free1"] == 1 and variables["nrun"] == 0

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -208,6 +211,107 @@ def test_expected_price_refuses_zero_price_stalling():
         expected_price(game, "goal", "minmax")
     # probabilities are unaffected
     assert prob_reach(game, "goal", "maxmin").initial_value == 1.0
+
+
+def test_expected_price_never_undershoots_cooperative_zero_price_cycle():
+    # state 0 can hand the play to the price maximizer at state 3 for free,
+    # and state 3 can hand it back for free: iteration from below settles at
+    # 1.0, but the exact value is 65/33
+    moves = [
+        [
+            Move("a0", ((2, 1 / 3), (4, 2 / 9), (1, 4 / 9)), price=1.0),
+            Move("a1", ((3, 1.0),), price=0.0),
+            Move("a2", ((2, 2 / 3), (0, 1 / 3)), price=2.0),
+        ],
+        [Move("a0", ((0, 0.2), (3, 0.4), (2, 0.4)), price=1.0)],
+        [],
+        [Move("a0", ((2, 1.0),), price=1.0), Move("a1", ((0, 1.0),), price=0.0)],
+        [],
+    ]
+    game = make_game(moves, owner=[1, 1, 1, 2, 2], labels={"goal": {2, 4}}, players=(1, 2))
+    assert brute_force_solve(game, "goal", "exp-price", "minmax") == Fraction(65, 33)
+    try:
+        value = expected_price(game, "goal", "minmax").initial_value
+    except ModelError:
+        return
+    assert abs(value - 65 / 33) < 1e-7
+
+
+def test_expected_price_on_zero_price_random_games_is_exact_or_refused():
+    for seed in (12, 37):
+        rng = random.Random(seed)
+        for _ in range(60):
+            game = random_game(rng, max_states=6, min_price=0, max_price=2)
+            for direction in ("maxmin", "minmax"):
+                try:
+                    got = expected_price(game, "goal", direction, tol=1e-12).initial_value
+                except ModelError:
+                    continue
+                exact = brute_force_solve(game, "goal", "exp-price", direction)
+                if math.isinf(got) or math.isinf(exact):
+                    assert math.isinf(got) and math.isinf(exact)
+                else:
+                    assert abs(got - float(exact)) < 1e-7, (seed, direction)
+
+
+def test_expected_price_witnesses_infinity_without_a_trap():
+    # every price is positive; the price maximizer keeps the goal unreached
+    # with positive probability only by leaving the almost-sure region
+    moves = [
+        [],
+        [
+            Move("a0", ((1, 0.75), (7, 0.25)), price=1.0),
+            Move("a1", ((0, 0.375), (5, 0.125), (6, 0.5)), price=4.0),
+        ],
+        [],
+        [Move("a0", ((3, 1.0),), price=2.0)],
+        [],
+        [
+            Move("a0", ((5, 1.0),), price=4.0),
+            Move("a1", ((3, 0.3), (2, 0.4), (7, 0.3)), price=5.0),
+        ],
+        [Move("a0", ((4, 0.5), (2, 0.5)), price=3.0)],
+        [
+            Move("a0", ((5, 0.8), (1, 0.2)), price=3.0),
+            Move("a1", ((5, 1.0),), price=2.0),
+            Move("a2", ((1, 4 / 9), (6, 4 / 9), (0, 1 / 9)), price=4.0),
+        ],
+    ]
+    game = make_game(
+        moves, owner=[1, 1, 2, 2, 2, 2, 2, 2], labels={"goal": {0, 2, 4}}, initial=5, players=(1, 2)
+    )
+    result = expected_price(game, "goal", "maxmin")
+    assert math.isinf(result.initial_value)
+    assert result.strategy
+    assert math.isinf(brute_force_solve(game, "goal", "exp-price", "maxmin"))
+
+
+def test_monotonicity_check_survives_optimized_mode():
+    # start above the fixpoint so the first sweep goes down
+    code = (
+        "from tptg import ModelError, Move, make_game\n"
+        "from tptg.solver import _iterate, _opt_for\n"
+        "game = make_game([[Move('a', ((1, 0.5), (2, 0.5)))], [], []],\n"
+        "                 owner=[1, 1, 2], labels={'goal': {1}}, players=(1, 2))\n"
+        "try:\n"
+        "    _iterate(game, [0.9, 1.0, 0.0], [0], _opt_for(game, 'maxmin'), 1e-8, 10, prices=False)\n"
+        "except ModelError as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(tptg.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.startswith("False non-monotone sweep at state 0")
+
+
+def test_unknown_direction_is_refused():
+    game = two_action_game()
+    with pytest.raises(ModelError, match="unknown direction"):
+        qualitative_reach(game, "goal", "maxmn")
+    with pytest.raises(ModelError, match="unknown direction"):
+        bounded_expected_price(game, "goal", 2, "maxmn")
 
 
 def test_synthesize_zero_price_progress():
