@@ -147,9 +147,10 @@ def cmd_sweep(args) -> int:
     header = [args.param] + [describe_property(p) for p in props]
     rows = [header]
     worst = EXIT_OK
+    if args.param == "T":
+        model = to_tptg(source)  # a time bound leaves the model unchanged
     for raw in values:
         if args.param == "T":
-            model = to_tptg(source)
             bound = int(raw)
             cells = [raw]
             for prop in props:

@@ -1,10 +1,11 @@
 """From parsed model text to a core timed game.
 
 Elaboration resolves constants, folds bounded discrete variables into
-location names (reachable combinations only), converts each component
-automaton, composes the network with synchronization on shared action
-names, assigns owners to product locations by first-matching pattern rule,
-and materializes label extents.
+location names, converts each component automaton, composes the network
+with synchronization on shared action names, assigns owners to product
+locations by first-matching pattern rule, and materializes label extents.
+Every location, of a component and of the network, is reachable from the
+initial one.
 """
 
 from collections import deque
@@ -103,10 +104,10 @@ def unfold_automaton(
 ) -> Tptg:
     """Single-component timed game with discrete variables folded into locations.
 
-    With variables present, only combinations reachable through the
-    component's own edges are materialized (synchronization can only remove
-    behaviour, so this over-approximates product reachability). The owner
-    map is a placeholder; the network step assigns real owners.
+    Only locations (and variable values) reachable from the initial one
+    through the component's own edges are materialized (synchronization can
+    only remove behaviour, so this over-approximates product reachability).
+    The owner map is a placeholder; the network step assigns real owners.
     """
     constants = dict(source.constants)
     clocks = set(source.clocks)
@@ -117,12 +118,8 @@ def unfold_automaton(
     initial_values = {v.name: v.init for v in auto.variables}
     initial = _mangle(auto.init, var_order, initial_values)
 
-    if var_order:
-        worklist = deque([(auto.init, tuple(initial_values[n] for n in var_order))])
-        seen = {worklist[0]}
-    else:
-        worklist = deque((name, ()) for name in locdefs)
-        seen = set(worklist)
+    worklist = deque([(auto.init, tuple(initial_values[n] for n in var_order))])
+    seen = {worklist[0]}
 
     locations: list[str] = []
     invariants: dict[str, ClockConstraint] = {}
@@ -130,7 +127,9 @@ def unfold_automaton(
     transitions: dict[tuple[str, str], tuple[ProbBranch, ...]] = {}
     rates: dict[str, dict[str, int]] = {}
     action_prices: dict[str, dict[tuple[str, str], int]] = {}
-    actions: list[str] = []
+    # the alphabet is every action written on an edge, reached or not, so
+    # that a partner's edge with that action waits for this component
+    actions = tuple(dict.fromkeys(e.action for loc in auto.locations for e in loc.edges))
 
     while worklist:
         base, packed = worklist.popleft()
@@ -150,8 +149,6 @@ def unfold_automaton(
                     f"automaton {auto.name!r}: location {base!r} has two edges "
                     f"labelled {edge.action!r}"
                 )
-            if edge.action not in actions:
-                actions.append(edge.action)
             branches = []
             for branch in edge.branches:
                 where = f"automaton {auto.name!r}, edge ({base!r}, {edge.action!r})"
@@ -183,7 +180,7 @@ def unfold_automaton(
         locations=tuple(locations),
         initial=initial,
         clocks=tuple(source.clocks),
-        actions=tuple(actions),
+        actions=actions,
         owner={loc: placeholder_player for loc in locations},
         invariants=invariants,
         enabling=enabling,

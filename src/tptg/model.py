@@ -6,6 +6,7 @@ once, when the explicit game is built. All clock constraints are closed and
 diagonal-free by construction of :class:`~tptg.clocks.ClockConstraint`.
 """
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
@@ -270,13 +271,16 @@ def _zeno_warning(model: Tptg) -> list[Diagnostic]:
 
 
 def compose(a: Tptg, b: Tptg, owner: OwnerFn, shared_clocks: Iterable[str] = ()) -> Tptg:
-    """Parallel composition over the location product.
+    """Parallel composition over the reachable location product.
 
+    Product locations are explored breadth-first from the pair of initial
+    locations, so only pairs reachable through product edges exist.
     Actions named in both alphabets synchronize (conjoined enabling, product
     distributions, unioned resets, summed action prices); the rest
     interleave. Location rates add per price structure. The owner of every
     product location comes from `owner`; components' own partitions are
     ignored. Clocks common to both sides must be listed in `shared_clocks`.
+    A label defined by both sides must carry the same clock guard in each.
     """
     shared_clocks = frozenset(shared_clocks)
     overlap = set(a.clocks) & set(b.clocks)
@@ -300,30 +304,31 @@ def compose(a: Tptg, b: Tptg, owner: OwnerFn, shared_clocks: Iterable[str] = ())
     clocks = tuple(dict.fromkeys(a.clocks + b.clocks))
     actions = tuple(dict.fromkeys(a.actions + b.actions))
     shared_actions = set(a.actions) & set(b.actions)
+    price_names = tuple(dict.fromkeys(tuple(a.prices) + tuple(b.prices)))
 
-    def name(la: str, lb: str) -> str:
-        return f"{la}{JOIN}{lb}"
+    edges_a: dict[str, list[str]] = {}
+    for (la, act) in a.transitions:
+        edges_a.setdefault(la, []).append(act)
+    edges_b: dict[str, list[str]] = {}
+    for (lb, act) in b.transitions:
+        edges_b.setdefault(lb, []).append(act)
 
-    locations = tuple(name(la, lb) for la in a.locations for lb in b.locations)
-    invariants = {
-        name(la, lb): a.invariants[la].conjoin(b.invariants[lb])
-        for la in a.locations
-        for lb in b.locations
-    }
+    # product name of every pair discovered so far, in BFS order
+    names: dict[tuple[str, str], str] = {}
+    queue: deque[tuple[str, str]] = deque()
+
+    def visit(la: str, lb: str) -> str:
+        loc = names.get((la, lb))
+        if loc is None:
+            loc = names[(la, lb)] = f"{la}{JOIN}{lb}"
+            queue.append((la, lb))
+        return loc
+
+    invariants: dict[str, ClockConstraint] = {}
     owner_map: dict[str, str] = {}
-    for la in a.locations:
-        for lb in b.locations:
-            player = owner_of(la, lb)
-            if player is None or player not in players:
-                raise ModelError(
-                    f"owner for product location ({la!r}, {lb!r}) is {player!r}, "
-                    f"expected one of {list(players)}"
-                )
-            owner_map[name(la, lb)] = player
-
     enabling: dict[tuple[str, str], ClockConstraint] = {}
     transitions: dict[tuple[str, str], Distribution] = {}
-    price_names = tuple(dict.fromkeys(tuple(a.prices) + tuple(b.prices)))
+    rates: dict[str, dict[str, int]] = {n: {} for n in price_names}
     action_prices: dict[str, dict[tuple[str, str], int]] = {n: {} for n in price_names}
 
     def put(loc: str, act: str, guard: ClockConstraint, dist: Distribution, prices: dict[str, int]):
@@ -333,80 +338,72 @@ def compose(a: Tptg, b: Tptg, owner: OwnerFn, shared_clocks: Iterable[str] = ())
             if value:
                 action_prices[struct][(loc, act)] = value
 
-    edges_a: dict[str, list[str]] = {}
-    for (la, act) in a.transitions:
-        edges_a.setdefault(la, []).append(act)
-    edges_b: dict[str, list[str]] = {}
-    for (lb, act) in b.transitions:
-        edges_b.setdefault(lb, []).append(act)
+    initial = visit(a.initial, b.initial)
+    while queue:
+        la, lb = queue.popleft()
+        loc = names[(la, lb)]
+        invariants[loc] = a.invariants[la].conjoin(b.invariants[lb])
+        player = owner_of(la, lb)
+        if player is None or player not in players:
+            raise ModelError(
+                f"owner for product location ({la!r}, {lb!r}) is {player!r}, "
+                f"expected one of {list(players)}"
+            )
+        owner_map[loc] = player
+        for n in price_names:
+            rate = sum(c.prices[n].rate(l) for c, l in ((a, la), (b, lb)) if n in c.prices)
+            if rate:
+                rates[n][loc] = rate
 
-    for la in a.locations:
-        for lb in b.locations:
-            loc = name(la, lb)
-            for act in edges_a.get(la, []):
-                prices_a = {
-                    n: a.prices[n].action_price(la, act) for n in a.prices
-                }
-                if act in shared_actions:
-                    if (lb, act) not in b.transitions:
-                        continue  # partner not ready: synchronization blocks
-                    guard = a.enabling[(la, act)].conjoin(b.enabling[(lb, act)])
-                    dist = tuple(
-                        ProbBranch(
-                            ba.prob * bb.prob,
-                            ba.resets | bb.resets,
-                            name(ba.target, bb.target),
-                        )
-                        for ba in a.transitions[(la, act)]
-                        for bb in b.transitions[(lb, act)]
-                    )
-                    prices = dict(prices_a)
-                    for n in b.prices:
-                        prices[n] = prices.get(n, 0) + b.prices[n].action_price(lb, act)
-                    put(loc, act, guard, dist, prices)
-                else:
-                    dist = tuple(
-                        ProbBranch(ba.prob, ba.resets, name(ba.target, lb))
-                        for ba in a.transitions[(la, act)]
-                    )
-                    put(loc, act, a.enabling[(la, act)], dist, prices_a)
-            for act in edges_b.get(lb, []):
-                if act in shared_actions:
-                    continue  # handled from a's side
+        for act in edges_a.get(la, []):
+            prices_a = {n: a.prices[n].action_price(la, act) for n in a.prices}
+            if act in shared_actions:
+                if (lb, act) not in b.transitions:
+                    continue  # partner not ready: synchronization blocks
+                guard = a.enabling[(la, act)].conjoin(b.enabling[(lb, act)])
                 dist = tuple(
-                    ProbBranch(bb.prob, bb.resets, name(la, bb.target))
+                    ProbBranch(
+                        ba.prob * bb.prob,
+                        ba.resets | bb.resets,
+                        visit(ba.target, bb.target),
+                    )
+                    for ba in a.transitions[(la, act)]
                     for bb in b.transitions[(lb, act)]
                 )
-                prices = {n: b.prices[n].action_price(lb, act) for n in b.prices}
-                put(loc, act, b.enabling[(lb, act)], dist, prices)
-
-    prices = {}
-    for n in price_names:
-        rates = {}
-        for la in a.locations:
-            for lb in b.locations:
-                rate = 0
-                if n in a.prices:
-                    rate += a.prices[n].rate(la)
-                if n in b.prices:
-                    rate += b.prices[n].rate(lb)
-                if rate:
-                    rates[name(la, lb)] = rate
-        prices[n] = PriceStructure(rates=rates, action_prices=action_prices[n])
+                prices = dict(prices_a)
+                for n in b.prices:
+                    prices[n] = prices.get(n, 0) + b.prices[n].action_price(lb, act)
+                put(loc, act, guard, dist, prices)
+            else:
+                dist = tuple(
+                    ProbBranch(ba.prob, ba.resets, visit(ba.target, lb))
+                    for ba in a.transitions[(la, act)]
+                )
+                put(loc, act, a.enabling[(la, act)], dist, prices_a)
+        for act in edges_b.get(lb, []):
+            if act in shared_actions:
+                continue  # handled from a's side
+            dist = tuple(
+                ProbBranch(bb.prob, bb.resets, visit(la, bb.target))
+                for bb in b.transitions[(lb, act)]
+            )
+            prices = {n: b.prices[n].action_price(lb, act) for n in b.prices}
+            put(loc, act, b.enabling[(lb, act)], dist, prices)
 
     labels: dict[str, StateLabel] = {}
-    for source, lift in ((a, lambda l: [name(l, lb) for lb in b.locations]),
-                         (b, lambda l: [name(la, l) for la in a.locations])):
+    for side, source in enumerate((a, b)):
         for label_name, label in source.labels.items():
-            extent = set()
-            for l in label.locations:
-                extent.update(lift(l))
+            extent = frozenset(
+                loc for pair, loc in names.items() if pair[side] in label.locations
+            )
             if label_name in labels:
-                labels[label_name] = StateLabel(
-                    labels[label_name].locations | frozenset(extent), label.guard
-                )
-            else:
-                labels[label_name] = StateLabel(frozenset(extent), label.guard)
+                if set(labels[label_name].guard.atoms) != set(label.guard.atoms):
+                    raise ModelError(
+                        f"label {label_name!r} has different clock guards in the two "
+                        f"components ({labels[label_name].guard} vs {label.guard})"
+                    )
+                extent |= labels[label_name].locations
+            labels[label_name] = StateLabel(extent, label.guard)
 
     caps = dict(a.clock_caps)
     for clock, cap in b.clock_caps.items():
@@ -414,15 +411,18 @@ def compose(a: Tptg, b: Tptg, owner: OwnerFn, shared_clocks: Iterable[str] = ())
 
     return Tptg(
         players=players,
-        locations=locations,
-        initial=name(a.initial, b.initial),
+        locations=tuple(names.values()),
+        initial=initial,
         clocks=clocks,
         actions=actions,
         owner=owner_map,
         invariants=invariants,
         enabling=enabling,
         transitions=transitions,
-        prices=prices,
+        prices={
+            n: PriceStructure(rates=rates[n], action_prices=action_prices[n])
+            for n in price_names
+        },
         labels=labels,
         clock_caps=caps,
     )

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from tptg import cli
 from tptg.cli import main
 
 
@@ -76,6 +77,20 @@ def test_sweep_T_monotone(capsys):
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert values == sorted(values)
     assert len(values) == 4
+
+
+def test_sweep_T_elaborates_once(monkeypatch, capsys):
+    calls = []
+    elaborate = cli.to_tptg
+    monkeypatch.setattr(cli, "to_tptg", lambda source: calls.append(1) or elaborate(source))
+    code = main([
+        "sweep", "--gen", "nonrepudiation", "--variant", "honest", "--p", "1/2",
+        "--prop", "Pmax [ F terminated_ok ] coalition {O, R}",
+        "--param", "T", "--values", "0,5,10",
+    ])
+    assert code == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 4
+    assert len(calls) == 1
 
 
 def test_sweep_p_requires_gen(fig1_file, capsys):
@@ -260,6 +275,32 @@ def test_validate_unbounded(tmp_path, capsys):
     code = main(["validate", str(bad)])
     assert code == 1
     assert "unbounded invariant" in capsys.readouterr().err
+
+
+def test_validate_counts_reachable_product_locations(capsys):
+    assert main(["validate", "--gen", "taskgraph", "--k1", "1", "--k2", "1"]) == 0
+    assert capsys.readouterr().out == "ok: 515 locations, 2 clocks, 2 players\n"
+
+
+def test_validate_ignores_unreachable_product_locations(tmp_path, capsys):
+    # b alone reaches m2, whose invariant leaves y unbounded, but in the
+    # product a never offers a second `sync`, so no pair with m2 is reachable
+    model = tmp_path / "blocked.tptg"
+    model.write_text(
+        "player p;\nclock x, y;\n"
+        "automaton a {\n  init l0;\n"
+        "  location l0 { inv x <= 1; [sync] x >= 1 -> 1: {x} & l1; }\n"
+        "  location l1 { inv x <= 1; }\n}\n"
+        "automaton b {\n  init m0;\n"
+        "  location m0 { inv y <= 1; [sync] true -> 1: {} & m1; }\n"
+        "  location m1 { inv y <= 1; [sync] true -> 1: {} & m2; }\n"
+        "  location m2 { inv true; }\n}\n"
+        "compose a || b;\nowner { * -> p; }\n"
+    )
+    assert main(["validate", str(model)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "ok: 2 locations, 2 clocks, 1 players\n"
+    assert "unbounded" not in captured.err
 
 
 def test_state_limit_flag(fig1_file, capsys):

@@ -212,3 +212,37 @@ def test_parse_property_forms(fig1_source):
         parse_property("Pbest [ F done ] coalition {sender}", fig1_source)
     with pytest.raises(ParseError):
         parse_property("Pmax [ F done ] coalition {stranger}", fig1_source)
+
+
+@pytest.mark.parametrize("edge_place", ["unreachable location", "variable guard"])
+def test_action_on_an_edge_never_taken_still_synchronizes(edge_place):
+    # a never takes its `sync` edge, so b's `sync` edge must stay blocked
+    if edge_place == "unreachable location":
+        a_body = """
+          location l0 { inv x <= 1; }
+          location dead { inv x <= 1; [sync] true -> 1: {} & l0; }
+        """
+    else:
+        a_body = """
+          var v: [0..1] init 0;
+          location l0 { inv x <= 1; [sync] v = 1 -> 1: {} & l0; }
+        """
+    text = f"""
+    player p;
+    clock x;
+    automaton a {{
+      init l0;
+      {a_body}
+    }}
+    automaton b {{
+      init m0;
+      location m0 {{ inv x <= 1; [sync] true -> 1: {{}} & m1; }}
+      location m1 {{ inv x <= 1; }}
+    }}
+    compose a || b;
+    owner {{ * -> p; }}
+    """
+    model = to_tptg(parse(text))
+    assert len(model.locations) == 1
+    assert "sync" in model.actions
+    assert model.transitions == {}

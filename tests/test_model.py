@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -281,3 +282,44 @@ def test_with_time_bound_keeps_behaviour(fig1_model):
 def test_with_time_bound_unknown_label(fig1_model):
     with pytest.raises(ModelError):
         with_time_bound(fig1_model, "nope", 3)
+
+
+def test_compose_keeps_only_reachable_pairs():
+    left = tiny()
+    right = Tptg(
+        players=("q",),
+        locations=("r0", "r1", "orphan"),
+        initial="r0",
+        clocks=("y",),
+        actions=("hop",),
+        owner={"r0": "q", "r1": "q", "orphan": "q"},
+        invariants={loc: clock_le("y", 2) for loc in ("r0", "r1", "orphan")},
+        enabling={("r0", "hop"): ClockConstraint(), ("orphan", "hop"): ClockConstraint()},
+        transitions={
+            ("r0", "hop"): (ProbBranch(Fraction(1), frozenset(), "r1"),),
+            ("orphan", "hop"): (ProbBranch(Fraction(1), frozenset(), "r0"),),
+        },
+        prices={"time": PriceStructure(rates={"orphan": 9})},
+        labels={"lost": StateLabel(frozenset({"orphan"}))},
+    )
+    product = compose(left, right, lambda la, lb: "p")
+    assert product.locations == ("only.r0", "only.r1")
+    assert set(product.transitions) == {
+        ("only.r0", "tick"), ("only.r0", "hop"), ("only.r1", "tick"),
+    }
+    assert product.prices["time"].rates == {}
+    assert product.labels["lost"].locations == frozenset()
+    assert product.labels["loop"].locations == frozenset(product.locations)
+
+
+def test_compose_rejects_label_with_conflicting_guards():
+    def guarded(bound):
+        model = tiny()
+        return replace(
+            model, labels={"loop": StateLabel(frozenset({"only"}), clock_le("x", bound))}
+        )
+
+    with pytest.raises(ModelError, match="different clock guards"):
+        compose(guarded(1), guarded(2), lambda la, lb: "p", shared_clocks={"x"})
+    same = compose(guarded(1), guarded(1), lambda la, lb: "p", shared_clocks={"x"})
+    assert same.labels["loop"] == StateLabel(frozenset({"only.only"}), clock_le("x", 1))
