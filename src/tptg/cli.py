@@ -53,7 +53,8 @@ def _add_common(sub: argparse.ArgumentParser):
                      help="property text, e.g. 'Pmax [ F done ] coalition {sender}'; "
                           "may be repeated (default: properties listed in the model)")
     sub.add_argument("--tol", type=float, default=1e-8)
-    sub.add_argument("--max-iters", type=int, default=10**6)
+    sub.add_argument("--max-iters", type=int, default=10**6,
+                     help="cap on the value-iteration sweeps of each strongly connected component")
     sub.add_argument("--state-limit", type=int, default=None,
                      help="cap on explored states (default 5e6 or TPTG_STATE_LIMIT)")
     sub.add_argument("--json", help="write results as JSON to this path")

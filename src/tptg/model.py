@@ -313,14 +313,20 @@ def compose(a: Tptg, b: Tptg, owner: OwnerFn, shared_clocks: Iterable[str] = ())
     for (lb, act) in b.transitions:
         edges_b.setdefault(lb, []).append(act)
 
-    # product name of every pair discovered so far, in BFS order
+    # product name of every pair discovered so far, in BFS order, and back
     names: dict[tuple[str, str], str] = {}
+    pairs: dict[str, tuple[str, str]] = {}
     queue: deque[tuple[str, str]] = deque()
 
     def visit(la: str, lb: str) -> str:
         loc = names.get((la, lb))
         if loc is None:
             loc = names[(la, lb)] = f"{la}{JOIN}{lb}"
+            clash = pairs.setdefault(loc, (la, lb))
+            if clash != (la, lb):
+                raise ModelError(
+                    f"product locations {clash!r} and {(la, lb)!r} are both named {loc!r}"
+                )
             queue.append((la, lb))
         return loc
 

@@ -1,9 +1,12 @@
 """Optimal values and strategies for two-player explicit games.
 
-Values are computed by Gauss-Seidel value iteration over binary64, with
-graph-based qualitative precomputation pinning the certainly-0 and
-certainly-1 states for reachability and the infinite states for expected
-price. Every graph fixpoint is one layered two-player attractor over the
+Values are computed by value iteration over binary64, with graph-based
+qualitative precomputation pinning the certainly-0 and certainly-1 states
+for reachability and the infinite states for expected price. The remaining
+states are split into strongly connected components and solved successors
+first: a state on no cycle gets one backup, a cyclic component Gauss-Seidel
+sweeps over its own states until one sweep changes less than the tolerance.
+Every graph fixpoint is one layered two-player attractor over the
 game's cached predecessor index: positive reach is one attractor, almost-sure
 reach a shrinking sequence of them, and synthesis settles the reaching side
 on an attractor over its optimal moves. Synthesis extracts memoryless
@@ -344,14 +347,21 @@ def _iterate(
     max_iters: int,
     prices: bool,
 ) -> tuple[int, float, bool]:
-    """Gauss-Seidel sweeps in state order; returns (sweeps, residual, converged)."""
+    """Solve the active states SCC by SCC, successors first, in place.
+
+    A trivial SCC (one state, no self-loop) gets one backup; a cyclic one
+    gets Gauss-Seidel sweeps over its states in ascending order until one
+    sweep changes less than `tol`, at most `max_iters` sweeps. Returns (the
+    most sweeps any SCC needed, the largest final-sweep residual of a cyclic
+    SCC, converged); the first SCC that hits the cap stops the solve.
+    """
+    if max_iters < 1:
+        return 0, math.inf, False
     moves = game.moves
-    iterations = 0
-    residual = math.inf
-    while iterations < max_iters:
-        iterations += 1
+
+    def sweep(states) -> float:
         residual = 0.0
-        for s in active:
+        for s in states:
             old = values[s]
             if prices:
                 new = opt[s](
@@ -369,9 +379,75 @@ def _iterate(
                 if diff > residual:
                     residual = diff
                 values[s] = new
-        if residual < tol:
-            return iterations, residual, True
-    return iterations, residual, False
+        return residual
+
+    most = 1
+    worst = 0.0
+    for component, cyclic in _components(moves, active):
+        if not cyclic:
+            sweep(component)
+            continue
+        sweeps = 0
+        residual = math.inf
+        while sweeps < max_iters:
+            sweeps += 1
+            residual = sweep(component)
+            if residual < tol:
+                break
+        most = max(most, sweeps)
+        worst = max(worst, residual)
+        if residual >= tol:
+            return most, worst, False
+    return most, worst, True
+
+
+def _components(moves: Sequence[Sequence[Move]], active: Sequence[int]):
+    """Strongly connected components of the active states, successors first.
+
+    Edges are positive-probability branches between active states. Iterative
+    Tarjan: roots in ascending state order, successors in move and branch
+    order. Yields (states in ascending order, whether the SCC has a cycle).
+    """
+    number: dict[int, int] = dict.fromkeys(active, -1)
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+
+    def visit(s):
+        number[s] = low[s] = len(low)
+        stack.append(s)
+        on_stack.add(s)
+        successors = [t for m in moves[s] for t, p in m.branches if p > 0 and t in number]
+        work.append((s, successors, iter(successors)))
+
+    for root in sorted(active):
+        if number[root] >= 0:
+            continue
+        work = []
+        visit(root)
+        while work:
+            s, successors, pending = work[-1]
+            for t in pending:
+                if number[t] < 0:
+                    visit(t)
+                    break
+                if t in on_stack and number[t] < low[s]:
+                    low[s] = number[t]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[s] < low[parent]:
+                        low[parent] = low[s]
+                if low[s] == number[s]:
+                    component = [stack.pop()]
+                    while component[-1] != s:
+                        component.append(stack.pop())
+                    on_stack.difference_update(component)
+                    if len(component) > 1:
+                        yield sorted(component), True
+                    else:
+                        yield component, s in successors
 
 
 def _backup(move: Move, values: list[float], prices: bool) -> float:

@@ -21,6 +21,7 @@ def random_game(
     min_price: int = 0,
     goal_share: float = 0.25,
     goal_escape: Fraction | None = None,
+    acyclic: bool = False,
 ):
     """Random two-player explicit game with a nonempty `goal` label.
 
@@ -28,6 +29,8 @@ def random_game(
     mass straight to a goal state, which keeps value iteration strongly
     contracting and all states almost-surely reaching. `min_price=1` keeps
     expected-price objectives well-posed (no zero-price stalling).
+    With `acyclic` set, branches go only to goal states or to states later
+    in a random ranking, so the game has no cycle.
     """
     n = rng.randint(min_states, max_states)
     goals = {s for s in range(n) if rng.random() < goal_share}
@@ -36,6 +39,7 @@ def random_game(
     if len(goals) == n:
         goals.discard(0)
     owner = [rng.choice((1, 2)) for _ in range(n)]
+    rank = rng.sample(range(n), n) if acyclic else None
     moves = []
     for s in range(n):
         if s in goals:
@@ -43,7 +47,11 @@ def random_game(
             continue
         state_moves = []
         for a in range(rng.randint(1, max_actions)):
-            support = rng.sample(range(n), rng.randint(1, min(3, n)))
+            if rank is None:
+                support = rng.sample(range(n), rng.randint(1, min(3, n)))
+            else:
+                pool = [t for t in range(n) if t in goals or rank[t] > rank[s]]
+                support = rng.sample(pool, rng.randint(1, min(3, len(pool))))
             weights = [rng.randint(1, 4) for _ in support]
             total = sum(weights)
             branches = [(t, w / total) for t, w in zip(support, weights)]

@@ -129,11 +129,11 @@ def test_sweep_csv_is_deterministic(tmp_path):
 #: determinism contract, so these move only by a recorded decision
 PINNED_SYNTH = [
     ([str(importlib.resources.files("tptg") / "models" / "fig1.tptg")],
-     "d29b8903fdd88c92d6e9ae382644039af205899fd558db76b1cf2c1dfef2d5f2"),
+     "d9fa12eeee045172d813d2e8436039fecb156f6dfb0a795a656e23d385a90d2d"),
     (
         ["--gen", "taskgraph", "--k1", "1", "--k2", "1", "--p", "1/2",
          "--prop", "Emin [ F all_done ] price time coalition {sched}"],
-        "f43efa687c5ce8ec5df010231cb7a3ffbf644cd170ce334176f4db03cfc96113",
+        "374ce27204c3beefffa3345e339e4ad8089ba4409ea448266226cda5f708f72c",
     ),
     (
         ["--gen", "nonrepudiation", "--variant", "malicious1",

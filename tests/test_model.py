@@ -323,3 +323,25 @@ def test_compose_rejects_label_with_conflicting_guards():
         compose(guarded(1), guarded(2), lambda la, lb: "p", shared_clocks={"x"})
     same = compose(guarded(1), guarded(1), lambda la, lb: "p", shared_clocks={"x"})
     assert same.labels["loop"] == StateLabel(frozenset({"only.only"}), clock_le("x", 1))
+
+
+def test_compose_rejects_two_pairs_with_one_name():
+    def chain(player, first, second, action):
+        return Tptg(
+            players=(player,),
+            locations=(first, second),
+            initial=first,
+            clocks=(),
+            actions=(action,),
+            owner={first: player, second: player},
+            invariants={first: ClockConstraint(), second: ClockConstraint()},
+            enabling={(first, action): ClockConstraint()},
+            transitions={(first, action): (ProbBranch(Fraction(1), frozenset(), second),)},
+        )
+
+    left = chain("p", "x", "x.y", "go")
+    right = chain("q", "y.z", "z", "hop")
+    with pytest.raises(ModelError) as raised:
+        compose(left, right, lambda la, lb: "p")
+    message = str(raised.value)
+    assert "('x', 'y.z')" in message and "('x.y', 'z')" in message and "'x.y.z'" in message
