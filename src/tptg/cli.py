@@ -19,8 +19,8 @@ from .elaborate import describe_property, resolve_property, to_tptg
 from .errors import ModelError, ParseError, StateLimitError
 from .game import Tsg, coalition_game, game_stats, to_json_dict
 from .model import Tptg, errors_only, validate_assumptions, with_time_bound
-from .semantics import DEFAULT_STATE_LIMIT, build
-from .solver import SolveResult, solve
+from .semantics import DEFAULT_STATE_LIMIT, build, reprice
+from .solver import Objective, SolveResult, solve
 
 EXIT_OK = 0
 EXIT_MODEL_ERROR = 1
@@ -60,24 +60,33 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--json", help="write results as JSON to this path")
 
 
+def _number(kind, text: str, what: str):
+    """`kind(text)` (int or Fraction), raising ModelError on a malformed value."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        noun = "an integer" if kind is int else "a rational number"
+        raise ModelError(f"{what} must be {noun}, not {text!r}") from None
+
+
 def _state_limit(args) -> int:
     if args.state_limit is not None:
         return args.state_limit
     env = os.environ.get("TPTG_STATE_LIMIT")
-    return int(env) if env else DEFAULT_STATE_LIMIT
+    return _number(int, env, "TPTG_STATE_LIMIT") if env else DEFAULT_STATE_LIMIT
 
 
 def load_source(args) -> ModelSource:
     if args.gen and args.model:
         raise ModelError("give either a model file or --gen, not both")
     if args.gen == "nonrepudiation":
-        p = Fraction(args.p) if args.p is not None else Fraction(1, 100)
+        p = _number(Fraction, args.p, "p") if args.p is not None else Fraction(1, 100)
         return casestudies.nonrepudiation_source(
             args.variant, p=p, md=args.md, MD=args.MD, ad=args.ad, AD=args.AD,
             timeout=args.timeout,
         )
     if args.gen == "taskgraph":
-        p = Fraction(args.p) if args.p is not None else Fraction(1)
+        p = _number(Fraction, args.p, "p") if args.p is not None else Fraction(1)
         return casestudies.taskgraph_source(args.k1, args.k2, p)
     if not args.model:
         raise ModelError("no model given: pass a .tptg file or --gen")
@@ -92,27 +101,50 @@ def _properties(args, source: ModelSource) -> list[PropertyAst]:
     return list(source.props)
 
 
-def run_property(
-    model: Tptg,
-    prop: PropertyAst,
-    tol: float,
-    max_iters: int,
-    state_limit: int,
-) -> tuple[SolveResult, Tsg]:
-    """parse -> bound -> build -> coalition -> solve, for one property."""
+def _game(model: Tptg, price: str | None, state_limit: int, games=None, key=None) -> Tsg:
+    """The game of `model` under `price`. `games` caches one priced game per
+    `key`: built for the first request, repriced for a later one with another
+    price, and replaced by the repriced game, predecessor index included."""
+    held = games.get(key) if games is not None else None
+    if held is None:
+        game = build(model, price=price, state_limit=state_limit)
+    else:
+        game = held[1] if held[0] == price else reprice(held[1], model, price)
+    if games is not None:
+        game.predecessors  # computed once; reprice and coalition views share it
+        games[key] = (price, game)
+    return game
+
+
+def property_game(
+    model: Tptg, prop: PropertyAst, state_limit: int, games: dict | None = None
+) -> tuple[Objective, Tsg]:
+    """bound -> build -> coalition for one property of `model`. `games`, when
+    given, holds the games of `model` per time-bound group: None for unbounded
+    properties, (target, bound) for bounded ones."""
     objective, coalition, bound = resolve_property(prop)
     target = prop.target
     if target not in model.labels:
         raise ModelError(f"property targets unknown label {target!r}")
     if bound is not None:
         model, target = with_time_bound(model, target, bound)
-        objective = type(objective)(
-            objective.kind, objective.direction, target, price=objective.price
-        )
-    game = build(model, price=prop.price, state_limit=state_limit)
-    two_player = coalition_game(game, coalition)
-    result = solve(two_player, objective, tol=tol, max_iters=max_iters)
-    return result, two_player
+        objective = Objective(objective.kind, objective.direction, target, price=prop.price)
+    key = None if bound is None else (prop.target, bound)
+    game = _game(model, prop.price, state_limit, games, key)
+    return objective, coalition_game(game, coalition)
+
+
+def run_property(
+    model: Tptg,
+    prop: PropertyAst,
+    tol: float,
+    max_iters: int,
+    state_limit: int,
+    games: dict | None = None,
+) -> tuple[SolveResult, Tsg]:
+    """parse -> bound -> build (or reuse from `games`) -> coalition -> solve."""
+    objective, two_player = property_game(model, prop, state_limit, games)
+    return solve(two_player, objective, tol=tol, max_iters=max_iters), two_player
 
 
 def cmd_check(args) -> int:
@@ -122,8 +154,9 @@ def cmd_check(args) -> int:
     state_limit = _state_limit(args)
     worst = EXIT_OK
     records = []
+    games = {}
     for prop in props:
-        result, game = run_property(model, prop, args.tol, args.max_iters, state_limit)
+        result, game = run_property(model, prop, args.tol, args.max_iters, state_limit, games)
         stats = game_stats(game)
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
@@ -152,29 +185,25 @@ def cmd_sweep(args) -> int:
         model = to_tptg(source)  # a time bound leaves the model unchanged
     for raw in values:
         if args.param == "T":
-            bound = int(raw)
-            cells = [raw]
-            for prop in props:
-                bounded = PropertyAst(prop.query, prop.target, bound, prop.price, prop.coalition)
-                result, _ = run_property(model, bounded, args.tol, args.max_iters, state_limit)
-                cells.append(f"{result.initial_value:.10g}")
-                if not result.converged:
-                    worst = EXIT_NOT_CONVERGED
+            bound = _number(int, raw, "T")
+            swept_props = [PropertyAst(p.query, p.target, bound, p.price, p.coalition)
+                           for p in props]
         else:
             if args.gen is None:
                 raise ModelError(f"sweeping {args.param} needs --gen")
             override = dict(gen=args.gen, variant=args.variant, p=args.p, k1=args.k1,
                             k2=args.k2, md=args.md, MD=args.MD, ad=args.ad, AD=args.AD,
                             timeout=args.timeout, model=None)
-            override[args.param] = raw if args.param == "p" else int(raw)
-            swept = argparse.Namespace(**override)
-            model = to_tptg(load_source(swept))
-            cells = [raw]
-            for prop in props:
-                result, _ = run_property(model, prop, args.tol, args.max_iters, state_limit)
-                cells.append(f"{result.initial_value:.10g}")
-                if not result.converged:
-                    worst = EXIT_NOT_CONVERGED
+            override[args.param] = raw if args.param == "p" else _number(int, raw, args.param)
+            model = to_tptg(load_source(argparse.Namespace(**override)))
+            swept_props = props
+        cells = [raw]
+        games = {}  # the games of this row's model and bound
+        for prop in swept_props:
+            result, _ = run_property(model, prop, args.tol, args.max_iters, state_limit, games)
+            cells.append(f"{result.initial_value:.10g}")
+            if not result.converged:
+                worst = EXIT_NOT_CONVERGED
         rows.append(cells)
     text = "\n".join(",".join(row) for row in rows) + "\n"
     if args.csv:
@@ -191,8 +220,9 @@ def cmd_synth(args) -> int:
     state_limit = _state_limit(args)
     records = []
     worst = EXIT_OK
+    games = {}
     for prop in props:
-        result, _ = run_property(model, prop, args.tol, args.max_iters, state_limit)
+        result, _ = run_property(model, prop, args.tol, args.max_iters, state_limit, games)
         print(
             f"{describe_property(prop)} = {result.initial_value:.6f} "
             f"(strategy over {len(result.strategy or {})} states)"
@@ -214,14 +244,8 @@ def cmd_simulate(args) -> int:
     props = _properties(args, source)
     if len(props) != 1:
         raise ModelError("simulate works on exactly one property")
-    prop = props[0]
-    state_limit = _state_limit(args)
-    objective, coalition, bound = resolve_property(prop)
-    target = prop.target
-    if bound is not None:
-        model, target = with_time_bound(model, target, bound)
-    game = build(model, price=prop.price, state_limit=state_limit)
-    two_player = coalition_game(game, coalition)
+    objective, two_player = property_game(model, props[0], _state_limit(args))
+    target = objective.target
     if args.uniform:
         profile = uniform_profile(random.Random(args.seed ^ 0x5EED))
     else:
@@ -269,7 +293,7 @@ def cmd_simulate(args) -> int:
 def cmd_export_game(args) -> int:
     source = load_source(args)
     model = to_tptg(source)
-    game = build(model, price=args.price, state_limit=_state_limit(args))
+    game = _game(model, args.price, _state_limit(args))
     payload = {"game": to_json_dict(game), "stats": game_stats(game)}
     text = json.dumps(payload, indent=1)
     if args.json:

@@ -7,7 +7,7 @@ label; the solver gives them reach probability 0 and infinite expected price.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -111,6 +111,14 @@ class Tsg:
                         preds[target].append((s, mi))
         return preds
 
+    def derive(self, **changes) -> "Tsg":
+        """Copy with other owners, players or move prices but the same branches
+        and move order, sharing the predecessor index once it is computed."""
+        view = replace(self, **changes)
+        if "predecessors" in self.__dict__:
+            view.__dict__["predecessors"] = self.predecessors
+        return view
+
     def validate(self) -> list[str]:
         """Check structural invariants, returning one diagnostic per violation."""
         issues: list[str] = []
@@ -167,14 +175,7 @@ def coalition_game(game: Tsg, coalition: Iterable[Player]) -> Tsg:
     if unknown:
         raise ModelError(f"coalition contains unknown player(s) {sorted(map(str, unknown))}")
     owner = tuple(1 if p in coalition else 2 for p in game.owner)
-    return Tsg(
-        states=game.states,
-        initial=game.initial,
-        players=(1, 2),
-        owner=owner,
-        moves=game.moves,
-        labels=game.labels,
-    )
+    return game.derive(players=(1, 2), owner=owner)
 
 
 @dataclass

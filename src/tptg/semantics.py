@@ -193,7 +193,8 @@ def build(
 
 
 def reprice(game: Tsg, model: Tptg, price: str | None) -> Tsg:
-    """Same game with move prices recomputed under another price structure."""
+    """Same game with move prices recomputed under another price structure;
+    branches and move order are kept, so the predecessor index is shared."""
     if price is not None and price not in model.prices:
         raise ModelError(f"unknown price structure {price!r}")
     structure = model.prices[price] if price is not None else None
@@ -211,14 +212,7 @@ def reprice(game: Tsg, model: Tptg, price: str | None) -> Tsg:
                 )
             repriced.append(Move(m.action, m.branches, cost, m.time))
         new_moves.append(tuple(repriced))
-    return Tsg(
-        states=game.states,
-        initial=game.initial,
-        players=game.players,
-        owner=game.owner,
-        moves=tuple(new_moves),
-        labels=game.labels,
-    )
+    return game.derive(moves=tuple(new_moves))
 
 
 def state_index(game: Tsg) -> dict[tuple[str, tuple[int, ...]], int]:

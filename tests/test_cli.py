@@ -320,3 +320,101 @@ def test_state_limit_env(fig1_file, capsys, monkeypatch):
     ])
     assert code == 1
     assert "state limit" in capsys.readouterr().err
+
+
+def _count_builds(monkeypatch) -> list:
+    calls = []
+    build = cli.build
+    monkeypatch.setattr(cli, "build", lambda *a, **k: calls.append(1) or build(*a, **k))
+    return calls
+
+
+def test_shipped_sweeps_build_once_per_model_and_time_bound(monkeypatch, tmp_path):
+    results = pathlib.Path(__file__).resolve().parent.parent / "results"
+    # 16 values of T x 1 bound group; 5 values of p x 1 unbounded group
+    for name, builds in (("honest_termination_by_T.csv", 16), ("taskgraph_expected_by_p.csv", 5)):
+        calls = _count_builds(monkeypatch)
+        regenerated = tmp_path / name
+        assert main(SHIPPED_SWEEPS[name] + ["--csv", str(regenerated)]) == 0
+        assert len(calls) == builds, name
+        assert regenerated.read_bytes() == (results / name).read_bytes(), name
+
+
+def test_check_fig1_builds_once_per_time_bound(monkeypatch, capsys):
+    calls = _count_builds(monkeypatch)
+    fig1 = str(importlib.resources.files("tptg") / "models" / "fig1.tptg")
+    assert main(["check", fig1]) == 0
+    assert len(calls) == 2  # the two unbounded properties share a game
+    assert capsys.readouterr().out == (
+        "Pmax[F done] {sender,medium} = 1.000000 (converged=true, iterations=1, states=142)\n"
+        "Pmax[F done]<=10 {sender,medium} = 1.000000 (converged=true, iterations=1, states=142)\n"
+        "Pmin[F done] {} = 1.000000 (converged=true, iterations=1, states=142)\n"
+    )
+
+
+def test_honest_T_sweep_cells_equal_one_property_checks(tmp_path):
+    """Sharing a game between properties must not make a value depend on its
+    neighbours: each cell equals a check of that property alone."""
+    results = pathlib.Path(__file__).resolve().parent.parent / "results"
+    sweep = SHIPPED_SWEEPS["honest_termination_by_T.csv"]
+    props = [sweep[i + 1] for i, arg in enumerate(sweep) if arg == "--prop"]
+    rows = (results / "honest_termination_by_T.csv").read_text().splitlines()[1:]
+    assert len(rows) == 16 and len(props) == 4
+    model_args = sweep[1:sweep.index("--prop")]
+    out = tmp_path / "cell.json"
+    for bound, *cells in (row.split(",") for row in rows):
+        for prop, cell in zip(props, cells, strict=True):
+            bounded = prop.replace("] coalition", f"] <= {bound} coalition")
+            assert main(["check", *model_args, "--prop", bounded, "--json", str(out)]) == 0
+            (record,) = json.loads(out.read_text())
+            assert f"{record['value']:.10g}" == cell, (bound, prop)
+
+
+def test_check_prints_earlier_results_before_an_unknown_label(fig1_file, capsys):
+    code = main([
+        "check", fig1_file,
+        "--prop", "Pmax [ F done ] coalition {sender, medium}",
+        "--prop", "Pmax [ F nowhere ] coalition {sender}",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == (
+        "Pmax[F done] {sender,medium} = 1.000000 (converged=true, iterations=1, states=142)\n"
+    )
+    assert captured.err.endswith("error: property targets unknown label 'nowhere'\n")
+
+
+def test_sweep_T_rejects_a_non_integer_value(capsys):
+    code = main([
+        "sweep", "--gen", "nonrepudiation", "--variant", "honest", "--p", "1/2",
+        "--prop", "Pmax [ F terminated_ok ] coalition {O, R}",
+        "--param", "T", "--values", "5,x",
+    ])
+    assert code == 1
+    assert "error: T must be an integer, not 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param", ["k1", "k2"])
+def test_sweep_k_rejects_a_non_integer_value(param, capsys):
+    code = main([
+        "sweep", "--gen", "taskgraph",
+        "--prop", "Emin [ F all_done ] price time coalition {sched}",
+        "--param", param, "--values", "1.5",
+    ])
+    assert code == 1
+    assert f"error: {param} must be an integer, not '1.5'" in capsys.readouterr().err
+
+
+def test_non_rational_p_is_a_model_error(capsys):
+    prop = ["--prop", "Emin [ F all_done ] price time coalition {sched}"]
+    assert main(["check", "--gen", "taskgraph", "--p", "half", *prop]) == 1
+    assert "error: p must be a rational number, not 'half'" in capsys.readouterr().err
+    assert main(["sweep", "--gen", "taskgraph", *prop, "--param", "p", "--values", "1/0"]) == 1
+    assert "error: p must be a rational number, not '1/0'" in capsys.readouterr().err
+
+
+def test_state_limit_env_must_be_an_integer(fig1_file, capsys, monkeypatch):
+    monkeypatch.setenv("TPTG_STATE_LIMIT", "abc")
+    code = main(["check", fig1_file, "--prop", "Pmax [ F done ] coalition {sender, medium}"])
+    assert code == 1
+    assert "error: TPTG_STATE_LIMIT must be an integer, not 'abc'" in capsys.readouterr().err

@@ -150,3 +150,20 @@ def test_game_stats(fig1_game):
     assert stats["states"] == len(fig1_game.states)
     assert stats["transitions"] == sum(len(ms) for ms in fig1_game.moves)
     assert set(stats["player_states"]) == {"sender", "medium"}
+
+
+def test_coalition_and_reprice_views_share_a_computed_predecessor_index(fig1_model):
+    game = tptg.build(fig1_model)
+    fresh = coalition_game(game, {"sender"})
+    assert "predecessors" not in vars(fresh)  # nothing to share yet
+    index = game.predecessors
+    for coalition in ({"sender"}, {"medium"}, {"sender", "medium"}, set()):
+        view = coalition_game(game, coalition)
+        assert view.predecessors is index
+    assert tptg.reprice(game, fig1_model, None).predecessors is index
+    assert fresh.predecessors == index and fresh.predecessors is not index
+    objective = tptg.Objective("prob-reach", "maxmin", "done")
+    shared = tptg.solve(coalition_game(game, {"sender"}), objective)
+    alone = tptg.solve(fresh, objective)
+    assert shared.values == alone.values
+    assert shared.strategy == alone.strategy

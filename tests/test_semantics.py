@@ -184,3 +184,33 @@ def test_variable_provenance_parsing(taskgraph_k1_p1):
     assert start.location.startswith("decide0#")
     variables = _variable_assignment(start.location)
     assert variables["st1"] == 0 and variables["free1"] == 1 and variables["nrun"] == 0
+
+
+def _assert_reprice_equals_rebuild(model):
+    """For every ordered pair (a, b) of price structures, None included,
+    repricing the game built under a gives the game built under b."""
+    prices = [None, *model.prices]
+    built = {price: tptg.build(model, price=price) for price in prices}
+    for a in prices:
+        for b in prices:
+            assert tptg.reprice(built[a], model, b) == built[b], (a, b)  # moves included
+
+
+REPRICE_MODELS = {
+    **{f"taskgraph-{k}-p{p}": (lambda k=k, p=p: tptg.gen_taskgraph(k, k, p))
+       for k in range(3) for p in ("0", "1/2", "1")},
+    **{f"nonrep-{v}": (lambda v=v: tptg.gen_nonrepudiation(v))
+       for v in ("honest", "malicious1", "malicious2")},
+}
+
+
+@pytest.mark.parametrize("make_model", REPRICE_MODELS.values(), ids=REPRICE_MODELS.keys())
+def test_reprice_equals_rebuild_on_case_studies(make_model):
+    _assert_reprice_equals_rebuild(make_model())
+
+
+def test_reprice_equals_rebuild_on_fig1_and_random_models(fig1_model):
+    _assert_reprice_equals_rebuild(fig1_model)
+    rng = random.Random(5)
+    for _ in range(20):
+        _assert_reprice_equals_rebuild(random_tptg(rng))
