@@ -9,11 +9,14 @@ sweeps over its own states until one sweep changes less than the tolerance.
 Every graph fixpoint is one layered two-player attractor over the
 game's cached predecessor index: positive reach is one attractor, almost-sure
 reach a shrinking sequence of them, and synthesis settles the reaching side
-on an attractor over its optimal moves. Synthesis extracts memoryless
-deterministic profiles and certifies them by re-evaluating the induced
-chain. An expected-price solve is refused when the payer's profile does not
-force the target almost surely from every finite-valued state, because the
-values iterated from below then credit a zero-price cycle as free.
+on an attractor over its optimal moves. Synthesis picks one move index
+per state and checks the pair on the game itself, never on a copy. An
+expected-price solve is refused when the payer's pinned moves do not force
+the target almost surely from every finite-valued state, because the values
+iterated from below then credit a zero-price cycle as free. The certificate
+evaluates the induced Markov chain: two backward searches over the chosen
+moves give its probability-0 and -1 states, the SCC kernel the rest, and it
+must match the values within ``10 * tol`` on the states it reaches.
 """
 
 import math
@@ -119,6 +122,11 @@ def _check_two_players(game: Tsg):
         )
 
 
+def _check_tol(tol: float):
+    if not 0 <= tol < math.inf:
+        raise ModelError(f"tolerance must be a finite number >= 0, not {tol!r}")
+
+
 def _reach_maximizer(direction: str) -> int:
     """Index (0/1) into game.players of the side maximizing reach probability."""
     if direction not in DIRECTIONS:
@@ -163,30 +171,33 @@ def _attractor(
 
 
 def _almost_sure(
-    game: Tsg, targets: frozenset[int], reacher
-) -> tuple[frozenset[int], dict[int, Move]]:
+    game: Tsg, targets: frozenset[int], reacher, pin: dict[int, int] | None = None
+) -> tuple[frozenset[int], dict[int, int]]:
     """States from which `reacher` forces `targets` with probability one, and
-    a spoiling move for each state of the other side outside them.
+    the index of a spoiling move for each state of the other side outside them.
 
     Greatest fixpoint: shrink the candidate set to the attractor of the
     targets over the moves that stay in it until no state drops. A dropped
     state of the avoiding side spoils with its (delay, action)-smallest move
     that leaves the candidate set, or else with the smallest that misses the
     attractor; playing these keeps the target unreached with positive
-    probability from every dropped state.
+    probability from every dropped state. `pin` maps states of `reacher` to
+    the index of the only move each may use.
     """
+    pin = pin or {}
+    allowed = [(pin[s],) if s in pin else range(len(ms)) for s, ms in enumerate(game.moves)]
     exists = game.player_states(reacher)
     candidate = set(range(len(game.states)))
-    spoilers: dict[int, Move] = {}
+    spoilers: dict[int, int] = {}
     while True:
         usable = {}
         for s in candidate:
             moves = game.moves[s]
             stay = {
-                mi for mi, m in enumerate(moves)
-                if all(t in candidate for t, p in m.branches if p > 0)
+                mi for mi in allowed[s]
+                if all(t in candidate for t, p in moves[mi].branches if p > 0)
             }
-            if s in exists or len(stay) == len(moves):
+            if s in exists or len(stay) == len(allowed[s]):
                 usable[s] = stay
         attracted = _attractor(game, targets, exists, usable)
         dropped = [s for s in candidate if s not in attracted]
@@ -196,9 +207,9 @@ def _almost_sure(
             moves = game.moves[s]
             if s in exists or not moves:
                 continue
-            leave = [m for m in moves if any(p > 0 and t not in candidate for t, p in m.branches)]
-            miss = [m for m in moves if not any(p > 0 and t in attracted for t, p in m.branches)]
-            spoilers[s] = min(leave or miss, key=Move.sort_key)
+            leave = [i for i, m in enumerate(moves) if any(p > 0 and t not in candidate for t, p in m.branches)]
+            miss = [i for i, m in enumerate(moves) if not any(p > 0 and t in attracted for t, p in m.branches)]
+            spoilers[s] = _smallest(moves, leave or miss)
         candidate = set(attracted)
 
 
@@ -230,6 +241,7 @@ def prob_reach(
 ) -> SolveResult:
     """Optimal probability of reaching the target under the given direction."""
     _check_two_players(game)
+    _check_tol(tol)
     target_set = _target_set(game, targets)
     objective = Objective("prob-reach", direction, _label_of(targets))
     prob0, prob1 = qualitative_reach(game, target_set, direction)
@@ -258,11 +270,12 @@ def expected_price(
     does not force the target almost surely from every finite-valued state.
     """
     _check_two_players(game)
+    _check_tol(tol)
     target_set = _target_set(game, targets)
     objective = Objective("exp-price", direction, _label_of(targets))
     # the side made to pay wants the target reached almost surely
-    reach_direction = "minmax" if direction == "maxmin" else "maxmin"
-    _, prob1 = qualitative_reach(game, target_set, reach_direction)
+    payer = game.players[1 - _reach_maximizer(direction)]
+    prob1, _ = _almost_sure(game, target_set, payer)
     n = len(game.states)
     values = [0.0 if s in prob1 else math.inf for s in range(n)]
     active = [s for s in range(n) if s in prob1 and s not in target_set]
@@ -280,7 +293,7 @@ def _solve_active(game, objective, values, active, tol, max_iters, warnings, pro
     """Iterate the active states of `values` in place, then synthesize."""
     prices = objective.kind == "exp-price"
     iterations, residual, converged = _iterate(
-        game, values, active, _opt_for(game, objective.direction), tol, max_iters, prices
+        game.moves, values, active, _opt_for(game, objective.direction), tol, max_iters, prices
     )
     result = SolveResult(
         objective=objective,
@@ -339,7 +352,7 @@ def _deadlock_warnings(game: Tsg, target_set: frozenset[int], treatment: str) ->
 
 
 def _iterate(
-    game: Tsg,
+    moves: Sequence[Sequence[Move]],
     values: list[float],
     active: list[int],
     opt: list,
@@ -349,6 +362,7 @@ def _iterate(
 ) -> tuple[int, float, bool]:
     """Solve the active states SCC by SCC, successors first, in place.
 
+    `moves[s]` holds the moves of state s that the backup ranges over.
     A trivial SCC (one state, no self-loop) gets one backup; a cyclic one
     gets Gauss-Seidel sweeps over its states in ascending order until one
     sweep changes less than `tol`, at most `max_iters` sweeps. Returns (the
@@ -357,7 +371,6 @@ def _iterate(
     """
     if max_iters < 1:
         return 0, math.inf, False
-    moves = game.moves
 
     def sweep(states) -> float:
         residual = 0.0
@@ -472,10 +485,12 @@ def synthesize(
     infinite expected price the avoiding side plays a spoiling move, and the
     payer's profile must force the target almost surely from every
     finite-valued state, else the solve is refused as a zero-price stall.
-    The induced chain is re-solved and must reproduce the values within
-    ``10 * tol``.
+    The Markov chain the chosen move indices induce is then evaluated (two
+    backward searches, then the SCC kernel) and must reproduce the values
+    within ``10 * tol`` on every state it reaches.
     """
     _check_two_players(game)
+    _check_tol(tol)
     if isinstance(values, SolveResult):
         if not values.converged:
             raise ModelError("refusing to synthesize from non-converged values")
@@ -493,7 +508,7 @@ def synthesize(
     reacher = game.players[1 - maximizer if prices else maximizer]
     reaching = game.player_states(reacher)
 
-    choice: dict[int, Move] = {}
+    choice: dict[int, int] = {}
     tied: dict[int, set[int]] = {}
     for s, moves in enumerate(game.moves):
         if not moves:
@@ -507,32 +522,25 @@ def synthesize(
         else:
             slack = 2 * tol * max(1.0, abs(best))
             optimal = [i for i, b in enumerate(backups) if abs(b - best) <= slack]
-        first = _smallest(moves, optimal)
-        choice[s] = moves[first]
-        tied[s] = set(optimal) if s in reaching and s not in target_set else {first}
+        choice[s] = _smallest(moves, optimal)
+        tied[s] = set(optimal) if s in reaching and s not in target_set else {choice[s]}
 
     # the reaching side settles, layer by layer from the target, on its
     # smallest tied move that steps into an earlier layer
     for s, hits in _attractor(game, target_set, reaching, tied).items():
         if hits:
-            choice[s] = game.moves[s][_smallest(game.moves[s], hits)]
+            choice[s] = _smallest(game.moves[s], hits)
     if prices and any(math.isinf(v) for v in vector):
         # at infinite-value states the avoider must witness the infinity
         _, spoilers = _almost_sure(game, target_set, reacher)
-        choice.update((s, m) for s, m in spoilers.items() if math.isinf(vector[s]))
-
-    profile1: dict[int, str] = {}
-    profile2: dict[int, str] = {}
-    for s, move in choice.items():
-        side = profile1 if game.owner[s] == game.players[0] else profile2
-        side[s] = move.label
+        choice.update((s, mi) for s, mi in spoilers.items() if math.isinf(vector[s]))
 
     if prices:
         # iteration from below credits zero-price cycles as free; its values
         # are the game's when the payer's profile forces the target almost
         # surely from every finite-valued state
-        payer = profile1 if reacher == game.players[0] else profile2
-        forced, _ = _almost_sure(restrict_to_profile(game, payer), target_set, reacher)
+        pin = {s: mi for s, mi in choice.items() if s in reaching}
+        forced, _ = _almost_sure(game, target_set, reacher, pin)
         stalled = [s for s, v in enumerate(vector) if not math.isinf(v) and s not in forced]
         if stalled:
             raise ModelError(
@@ -540,7 +548,13 @@ def synthesize(
                 f"zero price in {len(stalled)} state(s) (e.g. state {min(stalled)}); "
                 f"give the stalling moves positive prices"
             )
-    _certify(game, objective, vector, {**profile1, **profile2}, tol)
+    _certify(game, objective, vector, choice, tol)
+
+    profile1: dict[int, str] = {}
+    profile2: dict[int, str] = {}
+    for s, mi in choice.items():
+        side = profile1 if game.owner[s] == game.players[0] else profile2
+        side[s] = game.moves[s][mi].label
     return profile1, profile2
 
 
@@ -568,40 +582,45 @@ def restrict_to_profile(game: Tsg, profile: dict[int, str]) -> Tsg:
     )
 
 
-def _chain_reachable(game: Tsg, profile: dict[int, str]) -> list[int]:
-    seen = {game.initial}
-    stack = [game.initial]
-    while stack:
-        s = stack.pop()
-        if s not in profile:
-            continue
-        for move in game.moves[s]:
-            if move.label != profile[s]:
-                continue
-            for t, p in move.branches:
-                if p > 0 and t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-    return sorted(seen)
-
-
 def _certify(
     game: Tsg,
     objective: Objective,
     vector: Sequence[float],
-    profile: dict[int, str],
+    choice: dict[int, int],
     tol: float,
 ):
     # Optimality holds along the play the profile pair actually induces;
     # off-path states with infinite value keep arbitrary recorded choices.
-    chain = restrict_to_profile(game, profile)
-    target = objective.target
-    if objective.kind == "prob-reach":
-        check = prob_reach_values_only(chain, target, objective.direction, tol)
+    moves = game.moves
+    chain = [()] * len(moves)
+    reached = {game.initial}
+    stack = [game.initial]
+    while stack:
+        s = stack.pop()
+        if s in choice:
+            chain[s] = (moves[s][choice[s]],)
+            for t, p in chain[s][0].branches:
+                if p > 0 and t not in reached:
+                    reached.add(t)
+                    stack.append(t)
+    # A Markov chain reaches the target with probability 0 from the states
+    # that cannot reach it, and with probability 1 from the states that
+    # cannot reach those without passing the target.
+    target_set = _target_set(game, objective.target)
+    chosen = {s: {choice[s]} for s in reached if s in choice and s not in target_set}
+    prob0 = reached.difference(_attractor(game, target_set, frozenset(), chosen))
+    doomed = _attractor(game, prob0, frozenset(), chosen)
+    prices = objective.kind == "exp-price"
+    if prices:
+        check = [math.inf if s in doomed else 0.0 for s in range(len(moves))]
+        active = [s for s in reached if s not in doomed and s not in target_set]
     else:
-        check = expected_price_values_only(chain, target, objective.direction, tol)
+        check = [0.0 if s in doomed else 1.0 for s in range(len(moves))]
+        active = [s for s in doomed if s not in prob0]
+    # each state has one move, so the backup's max is that move's
+    _iterate(chain, check, active, [max] * len(moves), tol, DEFAULT_MAX_ITERS, prices)
     worst = 0.0
-    for s in _chain_reachable(game, profile):
+    for s in reached:
         a, b = vector[s], check[s]
         if math.isinf(a) and math.isinf(b):
             continue
@@ -613,29 +632,9 @@ def _certify(
         )
 
 
-def prob_reach_values_only(game, targets, direction, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
-    """Reach probabilities without synthesis (used for certificates)."""
-    target_set = _target_set(game, targets)
-    prob0, prob1 = qualitative_reach(game, target_set, direction)
-    values = [1.0 if s in prob1 else 0.0 for s in range(len(game.states))]
-    active = [s for s in range(len(game.states)) if s not in prob0 and s not in prob1]
-    _iterate(game, values, active, _opt_for(game, direction), tol, max_iters, prices=False)
-    return values
-
-
-def expected_price_values_only(game, targets, direction, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
-    """Expected prices without synthesis (used for certificates)."""
-    target_set = _target_set(game, targets)
-    reach_direction = "minmax" if direction == "maxmin" else "maxmin"
-    _, prob1 = qualitative_reach(game, target_set, reach_direction)
-    values = [0.0 if s in prob1 else math.inf for s in range(len(game.states))]
-    active = [s for s in range(len(game.states)) if s in prob1 and s not in target_set]
-    _iterate(game, values, active, _opt_for(game, direction), tol, max_iters, prices=True)
-    return values
-
-
 def solve(game: Tsg, objective: Objective, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> SolveResult:
     """Dispatch on the objective kind."""
+    _check_tol(tol)
     if objective.kind == "prob-reach":
         return prob_reach(game, objective.target, objective.direction, tol, max_iters)
     if objective.kind == "exp-price":

@@ -7,14 +7,15 @@ signature, so a test can swap it in and solve the same game both ways.
 """
 
 import math
+from typing import Sequence
 
 from tptg.errors import ModelError
-from tptg.game import Tsg
+from tptg.game import Move
 from tptg.solver import _MONOTONE_SLACK
 
 
 def global_sweep(
-    game: Tsg,
+    moves: Sequence[Sequence[Move]],
     values: list[float],
     active: list[int],
     opt: list,
@@ -23,7 +24,6 @@ def global_sweep(
     prices: bool,
 ) -> tuple[int, float, bool]:
     """Gauss-Seidel sweeps in state order; returns (sweeps, residual, converged)."""
-    moves = game.moves
     iterations = 0
     residual = math.inf
     while iterations < max_iters:

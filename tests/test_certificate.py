@@ -1,0 +1,177 @@
+"""The certificate on chosen move indices against the retired one kept in
+`retired_certificate.py`, and solves that must build no game copy.
+
+Both certificates must accept and refuse alike, with the same deviation in
+the message, on synthesized profiles and on profiles with one optimal move
+swapped for a worse one; the perturbed profiles must be refused.
+"""
+
+import functools
+import importlib.resources
+import itertools
+import random
+
+import pytest
+
+import tptg
+from tptg import ModelError, casestudies
+from tptg.cli import main, run_property
+from tptg.game import Tsg
+from tptg.solver import _backup, _certify, _opt_for
+
+import retired_certificate
+from gamegen import random_game
+from test_cli import SHIPPED_SWEEPS
+
+SOLVERS = (tptg.prob_reach, tptg.expected_price)
+
+
+def _certificates(solve) -> list[tuple]:
+    """The arguments of every certificate that `solve()` asks for."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return _certify(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tptg.solver, "_certify", record)
+        try:
+            solve()
+        except ModelError:
+            pass
+    return calls
+
+
+def _verdict(certify, *args) -> str:
+    try:
+        certify(*args)
+    except ModelError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def _labels(game, choice):
+    return {s: game.moves[s][mi].label for s, mi in choice.items()}
+
+
+def _agree(game, objective, vector, choice, tol) -> str:
+    new = _verdict(_certify, game, objective, vector, choice, tol)
+    old = _verdict(retired_certificate.certify, game, objective, vector, _labels(game, choice), tol)
+    assert new == old
+    return new
+
+
+def _perturbed(game, objective, vector, choice):
+    """`choice` with the move of one state the chain reaches swapped for one
+    that is worse for the state's owner under `vector` by far more than the
+    certificate's slack."""
+    prices = objective.kind == "exp-price"
+    opt = _opt_for(game, objective.direction)
+    for s in retired_certificate.chain_reachable(game, _labels(game, choice)):
+        if s not in choice:
+            continue
+        chosen = _backup(game.moves[s][choice[s]], vector, prices)
+        for mi, move in enumerate(game.moves[s]):
+            backup = _backup(move, vector, prices)
+            worse = chosen - backup if opt[s] is max else backup - chosen
+            if worse > 1e-6 * max(1.0, abs(chosen)):
+                yield {**choice, s: mi}
+
+
+def _check_solve(solve, perturbations=None) -> tuple[int, int]:
+    """Compare both certificates on what `solve()` certifies, and on up to
+    `perturbations` perturbed profiles of each; returns the counts."""
+    certified = perturbed = 0
+    for game, objective, vector, choice, tol in _certificates(solve):
+        _agree(game, objective, vector, choice, tol)
+        certified += 1
+        swaps = itertools.islice(_perturbed(game, objective, vector, choice), perturbations)
+        for swapped in swaps:
+            assert _agree(game, objective, vector, swapped, tol).startswith(
+                "synthesized profile fails its optimality certificate"
+            )
+            perturbed += 1
+    return certified, perturbed
+
+
+@pytest.mark.parametrize("acyclic", [True, False], ids=["acyclic", "cyclic"])
+def test_random_games_certify_as_the_retired_certificate(acyclic):
+    certified = perturbed = 0
+    for seed in range(3):
+        rng = random.Random(seed)
+        for _ in range(30):
+            game = random_game(rng, max_states=7, min_price=0, max_price=3, acyclic=acyclic)
+            for solver in SOLVERS:
+                for direction in ("maxmin", "minmax"):
+                    done = _check_solve(lambda: solver(game, "goal", direction))
+                    certified += done[0]
+                    perturbed += done[1]
+    assert certified > 300 and perturbed > 300
+
+
+@pytest.mark.parametrize("seed, index, deviation", [(15, 10, "2.126e-07"), (36, 14, "8.114e-06")])
+def test_refused_certificates_match_the_retired_certificate(seed, index, deviation):
+    rng = random.Random(seed)
+    for _ in range(index + 1):
+        game = random_game(rng, max_states=6, min_price=0, max_price=2)
+    ((game, objective, vector, choice, tol),) = _certificates(
+        lambda: tptg.expected_price(game, "goal", "maxmin")
+    )
+    assert f"deviates by {deviation}" in _agree(game, objective, vector, choice, tol)
+
+
+CASE_STUDIES = {
+    **{f"taskgraph-{k}": lambda k=k: casestudies.taskgraph_source(k, k, "1/2") for k in range(2)},
+    **{f"nonrep-{v}": lambda v=v: casestudies.nonrepudiation_source(v, p="1/2")
+       for v in casestudies.NONREP_VARIANTS},
+}
+
+
+@pytest.mark.parametrize("make_source", CASE_STUDIES.values(), ids=CASE_STUDIES.keys())
+def test_case_studies_certify_as_the_retired_certificate(make_source):
+    source = make_source()
+    model = tptg.to_tptg(source)
+    tol, max_iters = tptg.solver.DEFAULT_TOL, tptg.solver.DEFAULT_MAX_ITERS
+    certified = perturbed = 0
+    for prop in source.props:
+        done = _check_solve(
+            lambda: run_property(model, prop, tol, max_iters, tptg.semantics.DEFAULT_STATE_LIMIT),
+            perturbations=3,
+        )
+        certified += done[0]
+        perturbed += done[1]
+    assert certified == len(source.props) and perturbed > 0
+
+
+TASKGRAPH_TIME = [
+    "--gen", "taskgraph", "--k1", "1", "--k2", "1", "--p", "1/2",
+    "--prop", "Emin [ F all_done ] price time coalition {sched}",
+]
+
+
+def test_a_solve_builds_no_game_copy(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a solve copied the game")
+
+    monkeypatch.setattr(tptg.solver, "restrict_to_profile", refuse)
+    fig1 = str(importlib.resources.files("tptg") / "models" / "fig1.tptg")
+    assert main(["check", fig1]) == 0
+    assert main(["check", *TASKGRAPH_TIME]) == 0
+    assert capsys.readouterr().out.count("converged=true") == 4
+
+
+def test_the_taskgraph_sweep_indexes_each_built_game_once(monkeypatch, tmp_path):
+    indexed = []
+    index = Tsg.__dict__["predecessors"].func
+
+    def counted(game):
+        indexed.append(game)
+        return index(game)
+
+    counting = functools.cached_property(counted)
+    counting.__set_name__(Tsg, "predecessors")
+    monkeypatch.setattr(Tsg, "predecessors", counting)
+    name = "taskgraph_expected_by_p.csv"
+    assert main(SHIPPED_SWEEPS[name] + ["--csv", str(tmp_path / name)]) == 0
+    assert len(indexed) == 5  # one per built game: 5 values of p

@@ -413,6 +413,13 @@ def test_non_rational_p_is_a_model_error(capsys):
     assert "error: p must be a rational number, not '1/0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_a_negative_or_nan_tolerance_is_a_model_error(fig1_file, tol, capsys):
+    code = main(["check", fig1_file, "--tol", tol, "--prop", "Pmax [ F done ] coalition {sender, medium}"])
+    assert code == 1
+    assert "error: tolerance must be a finite number >= 0, not " in capsys.readouterr().err
+
+
 def test_state_limit_env_must_be_an_integer(fig1_file, capsys, monkeypatch):
     monkeypatch.setenv("TPTG_STATE_LIMIT", "abc")
     code = main(["check", fig1_file, "--prop", "Pmax [ F done ] coalition {sender, medium}"])

@@ -294,7 +294,7 @@ def test_monotonicity_check_survives_optimized_mode():
         "game = make_game([[Move('a', ((1, 0.5), (2, 0.5)))], [], []],\n"
         "                 owner=[1, 1, 2], labels={'goal': {1}}, players=(1, 2))\n"
         "try:\n"
-        "    _iterate(game, [0.9, 1.0, 0.0], [0], _opt_for(game, 'maxmin'), 1e-8, 10, prices=False)\n"
+        "    _iterate(game.moves, [0.9, 1.0, 0.0], [0], _opt_for(game, 'maxmin'), 1e-8, 10, prices=False)\n"
         "except ModelError as exc:\n"
         "    print(__debug__, exc)\n"
     )
@@ -304,6 +304,23 @@ def test_monotonicity_check_survives_optimized_mode():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.startswith("False non-monotone sweep at state 0")
+
+
+@pytest.mark.parametrize("tol", [-1e-8, math.nan, math.inf])
+def test_a_negative_nan_or_infinite_tolerance_is_refused(tol):
+    game = two_action_game()
+    objective = Objective("prob-reach", "maxmin", "goal")
+    values = prob_reach(game, "goal").values
+    calls = [
+        lambda: prob_reach(game, "goal", tol=tol),
+        lambda: expected_price(game, "goal", tol=tol),
+        lambda: tptg.solve(game, objective, tol=tol),
+        lambda: synthesize(game, objective, values, tol),
+        lambda: check_determinacy(game, "goal", tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ModelError, match="tolerance must be a finite number >= 0"):
+            call()
 
 
 def test_unknown_direction_is_refused():
