@@ -56,6 +56,55 @@ def parse_move_label(label: str) -> tuple[int | None, str]:
     return None, label
 
 
+def strongly_connected(moves: Sequence[Sequence[Move]], active: Iterable[int]):
+    """Strongly connected components of the active states, successors first.
+
+    Edges are positive-probability branches between active states. Iterative
+    Tarjan: roots in ascending state order, successors in move and branch
+    order. Yields (states in ascending order, whether the SCC has a cycle).
+    """
+    number: dict[int, int] = dict.fromkeys(active, -1)
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+
+    def visit(s):
+        number[s] = low[s] = len(low)
+        stack.append(s)
+        on_stack.add(s)
+        successors = [t for m in moves[s] for t, p in m.branches if p > 0 and t in number]
+        work.append((s, successors, iter(successors)))
+
+    for root in sorted(number):
+        if number[root] >= 0:
+            continue
+        work = []
+        visit(root)
+        while work:
+            s, successors, pending = work[-1]
+            for t in pending:
+                if number[t] < 0:
+                    visit(t)
+                    break
+                if t in on_stack and number[t] < low[s]:
+                    low[s] = number[t]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[s] < low[parent]:
+                        low[parent] = low[s]
+                if low[s] == number[s]:
+                    component = [stack.pop()]
+                    while component[-1] != s:
+                        component.append(stack.pop())
+                    on_stack.difference_update(component)
+                    if len(component) > 1:
+                        yield sorted(component), True
+                    else:
+                        yield component, s in successors
+
+
 @dataclass(frozen=True)
 class Tsg:
     """Explicit turn-based stochastic game over indexed states.
@@ -111,12 +160,24 @@ class Tsg:
                         preds[target].append((s, mi))
         return preds
 
+    @cached_property
+    def components(self) -> tuple[tuple[tuple[int, ...], bool], ...]:
+        """Strongly connected components of the positive-branch graph over all
+        states, successors first: (states in ascending order, whether the SCC
+        has a cycle). Owners and prices play no part."""
+        return tuple(
+            (tuple(states), cyclic)
+            for states, cyclic in strongly_connected(self.moves, range(len(self.states)))
+        )
+
     def derive(self, **changes) -> "Tsg":
         """Copy with other owners, players or move prices but the same branches
-        and move order, sharing the predecessor index once it is computed."""
+        and move order, sharing the predecessor index and the components once
+        they are computed."""
         view = replace(self, **changes)
-        if "predecessors" in self.__dict__:
-            view.__dict__["predecessors"] = self.predecessors
+        for name in ("predecessors", "components"):
+            if name in self.__dict__:
+                view.__dict__[name] = self.__dict__[name]
         return view
 
     def validate(self) -> list[str]:

@@ -3,13 +3,14 @@
 Values are computed by value iteration over binary64, with graph-based
 qualitative precomputation pinning the certainly-0 and certainly-1 states
 for reachability and the infinite states for expected price. The remaining
-states are split into strongly connected components and solved successors
-first: a state on no cycle gets one backup, a cyclic component Gauss-Seidel
+states are split into strongly connected components (SCCs) and solved
+successors first: a state on no cycle gets one backup, a cyclic component Gauss-Seidel
 sweeps over its own states until one sweep changes less than the tolerance.
-Every graph fixpoint is one layered two-player attractor over the
-game's cached predecessor index: positive reach is one attractor, almost-sure
-reach a shrinking sequence of them, and synthesis settles the reaching side
-on an attractor over its optimal moves. Synthesis picks one move index
+Qualitative analysis walks the SCCs of the game's cached decomposition
+successors first, giving each state the round in which the whole-game
+almost-sure loop would drop it; the probability-0 and -1 sets and the
+spoiling moves are read off those rounds. Synthesis settles the reaching side
+on a layered attractor over its optimal moves, picks one move index
 per state and checks the pair on the game itself, never on a copy. An
 expected-price solve is refused when the payer's pinned moves do not force
 the target almost surely from every finite-valued state, because the values
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 from .errors import ModelError
-from .game import Move, Tsg
+from .game import Move, Tsg, strongly_connected
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 10**6
@@ -82,6 +83,9 @@ class SolveResult:
     prob0: frozenset[int] | None = None
     prob1: frozenset[int] | None = None
     warnings: list[str] = field(default_factory=list)
+    #: spoiling move index per state the payer cannot force the target from
+    #: (expected price only; not serialized)
+    spoilers: dict[int, int] | None = None
 
     def to_json_dict(self) -> dict:
         target = self.objective.target
@@ -138,16 +142,16 @@ def _attractor(
     game: Tsg,
     targets: Iterable[int],
     exists: frozenset[int],
-    usable: dict[int, set[int]] | None = None,
+    usable: dict[int, set[int]],
 ) -> dict[int, set[int]]:
     """Layered two-player attractor of `targets`, with the moves that hit.
 
     A state in `exists` joins once one of its usable moves has a positive
     branch into an earlier layer; any other state joins once it has usable
     moves and all of them have such a branch. `usable[s]` holds the usable
-    move indices of s (a state missing from it has none); by default every
-    move is usable. Returns, for each member, the indices of the usable moves
-    that hit when it joined (none for targets).
+    move indices of s (a state missing from it has none). Returns, for each
+    member, the indices of the usable moves that hit when it joined (none for
+    targets).
     """
     preds = game.predecessors
     member: dict[int, set[int]] = {t: set() for t in targets}
@@ -157,14 +161,13 @@ def _attractor(
         touched = set()
         for t in frontier:
             for s, mi in preds[t]:
-                if s in member or (usable is not None and mi not in usable.get(s, ())):
+                if s in member or mi not in usable.get(s, ()):
                     continue
                 hits.setdefault(s, set()).add(mi)
                 touched.add(s)
         frontier = []
         for s in touched:
-            count = len(game.moves[s]) if usable is None else len(usable[s])
-            if s in exists or len(hits[s]) == count:
+            if s in exists or len(hits[s]) == len(usable[s]):
                 member[s] = hits[s]
                 frontier.append(s)
     return member
@@ -176,41 +179,107 @@ def _almost_sure(
     """States from which `reacher` forces `targets` with probability one, and
     the index of a spoiling move for each state of the other side outside them.
 
-    Greatest fixpoint: shrink the candidate set to the attractor of the
-    targets over the moves that stay in it until no state drops. A dropped
-    state of the avoiding side spoils with its (delay, action)-smallest move
-    that leaves the candidate set, or else with the smallest that misses the
-    attractor; playing these keeps the target unreached with positive
-    probability from every dropped state. `pin` maps states of `reacher` to
-    the index of the only move each may use.
+    The almost-sure states are those `_drop_rounds` never drops. A state of
+    the avoiding side dropped in round e spoils with its (delay,
+    action)-smallest move that leaves that round's candidates (a positive
+    branch to a state dropped before e), or else with the smallest that
+    misses its attractor (none to a state dropped after e); playing these
+    keeps the target unreached with positive probability from every dropped
+    state. `pin` maps states of `reacher` to the index of the only move each
+    may use.
+    """
+    rounds = _drop_rounds(game, targets, reacher, pin)
+    spoilers: dict[int, int] = {}
+    for s, e in enumerate(rounds):
+        moves = game.moves[s]
+        if e == math.inf or game.owner[s] == reacher or not moves:
+            continue
+        leave = [i for i, m in enumerate(moves) if any(p > 0 and rounds[t] < e for t, p in m.branches)]
+        miss = [i for i, m in enumerate(moves) if not any(p > 0 and rounds[t] > e for t, p in m.branches)]
+        spoilers[s] = _smallest(moves, leave or miss)
+    return frozenset(s for s, e in enumerate(rounds) if e == math.inf), spoilers
+
+
+def _drop_rounds(
+    game: Tsg, targets: frozenset[int], reacher, pin: dict[int, int] | None = None
+) -> list:
+    """Per state, the round in which the almost-sure loop drops it (``inf``
+    if never): round r shrinks the candidates to the attractor of `targets`
+    over the moves that stay among them, until a round drops nothing.
+
+    A state is a candidate in round r while its round is at least r and
+    attracted while it is above r, so the SCCs of `game.components` are
+    decided successors first. A move of a state on no cycle keeps working
+    (stays and hits) for ``min(min e, max e - 1)`` rounds over the rounds e
+    of its positive branches; a state of `reacher` drops one round after its
+    best allowed move stops working, any other state after its first. A
+    cyclic SCC runs the loop on its own states. Round 1 drops the states
+    that cannot reach `targets` with positive probability.
     """
     pin = pin or {}
-    allowed = [(pin[s],) if s in pin else range(len(ms)) for s, ms in enumerate(game.moves)]
-    exists = game.player_states(reacher)
-    candidate = set(range(len(game.states)))
-    spoilers: dict[int, int] = {}
+    moves, owner = game.moves, game.owner
+    inf = math.inf
+    rounds: list = [0] * len(moves)
+    for states, cyclic in game.components:
+        if cyclic:
+            _cyclic_rounds(game, states, targets, reacher, pin, rounds)
+            continue
+        s = states[0]
+        if s in targets:
+            rounds[s] = inf
+            continue
+        # rounds that the best (for reacher) or worst allowed move keeps working
+        reaching = owner[s] == reacher
+        works = 0 if reaching or not moves[s] else inf
+        for m in (moves[s][pin[s]],) if s in pin else moves[s]:
+            after = [rounds[t] for t, p in m.branches if p > 0]
+            if after:
+                lo, hi = min(after), max(after)
+                work = lo if lo < hi else hi - 1
+            else:
+                work = 0
+            if reaching:
+                if work > works:
+                    works = work
+                    if works == inf:
+                        break
+            elif work < works:
+                works = work
+        rounds[s] = works + 1
+    return rounds
+
+
+def _cyclic_rounds(game, states, targets, reacher, pin, rounds):
+    """Set the rounds of one cyclic SCC whose exits have theirs. Once the
+    last exit has dropped, the first round that drops nothing is final."""
+    moves = game.moves
+    inside = set(states)
+    exits = {t for s in states for m in moves[s] for t, p in m.branches if p > 0 and t not in inside}
+    last = max((rounds[t] for t in exits if rounds[t] != math.inf), default=0)
+    exists = {s for s in states if game.owner[s] == reacher}
+    seeds = [s for s in states if s in targets]
+    for s in states:
+        rounds[s] = math.inf
+    candidate = set(states)
+    r = 0
     while True:
+        r += 1
         usable = {}
         for s in candidate:
-            moves = game.moves[s]
+            allowed = (pin[s],) if s in pin else range(len(moves[s]))
             stay = {
-                mi for mi in allowed[s]
-                if all(t in candidate for t, p in moves[mi].branches if p > 0)
+                mi for mi in allowed
+                if all(rounds[t] >= r for t, p in moves[s][mi].branches if p > 0)
             }
-            if s in exists or len(stay) == len(allowed[s]):
+            if s in exists or len(stay) == len(allowed):
                 usable[s] = stay
-        attracted = _attractor(game, targets, exists, usable)
-        dropped = [s for s in candidate if s not in attracted]
-        if not dropped:
-            return frozenset(candidate), spoilers
+        attracted = _attractor(game, seeds + [t for t in exits if rounds[t] > r], exists, usable)
+        dropped = candidate.difference(attracted)
+        if not dropped and r > last:
+            return
         for s in dropped:
-            moves = game.moves[s]
-            if s in exists or not moves:
-                continue
-            leave = [i for i, m in enumerate(moves) if any(p > 0 and t not in candidate for t, p in m.branches)]
-            miss = [i for i, m in enumerate(moves) if not any(p > 0 and t in attracted for t, p in m.branches)]
-            spoilers[s] = _smallest(moves, leave or miss)
-        candidate = set(attracted)
+            rounds[s] = r
+        candidate -= dropped
 
 
 def qualitative_reach(
@@ -220,9 +289,9 @@ def qualitative_reach(
     _check_two_players(game)
     target_set = _target_set(game, targets)
     maximizer = game.players[_reach_maximizer(direction)]
-    positive = _attractor(game, target_set, game.player_states(maximizer))
-    prob0 = frozenset(s for s in range(len(game.states)) if s not in positive)
-    prob1, _ = _almost_sure(game, target_set, maximizer)
+    rounds = _drop_rounds(game, target_set, maximizer)
+    prob0 = frozenset(s for s, e in enumerate(rounds) if e == 1)
+    prob1 = frozenset(s for s, e in enumerate(rounds) if e == math.inf)
     return prob0, prob1
 
 
@@ -275,7 +344,7 @@ def expected_price(
     objective = Objective("exp-price", direction, _label_of(targets))
     # the side made to pay wants the target reached almost surely
     payer = game.players[1 - _reach_maximizer(direction)]
-    prob1, _ = _almost_sure(game, target_set, payer)
+    prob1, spoilers = _almost_sure(game, target_set, payer)
     n = len(game.states)
     values = [0.0 if s in prob1 else math.inf for s in range(n)]
     active = [s for s in range(n) if s in prob1 and s not in target_set]
@@ -286,10 +355,12 @@ def expected_price(
             f"{infinite} state(s) cannot be forced to reach the target almost surely; "
             f"their expected price is infinite"
         )
-    return _solve_active(game, objective, values, active, tol, max_iters, warnings, None, prob1)
+    return _solve_active(game, objective, values, active, tol, max_iters, warnings, None, prob1, spoilers)
 
 
-def _solve_active(game, objective, values, active, tol, max_iters, warnings, prob0, prob1) -> SolveResult:
+def _solve_active(
+    game, objective, values, active, tol, max_iters, warnings, prob0, prob1, spoilers=None
+) -> SolveResult:
     """Iterate the active states of `values` in place, then synthesize."""
     prices = objective.kind == "exp-price"
     iterations, residual, converged = _iterate(
@@ -305,6 +376,7 @@ def _solve_active(game, objective, values, active, tol, max_iters, warnings, pro
         prob0=prob0,
         prob1=prob1,
         warnings=warnings,
+        spoilers=spoilers,
     )
     if converged:
         p1, p2 = synthesize(game, objective, result, tol)
@@ -396,7 +468,7 @@ def _iterate(
 
     most = 1
     worst = 0.0
-    for component, cyclic in _components(moves, active):
+    for component, cyclic in strongly_connected(moves, active):
         if not cyclic:
             sweep(component)
             continue
@@ -412,55 +484,6 @@ def _iterate(
         if residual >= tol:
             return most, worst, False
     return most, worst, True
-
-
-def _components(moves: Sequence[Sequence[Move]], active: Sequence[int]):
-    """Strongly connected components of the active states, successors first.
-
-    Edges are positive-probability branches between active states. Iterative
-    Tarjan: roots in ascending state order, successors in move and branch
-    order. Yields (states in ascending order, whether the SCC has a cycle).
-    """
-    number: dict[int, int] = dict.fromkeys(active, -1)
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    on_stack: set[int] = set()
-
-    def visit(s):
-        number[s] = low[s] = len(low)
-        stack.append(s)
-        on_stack.add(s)
-        successors = [t for m in moves[s] for t, p in m.branches if p > 0 and t in number]
-        work.append((s, successors, iter(successors)))
-
-    for root in sorted(active):
-        if number[root] >= 0:
-            continue
-        work = []
-        visit(root)
-        while work:
-            s, successors, pending = work[-1]
-            for t in pending:
-                if number[t] < 0:
-                    visit(t)
-                    break
-                if t in on_stack and number[t] < low[s]:
-                    low[s] = number[t]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[s] < low[parent]:
-                        low[parent] = low[s]
-                if low[s] == number[s]:
-                    component = [stack.pop()]
-                    while component[-1] != s:
-                        component.append(stack.pop())
-                    on_stack.difference_update(component)
-                    if len(component) > 1:
-                        yield sorted(component), True
-                    else:
-                        yield component, s in successors
 
 
 def _backup(move: Move, values: list[float], prices: bool) -> float:
@@ -482,7 +505,8 @@ def synthesize(
     (delay, action)-smallest move, except that the side trying to reach the
     target prefers, among the optimal moves, one that makes progress towards
     it (otherwise a value-preserving loop could stall forever). At states of
-    infinite expected price the avoiding side plays a spoiling move, and the
+    infinite expected price the avoiding side plays a spoiling move, taken
+    from `values` when it is a `SolveResult` that carries them, and the
     payer's profile must force the target almost surely from every
     finite-valued state, else the solve is refused as a zero-price stall.
     The Markov chain the chosen move indices induce is then evaluated (two
@@ -495,8 +519,10 @@ def synthesize(
         if not values.converged:
             raise ModelError("refusing to synthesize from non-converged values")
         vector = values.values
+        spoilers = values.spoilers
     else:
         vector = list(values)
+        spoilers = None
     if objective.kind not in ("prob-reach", "exp-price"):
         raise ModelError(f"no memoryless synthesis for kind {objective.kind!r}")
     prices = objective.kind == "exp-price"
@@ -532,7 +558,8 @@ def synthesize(
             choice[s] = _smallest(game.moves[s], hits)
     if prices and any(math.isinf(v) for v in vector):
         # at infinite-value states the avoider must witness the infinity
-        _, spoilers = _almost_sure(game, target_set, reacher)
+        if spoilers is None:
+            _, spoilers = _almost_sure(game, target_set, reacher)
         choice.update((s, mi) for s, mi in spoilers.items() if math.isinf(vector[s]))
 
     if prices:

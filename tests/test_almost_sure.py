@@ -1,0 +1,114 @@
+"""Almost-sure analysis SCC by SCC against the whole-game shrinking loop kept
+in `global_almost_sure.py`: equal probability-0 and -1 sets and equal
+spoiling moves, on random games and on every view of the shipped sweeps."""
+
+import random
+
+import pytest
+
+import tptg
+from tptg.cli import main
+from tptg.solver import _almost_sure, _drop_rounds
+
+from gamegen import random_game
+from global_almost_sure import global_almost_sure, global_qualitative_reach
+from test_cli import SHIPPED_SWEEPS
+
+
+def _assert_agrees(game, targets, pin_rng=None):
+    """Both directions of `qualitative_reach` and, for both players as the
+    reacher, `_almost_sure` unpinned and, with `pin_rng`, under a random pin
+    of the reacher's moves, all equal to the global loop."""
+    for direction in tptg.solver.DIRECTIONS:
+        assert tptg.qualitative_reach(game, targets, direction) == global_qualitative_reach(
+            game, targets, direction
+        )
+    for reacher in game.players:
+        pins = [None]
+        if pin_rng is not None:
+            pins.append({
+                s: pin_rng.randrange(len(ms))
+                for s, ms in enumerate(game.moves)
+                if ms and game.owner[s] == reacher
+            })
+        for pin in pins:
+            assert _almost_sure(game, targets, reacher, pin) == global_almost_sure(
+                game, targets, reacher, pin
+            )
+
+
+@pytest.mark.parametrize("acyclic", [True, False], ids=["acyclic", "cyclic"])
+def test_random_games_match_the_global_loop(acyclic):
+    pin_rng = random.Random(99)
+    cyclic_states = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        for _ in range(60):
+            game = random_game(rng, max_states=8, min_price=0, max_price=2, acyclic=acyclic)
+            _assert_agrees(game, game.labels["goal"], pin_rng)
+            cyclic_states += sum(len(states) for states, cyclic in game.components if cyclic)
+    assert (cyclic_states == 0) == acyclic
+
+
+def test_a_cyclic_scc_waits_for_the_last_exit_round():
+    # state 0 leaves the candidates in round 1, which makes state 3 of the
+    # cyclic SCC {1, 2, 3} drop in round 2; stopping at the first quiet round
+    # that is not before the last exit round would keep it
+    rng = random.Random(0)
+    for _ in range(27):
+        game = random_game(rng, max_states=8, min_price=0, max_price=2)
+    targets = game.labels["goal"]
+    assert ((1, 2, 3), True) in game.components
+    rounds = _drop_rounds(game, targets, 1)
+    assert rounds[0] == 1 and rounds[3] == 2
+    assert _almost_sure(game, targets, 1) == global_almost_sure(game, targets, 1)
+    assert 3 not in _almost_sure(game, targets, 1)[0]
+
+
+@pytest.mark.parametrize("name, views", [
+    ("honest_termination_by_T.csv", 64),
+    ("taskgraph_expected_by_p.csv", 10),
+])
+def test_every_view_of_the_shipped_sweeps_matches_the_global_loop(monkeypatch, tmp_path, name, views):
+    seen = []
+    property_game = tptg.cli.property_game
+
+    def record(*args, **kwargs):
+        objective, game = property_game(*args, **kwargs)
+        seen.append((game, objective.target))
+        return objective, game
+
+    monkeypatch.setattr(tptg.cli, "property_game", record)
+    assert main(SHIPPED_SWEEPS[name] + ["--csv", str(tmp_path / name)]) == 0
+    assert len(seen) == views
+    for game, target in seen:
+        _assert_agrees(game, game.label_states(target))
+
+
+def test_an_expected_price_solve_runs_one_unpinned_almost_sure_pass(monkeypatch):
+    # synthesis takes the spoilers of infinite-price states from the solve
+    unpinned = []
+    infinite = 0
+
+    def counted(game, targets, reacher, pin=None):
+        nonlocal infinite
+        result = _almost_sure(game, targets, reacher, pin)
+        if pin is None:
+            unpinned[-1] += 1
+            infinite += len(result[0]) < len(game.states)
+        return result
+
+    monkeypatch.setattr(tptg.solver, "_almost_sure", counted)
+    for seed in range(10, 40):
+        rng = random.Random(seed)
+        for _ in range(60):
+            game = random_game(rng, max_states=6, min_price=0, max_price=2)
+            for direction in tptg.solver.DIRECTIONS:
+                unpinned.append(0)
+                try:
+                    tptg.expected_price(game, "goal", direction)
+                except tptg.ModelError:
+                    pass  # refused solves count too
+    assert len(unpinned) == 3600
+    assert set(unpinned) == {1}
+    assert infinite > 1000

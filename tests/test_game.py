@@ -1,11 +1,15 @@
+import functools
 import random
 
 import pytest
 
 import tptg
 from tptg import ModelError, Move, TsgPath, coalition_game, make_game
+from tptg.cli import main
+from tptg.game import Tsg
 
 from gamegen import random_game
+from test_cli import SHIPPED_SWEEPS
 
 
 def single_state_game():
@@ -167,3 +171,45 @@ def test_coalition_and_reprice_views_share_a_computed_predecessor_index(fig1_mod
     alone = tptg.solve(fresh, objective)
     assert shared.values == alone.values
     assert shared.strategy == alone.strategy
+
+
+def test_coalition_and_reprice_views_share_computed_components(fig1_model):
+    game = tptg.build(fig1_model)
+    fresh = coalition_game(game, {"sender"})
+    assert "components" not in vars(fresh)  # nothing to share yet
+    components = game.components
+    for coalition in ({"sender"}, {"medium"}, {"sender", "medium"}, set()):
+        assert coalition_game(game, coalition).components is components
+    assert tptg.reprice(game, fig1_model, None).components is components
+    assert fresh.components == components and fresh.components is not components
+    assert sorted(s for states, _ in components for s in states) == list(range(len(game.states)))
+
+
+def test_components_are_successors_first_and_flag_cycles():
+    game = make_game(
+        [
+            [Move("a", ((1, 0.5), (2, 0.5)))],
+            [Move("a", ((0, 1.0),))],
+            [Move("a", ((2, 1.0),))],
+            [Move("a", ((1, 1.0),))],
+        ],
+        owner=[1, 2, 1, 2],
+        players=(1, 2),
+    )
+    assert game.components == (((2,), True), ((0, 1), True), ((3,), False))
+
+
+def test_the_nonrep_sweep_decomposes_each_built_game_once(monkeypatch, tmp_path):
+    decomposed = []
+    decompose = Tsg.__dict__["components"].func
+
+    def counted(game):
+        decomposed.append(game)
+        return decompose(game)
+
+    counting = functools.cached_property(counted)
+    counting.__set_name__(Tsg, "components")
+    monkeypatch.setattr(Tsg, "components", counting)
+    name = "honest_termination_by_T.csv"
+    assert main(SHIPPED_SWEEPS[name] + ["--csv", str(tmp_path / name)]) == 0
+    assert len(decomposed) == 16  # one per built game: 16 values of T
