@@ -48,9 +48,6 @@ class ClockConstraint:
     def conjoin(self, other: "ClockConstraint") -> "ClockConstraint":
         return ClockConstraint(self.atoms + other.atoms)
 
-    def clocks(self) -> frozenset[str]:
-        return frozenset(a.clock for a in self.atoms)
-
     def upper_bound(self, clock: str) -> int | None:
         """Tightest <=-bound on `clock`, or None if it has none."""
         bounds = [a.bound for a in self.atoms if a.clock == clock and a.op == LE]

@@ -5,7 +5,9 @@ location names, converts each component automaton, composes the network
 with synchronization on shared action names, assigns owners to product
 locations by first-matching pattern rule, and materializes label extents.
 Every location, of a component and of the network, is reachable from the
-initial one.
+initial one. A label's variable atoms are decided on the component that
+declares the variable and carried to the product by composition, so no
+location name is ever parsed back.
 """
 
 from collections import deque
@@ -23,7 +25,7 @@ from .dsl import (
     PropertyAst,
 )
 from .errors import ModelError
-from .model import JOIN, PriceStructure, ProbBranch, StateLabel, Tptg, compose
+from .model import PriceStructure, ProbBranch, StateLabel, Tptg, compose
 from .solver import Objective
 
 
@@ -90,6 +92,10 @@ def _apply_assigns(
     return updated
 
 
+def _atom_label(atom: GuardAtom) -> str:
+    return f"{atom.subject}={atom.value}"
+
+
 def _mangle(location: str, order: list[str], values: dict[str, int]) -> str:
     if not order:
         return location
@@ -108,12 +114,23 @@ def unfold_automaton(
     through the component's own edges are materialized (synchronization can
     only remove behaviour, so this over-approximates product reachability).
     The owner map is a placeholder; the network step assigns real owners.
+    Every label atom on the component's own variables becomes a label named
+    after the atom (e.g. ``st1=3``) whose extent is the locations where the
+    atom holds.
     """
     constants = dict(source.constants)
     clocks = set(source.clocks)
     var_order = [v.name for v in auto.variables]
     bounds = {v.name: (v.low, v.high) for v in auto.variables}
     locdefs = {loc.name: loc for loc in auto.locations}
+    atoms = {
+        _atom_label(atom): atom
+        for label in source.labels
+        for clause in label.clauses
+        for atom in clause.var_atoms
+        if atom.subject in bounds
+    }
+    atom_extents: dict[str, set[str]] = {atom_name: set() for atom_name in atoms}
 
     initial_values = {v.name: v.init for v in auto.variables}
     initial = _mangle(auto.init, var_order, initial_values)
@@ -137,6 +154,9 @@ def unfold_automaton(
         name = _mangle(base, var_order, values)
         locdef = locdefs[base]
         locations.append(name)
+        for atom_name, atom in atoms.items():
+            if _var_atoms_hold((atom,), values, constants):
+                atom_extents[atom_name].add(name)
         invariants[name] = _clock_constraint(locdef.invariant, clocks, constants)
         for rate in locdef.rates:
             per_location = rates.setdefault(rate.structure, {})
@@ -186,7 +206,7 @@ def unfold_automaton(
         enabling=enabling,
         transitions=transitions,
         prices=prices,
-        labels={},
+        labels={n: StateLabel(frozenset(extent)) for n, extent in atom_extents.items()},
         clock_caps={},
     )
 
@@ -200,31 +220,21 @@ def _owner_for(rules, name: str) -> str:
     )
 
 
-def _variable_assignment(name: str) -> dict[str, int]:
-    values: dict[str, int] = {}
-    for part in name.split(JOIN):
-        if "#" not in part:
-            continue
-        for item in part.split("#", 1)[1].split(","):
-            var, _, value = item.partition("=")
-            values[var] = int(value)
-    return values
-
-
-def _label_extent(label: LabelAst, locations, constants) -> frozenset[str]:
+def _label_extent(label: LabelAst, network: Tptg) -> frozenset[str]:
+    """Locations where some clause holds: the network's label of every
+    variable atom (see `unfold_automaton`) contains the location, and every
+    pattern matches its name. An atom on a variable outside the network
+    never holds."""
     extent = set()
-    for name in locations:
-        values = _variable_assignment(name)
-        for clause in label.clauses:
-            if not all(fnmatchcase(name, pattern) for pattern in clause.patterns):
-                continue
-            if all(
-                atom.subject in values
-                and _var_atoms_hold((atom,), values, constants)
-                for atom in clause.var_atoms
-            ):
-                extent.add(name)
-                break
+    for clause in label.clauses:
+        candidates = set(network.locations)
+        for atom in clause.var_atoms:
+            holds = network.labels.get(_atom_label(atom))
+            candidates &= holds.locations if holds else set()
+        extent.update(
+            name for name in candidates
+            if all(fnmatchcase(name, pattern) for pattern in clause.patterns)
+        )
     return frozenset(extent)
 
 
@@ -246,27 +256,13 @@ def to_tptg(source: ModelSource) -> Tptg:
         unfold_automaton(source.automaton(name), source, placeholder)
         for name in source.compose
     ]
+    network = components[0]
+    for component in components[1:]:
+        network = compose(network, component, lambda la, lb: placeholder, source.clocks)
+    owner = {loc: _owner_for(source.owners, loc) for loc in network.locations}
 
-    if len(components) == 1:
-        network = components[0]
-        owner = {
-            loc: _owner_for(source.owners, loc) for loc in network.locations
-        }
-        network = replace(network, owner=owner)
-    else:
-        shared = source.clocks
-        network = components[0]
-        for component in components[1:-1]:
-            network = compose(network, component, lambda la, lb: placeholder, shared)
-
-        def final_owner(la: str, lb: str) -> str:
-            return _owner_for(source.owners, f"{la}{JOIN}{lb}")
-
-        network = compose(network, components[-1], final_owner, shared)
-
-    constants = dict(source.constants)
     labels = {
-        label.name: StateLabel(_label_extent(label, network.locations, constants))
+        label.name: StateLabel(_label_extent(label, network))
         for label in source.labels
     }
     for label in source.labels:
@@ -276,7 +272,7 @@ def to_tptg(source: ModelSource) -> Tptg:
                     raise ModelError(
                         f"label {label.name!r} tests unknown variable {atom.subject!r}"
                     )
-    return replace(network, labels=labels)
+    return replace(network, owner=owner, labels=labels)
 
 
 def resolve_property(prop: PropertyAst) -> tuple[Objective, tuple[str, ...], int | None]:

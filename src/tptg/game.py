@@ -9,7 +9,7 @@ label; the solver gives them reach probability 0 and infinite expected price.
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import ModelError
 
@@ -56,24 +56,31 @@ def parse_move_label(label: str) -> tuple[int | None, str]:
     return None, label
 
 
-def strongly_connected(moves: Sequence[Sequence[Move]], active: Iterable[int]):
-    """Strongly connected components of the active states, successors first.
+def move_successors(moves: Sequence[Sequence[Move]]):
+    """Move-graph edges: positive-branch targets, in move and branch order."""
+    return lambda s: [t for m in moves[s] for t, p in m.branches if p > 0]
 
-    Edges are positive-probability branches between active states. Iterative
-    Tarjan: roots in ascending state order, successors in move and branch
-    order. Yields (states in ascending order, whether the SCC has a cycle).
+
+def strongly_connected(successors: Callable, nodes: Iterable):
+    """Strongly connected components of the graph on `nodes`, successors first.
+
+    `successors(s)` gives the targets of the edges out of s; edges leaving
+    `nodes` are ignored. Iterative Tarjan (SIAM J. Comput. 1972): roots in
+    ascending order, successors in the order given. Yields (nodes in
+    ascending order, whether the SCC has a cycle: two or more nodes, or a
+    self-loop).
     """
-    number: dict[int, int] = dict.fromkeys(active, -1)
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    on_stack: set[int] = set()
+    number: dict = dict.fromkeys(nodes, -1)
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
 
     def visit(s):
         number[s] = low[s] = len(low)
         stack.append(s)
         on_stack.add(s)
-        successors = [t for m in moves[s] for t, p in m.branches if p > 0 and t in number]
-        work.append((s, successors, iter(successors)))
+        out = [t for t in successors(s) if t in number]
+        work.append((s, out, iter(out)))
 
     for root in sorted(number):
         if number[root] >= 0:
@@ -81,7 +88,7 @@ def strongly_connected(moves: Sequence[Sequence[Move]], active: Iterable[int]):
         work = []
         visit(root)
         while work:
-            s, successors, pending = work[-1]
+            s, out, pending = work[-1]
             for t in pending:
                 if number[t] < 0:
                     visit(t)
@@ -102,7 +109,7 @@ def strongly_connected(moves: Sequence[Sequence[Move]], active: Iterable[int]):
                     if len(component) > 1:
                         yield sorted(component), True
                     else:
-                        yield component, s in successors
+                        yield component, s in out
 
 
 @dataclass(frozen=True)
@@ -167,7 +174,9 @@ class Tsg:
         has a cycle). Owners and prices play no part."""
         return tuple(
             (tuple(states), cyclic)
-            for states, cyclic in strongly_connected(self.moves, range(len(self.states)))
+            for states, cyclic in strongly_connected(
+                move_successors(self.moves), range(len(self.states))
+            )
         )
 
     def derive(self, **changes) -> "Tsg":
@@ -264,9 +273,6 @@ class TsgPath:
 
     def action(self, i: int) -> str:
         return self.actions[i]
-
-    def prefix(self, k: int) -> "TsgPath":
-        return TsgPath(self.game, self.states[: k + 1], self.actions[:k])
 
     def extend(self, action: str, target: int) -> "TsgPath":
         """Append one transition, checking availability and branch support."""
@@ -368,15 +374,14 @@ def make_game(
     labels: Mapping[str, Iterable[int]] | None = None,
     initial: int = 0,
     players: Sequence[Player] | None = None,
-    auto_deadlock: bool = True,
 ) -> Tsg:
-    """Assemble a game from per-state move lists; convenience for tests and tools."""
+    """Assemble a game from per-state move lists; convenience for tests and tools.
+    States without moves join the ``deadlock`` label."""
     n = len(moves)
     label_sets = {name: frozenset(v) for name, v in (labels or {}).items()}
-    if auto_deadlock:
-        silent = frozenset(i for i in range(n) if not moves[i])
-        if silent:
-            label_sets[DEADLOCK_LABEL] = label_sets.get(DEADLOCK_LABEL, frozenset()) | silent
+    silent = frozenset(i for i in range(n) if not moves[i])
+    if silent:
+        label_sets[DEADLOCK_LABEL] = label_sets.get(DEADLOCK_LABEL, frozenset()) | silent
     return Tsg(
         states=tuple(range(n)),
         initial=initial,

@@ -13,6 +13,7 @@ from typing import Callable, Iterable, Mapping, Union
 
 from .clocks import GE, LE, TRUE, ClockConstraint, clock_le
 from .errors import ModelError
+from .game import strongly_connected
 
 OwnerFn = Union[Mapping[tuple[str, str], str], Callable[[str, str], str]]
 
@@ -124,9 +125,6 @@ class Tptg:
             if missing:
                 raise ModelError(f"label {name!r} names unknown location(s) {sorted(missing)}")
 
-    def edge_actions(self, location: str) -> list[str]:
-        return [a for (l, a) in self.transitions if l == location]
-
 
 def max_constants(model: Tptg) -> dict[str, int]:
     """Largest constant each clock is compared against; 0 if never compared.
@@ -224,7 +222,7 @@ def validate_assumptions(model: Tptg) -> list[Diagnostic]:
 def _zeno_warning(model: Tptg) -> list[Diagnostic]:
     # Conservative check: a location cycle whose edges neither reset a clock
     # nor require a positive lower bound can be traversed without time ever
-    # advancing.
+    # advancing. Such a cycle exists iff that edge graph has a cyclic SCC.
     successors: dict[str, set[str]] = {loc: set() for loc in model.locations}
     for (loc, act), dist in model.transitions.items():
         guard = model.enabling.get((loc, act), TRUE)
@@ -235,38 +233,15 @@ def _zeno_warning(model: Tptg) -> list[Diagnostic]:
             if not branch.resets:
                 successors[loc].add(branch.target)
 
-    visiting: dict[str, int] = {}  # 0 = on stack, 1 = done
-    order: list[str] = []
-
-    def has_cycle(start: str) -> bool:
-        stack = [(start, iter(successors[start]))]
-        visiting[start] = 0
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if visiting.get(nxt) == 0:
-                    return True
-                if nxt not in visiting:
-                    visiting[nxt] = 0
-                    stack.append((nxt, iter(successors[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                visiting[node] = 1
-                stack.pop()
-        return False
-
-    for loc in model.locations:
-        if loc not in visiting and has_cycle(loc):
-            return [
-                Diagnostic(
-                    "warning",
-                    "model",
-                    "a structural cycle resets no clock and has no positive "
-                    "lower-bound guard; time-convergent strategies may exist",
-                )
-            ]
+    if any(cyclic for _, cyclic in strongly_connected(successors.__getitem__, model.locations)):
+        return [
+            Diagnostic(
+                "warning",
+                "model",
+                "a structural cycle resets no clock and has no positive "
+                "lower-bound guard; time-convergent strategies may exist",
+            )
+        ]
     return []
 
 

@@ -116,16 +116,15 @@ def initial_state(model: Tptg) -> DigitalState:
 
 def build(
     model: Tptg,
-    targets: list[str] | None = None,
     price: str | None = None,
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> Tsg:
     """Explore the digital semantics breadth-first into an explicit game.
 
-    `targets` selects which model labels to attach (default: all). `price`
-    picks the price structure baked into move prices (default: all prices
-    zero). The construction is deterministic: states are indexed in BFS
-    discovery order and moves kept in (delay, action) order.
+    Every model label is attached. `price` picks the price structure baked
+    into move prices (default: all prices zero). The construction is
+    deterministic: states are indexed in BFS discovery order and moves kept
+    in (delay, action) order.
     """
     diagnostics = errors_only(validate_assumptions(model))
     if diagnostics:
@@ -135,9 +134,6 @@ def build(
         raise ModelError(f"model fails digital-semantics prerequisites: {summary}")
     if price is not None and price not in model.prices:
         raise ModelError(f"unknown price structure {price!r}")
-    label_defs = model.labels if targets is None else {
-        name: model.labels[name] for name in targets
-    }
 
     start = initial_state(model)
     index: dict[DigitalState, int] = {start: 0}
@@ -171,7 +167,7 @@ def build(
         all_moves.append(tuple(moves))
 
     labels: dict[str, frozenset[int]] = {}
-    for name, label in label_defs.items():
+    for name, label in model.labels.items():
         members = frozenset(
             i
             for i, s in enumerate(states)

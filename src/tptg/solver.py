@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 from .errors import ModelError
-from .game import Move, Tsg, strongly_connected
+from .game import Move, Tsg, move_successors, strongly_connected
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 10**6
@@ -61,14 +61,6 @@ class Objective:
         if self.kind == "bounded-exp-price":
             if self.horizon is None or self.horizon < 0:
                 raise ModelError("bounded objective needs a horizon n >= 0")
-
-    def describe(self) -> str:
-        text = f"{self.kind} {self.direction} -> {self.target}"
-        if self.horizon is not None:
-            text += f" within {self.horizon} steps"
-        if self.price is not None:
-            text += f" [price {self.price}]"
-        return text
 
 
 @dataclass
@@ -468,7 +460,7 @@ def _iterate(
 
     most = 1
     worst = 0.0
-    for component, cyclic in strongly_connected(moves, active):
+    for component, cyclic in strongly_connected(move_successors(moves), active):
         if not cyclic:
             sweep(component)
             continue

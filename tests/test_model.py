@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,6 +20,9 @@ from tptg import (
     validate_assumptions,
     with_time_bound,
 )
+
+from gamegen import random_tptg
+from retired_zeno_search import zeno_warning
 
 
 def tiny(rate=0, cap=4):
@@ -345,3 +349,48 @@ def test_compose_rejects_two_pairs_with_one_name():
         compose(left, right, lambda la, lb: "p")
     message = str(raised.value)
     assert "('x', 'y.z')" in message and "('x.y', 'z')" in message and "'x.y.z'" in message
+
+
+def two_location_cycle(resets=frozenset(), guard=ClockConstraint()) -> Tptg:
+    """l0 -> l1 -> l0 under a bounded invariant; the back edge is the one
+    that may reset or be guarded."""
+    return Tptg(
+        players=("p",),
+        locations=("l0", "l1"),
+        initial="l0",
+        clocks=("x",),
+        actions=("go", "back"),
+        owner={"l0": "p", "l1": "p"},
+        invariants={"l0": clock_le("x", 2), "l1": clock_le("x", 2)},
+        enabling={("l0", "go"): ClockConstraint(), ("l1", "back"): guard},
+        transitions={
+            ("l0", "go"): (ProbBranch(Fraction(1), frozenset(), "l1"),),
+            ("l1", "back"): (ProbBranch(Fraction(1), frozenset(resets), "l0"),),
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "model, warns",
+    [
+        (two_location_cycle(), True),
+        (two_location_cycle(resets={"x"}), False),
+        (two_location_cycle(guard=clock_ge("x", 1)), False),
+    ],
+    ids=["no-reset", "reset", "guard-x>=1"],
+)
+def test_zeno_warning_on_a_two_location_cycle(model, warns):
+    diags = validate_assumptions(model)
+    assert errors_only(diags) == []
+    assert [d.severity for d in diags] == (["warning"] if warns else [])
+    assert zeno_warning(model) == diags
+
+
+def test_validate_assumptions_matches_the_retired_cycle_search():
+    warned = 0
+    for seed in range(400):
+        model = random_tptg(random.Random(seed))
+        expected = errors_only(validate_assumptions(model)) + zeno_warning(model)
+        assert validate_assumptions(model) == expected, seed
+        warned += bool(zeno_warning(model))
+    assert 0 < warned < 400

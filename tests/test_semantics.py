@@ -14,7 +14,6 @@ from tptg import (
     enumerate_moves,
     initial_state,
 )
-from tptg.elaborate import _variable_assignment
 
 from gamegen import naive_digital_reach, random_tptg
 
@@ -181,9 +180,10 @@ def test_reprice_swaps_price_structure():
 def test_variable_provenance_parsing(taskgraph_k1_p1):
     _, game = taskgraph_k1_p1
     start = game.states[game.initial]
-    assert start.location.startswith("decide0#")
-    variables = _variable_assignment(start.location)
-    assert variables["st1"] == 0 and variables["free1"] == 1 and variables["nrun"] == 0
+    assert start.location == (
+        "decide0#st1=0,st2=0,st3=0,st4=0,st5=0,st6=0,free1=1,free2=1,nrun=0"
+        ".idle1.idle2.live#f1=0,f2=0"
+    )
 
 
 def _assert_reprice_equals_rebuild(model):

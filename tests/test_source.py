@@ -19,3 +19,44 @@ def test_the_package_has_no_assert_statements():
     ]
     assert len(SOURCES) > 10
     assert found == []
+
+
+def _referenced_names(node) -> list[str]:
+    """Every name a subtree uses: variables, attributes, imported names and
+    dotted string constants such as ``"elaborate.to_tptg"``."""
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.append(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.append(sub.value.rsplit(".", 1)[-1])
+    return names
+
+
+def test_every_definition_in_the_package_is_used():
+    # a function, method or class that nothing names, outside its own body,
+    # in the package, the tests or the benchmark is dead surface
+    root = pathlib.Path(__file__).resolve().parent.parent
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in (SOURCES[0].parent, root / "tests", root / "bench")
+        for path in sorted(folder.glob("*.py"))
+    }
+    uses: dict[str, int] = {}
+    for tree in trees.values():
+        for name in _referenced_names(tree):
+            uses[name] = uses.get(name, 0) + 1
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in SOURCES
+        for node in ast.walk(trees[path])
+        if isinstance(node, kinds)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and uses.get(node.name, 0) <= _referenced_names(node).count(node.name)
+    ]
+    assert unused == []
