@@ -332,7 +332,7 @@ class _Parser:
             variables.append(self.var_decl(variables))
         locations: list[LocationAst] = []
         while self.current.text == "location":
-            locations.append(self.location_def(name, [v.name for v in variables]))
+            locations.append(self.location_def([v.name for v in variables]))
         self.expect("}")
         known = {loc.name for loc in locations}
         if init not in known:
@@ -368,7 +368,7 @@ class _Parser:
         self.expect(";")
         return VarAst(name, low, high, init)
 
-    def location_def(self, automaton: str, variables: list[str]) -> LocationAst:
+    def location_def(self, variables: list[str]) -> LocationAst:
         self.expect("location")
         name = self.plain_name("location")
         self.expect("{")

@@ -7,14 +7,14 @@ closed conjunctive constraints this is equivalent to holding throughout),
 and an action fires when its enabling condition holds after the delay.
 """
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clocks import ClockValuation
+from .clocks import LE, ClockConstraint, ClockValuation
 from .errors import ModelError, StateLimitError
 from .game import DEADLOCK_LABEL, Move, Tsg
-from .model import Tptg, errors_only, max_constants, validate_assumptions
+from .model import PriceStructure, Tptg, errors_only, max_constants, validate_assumptions
 
 DEFAULT_STATE_LIMIT = 5_000_000
 
@@ -41,72 +41,151 @@ class DigitalMove:
     price: int
 
 
-def _max_delay(model: Tptg, state: DigitalState) -> int:
-    invariant = model.invariants[state.location]
-    v = state.valuation
-    best: int | None = None
-    for atom in invariant.atoms:
-        if atom.op == "<=":
-            slack = atom.bound - v[atom.clock]
-            best = slack if best is None else min(best, slack)
-    if best is None:
-        # No upper bound in the invariant (only possible when the bounded-
-        # invariants check was bypassed): beyond full saturation further
-        # delays are indistinguishable, so cap there.
-        best = 1 + max(v.ceilings, default=0)
-    return max(best, 0)
+_UNPRICED: tuple[int, dict[str, int]] = (0, {})
 
 
-def _actions_by_location(model: Tptg) -> dict[str, list[str]]:
-    index: dict[str, list[str]] = {}
-    for (location, action) in model.transitions:
-        index.setdefault(location, []).append(action)
-    for actions in index.values():
-        actions.sort()
-    return index
+def _price_table(model: Tptg, price: str | None) -> dict[str, tuple[int, dict[str, int]]]:
+    """Location -> (rate, action -> action price) under `price`; a location
+    missing from the table has rate 0 and no action prices (`_UNPRICED`)."""
+    structure = model.prices[price] if price is not None else PriceStructure()
+    table = {location: (rate, {}) for location, rate in structure.rates.items()}
+    for (location, action), value in structure.action_prices.items():
+        table.setdefault(location, (0, {}))[1][action] = value
+    return table
 
 
-def enumerate_moves(
-    model: Tptg,
-    state: DigitalState,
-    price: str | None = None,
-    _actions: dict[str, list[str]] | None = None,
-) -> list[DigitalMove]:
+class _Lowered:
+    """A model lowered once into per-location tables over clock indices.
+
+    A constraint becomes ``(clock index, low, high)`` intervals, one per
+    clock it mentions (`high` is infinite without a ``<=`` atom). Every
+    bound is at most its clock's ceiling k, so ``min(v + t, k + 1) <= b``
+    holds exactly when ``v + t <= b``, and likewise for ``>=``: the delays
+    that keep an invariant or enable a guard form an integer interval, read
+    off the state's values without advancing them. A state is a
+    ``(location, values)`` pair here; `state` turns it into the public
+    record.
+    """
+
+    def __init__(self, model: Tptg, price: str | None):
+        ceilings = max_constants(model)
+        self.clocks = tuple(ceilings)
+        self.ceilings = tuple(ceilings.values())
+        self.saturated = tuple(k + 1 for k in self.ceilings)
+        # the delay cap of an invariant with no upper bound: past full
+        # saturation further delays are indistinguishable
+        self.unbounded_delay = 1 + max(self.ceilings, default=0)
+        position = {x: i for i, x in enumerate(self.clocks)}
+
+        def lower(constraint: ClockConstraint) -> tuple[tuple[int, int, float], ...]:
+            intervals: dict[int, list] = {}
+            for atom in constraint.atoms:
+                if atom.clock not in position:
+                    raise ModelError(f"unknown clock {atom.clock!r}")
+                interval = intervals.setdefault(position[atom.clock], [0, math.inf])
+                if atom.op == LE:
+                    interval[1] = min(interval[1], atom.bound)
+                else:
+                    interval[0] = max(interval[0], atom.bound)
+            return tuple((i, low, high) for i, (low, high) in intervals.items())
+
+        invariants = {loc: lower(model.invariants[loc]) for loc in model.locations}
+        prices = _price_table(model, price)
+        edges: dict[str, list] = {}
+        for (location, action) in sorted(model.transitions):
+            branches = tuple(
+                (
+                    branch.target,
+                    tuple(sorted(position[x] for x in branch.resets)),
+                    invariants[branch.target],
+                    branch.prob,
+                    float(branch.prob),
+                )
+                for branch in model.transitions[(location, action)]
+            )
+            action_price = prices.get(location, _UNPRICED)[1].get(action, 0)
+            edges.setdefault(location, []).append(
+                (action, lower(model.enabling[(location, action)]), branches, action_price)
+            )
+        self.table = {
+            loc: (invariants[loc], prices.get(loc, _UNPRICED)[0], tuple(edges.get(loc, ())))
+            for loc in model.locations
+        }
+
+    def state(self, location: str, values: tuple[int, ...]) -> DigitalState:
+        return DigitalState(location, ClockValuation(self.clocks, values, self.ceilings))
+
+    def moves(self, location: str, values: tuple[int, ...]) -> list:
+        """The moves of one state as ``(delay, action, price, outcomes)``, in
+        (delay, action) order. `outcomes` maps each successor ``(location,
+        values)``, in first-branch order, to ``(float, Fraction)``
+        probabilities; the float is None where branches collided, since
+        only their exact sum converts to the right float."""
+        invariant, rate, edges = self.table[location]
+        # the delays keeping the invariant; none if it fails now, since
+        # delaying stops at the first delay where it fails
+        last = self.unbounded_delay
+        for i, low, high in invariant:
+            v = values[i]
+            if v < low:
+                return []
+            if high - v < last:
+                last = high - v
+        windows = []
+        for edge in edges:
+            first, stop = 0, last
+            for i, low, high in edge[1]:
+                v = values[i]
+                if low - v > first:
+                    first = low - v
+                if high - v < stop:
+                    stop = high - v
+            if first <= stop:
+                windows.append((first, stop, edge))
+        moves = []
+        if not windows:
+            return moves
+        saturated = self.saturated
+        for t in range(min(w[0] for w in windows), max(w[1] for w in windows) + 1):
+            advanced = None
+            for first, stop, (action, _, branches, action_price) in windows:
+                if not first <= t <= stop:
+                    continue
+                if advanced is None:
+                    advanced = tuple([v + t if v + t < k else k for v, k in zip(values, saturated)])
+                outcomes: dict = {}
+                for target, resets, target_invariant, prob, fprob in branches:
+                    landed = advanced
+                    if resets:
+                        cleared = list(advanced)
+                        for i in resets:
+                            cleared[i] = 0
+                        landed = tuple(cleared)
+                    for i, low, high in target_invariant:
+                        if not low <= landed[i] <= high:
+                            raise ModelError(
+                                f"edge ({location!r}, {action!r}) reaches "
+                                f"{self.state(target, landed)}, violating the target invariant"
+                            )
+                    key = (target, landed)
+                    seen = outcomes.get(key)
+                    outcomes[key] = (fprob, prob) if seen is None else (None, seen[1] + prob)
+                moves.append((t, action, t * rate + action_price, outcomes))
+        return moves
+
+
+def enumerate_moves(model: Tptg, state: DigitalState, price: str | None = None) -> list[DigitalMove]:
     """All (delay, action) moves available in `state`, ordered by (delay, action).
 
     Branch probabilities to the same successor state are aggregated. An empty
     result means the state is a deadlock.
     """
-    structure = model.prices[price] if price is not None else None
-    location = state.location
-    invariant = model.invariants[location]
-    if _actions is None:
-        _actions = _actions_by_location(model)
-    actions = _actions.get(location, [])
-    moves: list[DigitalMove] = []
-    for t in range(_max_delay(model, state) + 1):
-        advanced = state.valuation.advance(t)
-        if not advanced.satisfies(invariant):
-            break
-        for action in actions:
-            if not advanced.satisfies(model.enabling[(location, action)]):
-                continue
-            outcomes: dict[DigitalState, Fraction] = {}
-            for branch in model.transitions[(location, action)]:
-                landed = advanced.reset(branch.resets)
-                successor = DigitalState(branch.target, landed)
-                if not landed.satisfies(model.invariants[branch.target]):
-                    raise ModelError(
-                        f"edge ({location!r}, {action!r}) reaches "
-                        f"{successor}, violating the target invariant"
-                    )
-                outcomes[successor] = outcomes.get(successor, Fraction(0)) + branch.prob
-            cost = 0
-            if structure is not None:
-                cost = t * structure.rate(location) + structure.action_price(location, action)
-            moves.append(
-                DigitalMove(t, action, tuple(outcomes.items()), cost)
-            )
+    lowered = _Lowered(model, price)
+    values = tuple(state.valuation[x] for x in lowered.clocks)
+    moves = []
+    for t, action, cost, outcomes in lowered.moves(state.location, values):
+        branches = tuple((lowered.state(*key), prob) for key, (_, prob) in outcomes.items())
+        moves.append(DigitalMove(t, action, branches, cost))
     return moves
 
 
@@ -135,36 +214,31 @@ def build(
     if price is not None and price not in model.prices:
         raise ModelError(f"unknown price structure {price!r}")
 
-    start = initial_state(model)
-    index: dict[DigitalState, int] = {start: 0}
-    states: list[DigitalState] = [start]
+    lowered = _Lowered(model, price)
+    start = (model.initial, (0,) * len(lowered.clocks))
+    # states are numbered in discovery order, so walking `keys` while it
+    # grows is the breadth-first queue
+    keys = [start]
+    index = {start: 0}
+    states = [lowered.state(*start)]
     all_moves: list[tuple[Move, ...]] = []
-    queue: deque[DigitalState] = deque([start])
-    action_index = _actions_by_location(model)
-    while queue:
-        current = queue.popleft()
+    for location, values in keys:
         moves = []
-        for dm in enumerate_moves(model, current, price, action_index):
+        for t, action, cost, outcomes in lowered.moves(location, values):
             branches = []
-            for successor, prob in dm.branches:
-                target = index.get(successor)
+            for key, (fprob, prob) in outcomes.items():
+                target = index.get(key)
                 if target is None:
-                    if len(states) >= state_limit:
-                        raise StateLimitError(state_limit, len(states))
-                    target = len(states)
-                    index[successor] = target
-                    states.append(successor)
-                    queue.append(successor)
-                branches.append((target, float(prob)))
-            moves.append(
-                Move(
-                    action=dm.action,
-                    branches=tuple(branches),
-                    price=float(dm.price),
-                    time=dm.time,
-                )
-            )
+                    if len(keys) >= state_limit:
+                        raise StateLimitError(state_limit, len(keys))
+                    target = index[key] = len(keys)
+                    keys.append(key)
+                    states.append(lowered.state(*key))
+                branches.append((target, float(prob) if fprob is None else fprob))
+            moves.append(Move(action, tuple(branches), float(cost), t))
         all_moves.append(tuple(moves))
+    # only the state records outlive the search
+    del keys, index
 
     labels: dict[str, frozenset[int]] = {}
     for name, label in model.labels.items():
@@ -193,21 +267,16 @@ def reprice(game: Tsg, model: Tptg, price: str | None) -> Tsg:
     branches and move order are kept, so the predecessor index is shared."""
     if price is not None and price not in model.prices:
         raise ModelError(f"unknown price structure {price!r}")
-    structure = model.prices[price] if price is not None else None
+    table = _price_table(model, price)
     new_moves = []
     for state, moves in zip(game.states, game.moves):
         if not isinstance(state, DigitalState):
             raise ModelError("reprice needs a game built from a timed model")
-        repriced = []
-        for m in moves:
-            cost = 0.0
-            if structure is not None:
-                cost = float(
-                    m.time * structure.rate(state.location)
-                    + structure.action_price(state.location, m.action)
-                )
-            repriced.append(Move(m.action, m.branches, cost, m.time))
-        new_moves.append(tuple(repriced))
+        rate, action_prices = table.get(state.location, _UNPRICED)
+        new_moves.append(tuple(
+            Move(m.action, m.branches, float(m.time * rate + action_prices.get(m.action, 0)), m.time)
+            for m in moves
+        ))
     return game.derive(moves=tuple(new_moves))
 
 

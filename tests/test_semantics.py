@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from tptg import (
     initial_state,
 )
 
+import retired_builder
 from gamegen import naive_digital_reach, random_tptg
 
 
@@ -121,8 +123,35 @@ def test_build_refuses_assumption_violations():
 
 
 def test_build_state_limit(fig1_model):
-    with pytest.raises(StateLimitError):
-        tptg.build(fig1_model, state_limit=5)
+    errors = []
+    for build in (tptg.build, retired_builder.build):
+        with pytest.raises(StateLimitError) as caught:
+            build(fig1_model, state_limit=5)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+
+
+def test_build_refuses_an_edge_violating_the_target_invariant():
+    # waiting two units in `a` and moving to `b` without a reset lands on
+    # x=2, outside b's invariant x<=1
+    model = Tptg(
+        players=("p",),
+        locations=("a", "b"),
+        initial="a",
+        clocks=("x",),
+        actions=("go",),
+        owner={"a": "p", "b": "p"},
+        invariants={"a": clock_le("x", 3), "b": clock_le("x", 1)},
+        enabling={("a", "go"): tptg.clock_ge("x", 2)},
+        transitions={("a", "go"): (tptg.ProbBranch(Fraction(1), frozenset(), "b"),)},
+    )
+    messages = []
+    for build in (tptg.build, retired_builder.build):
+        with pytest.raises(ModelError) as caught:
+            build(model)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == "edge ('a', 'go') reaches (b | x=2), violating the target invariant"
 
 
 def test_every_state_satisfies_its_invariant(fig1_model, fig1_game):
@@ -214,3 +243,90 @@ def test_reprice_equals_rebuild_on_fig1_and_random_models(fig1_model):
     rng = random.Random(5)
     for _ in range(20):
         _assert_reprice_equals_rebuild(random_tptg(rng))
+
+
+def _assert_builds_like_retired_builder(model, price=None):
+    """The game `build` returns equals the retired builder's: the same
+    states, owners and labels, and the same moves down to the float bits
+    of every probability and price."""
+    built = tptg.build(model, price=price)
+    expected = retired_builder.build(model, price=price)
+    assert built.states == expected.states
+    assert built.owner == expected.owner
+    assert built.labels == expected.labels
+    assert [[repr(m) for m in ms] for ms in built.moves] == [
+        [repr(m) for m in ms] for ms in expected.moves
+    ]
+
+
+@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("price", ("time", "energy"))
+def test_build_equals_retired_builder_on_taskgraph(k, price):
+    _assert_builds_like_retired_builder(tptg.gen_taskgraph(k, k, Fraction(1, 2)), price)
+
+
+@pytest.mark.parametrize("variant", ("honest", "malicious1", "malicious2"))
+def test_build_equals_retired_builder_on_nonrepudiation(variant):
+    model = tptg.gen_nonrepudiation(variant)
+    _assert_builds_like_retired_builder(model)
+    for bound in (0, 4, 20, 100):
+        bounded, _ = tptg.with_time_bound(model, "terminated_ok", bound)
+        _assert_builds_like_retired_builder(bounded)
+
+
+def test_build_equals_retired_builder_on_fig1_and_random_models(fig1_model):
+    for price in (None, *fig1_model.prices):
+        _assert_builds_like_retired_builder(fig1_model, price)
+    for seed in range(100):
+        model = random_tptg(random.Random(seed))
+        for price in (None, *model.prices):
+            _assert_builds_like_retired_builder(model, price)
+
+
+def _moves_or_error(enumerate_moves, model, state, price):
+    try:
+        return enumerate_moves(model, state, price)
+    except ModelError as error:
+        return str(error)
+
+
+def test_enumerate_moves_equals_retired_builder_on_every_valuation(fig1_model):
+    # every saturated valuation, reachable or not: states outside their
+    # invariant have no moves, a lower-bound-only invariant caps the delay
+    # at one past full saturation, and a move may break the target invariant
+    lower_bounded = Tptg(
+        players=("p",),
+        locations=("a", "b"),
+        initial="a",
+        clocks=("x", "y"),
+        actions=("go", "stay"),
+        owner={"a": "p", "b": "p"},
+        invariants={
+            "a": tptg.clock_ge("x", 1).conjoin(clock_le("x", 3)).conjoin(clock_le("y", 4)),
+            "b": tptg.clock_ge("y", 2),
+        },
+        enabling={
+            ("a", "go"): clock_le("y", 2),
+            ("a", "stay"): tptg.clock_ge("y", 1),
+            ("b", "go"): tptg.clock_ge("x", 1),
+        },
+        transitions={
+            ("a", "go"): (
+                tptg.ProbBranch(Fraction(1, 2), frozenset({"x"}), "b"),
+                tptg.ProbBranch(Fraction(1, 2), frozenset(), "b"),
+            ),
+            ("a", "stay"): (tptg.ProbBranch(Fraction(1), frozenset({"y"}), "a"),),
+            ("b", "go"): (tptg.ProbBranch(Fraction(1), frozenset({"x"}), "b"),),
+        },
+        prices={"cost": tptg.PriceStructure(rates={"a": 2}, action_prices={("b", "go"): 3})},
+    )
+    for model in (fig1_model, lower_bounded):
+        start = initial_state(model).valuation
+        ranges = [range(k + 2) for k in start.ceilings]
+        for location in model.locations:
+            for values in itertools.product(*ranges):
+                state = DigitalState(location, tptg.ClockValuation(start.clocks, values, start.ceilings))
+                for price in (None, *model.prices):
+                    assert _moves_or_error(enumerate_moves, model, state, price) == _moves_or_error(
+                        retired_builder.enumerate_moves, model, state, price
+                    ), (location, values, price)

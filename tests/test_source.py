@@ -60,3 +60,37 @@ def test_every_definition_in_the_package_is_used():
         and uses.get(node.name, 0) <= _referenced_names(node).count(node.name)
     ]
     assert unused == []
+
+
+#: "module.py:function parameter" -> why the body need not read it
+UNREAD_PARAMETERS_ALLOWED: dict[str, str] = {}
+
+
+def test_every_function_parameter_in_the_package_is_read():
+    # a parameter that no line of its function reads is dead surface its
+    # callers still have to fill; `self` and `cls` are exempt, and so are
+    # lambdas, whose parameters the callee's protocol fixes
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unread = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, kinds):
+                continue
+            args = node.args
+            params = [
+                p.arg
+                for p in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+                if p is not None and p.arg not in ("self", "cls")
+            ]
+            read = {
+                sub.id
+                for statement in node.body
+                for sub in ast.walk(statement)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.name}:{node.name} {p}"
+                for p in params
+                if p not in read and f"{path.name}:{node.name} {p}" not in UNREAD_PARAMETERS_ALLOWED
+            ]
+    assert unread == []
