@@ -1,7 +1,7 @@
 """Verification and strategy synthesis for turn-based probabilistic timed
 games, analysed through their integer-time (digital clocks) semantics."""
 
-from .clocks import Atom, ClockConstraint, ClockValuation, TRUE, clock_ge, clock_le, conjunction
+from .clocks import Atom, ClockConstraint, TRUE, clock_ge, clock_le
 from .errors import ModelError, ParseError, StateLimitError
 from .game import (
     DEADLOCK_LABEL,

@@ -254,13 +254,20 @@ def cmd_simulate(args) -> int:
     else:
         if not args.strategy:
             raise ModelError("pass --strategy <solveresult.json> or --uniform")
-        payload = json.loads(Path(args.strategy).read_text(encoding="utf-8"))
-        entries = payload["strategy"] if isinstance(payload, dict) else payload
+        try:
+            payload = json.loads(Path(args.strategy).read_text(encoding="utf-8"))
+            entries = payload["strategy"] if isinstance(payload, dict) else payload
+            choices = [(item["state"], item["action"]) for item in entries]
+        except ValueError as exc:
+            raise ModelError(f"strategy file {args.strategy} is not JSON: {exc}") from None
+        except KeyError as exc:
+            raise ModelError(f"strategy file {args.strategy} has no {exc} key") from None
+        except TypeError:
+            raise ModelError(f"strategy file {args.strategy} holds no state/action list") from None
         profile = {}
-        for item in entries:
-            state, action = item["state"], item["action"]
-            if not 0 <= state < len(two_player.states):
-                raise ModelError(f"strategy refers to unknown state {state}")
+        for state, action in choices:
+            if not isinstance(state, int) or not 0 <= state < len(two_player.states):
+                raise ModelError(f"strategy refers to unknown state {state!r}")
             if action not in two_player.available_actions(state):
                 raise ModelError(f"strategy picks unavailable action {action!r} at state {state}")
             profile[state] = action

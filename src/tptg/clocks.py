@@ -1,14 +1,9 @@
-"""Clock constraints and saturating integer clock valuations.
-
-Constraints are conjunctions of closed, diagonal-free atoms (``x <= c`` or
-``x >= c`` with a natural constant). Valuations map clocks to naturals and
-saturate at one past each clock's ceiling, so values beyond the largest
-constant a clock is compared against collapse into a single representative.
-"""
+"""Clock constraints: conjunctions of closed, diagonal-free atoms (``x <= c``
+or ``x >= c`` with a natural constant)."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import ModelError
 
@@ -74,67 +69,3 @@ def clock_le(clock: str, bound: int) -> ClockConstraint:
 
 def clock_ge(clock: str, bound: int) -> ClockConstraint:
     return ClockConstraint((Atom(clock, GE, bound),))
-
-
-def conjunction(*parts: ClockConstraint) -> ClockConstraint:
-    atoms: tuple[Atom, ...] = ()
-    for part in parts:
-        atoms += part.atoms
-    return ClockConstraint(atoms)
-
-
-@dataclass(frozen=True)
-class ClockValuation:
-    """Integer clock values with per-clock saturation at ``ceiling + 1``.
-
-    `ceilings` holds, per clock, the largest constant the clock is compared
-    against anywhere in the model; advancing time never pushes a value past
-    ``ceiling + 1``, which compares like any number above the ceiling.
-    """
-
-    clocks: tuple[str, ...]
-    values: tuple[int, ...]
-    ceilings: tuple[int, ...]
-
-    @classmethod
-    def zero(cls, ceilings: Mapping[str, int]) -> "ClockValuation":
-        names = tuple(ceilings)
-        return cls(names, (0,) * len(names), tuple(ceilings[x] for x in names))
-
-    def __getitem__(self, clock: str) -> int:
-        try:
-            return self.values[self.clocks.index(clock)]
-        except ValueError:
-            raise ModelError(f"unknown clock {clock!r}") from None
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(self.clocks, self.values))
-
-    def advance(self, t: int) -> "ClockValuation":
-        """Add `t` to every clock, saturating each at its ceiling plus one."""
-        if t < 0:
-            raise ModelError("time advance must be non-negative")
-        if t == 0:
-            return self
-        values = tuple(
-            min(v + t, k + 1) for v, k in zip(self.values, self.ceilings)
-        )
-        return ClockValuation(self.clocks, values, self.ceilings)
-
-    def reset(self, subset: Iterable[str]) -> "ClockValuation":
-        subset = frozenset(subset)
-        unknown = subset - set(self.clocks)
-        if unknown:
-            raise ModelError(f"reset of unknown clock(s) {sorted(unknown)}")
-        if not subset:
-            return self
-        values = tuple(
-            0 if x in subset else v for x, v in zip(self.clocks, self.values)
-        )
-        return ClockValuation(self.clocks, values, self.ceilings)
-
-    def satisfies(self, constraint: ClockConstraint) -> bool:
-        for atom in constraint.atoms:
-            if not atom.holds(self[atom.clock]):
-                return False
-        return True

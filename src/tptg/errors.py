@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the one-line summary of a list of problems."""
+
+from typing import Sequence
 
 
 class ModelError(ValueError):
@@ -30,3 +32,9 @@ class ParseError(ValueError):
         self.line = line
         self.column = column
         self.hint = hint
+
+
+def summarize(problems: Sequence) -> str:
+    """The first five problems joined by ``; ``, then how many are left out."""
+    more = f"; and {len(problems) - 5} more" if len(problems) > 5 else ""
+    return "; ".join(str(p) for p in problems[:5]) + more

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import ModelError
+from .errors import ModelError, summarize
 
 Player = Union[int, str]
 
@@ -193,8 +193,8 @@ class Tsg:
         """Check structural invariants, returning one diagnostic per violation."""
         issues: list[str] = []
         n = len(self.states)
-        if not 0 <= self.initial < n:
-            issues.append(f"initial state {self.initial} out of range")
+        if not (isinstance(self.initial, int) and 0 <= self.initial < n):
+            issues.append(f"initial state {self.initial!r} out of range")
         if len(self.owner) != n:
             issues.append(
                 f"partition: owner map covers {len(self.owner)} of {n} states"
@@ -218,9 +218,9 @@ class Tsg:
                     issues.append(f"state {i}, action {m.label!r}: negative price")
                 mass = 0.0
                 for target, prob in m.branches:
-                    if not 0 <= target < n:
+                    if not (isinstance(target, int) and 0 <= target < n):
                         issues.append(
-                            f"state {i}, action {m.label!r}: branch to invalid state {target}"
+                            f"state {i}, action {m.label!r}: branch to invalid state {target!r}"
                         )
                     if not 0.0 <= prob <= 1.0:
                         issues.append(
@@ -332,36 +332,40 @@ def to_json(game: Tsg) -> str:
 
 
 def from_json_dict(data: dict) -> Tsg:
+    """Import a game in the interchange schema; raises ModelError on a missing
+    key or a game that fails `Tsg.validate`."""
     try:
         state_records = data["states"]
         initial = data["initial"]
         raw_transitions = data["transitions"]
+        n = len(state_records)
+        owner = tuple(record["owner"] for record in state_records)
+        labels: dict[str, set[int]] = {}
+        for i, record in enumerate(state_records):
+            for name in record.get("labels", []):
+                labels.setdefault(name, set()).add(i)
+        moves: list[list[Move]] = [[] for _ in range(n)]
+        for entry in raw_transitions:
+            source = entry["from"]
+            if not (isinstance(source, int) and 0 <= source < n):
+                raise ModelError(f"game JSON has a transition from invalid state {source!r}")
+            time, action = parse_move_label(entry["action"])
+            branches = tuple((b["to"], float(b["prob"])) for b in entry["branches"])
+            moves[source].append(Move(action, branches, float(entry.get("price", 0.0)), time))
     except KeyError as missing:
         raise ModelError(f"game JSON is missing key {missing}") from None
-    n = len(state_records)
-    owner = tuple(record["owner"] for record in state_records)
-    players = tuple(dict.fromkeys(owner))
-    labels: dict[str, set[int]] = {}
-    for i, record in enumerate(state_records):
-        for name in record.get("labels", []):
-            labels.setdefault(name, set()).add(i)
-    moves: list[list[Move]] = [[] for _ in range(n)]
-    for entry in raw_transitions:
-        time, action = parse_move_label(entry["action"])
-        branches = tuple(
-            (b["to"], float(b["prob"])) for b in entry["branches"]
-        )
-        moves[entry["from"]].append(
-            Move(action=action, branches=branches, price=float(entry.get("price", 0.0)), time=time)
-        )
-    return Tsg(
+    game = Tsg(
         states=tuple(range(n)),
         initial=initial,
-        players=players,
+        players=tuple(dict.fromkeys(owner)),
         owner=owner,
         moves=tuple(tuple(ms) for ms in moves),
         labels={name: frozenset(members) for name, members in labels.items()},
     )
+    issues = game.validate()
+    if issues:
+        raise ModelError(f"game JSON fails validation: {summarize(issues)}")
+    return game
 
 
 def from_json(text: str) -> Tsg:

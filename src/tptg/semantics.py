@@ -10,25 +10,23 @@ and an action fires when its enabling condition holds after the delay.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .clocks import LE, ClockConstraint, ClockValuation
-from .errors import ModelError, StateLimitError
+from .clocks import LE, ClockConstraint
+from .errors import ModelError, StateLimitError, summarize
 from .game import DEADLOCK_LABEL, Move, Tsg
 from .model import PriceStructure, Tptg, errors_only, max_constants, validate_assumptions
 
 DEFAULT_STATE_LIMIT = 5_000_000
 
 
-@dataclass(frozen=True)
-class DigitalState:
-    """Reachable configuration: a location and a saturated clock valuation."""
+class DigitalState(NamedTuple):
+    """Reachable configuration: a location and its clock values, saturated one
+    past each clock's ceiling, in the model's clock order (`max_constants`).
+    It compares and hashes like the plain ``(location, values)`` tuple."""
 
     location: str
-    valuation: ClockValuation
-
-    def __str__(self) -> str:
-        values = ",".join(f"{x}={v}" for x, v in self.valuation.as_dict().items())
-        return f"({self.location} | {values})"
+    values: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -47,6 +45,8 @@ _UNPRICED: tuple[int, dict[str, int]] = (0, {})
 def _price_table(model: Tptg, price: str | None) -> dict[str, tuple[int, dict[str, int]]]:
     """Location -> (rate, action -> action price) under `price`; a location
     missing from the table has rate 0 and no action prices (`_UNPRICED`)."""
+    if price is not None and price not in model.prices:
+        raise ModelError(f"unknown price structure {price!r}")
     structure = model.prices[price] if price is not None else PriceStructure()
     table = {location: (rate, {}) for location, rate in structure.rates.items()}
     for (location, action), value in structure.action_prices.items():
@@ -62,41 +62,25 @@ class _Lowered:
     bound is at most its clock's ceiling k, so ``min(v + t, k + 1) <= b``
     holds exactly when ``v + t <= b``, and likewise for ``>=``: the delays
     that keep an invariant or enable a guard form an integer interval, read
-    off the state's values without advancing them. A state is a
-    ``(location, values)`` pair here; `state` turns it into the public
-    record.
+    off the state's values without advancing them.
     """
 
     def __init__(self, model: Tptg, price: str | None):
         ceilings = max_constants(model)
         self.clocks = tuple(ceilings)
-        self.ceilings = tuple(ceilings.values())
-        self.saturated = tuple(k + 1 for k in self.ceilings)
+        self.saturated = tuple(k + 1 for k in ceilings.values())
         # the delay cap of an invariant with no upper bound: past full
         # saturation further delays are indistinguishable
-        self.unbounded_delay = 1 + max(self.ceilings, default=0)
-        position = {x: i for i, x in enumerate(self.clocks)}
-
-        def lower(constraint: ClockConstraint) -> tuple[tuple[int, int, float], ...]:
-            intervals: dict[int, list] = {}
-            for atom in constraint.atoms:
-                if atom.clock not in position:
-                    raise ModelError(f"unknown clock {atom.clock!r}")
-                interval = intervals.setdefault(position[atom.clock], [0, math.inf])
-                if atom.op == LE:
-                    interval[1] = min(interval[1], atom.bound)
-                else:
-                    interval[0] = max(interval[0], atom.bound)
-            return tuple((i, low, high) for i, (low, high) in intervals.items())
-
-        invariants = {loc: lower(model.invariants[loc]) for loc in model.locations}
+        self.unbounded_delay = 1 + max(ceilings.values(), default=0)
+        self.position = {x: i for i, x in enumerate(self.clocks)}
+        invariants = {loc: self.lower(model.invariants[loc]) for loc in model.locations}
         prices = _price_table(model, price)
         edges: dict[str, list] = {}
         for (location, action) in sorted(model.transitions):
             branches = tuple(
                 (
                     branch.target,
-                    tuple(sorted(position[x] for x in branch.resets)),
+                    tuple(sorted(self.position[x] for x in branch.resets)),
                     invariants[branch.target],
                     branch.prob,
                     float(branch.prob),
@@ -105,15 +89,24 @@ class _Lowered:
             )
             action_price = prices.get(location, _UNPRICED)[1].get(action, 0)
             edges.setdefault(location, []).append(
-                (action, lower(model.enabling[(location, action)]), branches, action_price)
+                (action, self.lower(model.enabling[(location, action)]), branches, action_price)
             )
         self.table = {
             loc: (invariants[loc], prices.get(loc, _UNPRICED)[0], tuple(edges.get(loc, ())))
             for loc in model.locations
         }
 
-    def state(self, location: str, values: tuple[int, ...]) -> DigitalState:
-        return DigitalState(location, ClockValuation(self.clocks, values, self.ceilings))
+    def lower(self, constraint: ClockConstraint) -> tuple[tuple[int, int, float], ...]:
+        intervals: dict[int, list] = {}
+        for atom in constraint.atoms:
+            if atom.clock not in self.position:
+                raise ModelError(f"unknown clock {atom.clock!r}")
+            interval = intervals.setdefault(self.position[atom.clock], [0, math.inf])
+            if atom.op == LE:
+                interval[1] = min(interval[1], atom.bound)
+            else:
+                interval[0] = max(interval[0], atom.bound)
+        return tuple((i, low, high) for i, (low, high) in intervals.items())
 
     def moves(self, location: str, values: tuple[int, ...]) -> list:
         """The moves of one state as ``(delay, action, price, outcomes)``, in
@@ -163,9 +156,10 @@ class _Lowered:
                         landed = tuple(cleared)
                     for i, low, high in target_invariant:
                         if not low <= landed[i] <= high:
+                            shown = ",".join(f"{x}={v}" for x, v in zip(self.clocks, landed))
                             raise ModelError(
                                 f"edge ({location!r}, {action!r}) reaches "
-                                f"{self.state(target, landed)}, violating the target invariant"
+                                f"({target} | {shown}), violating the target invariant"
                             )
                     key = (target, landed)
                     seen = outcomes.get(key)
@@ -180,17 +174,15 @@ def enumerate_moves(model: Tptg, state: DigitalState, price: str | None = None) 
     Branch probabilities to the same successor state are aggregated. An empty
     result means the state is a deadlock.
     """
-    lowered = _Lowered(model, price)
-    values = tuple(state.valuation[x] for x in lowered.clocks)
     moves = []
-    for t, action, cost, outcomes in lowered.moves(state.location, values):
-        branches = tuple((lowered.state(*key), prob) for key, (_, prob) in outcomes.items())
+    for t, action, cost, outcomes in _Lowered(model, price).moves(state.location, state.values):
+        branches = tuple((DigitalState(*key), prob) for key, (_, prob) in outcomes.items())
         moves.append(DigitalMove(t, action, branches, cost))
     return moves
 
 
 def initial_state(model: Tptg) -> DigitalState:
-    return DigitalState(model.initial, ClockValuation.zero(max_constants(model)))
+    return DigitalState(model.initial, (0,) * len(max_constants(model)))
 
 
 def build(
@@ -207,47 +199,40 @@ def build(
     """
     diagnostics = errors_only(validate_assumptions(model))
     if diagnostics:
-        summary = "; ".join(str(d) for d in diagnostics[:5])
-        if len(diagnostics) > 5:
-            summary += f"; and {len(diagnostics) - 5} more"
-        raise ModelError(f"model fails digital-semantics prerequisites: {summary}")
-    if price is not None and price not in model.prices:
-        raise ModelError(f"unknown price structure {price!r}")
+        raise ModelError(f"model fails digital-semantics prerequisites: {summarize(diagnostics)}")
 
     lowered = _Lowered(model, price)
     start = (model.initial, (0,) * len(lowered.clocks))
-    # states are numbered in discovery order, so walking `keys` while it
-    # grows is the breadth-first queue
-    keys = [start]
+    # states are numbered in discovery order, so walking `states` while it
+    # grows is the breadth-first queue; `index` keys are the plain tuples
+    states = [DigitalState(*start)]
     index = {start: 0}
-    states = [lowered.state(*start)]
     all_moves: list[tuple[Move, ...]] = []
-    for location, values in keys:
+    for location, values in states:
         moves = []
         for t, action, cost, outcomes in lowered.moves(location, values):
             branches = []
             for key, (fprob, prob) in outcomes.items():
                 target = index.get(key)
                 if target is None:
-                    if len(keys) >= state_limit:
-                        raise StateLimitError(state_limit, len(keys))
-                    target = index[key] = len(keys)
-                    keys.append(key)
-                    states.append(lowered.state(*key))
+                    if len(states) >= state_limit:
+                        raise StateLimitError(state_limit, len(states))
+                    target = index[key] = len(states)
+                    states.append(DigitalState._make(key))
                 branches.append((target, float(prob) if fprob is None else fprob))
             moves.append(Move(action, tuple(branches), float(cost), t))
         all_moves.append(tuple(moves))
     # only the state records outlive the search
-    del keys, index
+    del index
 
     labels: dict[str, frozenset[int]] = {}
     for name, label in model.labels.items():
-        members = frozenset(
-            i
-            for i, s in enumerate(states)
-            if s.location in label.locations and s.valuation.satisfies(label.guard)
-        )
-        labels[name] = members
+        members = [i for i, (location, _) in enumerate(states) if location in label.locations]
+        if members:
+            # a guard is a conjunction: keep the states inside each interval
+            for c, low, high in lowered.lower(label.guard):
+                members = [i for i in members if low <= states[i].values[c] <= high]
+        labels[name] = frozenset(members)
     deadlocked = frozenset(i for i, ms in enumerate(all_moves) if not ms)
     if deadlocked:
         labels[DEADLOCK_LABEL] = labels.get(DEADLOCK_LABEL, frozenset()) | deadlocked
@@ -265,8 +250,6 @@ def build(
 def reprice(game: Tsg, model: Tptg, price: str | None) -> Tsg:
     """Same game with move prices recomputed under another price structure;
     branches and move order are kept, so the predecessor index is shared."""
-    if price is not None and price not in model.prices:
-        raise ModelError(f"unknown price structure {price!r}")
     table = _price_table(model, price)
     new_moves = []
     for state, moves in zip(game.states, game.moves):
@@ -282,8 +265,4 @@ def reprice(game: Tsg, model: Tptg, price: str | None) -> Tsg:
 
 def state_index(game: Tsg) -> dict[tuple[str, tuple[int, ...]], int]:
     """Lookup from (location, clock values) to state index for a built game."""
-    mapping = {}
-    for i, s in enumerate(game.states):
-        if isinstance(s, DigitalState):
-            mapping[(s.location, s.valuation.values)] = i
-    return mapping
+    return {s: i for i, s in enumerate(game.states) if isinstance(s, DigitalState)}

@@ -2,24 +2,99 @@
 
 This is the construction :func:`tptg.build` used before it lowered the model
 into per-location integer tables. For every state it tries each delay t in
-turn, advances the :class:`~tptg.clocks.ClockValuation`, and re-evaluates
-each invariant and guard atom through the valuation's clock-name lookup. It
-is kept here, unchanged in behaviour, as a differential oracle: `build`
-returns the same game, and `enumerate_moves` the same moves, as the package
-functions of those names.
+turn, advances a :class:`ClockValuation`, and re-evaluates each invariant,
+guard and label atom through the valuation's clock-name lookup. It is kept
+here, unchanged in behaviour, as a differential oracle: `build` returns the
+same game, and `enumerate_moves` the same moves, as the package functions of
+those names. `ClockValuation` is the state record the package used before
+its states became plain ``(location, values)`` records.
 """
 
 from collections import deque
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Iterable, Mapping
 
-from tptg.clocks import ClockValuation
+from tptg.clocks import ClockConstraint
 from tptg.errors import ModelError, StateLimitError
 from tptg.game import DEADLOCK_LABEL, Move, Tsg
 from tptg.model import Tptg, errors_only, max_constants, validate_assumptions
 from tptg.semantics import DEFAULT_STATE_LIMIT, DigitalMove, DigitalState
 
 
-def _max_delay(model: Tptg, state: DigitalState) -> int:
+@dataclass(frozen=True)
+class ClockValuation:
+    """Integer clock values with per-clock saturation at ``ceiling + 1``.
+
+    `ceilings` holds, per clock, the largest constant the clock is compared
+    against anywhere in the model; advancing time never pushes a value past
+    ``ceiling + 1``, which compares like any number above the ceiling.
+    """
+
+    clocks: tuple[str, ...]
+    values: tuple[int, ...]
+    ceilings: tuple[int, ...]
+
+    @classmethod
+    def zero(cls, ceilings: Mapping[str, int]) -> "ClockValuation":
+        names = tuple(ceilings)
+        return cls(names, (0,) * len(names), tuple(ceilings[x] for x in names))
+
+    def __getitem__(self, clock: str) -> int:
+        try:
+            return self.values[self.clocks.index(clock)]
+        except ValueError:
+            raise ModelError(f"unknown clock {clock!r}") from None
+
+    def as_dict(self) -> dict[str, int]:
+        return dict(zip(self.clocks, self.values))
+
+    def advance(self, t: int) -> "ClockValuation":
+        """Add `t` to every clock, saturating each at its ceiling plus one."""
+        if t < 0:
+            raise ModelError("time advance must be non-negative")
+        if t == 0:
+            return self
+        values = tuple(
+            min(v + t, k + 1) for v, k in zip(self.values, self.ceilings)
+        )
+        return ClockValuation(self.clocks, values, self.ceilings)
+
+    def reset(self, subset: Iterable[str]) -> "ClockValuation":
+        subset = frozenset(subset)
+        unknown = subset - set(self.clocks)
+        if unknown:
+            raise ModelError(f"reset of unknown clock(s) {sorted(unknown)}")
+        if not subset:
+            return self
+        values = tuple(
+            0 if x in subset else v for x, v in zip(self.clocks, self.values)
+        )
+        return ClockValuation(self.clocks, values, self.ceilings)
+
+    def satisfies(self, constraint: ClockConstraint) -> bool:
+        for atom in constraint.atoms:
+            if not atom.holds(self[atom.clock]):
+                return False
+        return True
+
+
+@dataclass(frozen=True)
+class _State:
+    """The oracle's own state record: a location and a saturated valuation."""
+
+    location: str
+    valuation: ClockValuation
+
+    def __str__(self) -> str:
+        values = ",".join(f"{x}={v}" for x, v in self.valuation.as_dict().items())
+        return f"({self.location} | {values})"
+
+    def public(self) -> DigitalState:
+        return DigitalState(self.location, self.valuation.values)
+
+
+def _max_delay(model: Tptg, state: _State) -> int:
     invariant = model.invariants[state.location]
     v = state.valuation
     best: int | None = None
@@ -41,12 +116,10 @@ def _actions_by_location(model: Tptg) -> dict[str, list[str]]:
     return index
 
 
-def enumerate_moves(model, state, price=None, actions_by_location=None) -> list[DigitalMove]:
+def _moves(model: Tptg, state: _State, price, actions_by_location) -> list[DigitalMove]:
     structure = model.prices[price] if price is not None else None
     location = state.location
     invariant = model.invariants[location]
-    if actions_by_location is None:
-        actions_by_location = _actions_by_location(model)
     actions = actions_by_location.get(location, [])
     moves: list[DigitalMove] = []
     for t in range(_max_delay(model, state) + 1):
@@ -56,10 +129,10 @@ def enumerate_moves(model, state, price=None, actions_by_location=None) -> list[
         for action in actions:
             if not advanced.satisfies(model.enabling[(location, action)]):
                 continue
-            outcomes: dict[DigitalState, Fraction] = {}
+            outcomes: dict[_State, Fraction] = {}
             for branch in model.transitions[(location, action)]:
                 landed = advanced.reset(branch.resets)
-                successor = DigitalState(branch.target, landed)
+                successor = _State(branch.target, landed)
                 if not landed.satisfies(model.invariants[branch.target]):
                     raise ModelError(
                         f"edge ({location!r}, {action!r}) reaches "
@@ -73,6 +146,14 @@ def enumerate_moves(model, state, price=None, actions_by_location=None) -> list[
     return moves
 
 
+def enumerate_moves(model: Tptg, state: DigitalState, price=None) -> list[DigitalMove]:
+    valuation = replace(ClockValuation.zero(max_constants(model)), values=state.values)
+    return [
+        DigitalMove(m.time, m.action, tuple((s.public(), p) for s, p in m.branches), m.price)
+        for m in _moves(model, _State(state.location, valuation), price, _actions_by_location(model))
+    ]
+
+
 def build(model: Tptg, price=None, state_limit: int = DEFAULT_STATE_LIMIT) -> Tsg:
     diagnostics = errors_only(validate_assumptions(model))
     if diagnostics:
@@ -83,16 +164,16 @@ def build(model: Tptg, price=None, state_limit: int = DEFAULT_STATE_LIMIT) -> Ts
     if price is not None and price not in model.prices:
         raise ModelError(f"unknown price structure {price!r}")
 
-    start = DigitalState(model.initial, ClockValuation.zero(max_constants(model)))
-    index: dict[DigitalState, int] = {start: 0}
-    states: list[DigitalState] = [start]
+    start = _State(model.initial, ClockValuation.zero(max_constants(model)))
+    index: dict[_State, int] = {start: 0}
+    states: list[_State] = [start]
     all_moves: list[tuple[Move, ...]] = []
-    queue: deque[DigitalState] = deque([start])
+    queue: deque[_State] = deque([start])
     action_index = _actions_by_location(model)
     while queue:
         current = queue.popleft()
         moves = []
-        for dm in enumerate_moves(model, current, price, action_index):
+        for dm in _moves(model, current, price, action_index):
             branches = []
             for successor, prob in dm.branches:
                 target = index.get(successor)
@@ -121,7 +202,7 @@ def build(model: Tptg, price=None, state_limit: int = DEFAULT_STATE_LIMIT) -> Ts
         labels[DEADLOCK_LABEL] = labels.get(DEADLOCK_LABEL, frozenset()) | deadlocked
 
     return Tsg(
-        states=tuple(states),
+        states=tuple(s.public() for s in states),
         initial=0,
         players=model.players,
         owner=tuple(model.owner[s.location] for s in states),

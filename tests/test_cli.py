@@ -225,6 +225,27 @@ def test_simulate_without_strategy_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("not json {", "is not JSON"),
+        ('{"value": 1.0}', "has no 'strategy' key"),
+        ('[{"state": "0", "action": "(1,send)"}]', "unknown state '0'"),
+    ],
+    ids=["not-json", "no-strategy-key", "string-state"],
+)
+def test_simulate_malformed_strategy_file_errors(fig1_file, tmp_path, capsys, text, message):
+    strategy = tmp_path / "strategy.json"
+    strategy.write_text(text)
+    code = main([
+        "simulate", fig1_file, "--strategy", str(strategy), "--samples", "10",
+        "--prop", "Pmax [ F done ] coalition {sender, medium}",
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: strategy") and message in err
+
+
 def test_simulate_zero_samples_usage_error(fig1_file):
     code = main([
         "simulate", fig1_file, "--uniform", "--samples", "0",

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tptg import Atom, ClockConstraint, ClockValuation, ModelError, TRUE, clock_ge, clock_le
+from tptg import Atom, ClockConstraint, ModelError, TRUE, clock_ge, clock_le
+
+from retired_builder import ClockValuation
 
 
 def valuation(values: dict[str, int], ceilings: dict[str, int]) -> ClockValuation:

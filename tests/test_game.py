@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import tptg
 from tptg import ModelError, Move, TsgPath, coalition_game, make_game
 from tptg.cli import main
-from tptg.game import Tsg
+from tptg.game import Tsg, from_json_dict
 
 from gamegen import random_game
 from test_cli import SHIPPED_SWEEPS
@@ -132,6 +133,35 @@ def test_json_digital_labels_round_trip(fig1_game):
     back = tptg.from_json(tptg.to_json(fig1_game))
     assert back.labels == fig1_game.labels
     assert back.owner == fig1_game.owner
+
+
+def test_json_import_refuses_an_invalid_game():
+    data = json.loads(tptg.to_json(make_game([[Move("a", ((1, 1.0),))], []], owner=[1, 2])))
+    data["transitions"][0]["branches"][0]["to"] = 7
+    with pytest.raises(ModelError) as caught:
+        from_json_dict(data)
+    assert str(caught.value) == (
+        "game JSON fails validation: state 0, action 'a': branch to invalid state 7"
+    )
+    data["transitions"][0]["branches"][0]["to"] = "1"
+    data["initial"] = "0"
+    with pytest.raises(ModelError) as caught:
+        from_json_dict(data)
+    assert str(caught.value) == (
+        "game JSON fails validation: initial state '0' out of range; "
+        "state 0, action 'a': branch to invalid state '1'"
+    )
+
+
+def test_json_import_names_a_missing_key():
+    data = json.loads(tptg.to_json(make_game([[Move("a", ((1, 1.0),))], []], owner=[1, 2])))
+    del data["states"][1]["owner"]
+    with pytest.raises(ModelError, match="game JSON is missing key 'owner'"):
+        from_json_dict(data)
+    data["states"][1]["owner"] = 2
+    data["transitions"][0]["from"] = -1
+    with pytest.raises(ModelError, match="transition from invalid state -1"):
+        from_json_dict(data)
 
 
 def test_path_validates_support():

@@ -69,7 +69,7 @@ def test_branch_aggregation_merges_equal_successors():
     assert len(zero_delay.branches) == 1
     (successor, prob) = zero_delay.branches[0]
     assert prob == 1
-    assert successor.valuation.as_dict() == {"x": 0, "y": 0}
+    assert successor.values == (0, 0)
 
 
 def test_build_single_bounded_location_all_deadlocks():
@@ -94,7 +94,7 @@ def test_build_initial_state_and_nonempty(fig1_model, fig1_game):
     start = fig1_game.states[fig1_game.initial]
     assert isinstance(start, DigitalState)
     assert start.location == "send"
-    assert start.valuation.as_dict() == {"x": 0, "y": 0}
+    assert start.values == (0, 0)
     assert len(fig1_game.states) > 0
 
 
@@ -156,7 +156,8 @@ def test_build_refuses_an_edge_violating_the_target_invariant():
 
 def test_every_state_satisfies_its_invariant(fig1_model, fig1_game):
     for state in fig1_game.states:
-        assert state.valuation.satisfies(fig1_model.invariants[state.location])
+        valuation = dict(zip(fig1_model.clocks, state.values))
+        assert fig1_model.invariants[state.location].satisfied_by(valuation)
 
 
 def test_max_delay_bounded_by_ceilings(fig1_model, fig1_game):
@@ -174,7 +175,7 @@ def test_branch_mass_exact_in_rationals(fig1_model):
 
 def test_naive_enumerator_agrees_on_fig1(fig1_model, fig1_game):
     expected = naive_digital_reach(fig1_model)
-    actual = {(s.location, s.valuation.values) for s in fig1_game.states}
+    actual = {(s.location, s.values) for s in fig1_game.states}
     assert actual == expected
 
 
@@ -182,7 +183,7 @@ def test_naive_enumerator_agrees_on_faultless_taskgraph():
     model = tptg.gen_taskgraph(0, 0, 1)
     game = tptg.build(model)
     expected = naive_digital_reach(model)
-    actual = {(s.location, s.valuation.values) for s in game.states}
+    actual = {(s.location, s.values) for s in game.states}
     assert len(actual) == len(expected)
     assert actual == expected
 
@@ -193,7 +194,7 @@ def test_naive_enumerator_agrees_on_random_models():
         model = random_tptg(rng)
         game = tptg.build(model)
         expected = naive_digital_reach(model)
-        actual = {(s.location, s.valuation.values) for s in game.states}
+        actual = {(s.location, s.values) for s in game.states}
         assert actual == expected
 
 
@@ -283,6 +284,18 @@ def test_build_equals_retired_builder_on_fig1_and_random_models(fig1_model):
             _assert_builds_like_retired_builder(model, price)
 
 
+def test_build_equals_retired_builder_on_time_bounded_labels(fig1_model):
+    # `with_time_bound` adds a label whose guard bounds an observer clock:
+    # the one place where labels are decided on clock values
+    for model, target in [
+        (fig1_model, "done"),
+        *((random_tptg(random.Random(seed)), "goal") for seed in range(20)),
+    ]:
+        for bound in (0, 2, 5):
+            bounded, _ = tptg.with_time_bound(model, target, bound)
+            _assert_builds_like_retired_builder(bounded)
+
+
 def _moves_or_error(enumerate_moves, model, state, price):
     try:
         return enumerate_moves(model, state, price)
@@ -321,11 +334,10 @@ def test_enumerate_moves_equals_retired_builder_on_every_valuation(fig1_model):
         prices={"cost": tptg.PriceStructure(rates={"a": 2}, action_prices={("b", "go"): 3})},
     )
     for model in (fig1_model, lower_bounded):
-        start = initial_state(model).valuation
-        ranges = [range(k + 2) for k in start.ceilings]
+        ranges = [range(k + 2) for k in tptg.max_constants(model).values()]
         for location in model.locations:
             for values in itertools.product(*ranges):
-                state = DigitalState(location, tptg.ClockValuation(start.clocks, values, start.ceilings))
+                state = DigitalState(location, values)
                 for price in (None, *model.prices):
                     assert _moves_or_error(enumerate_moves, model, state, price) == _moves_or_error(
                         retired_builder.enumerate_moves, model, state, price
