@@ -148,11 +148,12 @@ def validate_assumptions(model: Tptg) -> list[Diagnostic]:
     """Check the digital-semantics prerequisites.
 
     Errors: some clock is not upper-bounded in some invariant (observer
-    clocks registered in `clock_caps` are exempt), a non-closed or diagonal
-    atom slipped in, a distribution is sub- or super-stochastic, or the
-    enabling/transition domains disagree. A structural loop that never
-    resets a clock and has no positive lower-bound guard yields a warning
-    (possible time-convergent behaviour), not an error.
+    clocks registered in `clock_caps` are exempt), an invariant, guard or
+    label guard has a non-closed atom or one on an unknown clock, a
+    distribution is sub- or super-stochastic, or the enabling/transition
+    domains disagree. A structural loop that never resets a clock and has
+    no positive lower-bound guard yields a warning (possible time-convergent
+    behaviour), not an error.
     """
     diags: list[Diagnostic] = []
     bound_clocks = [x for x in model.clocks if x not in model.clock_caps]
@@ -167,7 +168,8 @@ def validate_assumptions(model: Tptg) -> list[Diagnostic]:
                         f"unbounded invariant: no upper bound on clock {clock!r}",
                     )
                 )
-    for where, constraint in list(model.invariants.items()) + list(model.enabling.items()):
+    guards = [(f"label {name!r}", label.guard) for name, label in model.labels.items()]
+    for where, constraint in list(model.invariants.items()) + list(model.enabling.items()) + guards:
         for atom in constraint.atoms:
             if atom.op not in (LE, GE):
                 diags.append(

@@ -1,28 +1,26 @@
 """Optimal values and strategies for two-player explicit games.
 
-Values are computed by value iteration over binary64, with graph-based
-qualitative precomputation pinning the certainly-0 and certainly-1 states
-for reachability and the infinite states for expected price. The remaining
-states are split into strongly connected components (SCCs) and solved
-successors first: a state on no cycle gets one backup, a cyclic component Gauss-Seidel
-sweeps over its own states until one sweep changes less than the tolerance.
-Qualitative analysis walks the SCCs of the game's cached decomposition
-successors first, giving each state the round in which the whole-game
-almost-sure loop would drop it; the probability-0 and -1 sets and the
-spoiling moves are read off those rounds. Synthesis settles the reaching side
-on a layered attractor over its optimal moves, picks one move index
-per state and checks the pair on the game itself, never on a copy. An
-expected-price solve is refused when the payer's pinned moves do not force
-the target almost surely from every finite-valued state, because the values
-iterated from below then credit a zero-price cycle as free. The certificate
-evaluates the induced Markov chain: two backward searches over the chosen
-moves give its probability-0 and -1 states, the SCC kernel the rest, and it
-must match the values within ``10 * tol`` on the states it reaches.
+A solve is one successors-first pass over the strongly connected components
+(SCCs) of the game's cached decomposition (`Tsg.components`). A state on no
+cycle gets in one visit, from its successors' final data: the round in which
+the whole-game almost-sure loop would drop it (the probability-0 and -1 sets
+and the avoiding side's spoilers are read off these rounds); its value, one
+backup of each move in binary64; a one-step-optimal move, ties broken
+towards the (delay, action)-smallest, but the reaching side's towards the
+earliest layer of the attractor of the target; and, for expected price, its
+round again with the payer pinned. A cyclic SCC runs the almost-sure loop on
+its states, Gauss-Seidel sweeps the SCCs of its undecided states until one
+sweep changes less than the tolerance, and layers its states from its exits'
+layers. An expected-price solve is refused when the payer's pinned moves do
+not force the target almost surely from every finite-valued state (values
+iterated from below credit a zero-price cycle as free); the certificate
+evaluates the induced Markov chain, which must match the values within
+``10 * tol`` on the states it reaches.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Collection, Iterable, Sequence, Union
 
 from .errors import ModelError
 from .game import Move, Tsg, move_successors, strongly_connected
@@ -78,6 +76,8 @@ class SolveResult:
     #: spoiling move index per state the payer cannot force the target from
     #: (expected price only; not serialized)
     spoilers: dict[int, int] | None = None
+    #: value backups a prob-reach or exp-price solve performed (not serialized)
+    backups: int = 0
 
     def to_json_dict(self) -> dict:
         target = self.objective.target
@@ -93,14 +93,9 @@ class SolveResult:
             "iterations": self.iterations,
             "residual": self.residual,
             "converged": self.converged,
-            "strategy": (
-                None
-                if self.strategy is None
-                else [
-                    {"state": s, "action": a}
-                    for s, a in sorted(self.strategy.items())
-                ]
-            ),
+            "strategy": None if self.strategy is None else [
+                {"state": s, "action": a} for s, a in sorted(self.strategy.items())
+            ],
         }
 
 
@@ -165,80 +160,51 @@ def _attractor(
     return member
 
 
-def _almost_sure(
-    game: Tsg, targets: frozenset[int], reacher, pin: dict[int, int] | None = None
-) -> tuple[frozenset[int], dict[int, int]]:
-    """States from which `reacher` forces `targets` with probability one, and
-    the index of a spoiling move for each state of the other side outside them.
-
-    The almost-sure states are those `_drop_rounds` never drops. A state of
-    the avoiding side dropped in round e spoils with its (delay,
-    action)-smallest move that leaves that round's candidates (a positive
-    branch to a state dropped before e), or else with the smallest that
-    misses its attractor (none to a state dropped after e); playing these
-    keeps the target unreached with positive probability from every dropped
-    state. `pin` maps states of `reacher` to the index of the only move each
-    may use.
-    """
-    rounds = _drop_rounds(game, targets, reacher, pin)
-    spoilers: dict[int, int] = {}
-    for s, e in enumerate(rounds):
-        moves = game.moves[s]
-        if e == math.inf or game.owner[s] == reacher or not moves:
-            continue
-        leave = [i for i, m in enumerate(moves) if any(p > 0 and rounds[t] < e for t, p in m.branches)]
-        miss = [i for i, m in enumerate(moves) if not any(p > 0 and rounds[t] > e for t, p in m.branches)]
-        spoilers[s] = _smallest(moves, leave or miss)
-    return frozenset(s for s, e in enumerate(rounds) if e == math.inf), spoilers
-
-
-def _drop_rounds(
-    game: Tsg, targets: frozenset[int], reacher, pin: dict[int, int] | None = None
-) -> list:
-    """Per state, the round in which the almost-sure loop drops it (``inf``
-    if never): round r shrinks the candidates to the attractor of `targets`
-    over the moves that stay among them, until a round drops nothing.
-
-    A state is a candidate in round r while its round is at least r and
-    attracted while it is above r, so the SCCs of `game.components` are
-    decided successors first. A move of a state on no cycle keeps working
-    (stays and hits) for ``min(min e, max e - 1)`` rounds over the rounds e
-    of its positive branches; a state of `reacher` drops one round after its
-    best allowed move stops working, any other state after its first. A
-    cyclic SCC runs the loop on its own states. Round 1 drops the states
-    that cannot reach `targets` with positive probability.
-    """
-    pin = pin or {}
-    moves, owner = game.moves, game.owner
+def _rounds(game, states, cyclic, targets, reacher, pin, rounds):
+    """Set the drop rounds of one SCC whose successors have theirs: round r
+    of the almost-sure loop shrinks the candidates to the attractor of
+    `targets` over the moves that stay among them. A move of a state on no
+    cycle keeps working for ``min(min e, max e - 1)`` rounds over the rounds
+    e of its positive branches; a state of `reacher` drops one round after
+    its best allowed move (`pin`) stops working, any other after its first."""
+    if cyclic:
+        _cyclic_rounds(game, states, targets, reacher, pin, rounds)
+        return
+    s = states[0]
     inf = math.inf
-    rounds: list = [0] * len(moves)
-    for states, cyclic in game.components:
-        if cyclic:
-            _cyclic_rounds(game, states, targets, reacher, pin, rounds)
-            continue
-        s = states[0]
-        if s in targets:
-            rounds[s] = inf
-            continue
-        # rounds that the best (for reacher) or worst allowed move keeps working
-        reaching = owner[s] == reacher
-        works = 0 if reaching or not moves[s] else inf
-        for m in (moves[s][pin[s]],) if s in pin else moves[s]:
+    if s in targets:
+        rounds[s] = inf
+        return
+    moves = game.moves[s]
+    reaching = game.owner[s] == reacher
+    works = 0 if reaching or not moves else inf
+    for m in (moves[pin[s]],) if s in pin else moves:
+        if len(m.branches) == 1:
+            t, p = m.branches[0]
+            work = rounds[t] - 1 if p > 0 else 0
+        else:
             after = [rounds[t] for t, p in m.branches if p > 0]
-            if after:
-                lo, hi = min(after), max(after)
-                work = lo if lo < hi else hi - 1
-            else:
-                work = 0
-            if reaching:
-                if work > works:
-                    works = work
-                    if works == inf:
-                        break
-            elif work < works:
+            lo, hi = (min(after), max(after)) if after else (1, 1)  # none: 0 rounds
+            work = lo if lo < hi else hi - 1
+        if reaching:
+            if work > works:
                 works = work
-        rounds[s] = works + 1
-    return rounds
+                if works == inf:
+                    break
+        elif work < works:
+            works = work
+    rounds[s] = works + 1
+
+
+def _spoiler(moves: Sequence[Move], e, rounds: list) -> int:
+    """Spoiling move of a state of the avoiding side dropped in round e, which
+    keeps the target unreached with positive probability: its smallest move
+    that leaves that round's candidates (a positive branch to a state dropped
+    before e), or else the smallest that misses its attractor."""
+    leave = [i for i, m in enumerate(moves) if any(p > 0 and rounds[t] < e for t, p in m.branches)]
+    if not leave:
+        leave = [i for i, m in enumerate(moves) if not any(p > 0 and rounds[t] > e for t, p in m.branches)]
+    return _smallest(moves, leave)
 
 
 def _cyclic_rounds(game, states, targets, reacher, pin, rounds):
@@ -280,11 +246,9 @@ def qualitative_reach(
     """Pure graph analysis: (probability-0 states, probability-1 states)."""
     _check_two_players(game)
     target_set = _target_set(game, targets)
-    maximizer = game.players[_reach_maximizer(direction)]
-    rounds = _drop_rounds(game, target_set, maximizer)
-    prob0 = frozenset(s for s, e in enumerate(rounds) if e == 1)
-    prob1 = frozenset(s for s, e in enumerate(rounds) if e == math.inf)
-    return prob0, prob1
+    # no sweep: the pass stops at drop rounds and starting values
+    result, _, _ = _pass(game, Objective("prob-reach", direction, target_set), target_set, 0.0, 0)
+    return result.prob0, result.prob1
 
 
 def _opt_for(game: Tsg, direction: str) -> list:
@@ -301,15 +265,7 @@ def prob_reach(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> SolveResult:
     """Optimal probability of reaching the target under the given direction."""
-    _check_two_players(game)
-    _check_tol(tol)
-    target_set = _target_set(game, targets)
-    objective = Objective("prob-reach", direction, _label_of(targets))
-    prob0, prob1 = qualitative_reach(game, target_set, direction)
-    values = [1.0 if s in prob1 else 0.0 for s in range(len(game.states))]
-    active = [s for s in range(len(game.states)) if s not in prob0 and s not in prob1]
-    warnings = _deadlock_warnings(game, target_set, "probability 0")
-    return _solve_active(game, objective, values, active, tol, max_iters, warnings, prob0, prob1)
+    return _solve(game, "prob-reach", targets, direction, tol, max_iters)
 
 
 def expected_price(
@@ -322,56 +278,33 @@ def expected_price(
     """Optimal expected price accumulated before reaching the target.
 
     States where the price-minimizing side cannot force the target almost
-    surely get value infinity: a profile that leaves the target unreached
-    with positive probability counts as infinitely expensive.
-
-    Values are iterated from below, which credits a zero-price cycle as free
-    although never reaching the target is infinitely expensive. Synthesis
-    therefore refuses the game when the minimizing side's extracted profile
-    does not force the target almost surely from every finite-valued state.
+    surely get value infinity. Values are iterated from below, which credits
+    a zero-price cycle as free, so the solve is refused when the minimizing
+    side's profile does not force the target almost surely from every
+    finite-valued state.
     """
+    return _solve(game, "exp-price", targets, direction, tol, max_iters)
+
+
+def _solve(game, kind, targets, direction, tol, max_iters) -> SolveResult:
+    """The pass's values and sets, then the checks on its strategy."""
     _check_two_players(game)
     _check_tol(tol)
     target_set = _target_set(game, targets)
-    objective = Objective("exp-price", direction, _label_of(targets))
-    # the side made to pay wants the target reached almost surely
-    payer = game.players[1 - _reach_maximizer(direction)]
-    prob1, spoilers = _almost_sure(game, target_set, payer)
-    n = len(game.states)
-    values = [0.0 if s in prob1 else math.inf for s in range(n)]
-    active = [s for s in range(n) if s in prob1 and s not in target_set]
-    warnings = _deadlock_warnings(game, target_set, "infinite price")
-    infinite = n - len(prob1)
-    if infinite:
-        warnings.append(
+    # objectives carry either the label name or the explicit state set
+    objective = Objective(kind, direction, targets if isinstance(targets, str) else target_set)
+    result, choice, pinned = _pass(game, objective, target_set, tol, max_iters)
+    stuck = sum(1 for s, moves in enumerate(game.moves) if not moves and s not in target_set)
+    infinite = len(game.states) - len(result.prob1)
+    treatment = "infinite price" if kind == "exp-price" else "probability 0"
+    result.warnings = [f"{stuck} non-target deadlock state(s) treated as {treatment}"] if stuck else []
+    if kind == "exp-price" and infinite:
+        result.warnings.append(
             f"{infinite} state(s) cannot be forced to reach the target almost surely; "
             f"their expected price is infinite"
         )
-    return _solve_active(game, objective, values, active, tol, max_iters, warnings, None, prob1, spoilers)
-
-
-def _solve_active(
-    game, objective, values, active, tol, max_iters, warnings, prob0, prob1, spoilers=None
-) -> SolveResult:
-    """Iterate the active states of `values` in place, then synthesize."""
-    prices = objective.kind == "exp-price"
-    iterations, residual, converged = _iterate(
-        game.moves, values, active, _opt_for(game, objective.direction), tol, max_iters, prices
-    )
-    result = SolveResult(
-        objective=objective,
-        values=values,
-        initial_value=values[game.initial],
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-        prob0=prob0,
-        prob1=prob1,
-        warnings=warnings,
-        spoilers=spoilers,
-    )
-    if converged:
-        p1, p2 = synthesize(game, objective, result, tol)
+    if result.converged:
+        p1, p2 = _profiles(game, objective, result.values, choice, pinned, tol)
         result.strategy = {**p1, **p2}
     else:
         result.warnings.append("value iteration did not converge; no strategy synthesized")
@@ -396,23 +329,9 @@ def bounded_expected_price(
         for s, moves in enumerate(game.moves):
             if s in target_set or not moves:
                 continue
-            step[s] = opt[s](
-                m.price + sum(p * values[t] for t, p in m.branches) for m in moves
-            )
+            step[s] = opt[s](_backups(moves, values, True))
         values = step
     return values
-
-
-def _label_of(targets):
-    # objectives carry either the label name or the explicit state set
-    return targets if isinstance(targets, str) else frozenset(targets)
-
-
-def _deadlock_warnings(game: Tsg, target_set: frozenset[int], treatment: str) -> list[str]:
-    stuck = [s for s in range(len(game.states)) if not game.moves[s] and s not in target_set]
-    if not stuck:
-        return []
-    return [f"{len(stuck)} non-target deadlock state(s) treated as {treatment}"]
 
 
 def _iterate(
@@ -423,66 +342,191 @@ def _iterate(
     tol: float,
     max_iters: int,
     prices: bool,
-) -> tuple[int, float, bool]:
-    """Solve the active states SCC by SCC, successors first, in place.
-
-    `moves[s]` holds the moves of state s that the backup ranges over.
-    A trivial SCC (one state, no self-loop) gets one backup; a cyclic one
-    gets Gauss-Seidel sweeps over its states in ascending order until one
-    sweep changes less than `tol`, at most `max_iters` sweeps. Returns (the
-    most sweeps any SCC needed, the largest final-sweep residual of a cyclic
-    SCC, converged); the first SCC that hits the cap stops the solve.
-    """
+) -> tuple[int, float, bool, int]:
+    """Solve the active states SCC by SCC, successors first, in place, over
+    the moves `moves[s]`: one backup on a trivial SCC, Gauss-Seidel sweeps in
+    ascending order on a cyclic one until a sweep changes less than `tol`, at
+    most `max_iters`. Returns (the most sweeps of an SCC, the largest final
+    residual of a cyclic SCC, converged, backups); the first SCC at the cap
+    stops the solve."""
     if max_iters < 1:
-        return 0, math.inf, False
+        return 0, math.inf, False, 0
 
     def sweep(states) -> float:
         residual = 0.0
         for s in states:
-            old = values[s]
-            if prices:
-                new = opt[s](
-                    m.price + sum(p * values[t] for t, p in m.branches)
-                    for m in moves[s]
-                )
-            else:
-                new = opt[s](
-                    sum(p * values[t] for t, p in m.branches) for m in moves[s]
-                )
-            if new < old - _MONOTONE_SLACK:
-                raise ModelError(f"non-monotone sweep at state {s}: {old} -> {new}")
-            if new != old:
-                diff = new - old
-                if diff > residual:
-                    residual = diff
-                values[s] = new
+            residual = max(residual, _update(values, s, opt[s](_backups(moves[s], values, prices))))
         return residual
 
-    most = 1
-    worst = 0.0
+    most, worst, backups = 1, 0.0, 0
     for component, cyclic in strongly_connected(move_successors(moves), active):
-        if not cyclic:
-            sweep(component)
-            continue
         sweeps = 0
         residual = math.inf
-        while sweeps < max_iters:
+        while sweeps < (max_iters if cyclic else 1):
             sweeps += 1
             residual = sweep(component)
             if residual < tol:
                 break
+        backups += sweeps * len(component)
+        if not cyclic:
+            continue
         most = max(most, sweeps)
         worst = max(worst, residual)
         if residual >= tol:
-            return most, worst, False
-    return most, worst, True
+            return most, worst, False, backups
+    return most, worst, True, backups
 
 
-def _backup(move: Move, values: list[float], prices: bool) -> float:
-    total = move.price if prices else 0.0
-    for t, p in move.branches:
-        total += p * values[t]
-    return total
+def _backups(moves: Sequence[Move], values: list[float], prices: bool) -> list[float]:
+    """One backup of each of the moves over `values`."""
+    if prices:
+        return [m.price + sum(p * values[t] for t, p in m.branches) for m in moves]
+    return [sum(p * values[t] for t, p in m.branches) for m in moves]
+
+
+def _update(values: list[float], s: int, new: float) -> float:
+    """Raise values[s] to `new` (it may not fall); returns the rise."""
+    old = values[s]
+    if new < old - _MONOTONE_SLACK:
+        raise ModelError(f"non-monotone sweep at state {s}: {old} -> {new}")
+    if new == old:
+        return 0.0
+    values[s] = new
+    return new - old
+
+
+def _optimal(backups: list[float], best: float, tol: float) -> list[int]:
+    """Indices of the backups tied with `best`. Converged values are only
+    residual-accurate, so a finite backup within that slack counts as tied."""
+    if math.isinf(best):
+        return [i for i, b in enumerate(backups) if b == best]
+    slack = 2 * tol * max(1.0, abs(best))
+    return [i for i, b in enumerate(backups) if abs(b - best) <= slack]
+
+
+def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=None):
+    """The one successors-first visit of `game.components` behind a solve:
+    the result without warnings or strategy, the chosen move index per state
+    and, for expected price, the drop rounds with the reaching side pinned
+    to its choice. With `fixed`, the values are held at that vector. After a
+    cyclic SCC ends above `tol`, the pass gives rounds and start values only.
+    """
+    prices = objective.kind == "exp-price"
+    moves, owner = game.moves, game.owner
+    n = len(moves)
+    inf = math.inf
+    maximizer = _reach_maximizer(objective.direction)
+    # the reaching side: maximizer of probability, or payer of price
+    reacher = game.players[1 - maximizer if prices else maximizer]
+    opt = _opt_for(game, objective.direction)
+    live = fixed is None
+    values = [0.0] * n if live else fixed
+    converged = not live or max_iters >= 1  # until an SCC hits the cap
+    most, worst = (1, 0.0) if converged else (0, inf)
+    backups = 0
+    rounds, pinned, layer = [0] * n, [0] * n, [inf] * n
+    choice: dict[int, int] = {}
+    spoilers: dict[int, int] = {}
+    for states, cyclic in game.components:
+        _rounds(game, states, cyclic, target_set, reacher, {}, rounds)
+        active = []
+        for s in states:
+            e = rounds[s]
+            if prices and e != inf and owner[s] != reacher and moves[s]:
+                spoilers[s] = _spoiler(moves[s], e, rounds)
+            if live:
+                values[s] = (0.0 if e == inf else inf) if prices else (1.0 if e == inf else 0.0)
+                if (e == inf and s not in target_set) if prices else 1 < e < inf:
+                    active.append(s)
+        if not converged:
+            continue
+        if cyclic:
+            if active:
+                sweeps, residual, converged, count = _iterate(moves, values, active, opt, tol, max_iters, prices)
+                most, worst, backups = max(most, sweeps), max(worst, residual), backups + count
+                if not converged:
+                    continue
+            usable = {}
+            for s in states:
+                if moves[s]:
+                    step = _backups(moves[s], values, prices)
+                    optimal = _optimal(step, opt[s](step), tol)
+                    choice[s] = _smallest(moves[s], optimal)
+                    usable[s] = optimal if owner[s] == reacher and s not in target_set else (choice[s],)
+            _settle(game, states, target_set, reacher, usable, layer, choice)
+        else:
+            s = states[0]
+            ms = moves[s]
+            if s in target_set:
+                layer[s] = 0
+            if ms:
+                step = _backups(ms, values, prices)
+                best = opt[s](step)
+                if active:
+                    _update(values, s, best)
+                    backups += 1
+                optimal = _optimal(step, best, tol)
+                if owner[s] != reacher or s in target_set:
+                    optimal = [_smallest(ms, optimal)]
+                # a tied move's earliest layer; the reaching side joins after
+                # its earliest, any other side after its one move's
+                lows = [min((layer[t] for t, p in ms[i].branches if p > 0), default=inf) for i in optimal]
+                low = min(lows)
+                if s not in target_set:
+                    layer[s] = low + 1
+                choice[s] = _smallest(ms, [i for i, d in zip(optimal, lows) if d == low])
+        if prices:
+            pin = {}
+            for s in states:
+                if s in spoilers and math.isinf(values[s]):
+                    # at infinite-value states the avoider must witness the infinity
+                    choice[s] = spoilers[s]
+                elif owner[s] == reacher and s in choice:
+                    pin[s] = choice[s]
+            _rounds(game, states, cyclic, target_set, reacher, pin, pinned)
+    result = SolveResult(
+        objective, values, values[game.initial], most, worst, converged,
+        prob0=None if prices else frozenset(s for s, e in enumerate(rounds) if e == 1),
+        prob1=frozenset(s for s, e in enumerate(rounds) if e == inf),
+        spoilers=spoilers if prices else None,
+        backups=backups,
+    )
+    return result, choice, pinned
+
+
+def _settle(game, states, targets, reacher, usable, layer, choice):
+    """Layer one cyclic SCC into the attractor of `targets` over the move
+    indices in `usable`, given its exits' layers: a state of `reacher` joins
+    once one usable move has a positive branch into the previous layer and
+    settles on the smallest such move, any other state once all have."""
+    moves, owner, preds = game.moves, game.owner, game.predecessors
+    inf = math.inf
+    inside = set(states)
+    touches: dict = {}  # exit layer -> (state, move index) pairs into that exit
+    for s, indices in usable.items():
+        for mi in indices:
+            for t, p in moves[s][mi].branches:
+                if p > 0 and t not in inside and layer[t] != inf:
+                    touches.setdefault(layer[t], []).append((s, mi))
+    frontier = [s for s in states if s in targets]
+    for s in frontier:
+        layer[s] = 0
+    level = 0
+    hits: dict[int, set[int]] = {}
+    while frontier or touches:
+        if not frontier:
+            level = min(touches)
+        touched = set()
+        for s, mi in touches.pop(level, []) + [p for t in frontier for p in preds[t] if p[0] in inside]:
+            if layer[s] == inf and mi in usable.get(s, ()):
+                hits.setdefault(s, set()).add(mi)
+                touched.add(s)
+        level += 1
+        frontier = [s for s in touched if owner[s] == reacher or len(hits[s]) == len(usable[s])]
+        for s in frontier:
+            layer[s] = level
+            if owner[s] == reacher:
+                choice[s] = _smallest(moves[s], hits[s])
 
 
 def synthesize(
@@ -491,106 +535,64 @@ def synthesize(
     values: Union[SolveResult, Sequence[float]],
     tol: float = DEFAULT_TOL,
 ) -> tuple[dict[int, str], dict[int, str]]:
-    """Optimal memoryless deterministic profile pair extracted from values.
+    """Optimal memoryless deterministic profile pair extracted from values,
+    by the solve's pass with the values held fixed.
 
-    Each state picks a one-step-optimal move; ties break towards the
-    (delay, action)-smallest move, except that the side trying to reach the
-    target prefers, among the optimal moves, one that makes progress towards
-    it (otherwise a value-preserving loop could stall forever). At states of
-    infinite expected price the avoiding side plays a spoiling move, taken
-    from `values` when it is a `SolveResult` that carries them, and the
-    payer's profile must force the target almost surely from every
-    finite-valued state, else the solve is refused as a zero-price stall.
-    The Markov chain the chosen move indices induce is then evaluated (two
-    backward searches, then the SCC kernel) and must reproduce the values
-    within ``10 * tol`` on every state it reaches.
+    Each state picks a one-step-optimal move; ties break towards the (delay,
+    action)-smallest move, except that the side trying to reach the target
+    prefers a tied move that makes progress towards it (otherwise a
+    value-preserving loop could stall forever). At states of infinite
+    expected price the avoiding side plays a spoiling move. The zero-price
+    stall check and the certificate then run as after a solve.
     """
     _check_two_players(game)
     _check_tol(tol)
     if isinstance(values, SolveResult):
         if not values.converged:
             raise ModelError("refusing to synthesize from non-converged values")
-        vector = values.values
-        spoilers = values.spoilers
-    else:
-        vector = list(values)
-        spoilers = None
+        values = values.values
     if objective.kind not in ("prob-reach", "exp-price"):
         raise ModelError(f"no memoryless synthesis for kind {objective.kind!r}")
-    prices = objective.kind == "exp-price"
     target_set = _target_set(game, objective.target)
-    opt = _opt_for(game, objective.direction)
+    result, choice, pinned = _pass(game, objective, target_set, tol, 0, list(values))
+    return _profiles(game, objective, result.values, choice, pinned, tol)
 
-    # the reaching side: maximizer of probability, or payer of price
-    maximizer = _reach_maximizer(objective.direction)
-    reacher = game.players[1 - maximizer if prices else maximizer]
-    reaching = game.player_states(reacher)
 
-    choice: dict[int, int] = {}
-    tied: dict[int, set[int]] = {}
-    for s, moves in enumerate(game.moves):
-        if not moves:
-            continue
-        backups = [_backup(m, vector, prices) for m in moves]
-        best = opt[s](backups)
-        # converged values are only residual-accurate, so moves within that
-        # slack of the optimum count as tied
-        if math.isinf(best):
-            optimal = [i for i, b in enumerate(backups) if b == best]
-        else:
-            slack = 2 * tol * max(1.0, abs(best))
-            optimal = [i for i, b in enumerate(backups) if abs(b - best) <= slack]
-        choice[s] = _smallest(moves, optimal)
-        tied[s] = set(optimal) if s in reaching and s not in target_set else {choice[s]}
-
-    # the reaching side settles, layer by layer from the target, on its
-    # smallest tied move that steps into an earlier layer
-    for s, hits in _attractor(game, target_set, reaching, tied).items():
-        if hits:
-            choice[s] = _smallest(game.moves[s], hits)
-    if prices and any(math.isinf(v) for v in vector):
-        # at infinite-value states the avoider must witness the infinity
-        if spoilers is None:
-            _, spoilers = _almost_sure(game, target_set, reacher)
-        choice.update((s, mi) for s, mi in spoilers.items() if math.isinf(vector[s]))
-
-    if prices:
+def _profiles(game: Tsg, objective: Objective, values, choice, pinned, tol: float):
+    """A converged pass's choice as a profile pair, once it passes the stall
+    check and the certificate."""
+    if objective.kind == "exp-price":
         # iteration from below credits zero-price cycles as free; its values
         # are the game's when the payer's profile forces the target almost
         # surely from every finite-valued state
-        pin = {s: mi for s, mi in choice.items() if s in reaching}
-        forced, _ = _almost_sure(game, target_set, reacher, pin)
-        stalled = [s for s, v in enumerate(vector) if not math.isinf(v) and s not in forced]
+        stalled = [s for s, v in enumerate(values) if not math.isinf(v) and pinned[s] != math.inf]
         if stalled:
             raise ModelError(
                 f"expected price is ill-posed here: the minimizing side can stall at "
                 f"zero price in {len(stalled)} state(s) (e.g. state {min(stalled)}); "
                 f"give the stalling moves positive prices"
             )
-    _certify(game, objective, vector, choice, tol)
-
-    profile1: dict[int, str] = {}
-    profile2: dict[int, str] = {}
-    for s, mi in choice.items():
-        side = profile1 if game.owner[s] == game.players[0] else profile2
-        side[s] = game.moves[s][mi].label
-    return profile1, profile2
+    _certify(game, objective, values, choice, tol)
+    profiles: tuple[dict[int, str], dict[int, str]] = ({}, {})
+    for s in sorted(choice):
+        profiles[game.owner[s] != game.players[0]][s] = game.moves[s][choice[s]].label
+    return profiles
 
 
-def _smallest(moves: Sequence[Move], indices: Iterable[int]) -> int:
+def _smallest(moves: Sequence[Move], indices: Collection[int]) -> int:
     """Index of the (delay, action)-smallest of the indexed moves, the
     earlier one on equal keys."""
+    if len(indices) == 1:
+        return next(iter(indices))
     return min(indices, key=lambda i: (moves[i].sort_key(), i))
 
 
 def restrict_to_profile(game: Tsg, profile: dict[int, str]) -> Tsg:
     """Game where states in `profile` keep only their selected move."""
-    new_moves = []
-    for s, moves in enumerate(game.moves):
-        if s in profile:
-            new_moves.append(tuple(m for m in moves if m.label == profile[s]))
-        else:
-            new_moves.append(moves)
+    new_moves = (
+        tuple(m for m in moves if m.label == profile[s]) if s in profile else moves
+        for s, moves in enumerate(game.moves)
+    )
     return Tsg(
         states=game.states,
         initial=game.initial,
@@ -696,12 +698,9 @@ def check_determinacy(
     result = runner(game, target_set, direction, tol, max_iters)
     if not result.converged:
         raise ModelError("determinacy check needs a converged solve")
-    profile1 = {
-        s: a for s, a in result.strategy.items() if game.owner[s] == game.players[0]
-    }
-    profile2 = {
-        s: a for s, a in result.strategy.items() if game.owner[s] == game.players[1]
-    }
+    profile1, profile2 = (
+        {s: a for s, a in result.strategy.items() if game.owner[s] == player} for player in game.players
+    )
     guaranteed1 = runner(
         restrict_to_profile(game, profile1), target_set, direction, tol, max_iters
     ).initial_value

@@ -2,17 +2,38 @@
 in `global_almost_sure.py`: equal probability-0 and -1 sets and equal
 spoiling moves, on random games and on every view of the shipped sweeps."""
 
+import math
 import random
 
 import pytest
 
 import tptg
 from tptg.cli import main
-from tptg.solver import _almost_sure, _drop_rounds
+from tptg.solver import _rounds, _spoiler
 
 from gamegen import random_game
 from global_almost_sure import global_almost_sure, global_qualitative_reach
 from test_cli import SHIPPED_SWEEPS
+
+
+def _drop_rounds(game, targets, reacher, pin=None):
+    """The solver's drop rounds, SCC by SCC as its pass takes them."""
+    rounds = [0] * len(game.states)
+    for states, cyclic in game.components:
+        _rounds(game, states, cyclic, targets, reacher, pin or {}, rounds)
+    return rounds
+
+
+def _almost_sure(game, targets, reacher, pin=None):
+    """The almost-sure set and spoilers the solver reads off the drop
+    rounds, in the global loop's result format."""
+    rounds = _drop_rounds(game, targets, reacher, pin)
+    spoilers = {
+        s: _spoiler(game.moves[s], e, rounds)
+        for s, e in enumerate(rounds)
+        if e != math.inf and game.owner[s] != reacher and game.moves[s]
+    }
+    return frozenset(s for s, e in enumerate(rounds) if e == math.inf), spoilers
 
 
 def _assert_agrees(game, targets, pin_rng=None):
@@ -86,29 +107,36 @@ def test_every_view_of_the_shipped_sweeps_matches_the_global_loop(monkeypatch, t
 
 
 def test_an_expected_price_solve_runs_one_unpinned_almost_sure_pass(monkeypatch):
-    # synthesis takes the spoilers of infinite-price states from the solve
-    unpinned = []
+    # the solve's pass takes each SCC's drop rounds once, and synthesis the
+    # spoilers of infinite-price states from them; its second visit of each
+    # SCC pins the payer for the stall check
+    visits = []
     infinite = 0
+    rounds_of = tptg.solver._rounds
 
-    def counted(game, targets, reacher, pin=None):
-        nonlocal infinite
-        result = _almost_sure(game, targets, reacher, pin)
-        if pin is None:
-            unpinned[-1] += 1
-            infinite += len(result[0]) < len(game.states)
-        return result
+    def counted(game, states, cyclic, targets, reacher, pin, rounds):
+        visits.append((rounds, states))
+        rounds_of(game, states, cyclic, targets, reacher, pin, rounds)
 
-    monkeypatch.setattr(tptg.solver, "_almost_sure", counted)
+    monkeypatch.setattr(tptg.solver, "_rounds", counted)
+    solves = 0
     for seed in range(10, 40):
         rng = random.Random(seed)
         for _ in range(60):
             game = random_game(rng, max_states=6, min_price=0, max_price=2)
+            components = [states for states, _ in game.components]
             for direction in tptg.solver.DIRECTIONS:
-                unpinned.append(0)
+                visits.clear()
                 try:
                     tptg.expected_price(game, "goal", direction)
                 except tptg.ModelError:
                     pass  # refused solves count too
-    assert len(unpinned) == 3600
-    assert set(unpinned) == {1}
+                unpinned, pinned = visits[0][0], visits[1][0]
+                assert pinned is not unpinned
+                assert [states for rounds, states in visits if rounds is unpinned] == components
+                assert [states for rounds, states in visits if rounds is pinned] == components
+                assert len(visits) == 2 * len(components)
+                infinite += min(unpinned) < math.inf
+                solves += 1
+    assert solves == 3600
     assert infinite > 1000

@@ -17,9 +17,10 @@ import tptg
 from tptg import ModelError, casestudies
 from tptg.cli import main, run_property
 from tptg.game import Tsg
-from tptg.solver import _backup, _certify, _opt_for
+from tptg.solver import _certify, _opt_for
 
 import retired_certificate
+from retired_solver import _backup
 from gamegen import random_game
 from test_cli import SHIPPED_SWEEPS
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import tptg
+import tptg.cli
 from tptg import (
     ClockConstraint,
     ModelError,
@@ -394,3 +395,31 @@ def test_validate_assumptions_matches_the_retired_cycle_search():
         assert validate_assumptions(model) == expected, seed
         warned += bool(zeno_warning(model))
     assert 0 < warned < 400
+
+
+@pytest.mark.parametrize("locations", [frozenset({"only"}), frozenset()], ids=["reached", "unreached"])
+def test_a_label_guard_on_an_unknown_clock_is_an_error(locations):
+    model = replace(tiny(), labels={"t": StateLabel(locations, clock_le("q", 2))})
+    diags = errors_only(validate_assumptions(model))
+    assert [str(d) for d in diags] == ["[error] label 't': atom on unknown clock 'q'"]
+
+
+def test_validate_exits_with_the_model_error_code_on_a_label_guard_on_an_unknown_clock(
+    fig1_text, tmp_path, monkeypatch, capsys
+):
+    # the DSL names no clock in a label, so the guard is put on the
+    # elaborated model of a DSL source
+    path = tmp_path / "fig1.tptg"
+    path.write_text(fig1_text)
+    assert tptg.cli.main(["validate", str(path)]) == tptg.cli.EXIT_OK
+    elaborate = tptg.cli.to_tptg
+
+    def guarded(source):
+        model = elaborate(source)
+        done = model.labels["done"]
+        return replace(model, labels={**model.labels, "done": StateLabel(done.locations, clock_le("q", 2))})
+
+    monkeypatch.setattr(tptg.cli, "to_tptg", guarded)
+    capsys.readouterr()
+    assert tptg.cli.main(["validate", str(path)]) == tptg.cli.EXIT_MODEL_ERROR
+    assert "[error] label 'done': atom on unknown clock 'q'" in capsys.readouterr().err

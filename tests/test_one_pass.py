@@ -1,0 +1,149 @@
+"""The one successors-first pass per solve against the retired solve path kept
+in `retired_solver.py` (separate walks for rounds, values, ties and the stall
+check): bitwise-identical outcomes, and what the pass costs."""
+
+import random
+
+import pytest
+
+import tptg
+from tptg import ModelError, Move, make_game
+from tptg.cli import main
+from tptg.game import move_successors, strongly_connected
+
+import retired_solver
+from gamegen import random_game
+from test_cli import SHIPPED_SWEEPS
+from test_scc import _trivial_then_cyclic_game
+
+SOLVERS = ("prob_reach", "expected_price")
+
+
+def _outcome(solver, *args, **kwargs):
+    """Every compared field of a solve, or the message it was refused with."""
+    try:
+        result = solver(*args, **kwargs)
+    except ModelError as exc:
+        return str(exc)
+    return (
+        [v.hex() for v in result.values],
+        result.prob0,
+        result.prob1,
+        result.iterations,
+        result.residual.hex(),
+        result.converged,
+        result.strategy,
+        result.warnings,
+    )
+
+
+def _assert_identical(game, direction, tol=tptg.solver.DEFAULT_TOL) -> list:
+    """Both objectives solved by the pass and by the retired path; returns
+    the outcomes."""
+    outcomes = []
+    for name in SOLVERS:
+        new = _outcome(getattr(tptg, name), game, "goal", direction, tol=tol)
+        assert new == _outcome(getattr(retired_solver, name), game, "goal", direction, tol=tol)
+        outcomes.append(new)
+    return outcomes
+
+
+def test_random_games_match_the_retired_solve_path():
+    refused = swept = 0
+    for seed in range(1000, 1005):
+        rng = random.Random(seed)
+        for acyclic in (False, True):
+            for _ in range(40):
+                game = random_game(rng, max_states=8, min_price=0, max_price=3, acyclic=acyclic)
+                for direction in tptg.solver.DIRECTIONS:
+                    for tol in (1e-8, 1e-12):
+                        for outcome in _assert_identical(game, direction, tol):
+                            refused += isinstance(outcome, str)
+                            swept += not isinstance(outcome, str) and outcome[3] > 1
+    assert refused > 0 and swept > 0
+
+
+def _cycle_through_the_target():
+    """The cached SCC {0, 1, 2} passes through the goal 2; its undecided
+    states split into the self-looping {1} and the trivial {0}."""
+    moves = [
+        [Move("go", ((1, 1.0),), price=1.0), Move("slow", ((1, 1.0),), price=2.0)],
+        [Move("on", ((2, 0.5), (1, 0.5)), price=1.0), Move("skip", ((2, 1.0),), price=3.0)],
+        [Move("again", ((0, 1.0),))],
+    ]
+    return make_game(moves, owner=[1, 2, 1], labels={"goal": {2}}, players=(1, 2))
+
+
+def _cycle_through_a_probability_0_state():
+    """The cached SCC {0, 1, 2} passes through state 2, where player 2 can
+    drop to the sink 3; under ``maxmin`` reachability the undecided states
+    split into the self-looping {1} and the trivial {0}."""
+    moves = [
+        [Move("go", ((1, 0.5), (4, 0.5)), price=1.0)],
+        [Move("on", ((2, 0.5), (1, 0.25), (4, 0.25)), price=2.0)],
+        [Move("back", ((0, 1.0),)), Move("drop", ((3, 1.0),), price=1.0)],
+        [],
+        [],  # goal
+    ]
+    return make_game(moves, owner=[1, 1, 2, 1, 1], labels={"goal": {4}}, players=(1, 2))
+
+
+@pytest.mark.parametrize("make, solver", [
+    (_cycle_through_the_target, tptg.expected_price),
+    (_cycle_through_a_probability_0_state, tptg.prob_reach),
+], ids=["through-the-target", "through-a-probability-0-state"])
+def test_a_cyclic_scc_whose_undecided_states_split(make, solver):
+    game = make()
+    assert ((0, 1, 2), True) in game.components
+    result = solver(game, "goal", "maxmin")
+    if result.prob0 is None:  # expected price iterates the almost-sure states
+        undecided = [s for s in (0, 1, 2) if s in result.prob1 - game.labels["goal"]]
+    else:
+        undecided = [s for s in (0, 1, 2) if s not in result.prob0 | result.prob1]
+    pieces = list(strongly_connected(move_successors(game.moves), undecided))
+    assert pieces == [([1], True), ([0], False)]
+    assert result.converged and result.iterations > 1
+    for direction in tptg.solver.DIRECTIONS:
+        for outcome in _assert_identical(game, direction):
+            assert not isinstance(outcome, str)
+
+
+def test_backups_count_each_state_backup_once():
+    # 23 sweeps over the 2-state SCC and one backup of the trivial state 2
+    result = tptg.prob_reach(_trivial_then_cyclic_game(), "goal")
+    assert result.iterations == 23
+    assert result.backups == 23 * 2 + 1
+    assert "backups" not in result.to_json_dict()
+
+
+def test_the_taskgraph_sweep_searches_each_game_and_each_certificate_once(monkeypatch, tmp_path):
+    # one search per built game for `Tsg.components` (5 models, one build
+    # each) and one per certificate (2 properties per model); the games are
+    # acyclic, so no SCC is re-split
+    searches = []
+    search = tptg.game.strongly_connected
+
+    def counted(successors, nodes):
+        searches.append(1)
+        return search(successors, nodes)
+
+    for module in (tptg.game, tptg.solver):
+        monkeypatch.setattr(module, "strongly_connected", counted)
+    name = "taskgraph_expected_by_p.csv"
+    assert main(SHIPPED_SWEEPS[name] + ["--csv", str(tmp_path / name)]) == 0
+    assert len(searches) == 5 + 10
+
+
+def test_synthesize_from_a_solve_repeats_its_strategy():
+    # the same pass with the values held fixed
+    for seed in range(3):
+        rng = random.Random(seed)
+        for _ in range(20):
+            game = random_game(rng, max_states=7, min_price=0, max_price=3)
+            for name in SOLVERS:
+                try:
+                    result = getattr(tptg, name)(game, "goal", "minmax")
+                except ModelError:
+                    continue
+                p1, p2 = tptg.synthesize(game, result.objective, result)
+                assert {**p1, **p2} == result.strategy

@@ -1,5 +1,6 @@
 """SCC-ordered value iteration: differential tests against the global
-Gauss-Seidel sweep kept in `global_sweep.py`, and edge cases."""
+Gauss-Seidel sweep kept in `global_sweep.py`, swapped into the retired solve
+path of `retired_solver.py`, and edge cases."""
 
 import math
 import random
@@ -10,20 +11,21 @@ import tptg
 from tptg import ModelError, Move, brute_force_solve, casestudies, make_game
 from tptg.cli import main, run_property
 
+import retired_solver
 from global_sweep import global_sweep
 from gamegen import random_game
 
-SOLVERS = {"prob-reach": tptg.prob_reach, "exp-price": tptg.expected_price}
+SOLVERS = {"prob-reach": "prob_reach", "exp-price": "expected_price"}
 
 
 def _outcome(call, oracle=False):
-    """`call()`, or the message it raised; under the global sweep with
-    `oracle`."""
+    """`call(solver)` with the package as `solver`, or the message it
+    raised; with `oracle`, the retired solve path under the global sweep."""
     with pytest.MonkeyPatch.context() as patch:
         if oracle:
-            patch.setattr(tptg.solver, "_iterate", global_sweep)
+            patch.setattr(retired_solver, "_iterate", global_sweep)
         try:
-            return call()
+            return call(retired_solver if oracle else tptg)
         except ModelError as exc:
             return str(exc)
 
@@ -62,9 +64,9 @@ def test_random_games_match_the_global_sweep(acyclic):
         rng = random.Random(seed)
         for _ in range(40 if acyclic else 20):
             game = random_game(rng, max_states=7, min_price=0, max_price=3, acyclic=acyclic)
-            for kind, solver in SOLVERS.items():
+            for kind, name in SOLVERS.items():
                 for direction in ("maxmin", "minmax"):
-                    new, old = _both(lambda: solver(game, "goal", direction, tol=tol))
+                    new, old = _both(lambda m: getattr(m, name)(game, "goal", direction, tol=tol))
                     if isinstance(old, str):
                         assert new == old
                         continue
@@ -100,7 +102,7 @@ def test_case_studies_match_the_global_sweep(make_source, acyclic):
     tol, max_iters = tptg.solver.DEFAULT_TOL, tptg.solver.DEFAULT_MAX_ITERS
     for prop in source.props:
         new, game = run_property(model, prop, tol, max_iters, tptg.semantics.DEFAULT_STATE_LIMIT)
-        old = _outcome(lambda: tptg.solve(game, new.objective, tol, max_iters), oracle=True)
+        old = _outcome(lambda m: m.solve(game, new.objective, tol, max_iters), oracle=True)
         if acyclic:
             _assert_identical(new, old)
         else:
@@ -180,7 +182,7 @@ def test_no_active_state_keeps_the_global_sweep_answer(max_iters):
     # every state reaches the goal surely, so qualitative analysis pins all
     moves = [[Move("step", ((1, 1.0),))], []]
     game = make_game(moves, owner=[1, 2], labels={"goal": {1}}, players=(1, 2))
-    new, old = _both(lambda: tptg.prob_reach(game, "goal", max_iters=max_iters))
+    new, old = _both(lambda m: m.prob_reach(game, "goal", max_iters=max_iters))
     for field in ("values", "iterations", "residual", "converged", "strategy", "warnings"):
         assert getattr(new, field) == getattr(old, field), field
     assert new.converged == (max_iters == 1)
