@@ -9,7 +9,7 @@ label; the solver gives them reach probability 0 and infinite expected price.
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ModelError, summarize
 
@@ -24,12 +24,13 @@ DEADLOCK_LABEL = "deadlock"
 MASS_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One available move: label, branch distribution over states, price.
 
     `time` carries the delay component of a (delay, action) move and is used
-    for deterministic tie-breaking; plain action moves leave it as None.
+    for deterministic tie-breaking; plain action moves leave it as None. It
+    compares and hashes like its plain ``(action, branches, price, time)``
+    tuple.
     """
 
     action: str

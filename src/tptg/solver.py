@@ -2,20 +2,23 @@
 
 A solve is one successors-first pass over the strongly connected components
 (SCCs) of the game's cached decomposition (`Tsg.components`). A state on no
-cycle gets in one visit, from its successors' final data: the round in which
-the whole-game almost-sure loop would drop it (the probability-0 and -1 sets
-and the avoiding side's spoilers are read off these rounds); its value, one
-backup of each move in binary64; a one-step-optimal move, ties broken
-towards the (delay, action)-smallest, but the reaching side's towards the
-earliest layer of the attractor of the target; and, for expected price, its
-round again with the payer pinned. A cyclic SCC runs the almost-sure loop on
-its states, Gauss-Seidel sweeps the SCCs of its undecided states until one
-sweep changes less than the tolerance, and layers its states from its exits'
+cycle gets one visit, from its successors' final data, in which one loop over
+its moves gives each move's backup in binary64 (branches of probability 0
+play no part) and its work towards the round in which the whole-game
+almost-sure loop would drop the state, unpinned and, for expected price,
+with the payer pinned (pinning leaves the avoiding side's moves alone; the
+payer's pinned round is its chosen move's). The round gives the
+probability-0 and -1 sets and the avoiding side's spoilers; the backups its
+value and a one-step-optimal move, ties broken towards the (delay,
+action)-smallest, but the reaching side's towards the earliest layer of the
+attractor of the target. A cyclic SCC runs the almost-sure loop on its
+states, Gauss-Seidel sweeps the SCCs of its undecided states until one sweep
+changes less than the tolerance, and layers its states from its exits'
 layers. An expected-price solve is refused when the payer's pinned moves do
 not force the target almost surely from every finite-valued state (values
 iterated from below credit a zero-price cycle as free); the certificate
-evaluates the induced Markov chain, which must match the values within
-``10 * tol`` on the states it reaches.
+evaluates the induced Markov chain over the cached SCCs, on the states it
+reaches, which must match the values within ``10 * tol``.
 """
 
 import math
@@ -160,40 +163,16 @@ def _attractor(
     return member
 
 
-def _rounds(game, states, cyclic, targets, reacher, pin, rounds):
-    """Set the drop rounds of one SCC whose successors have theirs: round r
-    of the almost-sure loop shrinks the candidates to the attractor of
-    `targets` over the moves that stay among them. A move of a state on no
-    cycle keeps working for ``min(min e, max e - 1)`` rounds over the rounds
-    e of its positive branches; a state of `reacher` drops one round after
-    its best allowed move (`pin`) stops working, any other after its first."""
-    if cyclic:
-        _cyclic_rounds(game, states, targets, reacher, pin, rounds)
-        return
-    s = states[0]
-    inf = math.inf
-    if s in targets:
-        rounds[s] = inf
-        return
-    moves = game.moves[s]
-    reaching = game.owner[s] == reacher
-    works = 0 if reaching or not moves else inf
-    for m in (moves[pin[s]],) if s in pin else moves:
-        if len(m.branches) == 1:
-            t, p = m.branches[0]
-            work = rounds[t] - 1 if p > 0 else 0
-        else:
-            after = [rounds[t] for t, p in m.branches if p > 0]
-            lo, hi = (min(after), max(after)) if after else (1, 1)  # none: 0 rounds
-            work = lo if lo < hi else hi - 1
-        if reaching:
-            if work > works:
-                works = work
-                if works == inf:
-                    break
-        elif work < works:
-            works = work
-    rounds[s] = works + 1
+def _work(move: Move, rounds: list):
+    """Rounds in which `move` of a state on no cycle keeps working:
+    ``min(min e, max e - 1)`` over the drop rounds e of its positive branches
+    (0 with none). A state of the reaching side drops one round after its best
+    allowed move stops working, any other after its first."""
+    after = [rounds[t] for t, p in move.branches if p > 0]
+    if not after:
+        return 0
+    lo, hi = min(after), max(after)
+    return lo if lo < hi else hi - 1
 
 
 def _spoiler(moves: Sequence[Move], e, rounds: list) -> int:
@@ -208,7 +187,9 @@ def _spoiler(moves: Sequence[Move], e, rounds: list) -> int:
 
 
 def _cyclic_rounds(game, states, targets, reacher, pin, rounds):
-    """Set the rounds of one cyclic SCC whose exits have theirs. Once the
+    """Set the drop rounds of one cyclic SCC whose exits have theirs: round r
+    of the almost-sure loop shrinks the candidates to the attractor of
+    `targets` over the moves (of `pin` only) that stay among them. Once the
     last exit has dropped, the first round that drops nothing is final."""
     moves = game.moves
     inside = set(states)
@@ -247,7 +228,7 @@ def qualitative_reach(
     _check_two_players(game)
     target_set = _target_set(game, targets)
     # no sweep: the pass stops at drop rounds and starting values
-    result, _, _ = _pass(game, Objective("prob-reach", direction, target_set), target_set, 0.0, 0)
+    result, _, _, _ = _pass(game, Objective("prob-reach", direction, target_set), target_set, 0.0, 0)
     return result.prob0, result.prob1
 
 
@@ -293,7 +274,7 @@ def _solve(game, kind, targets, direction, tol, max_iters) -> SolveResult:
     target_set = _target_set(game, targets)
     # objectives carry either the label name or the explicit state set
     objective = Objective(kind, direction, targets if isinstance(targets, str) else target_set)
-    result, choice, pinned = _pass(game, objective, target_set, tol, max_iters)
+    result, choice, _, pinned = _pass(game, objective, target_set, tol, max_iters)
     stuck = sum(1 for s, moves in enumerate(game.moves) if not moves and s not in target_set)
     infinite = len(game.states) - len(result.prob1)
     treatment = "infinite price" if kind == "exp-price" else "probability 0"
@@ -378,10 +359,10 @@ def _iterate(
 
 
 def _backups(moves: Sequence[Move], values: list[float], prices: bool) -> list[float]:
-    """One backup of each of the moves over `values`."""
+    """One backup of each of the moves over `values` and positive branches."""
     if prices:
-        return [m.price + sum(p * values[t] for t, p in m.branches) for m in moves]
-    return [sum(p * values[t] for t, p in m.branches) for m in moves]
+        return [m.price + sum(p * values[t] for t, p in m.branches if p > 0) for m in moves]
+    return [sum(p * values[t] for t, p in m.branches if p > 0) for m in moves]
 
 
 def _update(values: list[float], s: int, new: float) -> float:
@@ -406,10 +387,10 @@ def _optimal(backups: list[float], best: float, tol: float) -> list[int]:
 
 def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=None):
     """The one successors-first visit of `game.components` behind a solve:
-    the result without warnings or strategy, the chosen move index per state
-    and, for expected price, the drop rounds with the reaching side pinned
-    to its choice. With `fixed`, the values are held at that vector. After a
-    cyclic SCC ends above `tol`, the pass gives rounds and start values only.
+    the result without warnings or strategy, the chosen move index per state,
+    the drop rounds and, for expected price, those with the reaching side
+    pinned to its choice. With `fixed`, the values are held at that vector.
+    After a cyclic SCC ends above `tol`, the pass gives rounds and start values.
     """
     prices = objective.kind == "exp-price"
     moves, owner = game.moves, game.owner
@@ -424,11 +405,67 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
     converged = not live or max_iters >= 1  # until an SCC hits the cap
     most, worst = (1, 0.0) if converged else (0, inf)
     backups = 0
-    rounds, pinned, layer = [0] * n, [0] * n, [inf] * n
+    rounds, pinned = [0] * n, [0] * n
+    layer = [0 if s in target_set else inf for s in range(n)]
     choice: dict[int, int] = {}
     spoilers: dict[int, int] = {}
     for states, cyclic in game.components:
-        _rounds(game, states, cyclic, target_set, reacher, {}, rounds)
+        if not cyclic:
+            # one loop over the moves: each move's work over the rounds and the
+            # pinned rounds (which leave the avoiding side's moves alone), and its backup
+            s = states[0]
+            ms = moves[s]
+            target = s in target_set
+            reaching = owner[s] == reacher
+            works = stays = 0 if reaching or not ms else inf
+            step = []
+            for m in ms:
+                branches = m.branches
+                if len(branches) == 1 and branches[0][1] > 0:
+                    t, p = branches[0]
+                    work, stay, backup = rounds[t] - 1, pinned[t] - 1, p * values[t]
+                else:
+                    work, stay = _work(m, rounds), _work(m, pinned) if prices else 0
+                    backup = sum(p * values[t] for t, p in branches if p > 0)
+                step.append(m.price + backup if prices else backup)
+                if reaching:
+                    if work > works:
+                        works = work
+                else:
+                    if work < works:
+                        works = work
+                    if stay < stays:
+                        stays = stay
+            e = rounds[s] = inf if target else works + 1
+            if prices and e != inf and not reaching and ms:
+                spoilers[s] = _spoiler(ms, e, rounds)
+            if live:
+                values[s] = (0.0 if e == inf else inf) if prices else (1.0 if e == inf else 0.0)
+            if not converged:
+                continue
+            if ms:
+                best = opt[s](step)
+                if live and ((e == inf and not target) if prices else 1 < e < inf):
+                    _update(values, s, best)
+                    backups += 1
+                tied = _optimal(step, best, tol) if len(ms) > 1 else (0,)
+                if len(tied) > 1 and reaching and not target:
+                    # the reaching side settles on a tied move into the earliest layer
+                    lows = [min((layer[t] for t, p in ms[i].branches if p > 0), default=inf) for i in tied]
+                    low = min(lows)
+                    c = _smallest(ms, [i for i, d in zip(tied, lows) if d == low])
+                else:
+                    c = _smallest(ms, tied)
+                    low = min((layer[t] for t, p in ms[c].branches if p > 0), default=inf)
+                if not target:
+                    layer[s] = low + 1
+                if prices and s in spoilers and math.isinf(values[s]):
+                    c = spoilers[s]  # the avoider witnesses the infinity
+                choice[s] = c
+            if prices:  # the payer's pinned round is its chosen move's
+                pinned[s] = inf if target else 1 + (max(_work(ms[c], pinned), 0) if reaching and ms else stays)
+            continue
+        _cyclic_rounds(game, states, target_set, reacher, {}, rounds)
         active = []
         for s in states:
             e = rounds[s]
@@ -440,41 +477,19 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
                     active.append(s)
         if not converged:
             continue
-        if cyclic:
-            if active:
-                sweeps, residual, converged, count = _iterate(moves, values, active, opt, tol, max_iters, prices)
-                most, worst, backups = max(most, sweeps), max(worst, residual), backups + count
-                if not converged:
-                    continue
-            usable = {}
-            for s in states:
-                if moves[s]:
-                    step = _backups(moves[s], values, prices)
-                    optimal = _optimal(step, opt[s](step), tol)
-                    choice[s] = _smallest(moves[s], optimal)
-                    usable[s] = optimal if owner[s] == reacher and s not in target_set else (choice[s],)
-            _settle(game, states, target_set, reacher, usable, layer, choice)
-        else:
-            s = states[0]
-            ms = moves[s]
-            if s in target_set:
-                layer[s] = 0
-            if ms:
-                step = _backups(ms, values, prices)
-                best = opt[s](step)
-                if active:
-                    _update(values, s, best)
-                    backups += 1
-                optimal = _optimal(step, best, tol)
-                if owner[s] != reacher or s in target_set:
-                    optimal = [_smallest(ms, optimal)]
-                # a tied move's earliest layer; the reaching side joins after
-                # its earliest, any other side after its one move's
-                lows = [min((layer[t] for t, p in ms[i].branches if p > 0), default=inf) for i in optimal]
-                low = min(lows)
-                if s not in target_set:
-                    layer[s] = low + 1
-                choice[s] = _smallest(ms, [i for i, d in zip(optimal, lows) if d == low])
+        if active:
+            sweeps, residual, converged, count = _iterate(moves, values, active, opt, tol, max_iters, prices)
+            most, worst, backups = max(most, sweeps), max(worst, residual), backups + count
+            if not converged:
+                continue
+        usable = {}
+        for s in states:
+            if moves[s]:
+                step = _backups(moves[s], values, prices)
+                optimal = _optimal(step, opt[s](step), tol)
+                choice[s] = _smallest(moves[s], optimal)
+                usable[s] = optimal if owner[s] == reacher and s not in target_set else (choice[s],)
+        _settle(game, states, target_set, reacher, usable, layer, choice)
         if prices:
             pin = {}
             for s in states:
@@ -483,7 +498,7 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
                     choice[s] = spoilers[s]
                 elif owner[s] == reacher and s in choice:
                     pin[s] = choice[s]
-            _rounds(game, states, cyclic, target_set, reacher, pin, pinned)
+            _cyclic_rounds(game, states, target_set, reacher, pin, pinned)
     result = SolveResult(
         objective, values, values[game.initial], most, worst, converged,
         prob0=None if prices else frozenset(s for s, e in enumerate(rounds) if e == 1),
@@ -491,7 +506,7 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
         spoilers=spoilers if prices else None,
         backups=backups,
     )
-    return result, choice, pinned
+    return result, choice, rounds, pinned
 
 
 def _settle(game, states, targets, reacher, usable, layer, choice):
@@ -554,7 +569,7 @@ def synthesize(
     if objective.kind not in ("prob-reach", "exp-price"):
         raise ModelError(f"no memoryless synthesis for kind {objective.kind!r}")
     target_set = _target_set(game, objective.target)
-    result, choice, pinned = _pass(game, objective, target_set, tol, 0, list(values))
+    result, choice, _, pinned = _pass(game, objective, target_set, tol, 0, list(values))
     return _profiles(game, objective, result.values, choice, pinned, tol)
 
 
@@ -634,12 +649,21 @@ def _certify(
     prices = objective.kind == "exp-price"
     if prices:
         check = [math.inf if s in doomed else 0.0 for s in range(len(moves))]
-        active = [s for s in reached if s not in doomed and s not in target_set]
+        active = {s for s in reached if s not in doomed and s not in target_set}
     else:
         check = [0.0 if s in doomed else 1.0 for s in range(len(moves))]
-        active = [s for s in doomed if s not in prob0]
-    # each state has one move, so the backup's max is that move's
-    _iterate(chain, check, active, [max] * len(moves), tol, DEFAULT_MAX_ITERS, prices)
+        active = doomed.keys() - prob0
+    # the chain's SCCs refine the cached ones: a trivial one is one backup, a
+    # cyclic one is re-split over its active members; each state has one
+    # move, so the backup's max is that move's
+    opt = [max] * len(moves)
+    for states, cyclic in game.components:
+        if cyclic:
+            members = [s for s in states if s in active]
+            if members and not _iterate(chain, check, members, opt, tol, DEFAULT_MAX_ITERS, prices)[2]:
+                break
+        elif states[0] in active:
+            _update(check, states[0], max(_backups(chain[states[0]], check, prices)))
     worst = 0.0
     for s in reached:
         a, b = vector[s], check[s]

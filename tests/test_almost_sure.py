@@ -9,18 +9,22 @@ import pytest
 
 import tptg
 from tptg.cli import main
-from tptg.solver import _rounds, _spoiler
+from tptg.solver import _cyclic_rounds, _spoiler
 
+import retired_solver
 from gamegen import random_game
 from global_almost_sure import global_almost_sure, global_qualitative_reach
 from test_cli import SHIPPED_SWEEPS
 
 
 def _drop_rounds(game, targets, reacher, pin=None):
-    """The solver's drop rounds, SCC by SCC as its pass takes them."""
+    """Drop rounds SCC by SCC, successors first, all by the solver's search
+    for cyclic SCCs, which takes a state on no cycle as its smallest case
+    (the pass's closed form for such a state is checked against the retired
+    path below)."""
     rounds = [0] * len(game.states)
-    for states, cyclic in game.components:
-        _rounds(game, states, cyclic, targets, reacher, pin or {}, rounds)
+    for states, _ in game.components:
+        _cyclic_rounds(game, states, targets, reacher, pin or {}, rounds)
     return rounds
 
 
@@ -107,35 +111,45 @@ def test_every_view_of_the_shipped_sweeps_matches_the_global_loop(monkeypatch, t
 
 
 def test_an_expected_price_solve_runs_one_unpinned_almost_sure_pass(monkeypatch):
-    # the solve's pass takes each SCC's drop rounds once, and synthesis the
-    # spoilers of infinite-price states from them; its second visit of each
-    # SCC pins the payer for the stall check
-    visits = []
-    infinite = 0
-    rounds_of = tptg.solver._rounds
+    # the pass takes each state's drop round once, and its round with the
+    # payer pinned to its choice once: both equal the retired path's two
+    # whole-game calls, and so do the spoilers read off them; a cyclic SCC
+    # runs the almost-sure search unpinned, then pinned
+    passes, searches = [], []
+    pass_of, search = tptg.solver._pass, tptg.solver._cyclic_rounds
 
-    def counted(game, states, cyclic, targets, reacher, pin, rounds):
-        visits.append((rounds, states))
-        rounds_of(game, states, cyclic, targets, reacher, pin, rounds)
+    def recorded(*args):
+        passes.append(pass_of(*args))
+        return passes[-1]
 
-    monkeypatch.setattr(tptg.solver, "_rounds", counted)
+    def counted(game, states, targets, reacher, pin, rounds):
+        searches.append(states)
+        search(game, states, targets, reacher, pin, rounds)
+
+    monkeypatch.setattr(tptg.solver, "_pass", recorded)
+    monkeypatch.setattr(tptg.solver, "_cyclic_rounds", counted)
     solves = 0
+    infinite = 0
     for seed in range(10, 40):
         rng = random.Random(seed)
         for _ in range(60):
             game = random_game(rng, max_states=6, min_price=0, max_price=2)
-            components = [states for states, _ in game.components]
+            targets = game.labels["goal"]
+            cyclic = [states for states, cyclic in game.components if cyclic]
             for direction in tptg.solver.DIRECTIONS:
-                visits.clear()
+                passes.clear()
+                searches.clear()
                 try:
                     tptg.expected_price(game, "goal", direction)
                 except tptg.ModelError:
                     pass  # refused solves count too
-                unpinned, pinned = visits[0][0], visits[1][0]
-                assert pinned is not unpinned
-                assert [states for rounds, states in visits if rounds is unpinned] == components
-                assert [states for rounds, states in visits if rounds is pinned] == components
-                assert len(visits) == 2 * len(components)
+                [(result, choice, unpinned, pinned)] = passes
+                payer = game.players[1 - tptg.solver._reach_maximizer(direction)]
+                pin = {s: mi for s, mi in choice.items() if game.owner[s] == payer}
+                assert unpinned == retired_solver._drop_rounds(game, targets, payer)
+                assert pinned == retired_solver._drop_rounds(game, targets, payer, pin)
+                assert result.spoilers == retired_solver._almost_sure(game, targets, payer)[1]
+                assert searches == [states for states in cyclic for _ in (unpinned, pinned)]
                 infinite += min(unpinned) < math.inf
                 solves += 1
     assert solves == 3600

@@ -25,6 +25,10 @@ def _outcome(solver, *args, **kwargs):
         result = solver(*args, **kwargs)
     except ModelError as exc:
         return str(exc)
+    return _fields(result)
+
+
+def _fields(result):
     return (
         [v.hex() for v in result.values],
         result.prob0,
@@ -116,10 +120,10 @@ def test_backups_count_each_state_backup_once():
     assert "backups" not in result.to_json_dict()
 
 
-def test_the_taskgraph_sweep_searches_each_game_and_each_certificate_once(monkeypatch, tmp_path):
+def test_the_taskgraph_sweep_searches_each_built_game_once(monkeypatch, tmp_path):
     # one search per built game for `Tsg.components` (5 models, one build
-    # each) and one per certificate (2 properties per model); the games are
-    # acyclic, so no SCC is re-split
+    # each); the games are acyclic, so neither a solve nor a certificate
+    # re-splits an SCC
     searches = []
     search = tptg.game.strongly_connected
 
@@ -131,7 +135,38 @@ def test_the_taskgraph_sweep_searches_each_game_and_each_certificate_once(monkey
         monkeypatch.setattr(module, "strongly_connected", counted)
     name = "taskgraph_expected_by_p.csv"
     assert main(SHIPPED_SWEEPS[name] + ["--csv", str(tmp_path / name)]) == 0
-    assert len(searches) == 5 + 10
+    assert len(searches) == 5
+
+
+@pytest.mark.parametrize("name, solves, acyclic_backups", [
+    ("honest_termination_by_T.csv", 64, 0),  # every game has a cycle
+    ("taskgraph_expected_by_p.csv", 10, 20234),
+])
+def test_the_shipped_sweeps_match_the_retired_solve_path(monkeypatch, tmp_path, name, solves, acyclic_backups):
+    # on an acyclic game each active state is backed up exactly once
+    seen = []
+    solve = tptg.cli.solve
+
+    def record(game, objective, tol, max_iters):
+        result = solve(game, objective, tol=tol, max_iters=max_iters)
+        seen.append((game, objective, tol, max_iters, result))
+        return result
+
+    monkeypatch.setattr(tptg.cli, "solve", record)
+    assert main(SHIPPED_SWEEPS[name] + ["--csv", str(tmp_path / name)]) == 0
+    assert len(seen) == solves
+    backups = 0
+    for game, objective, tol, max_iters, result in seen:
+        old = retired_solver.solve(game, objective, tol, max_iters)
+        assert _fields(result) == _fields(old)
+        if not any(cyclic for _, cyclic in game.components):
+            if old.prob0 is None:
+                active = old.prob1 - game.label_states(objective.target)
+            else:
+                active = set(range(len(game.states))) - old.prob0 - old.prob1
+            assert result.backups == len(active)
+            backups += result.backups
+    assert backups == acyclic_backups
 
 
 def test_synthesize_from_a_solve_repeats_its_strategy():

@@ -17,10 +17,12 @@ from tptg import (
     check_determinacy,
     coalition_game,
     expected_price,
+    from_json,
     make_game,
     prob_reach,
     qualitative_reach,
     synthesize,
+    to_json,
 )
 
 from gamegen import random_game, random_tptg
@@ -417,3 +419,16 @@ def test_solve_result_json_shape():
     payload = result.to_json_dict()
     assert set(payload) == {"objective", "value", "iterations", "residual", "converged", "strategy"}
     assert payload["strategy"] == [{"state": 0, "action": "a"}]
+
+
+def test_a_probability_0_branch_plays_no_part_in_backups():
+    # `a` reaches the goal surely; its branch of probability 0 into the
+    # deadlock, whose price is infinite, must not make its backup NaN
+    moves = [[Move("a", ((1, 0.0), (2, 1.0)), price=1.0), Move("b", ((1, 1.0),))], [], []]
+    game = make_game(moves, owner=[2, 1, 2], labels={"goal": {2}}, players=(1, 2))
+    assert game.validate() == []
+    assert to_json(from_json(to_json(game))) == to_json(game)
+    result = expected_price(game, "goal", "maxmin")  # certified
+    assert result.initial_value == 1.0
+    assert result.strategy == {0: "a"}
+    assert brute_force_solve(game, "goal", "exp-price", "maxmin") == 1
