@@ -104,17 +104,14 @@ def _properties(args, source: ModelSource) -> list[PropertyAst]:
 def _game(model: Tptg, price: str | None, state_limit: int, games=None, key=None) -> Tsg:
     """The game of `model` under `price`. `games` caches one priced game per
     `key`: built for the first request, repriced for a later one with another
-    price, and replaced by the repriced game, predecessor index and components
-    included."""
+    price, and replaced by the repriced game, components included."""
     held = games.get(key) if games is not None else None
     if held is None:
         game = build(model, price=price, state_limit=state_limit)
     else:
         game = held[1] if held[0] == price else reprice(held[1], model, price)
     if games is not None:
-        # computed once; reprice and coalition views share them
-        game.predecessors
-        game.components
+        game.components  # computed once; reprice and coalition views share it
         games[key] = (price, game)
     return game
 

@@ -158,17 +158,6 @@ class Tsg:
         return frozenset(i for i, p in enumerate(self.owner) if p == player)
 
     @cached_property
-    def predecessors(self) -> list[list[tuple[int, int]]]:
-        """Per state, the (state, move index) pairs with a positive branch into it."""
-        preds: list[list[tuple[int, int]]] = [[] for _ in self.states]
-        for s, moves in enumerate(self.moves):
-            for mi, move in enumerate(moves):
-                for target, prob in move.branches:
-                    if prob > 0:
-                        preds[target].append((s, mi))
-        return preds
-
-    @cached_property
     def components(self) -> tuple[tuple[tuple[int, ...], bool], ...]:
         """Strongly connected components of the positive-branch graph over all
         states, successors first: (states in ascending order, whether the SCC
@@ -182,12 +171,10 @@ class Tsg:
 
     def derive(self, **changes) -> "Tsg":
         """Copy with other owners, players or move prices but the same branches
-        and move order, sharing the predecessor index and the components once
-        they are computed."""
+        and move order, sharing the components once they are computed."""
         view = replace(self, **changes)
-        for name in ("predecessors", "components"):
-            if name in self.__dict__:
-                view.__dict__[name] = self.__dict__[name]
+        if "components" in self.__dict__:
+            view.__dict__["components"] = self.components
         return view
 
     def validate(self) -> list[str]:
@@ -303,29 +290,22 @@ def game_stats(game: Tsg) -> dict:
 
 
 def to_json_dict(game: Tsg) -> dict:
-    """Serialize to the interchange schema (probabilities as decimal strings)."""
+    """Serialize to the interchange schema: probabilities as decimal strings,
+    "players" only where the owners' first-seen order is not the players'."""
     labels_by_state: list[list[str]] = [[] for _ in game.states]
     for name in sorted(game.labels):
         for i in game.labels[name]:
             labels_by_state[i].append(name)
-    states = [
-        {"owner": game.owner[i], "labels": labels_by_state[i]}
-        for i in range(len(game.states))
+    states = [{"owner": owner, "labels": names} for owner, names in zip(game.owner, labels_by_state)]
+    transitions = [
+        {"from": i, "action": m.label, "price": m.price,
+         "branches": [{"to": t, "prob": f"{p:.17g}"} for t, p in m.branches]}
+        for i, moves in enumerate(game.moves) for m in moves
     ]
-    transitions = []
-    for i, moves in enumerate(game.moves):
-        for m in moves:
-            transitions.append(
-                {
-                    "from": i,
-                    "action": m.label,
-                    "price": m.price,
-                    "branches": [
-                        {"to": t, "prob": f"{p:.17g}"} for t, p in m.branches
-                    ],
-                }
-            )
-    return {"states": states, "initial": game.initial, "transitions": transitions}
+    data = {"states": states, "initial": game.initial, "transitions": transitions}
+    if tuple(dict.fromkeys(game.owner)) != tuple(game.players):
+        data["players"] = list(game.players)
+    return data
 
 
 def to_json(game: Tsg) -> str:
@@ -358,7 +338,7 @@ def from_json_dict(data: dict) -> Tsg:
     game = Tsg(
         states=tuple(range(n)),
         initial=initial,
-        players=tuple(dict.fromkeys(owner)),
+        players=tuple(data.get("players", dict.fromkeys(owner))),
         owner=owner,
         moves=tuple(tuple(ms) for ms in moves),
         labels={name: frozenset(members) for name, members in labels.items()},

@@ -2,23 +2,23 @@
 
 A solve is one successors-first pass over the strongly connected components
 (SCCs) of the game's cached decomposition (`Tsg.components`). A state on no
-cycle gets one visit, from its successors' final data, in which one loop over
-its moves gives each move's backup in binary64 (branches of probability 0
-play no part) and its work towards the round in which the whole-game
-almost-sure loop would drop the state, unpinned and, for expected price,
-with the payer pinned (pinning leaves the avoiding side's moves alone; the
-payer's pinned round is its chosen move's). The round gives the
-probability-0 and -1 sets and the avoiding side's spoilers; the backups its
-value and a one-step-optimal move, ties broken towards the (delay,
-action)-smallest, but the reaching side's towards the earliest layer of the
-attractor of the target. A cyclic SCC runs the almost-sure loop on its
-states, Gauss-Seidel sweeps the SCCs of its undecided states until one sweep
-changes less than the tolerance, and layers its states from its exits'
-layers. An expected-price solve is refused when the payer's pinned moves do
-not force the target almost surely from every finite-valued state (values
-iterated from below credit a zero-price cycle as free); the certificate
-evaluates the induced Markov chain over the cached SCCs, on the states it
-reaches, which must match the values within ``10 * tol``.
+cycle gets one visit, from its successors' final data, in which one walk of
+each move's positive branches gives its backup in binary64 and its work
+towards the round in which the whole-game almost-sure loop would drop the
+state, unpinned and, for expected price, with the payer pinned (pinning
+leaves the avoiding side's moves alone). The round gives the probability-0
+and -1 sets and the avoiding side's spoilers; the backups its value and a
+one-step-optimal move, ties broken towards the (delay, action)-smallest, but
+the reaching side's towards the earliest layer of the attractor of the
+target. A cyclic SCC runs the almost-sure loop on its states, Gauss-Seidel
+sweeps the SCCs of its undecided states until one sweep changes less than
+the tolerance, and layers its states from its exits' layers. An
+expected-price solve is refused when the payer's pinned moves do not force
+the target almost surely from every finite-valued state (values iterated
+from below credit a zero-price cycle as free); the certificate evaluates the
+induced Markov chain over the cached SCCs, on the states it reaches, which
+must match the values within ``10 * tol``. No reverse index spans the game:
+backward searches use maps of one cyclic SCC's moves (`_predecessors`).
 """
 
 import math
@@ -128,29 +128,39 @@ def _reach_maximizer(direction: str) -> int:
     return 0 if direction == "maxmin" else 1
 
 
+def _predecessors(moves: Sequence[Sequence[Move]], states: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
+    """Reverse index of the moves of `states` alone: per target of a positive
+    branch, the (state, move index) pairs into it."""
+    preds: dict[int, list[tuple[int, int]]] = {}
+    for s in states:
+        for mi, move in enumerate(moves[s]):
+            for t, p in move.branches:
+                if p > 0:
+                    preds.setdefault(t, []).append((s, mi))
+    return preds
+
+
 def _attractor(
-    game: Tsg,
+    preds: dict[int, list[tuple[int, int]]],
     targets: Iterable[int],
-    exists: frozenset[int],
-    usable: dict[int, set[int]],
+    exists: Collection[int],
+    usable: dict[int, Collection[int]],
 ) -> dict[int, set[int]]:
     """Layered two-player attractor of `targets`, with the moves that hit.
 
     A state in `exists` joins once one of its usable moves has a positive
     branch into an earlier layer; any other state joins once it has usable
     moves and all of them have such a branch. `usable[s]` holds the usable
-    move indices of s (a state missing from it has none). Returns, for each
-    member, the indices of the usable moves that hit when it joined (none for
-    targets).
+    move indices of s (a state missing from it has none), `preds` the reverse
+    index of those moves. Returns, for each member, the usable moves that hit.
     """
-    preds = game.predecessors
     member: dict[int, set[int]] = {t: set() for t in targets}
     hits: dict[int, set[int]] = {}
     frontier = list(member)
     while frontier:
         touched = set()
         for t in frontier:
-            for s, mi in preds[t]:
+            for s, mi in preds.get(t, ()):
                 if s in member or mi not in usable.get(s, ()):
                     continue
                 hits.setdefault(s, set()).add(mi)
@@ -161,18 +171,6 @@ def _attractor(
                 member[s] = hits[s]
                 frontier.append(s)
     return member
-
-
-def _work(move: Move, rounds: list):
-    """Rounds in which `move` of a state on no cycle keeps working:
-    ``min(min e, max e - 1)`` over the drop rounds e of its positive branches
-    (0 with none). A state of the reaching side drops one round after its best
-    allowed move stops working, any other after its first."""
-    after = [rounds[t] for t, p in move.branches if p > 0]
-    if not after:
-        return 0
-    lo, hi = min(after), max(after)
-    return lo if lo < hi else hi - 1
 
 
 def _spoiler(moves: Sequence[Move], e, rounds: list) -> int:
@@ -193,7 +191,8 @@ def _cyclic_rounds(game, states, targets, reacher, pin, rounds):
     last exit has dropped, the first round that drops nothing is final."""
     moves = game.moves
     inside = set(states)
-    exits = {t for s in states for m in moves[s] for t, p in m.branches if p > 0 and t not in inside}
+    preds = _predecessors(moves, states)
+    exits = [t for t in preds if t not in inside]
     last = max((rounds[t] for t in exits if rounds[t] != math.inf), default=0)
     exists = {s for s in states if game.owner[s] == reacher}
     seeds = [s for s in states if s in targets]
@@ -212,7 +211,7 @@ def _cyclic_rounds(game, states, targets, reacher, pin, rounds):
             }
             if s in exists or len(stay) == len(allowed):
                 usable[s] = stay
-        attracted = _attractor(game, seeds + [t for t in exits if rounds[t] > r], exists, usable)
+        attracted = _attractor(preds, seeds + [t for t in exits if rounds[t] > r], exists, usable)
         dropped = candidate.difference(attracted)
         if not dropped and r > last:
             return
@@ -411,24 +410,35 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
     spoilers: dict[int, int] = {}
     for states, cyclic in game.components:
         if not cyclic:
-            # one loop over the moves: each move's work over the rounds and the
-            # pinned rounds (which leave the avoiding side's moves alone), and its backup
+            # one loop over the moves and one walk of each one's positive branches:
+            # its work, min(min e, max e - 1) over their drop rounds e (0 with none;
+            # the reaching side drops after its best move stops working, the other
+            # after its first), its work over the pinned rounds, and its backup
             s = states[0]
             ms = moves[s]
             target = s in target_set
             reaching = owner[s] == reacher
             works = stays = 0 if reaching or not ms else inf
-            step = []
+            step, paid = [], []  # backups; the reaching side's pinned work per move
             for m in ms:
                 branches = m.branches
                 if len(branches) == 1 and branches[0][1] > 0:
                     t, p = branches[0]
                     work, stay, backup = rounds[t] - 1, pinned[t] - 1, p * values[t]
                 else:
-                    work, stay = _work(m, rounds), _work(m, pinned) if prices else 0
-                    backup = sum(p * values[t] for t, p in branches if p > 0)
+                    lo = plo = inf
+                    hi = phi = 1  # rounds are >= 1
+                    backup = 0  # as `sum` adds
+                    for t, p in branches:
+                        if p > 0:
+                            backup += p * values[t]
+                            e, f = rounds[t], pinned[t]
+                            lo, hi = (e if e < lo else lo), (e if e > hi else hi)
+                            plo, phi = (f if f < plo else plo), (f if f > phi else phi)
+                    work, stay = lo if lo < hi else hi - 1, plo if plo < phi else phi - 1
                 step.append(m.price + backup if prices else backup)
                 if reaching:
+                    paid.append(stay)
                     if work > works:
                         works = work
                 else:
@@ -448,22 +458,36 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
                 if live and ((e == inf and not target) if prices else 1 < e < inf):
                     _update(values, s, best)
                     backups += 1
-                tied = _optimal(step, best, tol) if len(ms) > 1 else (0,)
-                if len(tied) > 1 and reaching and not target:
-                    # the reaching side settles on a tied move into the earliest layer
-                    lows = [min((layer[t] for t, p in ms[i].branches if p > 0), default=inf) for i in tied]
-                    low = min(lows)
-                    c = _smallest(ms, [i for i, d in zip(tied, lows) if d == low])
-                else:
-                    c = _smallest(ms, tied)
-                    low = min((layer[t] for t, p in ms[c].branches if p > 0), default=inf)
+                c = 0
+                if len(ms) > 1:  # the tied moves, as `_optimal` finds them
+                    slack = 0.0 if math.isinf(best) else 2 * tol * max(1.0, abs(best))
+                    tied = [i for i, b in enumerate(step) if b == best or abs(b - best) <= slack]
+                    c = tied[0]
+                    if len(tied) > 1:
+                        # the (delay, action)-smallest, the earliest on equal keys; the
+                        # reaching side settles on a tied move into the earliest layer
+                        settle = reaching and not target
+                        key = (inf, inf, "")  # above every (layer, delay, action) key
+                        for i in tied:
+                            m = ms[i]
+                            low = inf if settle else 0
+                            for t, p in m.branches if settle else ():
+                                if p > 0 and layer[t] < low:
+                                    low = layer[t]
+                            k = (low, m.time or 0, m.action)
+                            if k < key:
+                                c, key = i, k
                 if not target:
+                    low = inf
+                    for t, p in ms[c].branches:
+                        if p > 0 and layer[t] < low:
+                            low = layer[t]
                     layer[s] = low + 1
                 if prices and s in spoilers and math.isinf(values[s]):
                     c = spoilers[s]  # the avoider witnesses the infinity
                 choice[s] = c
             if prices:  # the payer's pinned round is its chosen move's
-                pinned[s] = inf if target else 1 + (max(_work(ms[c], pinned), 0) if reaching and ms else stays)
+                pinned[s] = inf if target else 1 + (max(paid[c], 0) if reaching and ms else stays)
             continue
         _cyclic_rounds(game, states, target_set, reacher, {}, rounds)
         active = []
@@ -514,15 +538,14 @@ def _settle(game, states, targets, reacher, usable, layer, choice):
     indices in `usable`, given its exits' layers: a state of `reacher` joins
     once one usable move has a positive branch into the previous layer and
     settles on the smallest such move, any other state once all have."""
-    moves, owner, preds = game.moves, game.owner, game.predecessors
+    moves, owner = game.moves, game.owner
     inf = math.inf
     inside = set(states)
+    preds = _predecessors(moves, states)
     touches: dict = {}  # exit layer -> (state, move index) pairs into that exit
-    for s, indices in usable.items():
-        for mi in indices:
-            for t, p in moves[s][mi].branches:
-                if p > 0 and t not in inside and layer[t] != inf:
-                    touches.setdefault(layer[t], []).append((s, mi))
+    for t, pairs in preds.items():
+        if t not in inside and layer[t] != inf:
+            touches.setdefault(layer[t], []).extend(pairs)
     frontier = [s for s in states if s in targets]
     for s in frontier:
         layer[s] = 0
@@ -532,7 +555,7 @@ def _settle(game, states, targets, reacher, usable, layer, choice):
         if not frontier:
             level = min(touches)
         touched = set()
-        for s, mi in touches.pop(level, []) + [p for t in frontier for p in preds[t] if p[0] in inside]:
+        for s, mi in touches.pop(level, []) + [p for t in frontier for p in preds.get(t, ())]:
             if layer[s] == inf and mi in usable.get(s, ()):
                 hits.setdefault(s, set()).add(mi)
                 touched.add(s)
@@ -641,29 +664,35 @@ def _certify(
                     stack.append(t)
     # A Markov chain reaches the target with probability 0 from the states
     # that cannot reach it, and with probability 1 from the states that
-    # cannot reach those without passing the target.
+    # cannot reach those without passing the target. Both sets are closed
+    # successors first over the cached SCCs restricted to the reached states,
+    # a cyclic one over a reverse map of its members' chosen moves.
     target_set = _target_set(game, objective.target)
-    chosen = {s: {choice[s]} for s in reached if s in choice and s not in target_set}
-    prob0 = reached.difference(_attractor(game, target_set, frozenset(), chosen))
-    doomed = _attractor(game, prob0, frozenset(), chosen)
     prices = objective.kind == "exp-price"
-    if prices:
-        check = [math.inf if s in doomed else 0.0 for s in range(len(moves))]
-        active = {s for s in reached if s not in doomed and s not in target_set}
-    else:
-        check = [0.0 if s in doomed else 1.0 for s in range(len(moves))]
-        active = doomed.keys() - prob0
-    # the chain's SCCs refine the cached ones: a trivial one is one backup, a
-    # cyclic one is re-split over its active members; each state has one
-    # move, so the backup's max is that move's
-    opt = [max] * len(moves)
+    check = [0.0 if prices else 1.0] * len(moves)
+    found, doomed = set(), set()  # the states that can reach the target; that can reach probability 0 first
+    opt = [max] * len(moves)  # each state has one move, so its backup's max is that move's
+    converged = True
     for states, cyclic in game.components:
+        members = [s for s in states if s in reached]
+        if not members:
+            continue
+        after = {s: [t for t, p in chain[s][0].branches if p > 0] for s in members if chain[s] and s not in target_set}
         if cyclic:
-            members = [s for s in states if s in active]
-            if members and not _iterate(chain, check, members, opt, tol, DEFAULT_MAX_ITERS, prices)[2]:
-                break
-        elif states[0] in active:
-            _update(check, states[0], max(_backups(chain[states[0]], check, prices)))
+            preds, usable = _predecessors(chain, after), dict.fromkeys(after, (0,))
+        hit = [s for s in members if s in target_set or any(t in found for t in after.get(s, ()))]
+        found.update(_attractor(preds, hit, (), usable) if cyclic else hit)
+        hit = [s for s in members if s not in found or any(t in doomed for t in after.get(s, ()))]
+        doomed.update(_attractor(preds, hit, (), usable) if cyclic else hit)
+        for s in doomed.intersection(members):
+            check[s] = math.inf if prices else 0.0
+        # the chain's finite values off the target; probabilities strictly between 0 and 1
+        active = [s for s in members if s in found and s not in target_set and (s in doomed) != prices]
+        if active and converged:
+            if cyclic:  # `_iterate` re-splits the members
+                converged = _iterate(chain, check, active, opt, tol, DEFAULT_MAX_ITERS, prices)[2]
+            else:
+                _update(check, active[0], max(_backups(chain[active[0]], check, prices)))
     worst = 0.0
     for s in reached:
         a, b = vector[s], check[s]
@@ -685,14 +714,7 @@ def solve(game: Tsg, objective: Objective, tol: float = DEFAULT_TOL, max_iters: 
     if objective.kind == "exp-price":
         return expected_price(game, objective.target, objective.direction, tol, max_iters)
     values = bounded_expected_price(game, objective.target, objective.horizon, objective.direction)
-    return SolveResult(
-        objective=objective,
-        values=values,
-        initial_value=values[game.initial],
-        iterations=objective.horizon,
-        residual=0.0,
-        converged=True,
-    )
+    return SolveResult(objective, values, values[game.initial], objective.horizon, 0.0, True)
 
 
 def check_determinacy(

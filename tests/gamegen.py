@@ -72,6 +72,36 @@ def random_game(
     return make_game(moves, owner, labels={"goal": goals}, initial=initial, players=(1, 2))
 
 
+#: (delay, action) keys of reshaped moves: (None, x) and (0, x) tie
+RESHAPED_KEYS = ((None, "a"), (0, "a"), (2, "a"), (None, "b"), (0, "b"), (1, "b"))
+
+
+def reshaped(rng: random.Random, game):
+    """`game` with the move shapes that built games never have.
+
+    Each state's moves get distinct labels from `RESHAPED_KEYS` in random
+    order, so stored order is not (delay, action) order and some keys tie;
+    some moves gain a probability-0 branch into a goal state (whose value is
+    finite under both objectives), and some split a branch into two halves
+    to the same target.
+    """
+    goals = sorted(game.labels["goal"])
+    moves = []
+    for state_moves in game.moves:
+        keys = rng.sample(RESHAPED_KEYS, len(state_moves))
+        moves.append([])
+        for move, (time, action) in zip(state_moves, keys):
+            branches = list(move.branches)
+            if rng.random() < 0.3:
+                branches.insert(rng.randrange(len(branches) + 1), (rng.choice(goals), 0.0))
+            if rng.random() < 0.3:
+                i = rng.randrange(len(branches))
+                t, p = branches[i]
+                branches[i:i + 1] = [(t, p / 2), (t, p / 2)]
+            moves[-1].append(move._replace(action=action, time=time, branches=tuple(branches)))
+    return make_game(moves, game.owner, labels=game.labels, initial=game.initial, players=game.players)
+
+
 def random_tptg(rng: random.Random) -> Tptg:
     """Random small timed game satisfying the digital-semantics assumptions.
 

@@ -4,13 +4,16 @@ This is the qualitative analysis the solver ran before it decided almost-sure
 membership one strongly connected component at a time, successors first. It
 is kept here, unchanged in behaviour, as a differential oracle for
 :func:`tptg.solver._almost_sure` (same signature and result: the almost-sure
-set and the spoiling moves) and :func:`tptg.solver.qualitative_reach`.
+set and the spoiling moves) and :func:`tptg.solver.qualitative_reach`. Its
+attractor is the whole-game one kept in `retired_solver.py`.
 """
 
 from typing import Iterable, Union
 
 from tptg.game import Tsg
-from tptg.solver import _attractor, _check_two_players, _reach_maximizer, _smallest, _target_set
+from tptg.solver import _check_two_players, _reach_maximizer, _smallest, _target_set
+
+from retired_solver import _attractor
 
 
 def global_almost_sure(

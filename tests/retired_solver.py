@@ -8,7 +8,9 @@ synthesis with a backup of every move, one global tie-settling attractor,
 a pinned almost-sure pass for the stall check and the certificate. It is
 kept here, unchanged in behaviour, as a differential oracle. `_iterate` and
 `_certify` are looked up in this module at call time, so a test can swap in
-another value kernel for both.
+another value kernel for both. Its attractor reads the whole-game reverse
+index the games once cached, copied here (`predecessors`, `_attractor`) so
+that the oracle does not depend on the solver's SCC-local reverse maps.
 """
 
 import math
@@ -22,7 +24,6 @@ from tptg.solver import (
     DEFAULT_TOL,
     Objective,
     SolveResult,
-    _attractor,
     _check_tol,
     _check_two_players,
     _cyclic_rounds,
@@ -32,6 +33,55 @@ from tptg.solver import (
     _target_set,
     bounded_expected_price,
 )
+
+
+def predecessors(game: Tsg) -> list[list[tuple[int, int]]]:
+    """Per state, the (state, move index) pairs with a positive branch into it,
+    computed once per game and kept on it, as `Tsg.predecessors` was."""
+    if "predecessors" not in game.__dict__:
+        preds: list[list[tuple[int, int]]] = [[] for _ in game.states]
+        for s, moves in enumerate(game.moves):
+            for mi, move in enumerate(moves):
+                for target, prob in move.branches:
+                    if prob > 0:
+                        preds[target].append((s, mi))
+        game.__dict__["predecessors"] = preds
+    return game.__dict__["predecessors"]
+
+
+def _attractor(
+    game: Tsg,
+    targets: Iterable[int],
+    exists: frozenset[int],
+    usable: dict[int, set[int]],
+) -> dict[int, set[int]]:
+    """Layered two-player attractor of `targets`, with the moves that hit.
+
+    A state in `exists` joins once one of its usable moves has a positive
+    branch into an earlier layer; any other state joins once it has usable
+    moves and all of them have such a branch. `usable[s]` holds the usable
+    move indices of s (a state missing from it has none). Returns, for each
+    member, the indices of the usable moves that hit when it joined (none for
+    targets).
+    """
+    preds = predecessors(game)
+    member: dict[int, set[int]] = {t: set() for t in targets}
+    hits: dict[int, set[int]] = {}
+    frontier = list(member)
+    while frontier:
+        touched = set()
+        for t in frontier:
+            for s, mi in preds[t]:
+                if s in member or mi not in usable.get(s, ()):
+                    continue
+                hits.setdefault(s, set()).add(mi)
+                touched.add(s)
+        frontier = []
+        for s in touched:
+            if s in exists or len(hits[s]) == len(usable[s]):
+                member[s] = hits[s]
+                frontier.append(s)
+    return member
 
 
 def _label_of(targets):

@@ -3,10 +3,10 @@
 
 Both certificates must accept and refuse alike, with the same deviation in
 the message, on synthesized profiles and on profiles with one optimal move
-swapped for a worse one; the perturbed profiles must be refused.
+swapped for a worse one; the perturbed profiles must be refused. Among the
+chains compared are ones that break a cached cyclic SCC into other SCCs.
 """
 
-import functools
 import importlib.resources
 import itertools
 import random
@@ -16,12 +16,12 @@ import pytest
 import tptg
 from tptg import ModelError, casestudies
 from tptg.cli import main, run_property
-from tptg.game import Tsg
+from tptg.game import move_successors, strongly_connected
 from tptg.solver import _certify, _opt_for
 
 import retired_certificate
 from retired_solver import _backup
-from gamegen import random_game
+from gamegen import random_game, reshaped
 from test_cli import SHIPPED_SWEEPS
 
 SOLVERS = (tptg.prob_reach, tptg.expected_price)
@@ -80,20 +80,34 @@ def _perturbed(game, objective, vector, choice):
                 yield {**choice, s: mi}
 
 
-def _check_solve(solve, perturbations=None) -> tuple[int, int]:
+def _splits_a_cyclic_scc(game, choice) -> bool:
+    """Whether the chain of `choice` breaks the states it reaches of some
+    cached cyclic SCC into other SCCs."""
+    chain = [(game.moves[s][choice[s]],) if s in choice else () for s in range(len(game.states))]
+    reached = set(retired_certificate.chain_reachable(game, _labels(game, choice)))
+    for states, cyclic in game.components:
+        members = [s for s in states if s in reached]
+        if cyclic and members and list(strongly_connected(move_successors(chain), members)) != [(members, True)]:
+            return True
+    return False
+
+
+def _check_solve(solve, perturbations=None) -> tuple[int, int, int]:
     """Compare both certificates on what `solve()` certifies, and on up to
-    `perturbations` perturbed profiles of each; returns the counts."""
-    certified = perturbed = 0
+    `perturbations` perturbed profiles of each; returns the counts of both
+    and of the certified chains that split a cached cyclic SCC."""
+    certified = perturbed = split = 0
     for game, objective, vector, choice, tol in _certificates(solve):
         _agree(game, objective, vector, choice, tol)
         certified += 1
+        split += _splits_a_cyclic_scc(game, choice)
         swaps = itertools.islice(_perturbed(game, objective, vector, choice), perturbations)
         for swapped in swaps:
             assert _agree(game, objective, vector, swapped, tol).startswith(
                 "synthesized profile fails its optimality certificate"
             )
             perturbed += 1
-    return certified, perturbed
+    return certified, perturbed, split
 
 
 @pytest.mark.parametrize("acyclic", [True, False], ids=["acyclic", "cyclic"])
@@ -109,6 +123,22 @@ def test_random_games_certify_as_the_retired_certificate(acyclic):
                     certified += done[0]
                     perturbed += done[1]
     assert certified > 300 and perturbed > 300
+
+
+def test_reshaped_games_certify_as_the_retired_certificate():
+    # moves out of (delay, action) order with tied keys, probability-0
+    # branches and repeated targets; chains that split a cached cyclic SCC
+    done = [0, 0, 0]
+    for seed in range(2000, 2003):
+        rng = random.Random(seed)
+        for _ in range(40):
+            game = reshaped(rng, random_game(rng, max_states=8, min_price=0, max_price=3))
+            for solver in SOLVERS:
+                for direction in ("maxmin", "minmax"):
+                    for i, count in enumerate(_check_solve(lambda: solver(game, "goal", direction))):
+                        done[i] += count
+    certified, perturbed, split = done
+    assert certified > 400 and perturbed > 400 and split > 100
 
 
 @pytest.mark.parametrize("seed, index, deviation", [(15, 10, "2.126e-07"), (36, 14, "8.114e-06")])
@@ -160,19 +190,3 @@ def test_a_solve_builds_no_game_copy(monkeypatch, capsys):
     assert main(["check", fig1]) == 0
     assert main(["check", *TASKGRAPH_TIME]) == 0
     assert capsys.readouterr().out.count("converged=true") == 4
-
-
-def test_the_taskgraph_sweep_indexes_each_built_game_once(monkeypatch, tmp_path):
-    indexed = []
-    index = Tsg.__dict__["predecessors"].func
-
-    def counted(game):
-        indexed.append(game)
-        return index(game)
-
-    counting = functools.cached_property(counted)
-    counting.__set_name__(Tsg, "predecessors")
-    monkeypatch.setattr(Tsg, "predecessors", counting)
-    name = "taskgraph_expected_by_p.csv"
-    assert main(SHIPPED_SWEEPS[name] + ["--csv", str(tmp_path / name)]) == 0
-    assert len(indexed) == 5  # one per built game: 5 values of p

@@ -118,6 +118,7 @@ def test_json_round_trip():
         back = tptg.from_json(tptg.to_json(game))
         assert len(back.states) == len(game.states)
         assert back.initial == game.initial
+        assert back.players == game.players
         assert back.owner == game.owner
         assert back.labels == game.labels
         for s in range(len(game.states)):
@@ -127,6 +128,36 @@ def test_json_round_trip():
             for a, b in zip(orig, copy):
                 assert a.branches == b.branches  # decimal strings are exact
                 assert a.price == b.price
+
+
+def _second_player_first():
+    """State 0 belongs to player 2, so the owners' first-seen order swaps the
+    players; its ``maxmin`` expected price is 1.0, player 2 paying with ``a``."""
+    moves = [[Move("a", ((1, 0.0), (2, 1.0)), price=1.0), Move("b", ((1, 1.0),))], [], []]
+    return make_game(moves, owner=[2, 1, 2], labels={"goal": [2]}, players=(1, 2))
+
+
+@pytest.mark.parametrize("make", [
+    _second_player_first,
+    lambda: coalition_game(_second_player_first(), set()),
+], ids=["second-player-first", "player-1-owns-nothing"])
+def test_json_round_trip_keeps_the_player_order(make):
+    game = make()
+    data = tptg.game.to_json_dict(game)
+    assert data["players"] == [1, 2]
+    back = tptg.from_json(tptg.to_json(game))
+    assert back.players == game.players
+    assert tptg.to_json(back) == tptg.to_json(game)
+    for name in ("prob_reach", "expected_price"):
+        for direction in tptg.solver.DIRECTIONS:
+            old = getattr(tptg, name)(game, "goal", direction)
+            new = getattr(tptg, name)(back, "goal", direction)
+            assert (new.values, new.strategy) == (old.values, old.strategy)
+
+
+def test_json_omits_players_that_the_owners_give_back(fig1_game):
+    assert "players" not in tptg.game.to_json_dict(fig1_game)
+    assert "players" not in tptg.game.to_json_dict(coalition_game(fig1_game, {"sender"}))
 
 
 def test_json_digital_labels_round_trip(fig1_game):
@@ -186,23 +217,6 @@ def test_game_stats(fig1_game):
     assert set(stats["player_states"]) == {"sender", "medium"}
 
 
-def test_coalition_and_reprice_views_share_a_computed_predecessor_index(fig1_model):
-    game = tptg.build(fig1_model)
-    fresh = coalition_game(game, {"sender"})
-    assert "predecessors" not in vars(fresh)  # nothing to share yet
-    index = game.predecessors
-    for coalition in ({"sender"}, {"medium"}, {"sender", "medium"}, set()):
-        view = coalition_game(game, coalition)
-        assert view.predecessors is index
-    assert tptg.reprice(game, fig1_model, None).predecessors is index
-    assert fresh.predecessors == index and fresh.predecessors is not index
-    objective = tptg.Objective("prob-reach", "maxmin", "done")
-    shared = tptg.solve(coalition_game(game, {"sender"}), objective)
-    alone = tptg.solve(fresh, objective)
-    assert shared.values == alone.values
-    assert shared.strategy == alone.strategy
-
-
 def test_coalition_and_reprice_views_share_computed_components(fig1_model):
     game = tptg.build(fig1_model)
     fresh = coalition_game(game, {"sender"})
@@ -213,6 +227,11 @@ def test_coalition_and_reprice_views_share_computed_components(fig1_model):
     assert tptg.reprice(game, fig1_model, None).components is components
     assert fresh.components == components and fresh.components is not components
     assert sorted(s for states, _ in components for s in states) == list(range(len(game.states)))
+    objective = tptg.Objective("prob-reach", "maxmin", "done")
+    shared = tptg.solve(coalition_game(game, {"sender"}), objective)
+    alone = tptg.solve(fresh, objective)  # on its own decomposition
+    assert shared.values == alone.values
+    assert shared.strategy == alone.strategy
 
 
 def test_components_are_successors_first_and_flag_cycles():
@@ -229,7 +248,8 @@ def test_components_are_successors_first_and_flag_cycles():
     assert game.components == (((2,), True), ((0, 1), True), ((3,), False))
 
 
-def test_the_nonrep_sweep_decomposes_each_built_game_once(monkeypatch, tmp_path):
+def _decompositions(monkeypatch, tmp_path, name) -> int:
+    """How many games `Tsg.components` decomposes in the shipped sweep `name`."""
     decomposed = []
     decompose = Tsg.__dict__["components"].func
 
@@ -240,6 +260,15 @@ def test_the_nonrep_sweep_decomposes_each_built_game_once(monkeypatch, tmp_path)
     counting = functools.cached_property(counted)
     counting.__set_name__(Tsg, "components")
     monkeypatch.setattr(Tsg, "components", counting)
-    name = "honest_termination_by_T.csv"
     assert main(SHIPPED_SWEEPS[name] + ["--csv", str(tmp_path / name)]) == 0
-    assert len(decomposed) == 16  # one per built game: 16 values of T
+    return len(decomposed)
+
+
+def test_the_nonrep_sweep_decomposes_each_built_game_once(monkeypatch, tmp_path):
+    # one per built game: 16 values of T
+    assert _decompositions(monkeypatch, tmp_path, "honest_termination_by_T.csv") == 16
+
+
+def test_the_taskgraph_sweep_decomposes_each_built_game_once(monkeypatch, tmp_path):
+    # one per built game: 5 values of p; reprice and coalition views share it
+    assert _decompositions(monkeypatch, tmp_path, "taskgraph_expected_by_p.csv") == 5

@@ -2,6 +2,7 @@
 in `retired_solver.py` (separate walks for rounds, values, ties and the stall
 check): bitwise-identical outcomes, and what the pass costs."""
 
+import dataclasses
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from tptg.cli import main
 from tptg.game import move_successors, strongly_connected
 
 import retired_solver
-from gamegen import random_game
+from gamegen import random_game, reshaped
 from test_cli import SHIPPED_SWEEPS
 from test_scc import _trivial_then_cyclic_game
 
@@ -65,6 +66,23 @@ def test_random_games_match_the_retired_solve_path():
                             refused += isinstance(outcome, str)
                             swept += not isinstance(outcome, str) and outcome[3] > 1
     assert refused > 0 and swept > 0
+
+
+@pytest.mark.parametrize("acyclic", [True, False], ids=["acyclic", "cyclic"])
+def test_reshaped_moves_match_the_retired_solve_path(acyclic):
+    # moves stored out of (delay, action) order with tied keys, probability-0
+    # branches and repeated targets, which built games never have; expected
+    # prices with infinite best values
+    refused = infinite = 0
+    for seed in range(2000, 2005):
+        rng = random.Random(seed)
+        for _ in range(40):
+            game = reshaped(rng, random_game(rng, max_states=8, min_price=0, max_price=2, acyclic=acyclic))
+            for direction in tptg.solver.DIRECTIONS:
+                for outcome in _assert_identical(game, direction):
+                    refused += isinstance(outcome, str)
+                    infinite += not isinstance(outcome, str) and "inf" in outcome[0]
+    assert acyclic or (infinite > 80 and refused > 10)  # acyclic games reach the goal surely
 
 
 def _cycle_through_the_target():
@@ -136,6 +154,42 @@ def test_the_taskgraph_sweep_searches_each_built_game_once(monkeypatch, tmp_path
     name = "taskgraph_expected_by_p.csv"
     assert main(SHIPPED_SWEEPS[name] + ["--csv", str(tmp_path / name)]) == 0
     assert len(searches) == 5
+
+
+def test_no_solve_builds_a_reverse_index_over_the_whole_game(monkeypatch, tmp_path):
+    # reverse maps cover one cyclic SCC's moves, or the chosen moves of the
+    # states of one that a certificate's chain reaches; the game keeps only
+    # its components
+    assert not hasattr(tptg.Tsg, "predecessors")
+    indexed = []
+    index = tptg.solver._predecessors
+
+    def recorded(moves, states):
+        indexed.append(set(states))
+        return index(moves, states)
+
+    monkeypatch.setattr(tptg.solver, "_predecessors", recorded)
+    name = "taskgraph_expected_by_p.csv"
+    assert main(SHIPPED_SWEEPS[name] + ["--csv", str(tmp_path / name)]) == 0
+    assert indexed == []  # its games are acyclic
+    fields = {f.name for f in dataclasses.fields(tptg.Tsg)}
+    maps = 0
+    for seed in range(3):
+        rng = random.Random(seed)
+        for _ in range(30):
+            game = random_game(rng, max_states=8, min_price=0, max_price=3)
+            cyclic = [set(states) for states, cyclic in game.components if cyclic]
+            indexed.clear()
+            for name in SOLVERS:
+                for direction in tptg.solver.DIRECTIONS:
+                    try:
+                        getattr(tptg, name)(game, "goal", direction)
+                    except ModelError:
+                        pass
+            assert all(any(states <= scc for scc in cyclic) for states in indexed)
+            assert set(vars(game)) == fields | {"components"}
+            maps += len(indexed)
+    assert maps > 1000
 
 
 @pytest.mark.parametrize("name, solves, acyclic_backups", [
