@@ -191,11 +191,8 @@ def cmd_sweep(args) -> int:
         else:
             if args.gen is None:
                 raise ModelError(f"sweeping {args.param} needs --gen")
-            override = dict(gen=args.gen, variant=args.variant, p=args.p, k1=args.k1,
-                            k2=args.k2, md=args.md, MD=args.MD, ad=args.ad, AD=args.AD,
-                            timeout=args.timeout, model=None)
-            override[args.param] = raw if args.param == "p" else _number(int, raw, args.param)
-            model = to_tptg(load_source(argparse.Namespace(**override)))
+            value = raw if args.param == "p" else _number(int, raw, args.param)
+            model = to_tptg(load_source(argparse.Namespace(**{**vars(args), args.param: value})))
             swept_props = props
         cells = [raw]
         games = {}  # the games of this row's model and bound

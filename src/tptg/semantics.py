@@ -249,7 +249,7 @@ def build(
 
 def reprice(game: Tsg, model: Tptg, price: str | None) -> Tsg:
     """Same game with move prices recomputed under another price structure;
-    branches and move order are kept, so the predecessor index is shared."""
+    branches and move order are kept, so the components are shared."""
     table = _price_table(model, price)
     new_moves = []
     for state, moves in zip(game.states, game.moves):

@@ -18,7 +18,8 @@ the target almost surely from every finite-valued state (values iterated
 from below credit a zero-price cycle as free); the certificate evaluates the
 induced Markov chain over the cached SCCs, on the states it reaches, which
 must match the values within ``10 * tol``. No reverse index spans the game:
-backward searches use maps of one cyclic SCC's moves (`_predecessors`).
+the almost-sure rounds, tie-settling layers and certificate's closures run
+one layered `_attractor` over a map of one cyclic SCC's moves.
 """
 
 import math
@@ -142,35 +143,36 @@ def _predecessors(moves: Sequence[Sequence[Move]], states: Iterable[int]) -> dic
 
 def _attractor(
     preds: dict[int, list[tuple[int, int]]],
-    targets: Iterable[int],
+    seeds: dict[int, int],
     exists: Collection[int],
     usable: dict[int, Collection[int]],
-) -> dict[int, set[int]]:
-    """Layered two-player attractor of `targets`, with the moves that hit.
-
-    A state in `exists` joins once one of its usable moves has a positive
-    branch into an earlier layer; any other state joins once it has usable
-    moves and all of them have such a branch. `usable[s]` holds the usable
-    move indices of s (a state missing from it has none), `preds` the reverse
-    index of those moves. Returns, for each member, the usable moves that hit.
-    """
-    member: dict[int, set[int]] = {t: set() for t in targets}
+) -> tuple[dict[int, int], dict[int, set[int]]]:
+    """Layered two-player attractor of `seeds` (seed -> layer), pending layers
+    smallest first. A state in `exists` joins the layer after the first that
+    one of its usable moves has a positive branch into; any other state, once
+    it has usable moves and all have such a branch. `usable[s]` holds the
+    usable move indices of s (a state missing from it has none), `preds` the
+    reverse index of those moves. Returns each member's layer and, per state,
+    the usable moves that hit before it joined."""
+    layer = dict(seeds)
+    pending: dict = {}
+    for t, k in seeds.items():
+        pending.setdefault(k, []).append(t)
     hits: dict[int, set[int]] = {}
-    frontier = list(member)
-    while frontier:
+    while pending:
+        level = min(pending)
         touched = set()
-        for t in frontier:
+        for t in pending.pop(level):
             for s, mi in preds.get(t, ()):
-                if s in member or mi not in usable.get(s, ()):
+                if s in layer or mi not in usable.get(s, ()):
                     continue
                 hits.setdefault(s, set()).add(mi)
                 touched.add(s)
-        frontier = []
         for s in touched:
             if s in exists or len(hits[s]) == len(usable[s]):
-                member[s] = hits[s]
-                frontier.append(s)
-    return member
+                layer[s] = level + 1
+                pending.setdefault(level + 1, []).append(s)
+    return layer, hits
 
 
 def _spoiler(moves: Sequence[Move], e, rounds: list) -> int:
@@ -211,8 +213,8 @@ def _cyclic_rounds(game, states, targets, reacher, pin, rounds):
             }
             if s in exists or len(stay) == len(allowed):
                 usable[s] = stay
-        attracted = _attractor(preds, seeds + [t for t in exits if rounds[t] > r], exists, usable)
-        dropped = candidate.difference(attracted)
+        live = dict.fromkeys(seeds + [t for t in exits if rounds[t] > r], 0)
+        dropped = candidate.difference(_attractor(preds, live, exists, usable)[0])
         if not dropped and r > last:
             return
         for s in dropped:
@@ -359,9 +361,14 @@ def _iterate(
 
 def _backups(moves: Sequence[Move], values: list[float], prices: bool) -> list[float]:
     """One backup of each of the moves over `values` and positive branches."""
-    if prices:
-        return [m.price + sum(p * values[t] for t, p in m.branches if p > 0) for m in moves]
-    return [sum(p * values[t] for t, p in m.branches if p > 0) for m in moves]
+    step = []
+    for m in moves:
+        backup = 0  # added in branch order as the acyclic visit adds (`sum` compensates from 3.12)
+        for t, p in m.branches:
+            if p > 0:
+                backup += p * values[t]
+        step.append(m.price + backup if prices else backup)
+    return step
 
 
 def _update(values: list[float], s: int, new: float) -> float:
@@ -428,7 +435,7 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
                 else:
                     lo = plo = inf
                     hi = phi = 1  # rounds are >= 1
-                    backup = 0  # as `sum` adds
+                    backup = 0  # as `_backups` adds
                     for t, p in branches:
                         if p > 0:
                             backup += p * values[t]
@@ -513,7 +520,13 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
                 optimal = _optimal(step, opt[s](step), tol)
                 choice[s] = _smallest(moves[s], optimal)
                 usable[s] = optimal if owner[s] == reacher and s not in target_set else (choice[s],)
-        _settle(game, states, target_set, reacher, usable, layer, choice)
+        preds = _predecessors(moves, states)
+        exists = {s for s in states if owner[s] == reacher}
+        joined, hits = _attractor(preds, {t: layer[t] for t in preds if layer[t] != inf}, exists, usable)
+        for s, k in joined.items():
+            layer[s] = k
+            if s in exists and s in hits:
+                choice[s] = _smallest(moves[s], hits[s])
         if prices:
             pin = {}
             for s in states:
@@ -531,40 +544,6 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
         backups=backups,
     )
     return result, choice, rounds, pinned
-
-
-def _settle(game, states, targets, reacher, usable, layer, choice):
-    """Layer one cyclic SCC into the attractor of `targets` over the move
-    indices in `usable`, given its exits' layers: a state of `reacher` joins
-    once one usable move has a positive branch into the previous layer and
-    settles on the smallest such move, any other state once all have."""
-    moves, owner = game.moves, game.owner
-    inf = math.inf
-    inside = set(states)
-    preds = _predecessors(moves, states)
-    touches: dict = {}  # exit layer -> (state, move index) pairs into that exit
-    for t, pairs in preds.items():
-        if t not in inside and layer[t] != inf:
-            touches.setdefault(layer[t], []).extend(pairs)
-    frontier = [s for s in states if s in targets]
-    for s in frontier:
-        layer[s] = 0
-    level = 0
-    hits: dict[int, set[int]] = {}
-    while frontier or touches:
-        if not frontier:
-            level = min(touches)
-        touched = set()
-        for s, mi in touches.pop(level, []) + [p for t in frontier for p in preds.get(t, ())]:
-            if layer[s] == inf and mi in usable.get(s, ()):
-                hits.setdefault(s, set()).add(mi)
-                touched.add(s)
-        level += 1
-        frontier = [s for s in touched if owner[s] == reacher or len(hits[s]) == len(usable[s])]
-        for s in frontier:
-            layer[s] = level
-            if owner[s] == reacher:
-                choice[s] = _smallest(moves[s], hits[s])
 
 
 def synthesize(
@@ -681,9 +660,9 @@ def _certify(
         if cyclic:
             preds, usable = _predecessors(chain, after), dict.fromkeys(after, (0,))
         hit = [s for s in members if s in target_set or any(t in found for t in after.get(s, ()))]
-        found.update(_attractor(preds, hit, (), usable) if cyclic else hit)
+        found.update(_attractor(preds, dict.fromkeys(hit, 0), (), usable)[0] if cyclic else hit)
         hit = [s for s in members if s not in found or any(t in doomed for t in after.get(s, ()))]
-        doomed.update(_attractor(preds, hit, (), usable) if cyclic else hit)
+        doomed.update(_attractor(preds, dict.fromkeys(hit, 0), (), usable)[0] if cyclic else hit)
         for s in doomed.intersection(members):
             check[s] = math.inf if prices else 0.0
         # the chain's finite values off the target; probabilities strictly between 0 and 1

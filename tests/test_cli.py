@@ -426,6 +426,17 @@ def test_sweep_k_rejects_a_non_integer_value(param, capsys):
     assert f"error: {param} must be an integer, not '1.5'" in capsys.readouterr().err
 
 
+def test_sweep_k1_rebuilds_the_generator_per_value(capsys):
+    args = [
+        "sweep", "--gen", "taskgraph", "--p", "1/2",
+        "--prop", "Emin [ F all_done ] price time coalition {sched}", "--param", "k1",
+    ]
+    assert main(args + ["--values", "0,1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["0,12", "1,13.5"]
+    assert main(args + ["--values", "x"]) == 1
+    assert "error: k1 must be an integer, not 'x'" in capsys.readouterr().err
+
+
 def test_non_rational_p_is_a_model_error(capsys):
     prop = ["--prop", "Emin [ F all_done ] price time coalition {sched}"]
     assert main(["check", "--gen", "taskgraph", "--p", "half", *prop]) == 1

@@ -151,6 +151,22 @@ def test_bounded_price_converges_to_expected_on_chain():
     assert finite == pytest.approx(limit)
 
 
+def test_bounded_backups_add_in_branch_order_as_the_acyclic_visit():
+    # addends 1.0, 2**-53, 2**-53: a left fold gives 1.0, a compensated sum
+    # 1.0000000000000002
+    tiny = 2.0 ** -51
+    moves = [
+        [Move("go", ((1, 0.5), (2, 0.25), (3, 0.25)))],
+        [Move("x", ((4, 1.0),), price=2.0)],
+        [Move("x", ((4, 1.0),), price=tiny)],
+        [Move("x", ((4, 1.0),), price=tiny)],
+        [],
+    ]
+    game = make_game(moves, [1, 2, 1, 2, 1], labels={"goal": {4}}, initial=0, players=(1, 2))
+    acyclic = expected_price(game, "goal", "maxmin").values[0]
+    assert bounded_expected_price(game, "goal", 2, "maxmin")[0] == acyclic == 1.0
+
+
 def test_synthesize_single_action_and_argmax():
     game = two_action_game()
     result = prob_reach(game, "goal", "maxmin")
