@@ -7,6 +7,7 @@ label; the solver gives them reach probability 0 and infinite expected price.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
@@ -161,7 +162,9 @@ class Tsg:
     def components(self) -> tuple[tuple[tuple[int, ...], bool], ...]:
         """Strongly connected components of the positive-branch graph over all
         states, successors first: (states in ascending order, whether the SCC
-        has a cycle). Owners and prices play no part."""
+        has a cycle). Owners and prices play no part. A view that only drops
+        moves (`derive`) shares them; there an SCC may split and `cyclic`
+        means it may have a cycle."""
         return tuple(
             (tuple(states), cyclic)
             for states, cyclic in strongly_connected(
@@ -170,8 +173,10 @@ class Tsg:
         )
 
     def derive(self, **changes) -> "Tsg":
-        """Copy with other owners, players or move prices but the same branches
-        and move order, sharing the components once they are computed."""
+        """Copy with other owners, players or move prices, or with moves
+        dropped, but no other change to branches or move order, sharing the
+        components once they are computed: every edge of the copy is an edge
+        of this game, so their order stays successors first."""
         view = replace(self, **changes)
         if "components" in self.__dict__:
             view.__dict__["components"] = self.components
@@ -202,8 +207,10 @@ class Tsg:
                 if m.label in seen:
                     issues.append(f"state {i}: duplicate action label {m.label!r}")
                 seen.add(m.label)
-                if m.price < 0:
-                    issues.append(f"state {i}, action {m.label!r}: negative price")
+                if not 0 <= m.price < math.inf:
+                    issues.append(
+                        f"state {i}, action {m.label!r}: price {m.price!r} is not a finite number >= 0"
+                    )
                 mass = 0.0
                 for target, prob in m.branches:
                     if not (isinstance(target, int) and 0 <= target < n):
@@ -314,7 +321,7 @@ def to_json(game: Tsg) -> str:
 
 def from_json_dict(data: dict) -> Tsg:
     """Import a game in the interchange schema; raises ModelError on a missing
-    key or a game that fails `Tsg.validate`."""
+    key, a malformed number or a game that fails `Tsg.validate`."""
     try:
         state_records = data["states"]
         initial = data["initial"]
@@ -331,8 +338,8 @@ def from_json_dict(data: dict) -> Tsg:
             if not (isinstance(source, int) and 0 <= source < n):
                 raise ModelError(f"game JSON has a transition from invalid state {source!r}")
             time, action = parse_move_label(entry["action"])
-            branches = tuple((b["to"], float(b["prob"])) for b in entry["branches"])
-            moves[source].append(Move(action, branches, float(entry.get("price", 0.0)), time))
+            branches = tuple((b["to"], _number(b["prob"])) for b in entry["branches"])
+            moves[source].append(Move(action, branches, _number(entry.get("price", 0.0)), time))
     except KeyError as missing:
         raise ModelError(f"game JSON is missing key {missing}") from None
     game = Tsg(
@@ -347,6 +354,13 @@ def from_json_dict(data: dict) -> Tsg:
     if issues:
         raise ModelError(f"game JSON fails validation: {summarize(issues)}")
     return game
+
+
+def _number(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ModelError(f"game JSON has a malformed number {value!r}") from None
 
 
 def from_json(text: str) -> Tsg:

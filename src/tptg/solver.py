@@ -15,11 +15,15 @@ sweeps the SCCs of its undecided states until one sweep changes less than
 the tolerance, and layers its states from its exits' layers. An
 expected-price solve is refused when the payer's pinned moves do not force
 the target almost surely from every finite-valued state (values iterated
-from below credit a zero-price cycle as free); the certificate evaluates the
-induced Markov chain over the cached SCCs, on the states it reaches, which
-must match the values within ``10 * tol``. No reverse index spans the game:
-the almost-sure rounds, tie-settling layers and certificate's closures run
-one layered `_attractor` over a map of one cyclic SCC's moves.
+from below credit a zero-price cycle as free); the certificate runs the
+same pass on the induced Markov chain, a view of the game with one chosen
+move per reached state and none elsewhere, whose values must match on the
+reached states within ``10 * tol``. `check_determinacy` pins each side in
+the same kind of view. A view that only drops moves shares the cached SCCs;
+an SCC marked cyclic may then have no cycle, which the almost-sure loop and
+the sweeps' own re-split handle. No reverse index spans the game: the
+almost-sure rounds and tie-settling layers run one layered `_attractor`
+over a map of one cyclic SCC's moves.
 """
 
 import math
@@ -604,22 +608,6 @@ def _smallest(moves: Sequence[Move], indices: Collection[int]) -> int:
     return min(indices, key=lambda i: (moves[i].sort_key(), i))
 
 
-def restrict_to_profile(game: Tsg, profile: dict[int, str]) -> Tsg:
-    """Game where states in `profile` keep only their selected move."""
-    new_moves = (
-        tuple(m for m in moves if m.label == profile[s]) if s in profile else moves
-        for s, moves in enumerate(game.moves)
-    )
-    return Tsg(
-        states=game.states,
-        initial=game.initial,
-        players=game.players,
-        owner=game.owner,
-        moves=tuple(new_moves),
-        labels=game.labels,
-    )
-
-
 def _certify(
     game: Tsg,
     objective: Objective,
@@ -641,37 +629,10 @@ def _certify(
                 if p > 0 and t not in reached:
                     reached.add(t)
                     stack.append(t)
-    # A Markov chain reaches the target with probability 0 from the states
-    # that cannot reach it, and with probability 1 from the states that
-    # cannot reach those without passing the target. Both sets are closed
-    # successors first over the cached SCCs restricted to the reached states,
-    # a cyclic one over a reverse map of its members' chosen moves.
-    target_set = _target_set(game, objective.target)
-    prices = objective.kind == "exp-price"
-    check = [0.0 if prices else 1.0] * len(moves)
-    found, doomed = set(), set()  # the states that can reach the target; that can reach probability 0 first
-    opt = [max] * len(moves)  # each state has one move, so its backup's max is that move's
-    converged = True
-    for states, cyclic in game.components:
-        members = [s for s in states if s in reached]
-        if not members:
-            continue
-        after = {s: [t for t, p in chain[s][0].branches if p > 0] for s in members if chain[s] and s not in target_set}
-        if cyclic:
-            preds, usable = _predecessors(chain, after), dict.fromkeys(after, (0,))
-        hit = [s for s in members if s in target_set or any(t in found for t in after.get(s, ()))]
-        found.update(_attractor(preds, dict.fromkeys(hit, 0), (), usable)[0] if cyclic else hit)
-        hit = [s for s in members if s not in found or any(t in doomed for t in after.get(s, ()))]
-        doomed.update(_attractor(preds, dict.fromkeys(hit, 0), (), usable)[0] if cyclic else hit)
-        for s in doomed.intersection(members):
-            check[s] = math.inf if prices else 0.0
-        # the chain's finite values off the target; probabilities strictly between 0 and 1
-        active = [s for s in members if s in found and s not in target_set and (s in doomed) != prices]
-        if active and converged:
-            if cyclic:  # `_iterate` re-splits the members
-                converged = _iterate(chain, check, active, opt, tol, DEFAULT_MAX_ITERS, prices)[2]
-            else:
-                _update(check, active[0], max(_backups(chain[active[0]], check, prices)))
+    # The induced Markov chain, a view keeping each reached state's chosen
+    # move and sharing the cached SCCs, is evaluated by the solve's own pass.
+    view = game.derive(moves=tuple(chain))
+    check = _pass(view, objective, _target_set(game, objective.target), tol, DEFAULT_MAX_ITERS)[0].values
     worst = 0.0
     for s in reached:
         a, b = vector[s], check[s]
@@ -723,15 +684,19 @@ def check_determinacy(
     result = runner(game, target_set, direction, tol, max_iters)
     if not result.converged:
         raise ModelError("determinacy check needs a converged solve")
-    profile1, profile2 = (
-        {s: a for s, a in result.strategy.items() if game.owner[s] == player} for player in game.players
+    # each side pinned to its strategy in a view that only drops moves, so
+    # shares the cached SCCs
+    strategy = result.strategy
+    guaranteed1, guaranteed2 = (
+        runner(
+            game.derive(moves=tuple(
+                tuple(m for m in ms if m.label == strategy[s]) if s in strategy and game.owner[s] == player else ms
+                for s, ms in enumerate(game.moves)
+            )),
+            target_set, direction, tol, max_iters,
+        ).initial_value
+        for player in game.players
     )
-    guaranteed1 = runner(
-        restrict_to_profile(game, profile1), target_set, direction, tol, max_iters
-    ).initial_value
-    guaranteed2 = runner(
-        restrict_to_profile(game, profile2), target_set, direction, tol, max_iters
-    ).initial_value
     # With player 1 pinned, the free opponent drives the value to player 1's
     # guarantee (the pessimistic optimization order); pinning player 2 gives
     # the optimistic one. Return (pessimistic, optimistic) for player 1.

@@ -7,6 +7,8 @@ signature, so a test can swap it in and solve the same game both ways.
 """
 
 import math
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from tptg.errors import ModelError
@@ -31,14 +33,15 @@ def global_sweep(
         residual = 0.0
         for s in active:
             old = values[s]
+            # branches added from 0 in order, as `sum` did before Python 3.12 compensated
             if prices:
                 new = opt[s](
-                    m.price + sum(p * values[t] for t, p in m.branches)
+                    m.price + reduce(add, (p * values[t] for t, p in m.branches), 0)
                     for m in moves[s]
                 )
             else:
                 new = opt[s](
-                    sum(p * values[t] for t, p in m.branches) for m in moves[s]
+                    reduce(add, (p * values[t] for t, p in m.branches), 0) for m in moves[s]
                 )
             if new < old - _MONOTONE_SLACK:
                 raise ModelError(f"non-monotone sweep at state {s}: {old} -> {new}")

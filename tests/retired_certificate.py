@@ -2,11 +2,12 @@
 
 This is the optimality certificate the solver used before it evaluated the
 induced chain on the chosen move indices. It pins the profile in a copy of
-the game (`restrict_to_profile`), re-solves the copy with the full
-qualitative analysis and value kernel, and compares on the states a forward
-search from the initial state reaches. It is kept here, unchanged in
-behaviour, as a differential oracle for :func:`tptg.solver._certify`; it
-takes the profile as move labels, not move indices.
+the game (`restrict_to_profile`, a fresh `Tsg` that decomposes itself),
+re-solves the copy with the full qualitative analysis and value kernel, and
+compares on the states a forward search from the initial state reaches. It
+is kept here, unchanged in behaviour, as a differential oracle for
+:func:`tptg.solver._certify`; it takes the profile as move labels, not move
+indices.
 """
 
 import math
@@ -22,8 +23,23 @@ from tptg.solver import (
     _opt_for,
     _target_set,
     qualitative_reach,
-    restrict_to_profile,
 )
+
+
+def restrict_to_profile(game: Tsg, profile: dict[int, str]) -> Tsg:
+    """Game where states in `profile` keep only their selected move."""
+    new_moves = (
+        tuple(m for m in moves if m.label == profile[s]) if s in profile else moves
+        for s, moves in enumerate(game.moves)
+    )
+    return Tsg(
+        states=game.states,
+        initial=game.initial,
+        players=game.players,
+        owner=game.owner,
+        moves=tuple(new_moves),
+        labels=game.labels,
+    )
 
 
 def chain_reachable(game: Tsg, profile: dict[int, str]) -> list[int]:

@@ -14,6 +14,8 @@ that the oracle does not depend on the solver's SCC-local reverse maps.
 """
 
 import math
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence, Union
 
 from tptg.errors import ModelError
@@ -252,14 +254,15 @@ def _iterate(
         residual = 0.0
         for s in states:
             old = values[s]
+            # branches added from 0 in order, as `sum` did before Python 3.12 compensated
             if prices:
                 new = opt[s](
-                    m.price + sum(p * values[t] for t, p in m.branches)
+                    m.price + reduce(add, (p * values[t] for t, p in m.branches), 0)
                     for m in moves[s]
                 )
             else:
                 new = opt[s](
-                    sum(p * values[t] for t, p in m.branches) for m in moves[s]
+                    reduce(add, (p * values[t] for t, p in m.branches), 0) for m in moves[s]
                 )
             if new < old - _MONOTONE_SLACK:
                 raise ModelError(f"non-monotone sweep at state {s}: {old} -> {new}")

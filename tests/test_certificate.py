@@ -1,5 +1,6 @@
 """The certificate on chosen move indices against the retired one kept in
-`retired_certificate.py`, and solves that must build no game copy.
+`retired_certificate.py`, and the views the certificate and the determinacy
+check solve, which must share the game's decomposition.
 
 Both certificates must accept and refuse alike, with the same deviation in
 the message, on synthesized profiles and on profiles with one optimal move
@@ -7,6 +8,7 @@ swapped for a worse one; the perturbed profiles must be refused. Among the
 chains compared are ones that break a cached cyclic SCC into other SCCs.
 """
 
+import dataclasses
 import importlib.resources
 import itertools
 import random
@@ -17,7 +19,7 @@ import tptg
 from tptg import ModelError, casestudies
 from tptg.cli import main, run_property
 from tptg.game import move_successors, strongly_connected
-from tptg.solver import _certify, _opt_for
+from tptg.solver import _certify, _opt_for, check_determinacy
 
 import retired_certificate
 from retired_solver import _backup
@@ -181,12 +183,41 @@ TASKGRAPH_TIME = [
 ]
 
 
-def test_a_solve_builds_no_game_copy(monkeypatch, capsys):
-    def refuse(*args):
-        raise AssertionError("a solve copied the game")
+def test_certificates_and_pinned_solves_share_the_game_decomposition(monkeypatch, capsys):
+    # the certificate's induced chain and check_determinacy's pinned sides
+    # are views that only drop moves, so they take the game's own cached SCCs
+    built, passed, searches = [], [], []
+    property_game, pass_of = tptg.cli.property_game, tptg.solver._pass
 
-    monkeypatch.setattr(tptg.solver, "restrict_to_profile", refuse)
+    def record_game(*args, **kwargs):
+        built.append(property_game(*args, **kwargs))
+        return built[-1]
+
+    def record_pass(game, *args):
+        passed.append(game)
+        return pass_of(game, *args)
+
+    monkeypatch.setattr(tptg.cli, "property_game", record_game)
+    monkeypatch.setattr(tptg.solver, "_pass", record_pass)
     fig1 = str(importlib.resources.files("tptg") / "models" / "fig1.tptg")
     assert main(["check", fig1]) == 0
+    passed.clear()
     assert main(["check", *TASKGRAPH_TIME]) == 0
     assert capsys.readouterr().out.count("converged=true") == 4
+    objective, game = built[-1]
+    solved, chain = passed
+    assert solved is game and chain is not game
+    assert vars(chain)["components"] is game.components
+    assert all(len(ms) <= 1 for ms in chain.moves)
+
+    def search(*args):
+        searches.append(args)
+        return strongly_connected(*args)
+
+    monkeypatch.setattr(tptg.game, "strongly_connected", search)
+    monkeypatch.setattr(tptg.solver, "strongly_connected", search)
+    fresh = dataclasses.replace(game)  # not yet decomposed
+    value = tptg.expected_price(game, objective.target, objective.direction).initial_value
+    bracket = check_determinacy(fresh, objective.target, objective.kind, objective.direction)
+    assert len(searches) == 1
+    assert bracket == (value, value)

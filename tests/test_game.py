@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import random
 
 import pytest
@@ -193,6 +194,26 @@ def test_json_import_names_a_missing_key():
     data["transitions"][0]["from"] = -1
     with pytest.raises(ModelError, match="transition from invalid state -1"):
         from_json_dict(data)
+
+
+def test_json_import_refuses_non_finite_prices_and_malformed_numbers():
+    # a NaN price is not < 0, so it once passed validation and solved to nan;
+    # a malformed number once escaped from float() as a bare ValueError
+    data = json.loads(tptg.to_json(make_game([[Move("a", ((1, 1.0),))], []], owner=[1, 2])))
+    for price in (math.nan, math.inf, -1.0):
+        data["transitions"][0]["price"] = price
+        with pytest.raises(ModelError) as caught:
+            tptg.from_json(json.dumps(data))
+        assert str(caught.value) == (
+            f"game JSON fails validation: state 0, action 'a': price {price!r} is not a finite number >= 0"
+        )
+    for key, bad in (("price", "cheap"), ("price", None), ("prob", "1/2")):
+        entry = json.loads(tptg.to_json(make_game([[Move("a", ((1, 1.0),))], []], owner=[1, 2])))
+        record = entry["transitions"][0]
+        (record if key == "price" else record["branches"][0])[key] = bad
+        with pytest.raises(ModelError) as caught:
+            from_json_dict(entry)
+        assert str(caught.value) == f"game JSON has a malformed number {bad!r}"
 
 
 def test_path_validates_support():
