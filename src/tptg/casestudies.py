@@ -8,7 +8,7 @@ Probabilities are inlined as exact rationals.
 from fractions import Fraction
 from typing import Union
 
-from .dsl import ModelSource, parse
+from .dsl import ModelSource, _print_rational, parse
 from .elaborate import to_tptg
 from .errors import ModelError
 from .model import Tptg
@@ -43,10 +43,6 @@ def _rational(value: RationalLike, what: str) -> Fraction:
         raise ModelError(f"{what}: {exc}") from None
 
 
-def _frac_text(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
 def nonrepudiation_text(
     variant: str = "honest",
     p: RationalLike = Fraction(1, 100),
@@ -76,13 +72,13 @@ def nonrepudiation_text(
     if p == 1:
         ack_branches = "1: {x} & done"
     else:
-        ack_branches = f"{_frac_text(p)}: {{x}} & done + {_frac_text(1 - p)}: {{x}} & send"
+        ack_branches = f"{_print_rational(p)}: {{x}} & done + {_print_rational(1 - p)}: {{x}} & send"
 
     lines = [
         f"// Non-repudiation information transfer, {variant} recipient.",
         "// One shared clock x measures the current message delay and, once",
         "// the message is out, the acknowledgement delay; the round closes",
-        f"// with probability {_frac_text(p)} on each acknowledgement.",
+        f"// with probability {_print_rational(p)} on each acknowledgement.",
         "",
         "player O, R;",
         "clock x;",
@@ -131,8 +127,8 @@ def nonrepudiation_text(
     if malicious:
         lines += [
             "    // guessing commits R: a wrong guess leaves only the timeout",
-            f"    [guess] x <= {AD - 1} -> {_frac_text(p)}: {{}} & has_info"
-            f" + {_frac_text(1 - p)}: {{}} & burned;",
+            f"    [guess] x <= {AD - 1} -> {_print_rational(p)}: {{}} & has_info"
+            f" + {_print_rational(1 - p)}: {{}} & burned;",
         ]
         if variant == "malicious2":
             lines.append(
@@ -218,7 +214,7 @@ def taskgraph_text(k1: int = 0, k2: int = 0, p: RationalLike = 1) -> str:
 
     lines = [
         f"// Two-processor task-graph scheduling with fault budgets k1={k1}, k2={k2}",
-        f"// and fault-failure probability {_frac_text(p)}.",
+        f"// and fault-failure probability {_print_rational(p)}.",
         "// Scheduling decisions are instantaneous: the deciding locations pin",
         "// the clock of the processor whose completion triggered them to zero.",
         "",
@@ -306,8 +302,8 @@ def taskgraph_text(k1: int = 0, k2: int = 0, p: RationalLike = 1) -> str:
                     outcome = f"1: {{{clock}}} & busy{proc}_{t}"
                 else:
                     outcome = (
-                        f"{_frac_text(p)}: {{{clock}}} & busy{proc}_{t}"
-                        f" + {_frac_text(1 - p)}: {{}} & busy{proc}_{t}"
+                        f"{_print_rational(p)}: {{{clock}}} & busy{proc}_{t}"
+                        f" + {_print_rational(1 - p)}: {{}} & busy{proc}_{t}"
                     )
                 lines.append(f"    [fault{proc}] true -> {outcome};")
             for s in task_ids:

@@ -624,15 +624,10 @@ def parse(text: str) -> ModelSource:
 
 def parse_property(text: str, source: ModelSource) -> PropertyAst:
     """Parse a single property written in the property mini-language."""
-    parser = _Parser("")
-    parser.tokens = list(lex(f"prop {text} ;"))
+    parser = _Parser(f"prop {text} ;")
     # properties may reference players and labels of an existing model
     parser.players = list(source.players)
-    parser.pos = 0
-    try:
-        parser.prop_def()
-    except ParseError:
-        raise
+    parser.prop_def()
     return parser.props[0]
 
 

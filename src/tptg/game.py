@@ -321,7 +321,8 @@ def to_json(game: Tsg) -> str:
 
 def from_json_dict(data: dict) -> Tsg:
     """Import a game in the interchange schema; raises ModelError on a missing
-    key, a malformed number or a game that fails `Tsg.validate`."""
+    key, a wrongly typed record, a malformed number or a game that fails
+    `Tsg.validate`."""
     try:
         state_records = data["states"]
         initial = data["initial"]
@@ -340,12 +341,15 @@ def from_json_dict(data: dict) -> Tsg:
             time, action = parse_move_label(entry["action"])
             branches = tuple((b["to"], _number(b["prob"])) for b in entry["branches"])
             moves[source].append(Move(action, branches, _number(entry.get("price", 0.0)), time))
+        players = tuple(data.get("players", dict.fromkeys(owner)))
     except KeyError as missing:
         raise ModelError(f"game JSON is missing key {missing}") from None
+    except (TypeError, AttributeError) as wrong:
+        raise ModelError(f"game JSON has a wrongly typed record: {wrong}") from None
     game = Tsg(
         states=tuple(range(n)),
         initial=initial,
-        players=tuple(data.get("players", dict.fromkeys(owner))),
+        players=players,
         owner=owner,
         moves=tuple(tuple(ms) for ms in moves),
         labels={name: frozenset(members) for name, members in labels.items()},

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
-from .clocks import GE, LE, TRUE, ClockConstraint, clock_le
+from .clocks import GE, TRUE, ClockConstraint, clock_le
 from .errors import ModelError
 from .game import strongly_connected
 
@@ -149,7 +149,7 @@ def validate_assumptions(model: Tptg) -> list[Diagnostic]:
 
     Errors: some clock is not upper-bounded in some invariant (observer
     clocks registered in `clock_caps` are exempt), an invariant, guard or
-    label guard has a non-closed atom or one on an unknown clock, a
+    label guard has an atom on an unknown clock, a
     distribution is sub- or super-stochastic, or the enabling/transition
     domains disagree. A structural loop that never resets a clock and has
     no positive lower-bound guard yields a warning (possible time-convergent
@@ -171,10 +171,6 @@ def validate_assumptions(model: Tptg) -> list[Diagnostic]:
     guards = [(f"label {name!r}", label.guard) for name, label in model.labels.items()]
     for where, constraint in list(model.invariants.items()) + list(model.enabling.items()) + guards:
         for atom in constraint.atoms:
-            if atom.op not in (LE, GE):
-                diags.append(
-                    Diagnostic("error", f"{where}", f"non-closed atom {atom}")
-                )
             if atom.clock not in model.clocks:
                 diags.append(
                     Diagnostic("error", f"{where}", f"atom on unknown clock {atom.clock!r}")

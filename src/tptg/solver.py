@@ -5,25 +5,28 @@ A solve is one successors-first pass over the strongly connected components
 cycle gets one visit, from its successors' final data, in which one walk of
 each move's positive branches gives its backup in binary64 and its work
 towards the round in which the whole-game almost-sure loop would drop the
-state, unpinned and, for expected price, with the payer pinned (pinning
-leaves the avoiding side's moves alone). The round gives the probability-0
-and -1 sets and the avoiding side's spoilers; the backups its value and a
-one-step-optimal move, ties broken towards the (delay, action)-smallest, but
-the reaching side's towards the earliest layer of the attractor of the
-target. A cyclic SCC runs the almost-sure loop on its states, Gauss-Seidel
-sweeps the SCCs of its undecided states until one sweep changes less than
-the tolerance, and layers its states from its exits' layers. An
-expected-price solve is refused when the payer's pinned moves do not force
+state. The round gives the probability-0 and -1 sets and the avoiding side's
+spoilers; the backups its value and a one-step-optimal move, ties broken
+towards the (delay, action)-smallest, but the reaching side's towards the
+earliest layer of the attractor of the target. A cyclic SCC runs the
+almost-sure loop on its states, Gauss-Seidel sweeps the SCCs of its
+undecided states until one sweep changes less than the tolerance, and layers
+its states from its exits' layers. Strategies are pinned by views of the
+game that only drop moves, and each view is evaluated by the same pass. An
+expected-price solve is refused when the payer's chosen moves do not force
 the target almost surely from every finite-valued state (values iterated
-from below credit a zero-price cycle as free); the certificate runs the
-same pass on the induced Markov chain, a view of the game with one chosen
-move per reached state and none elsewhere, whose values must match on the
-reached states within ``10 * tol``. `check_determinacy` pins each side in
-the same kind of view. A view that only drops moves shares the cached SCCs;
-an SCC marked cyclic may then have no cycle, which the almost-sure loop and
-the sweeps' own re-split handle. No reverse index spans the game: the
-almost-sure rounds and tie-settling layers run one layered `_attractor`
-over a map of one cyclic SCC's moves.
+from below credit a zero-price cycle as free): the qualitative pass on the
+view keeping only the payer's chosen moves must put every such state in its
+probability-1 set. A solve skips that check on a game with no cyclic SCC,
+where its own values cannot stall; `synthesize`, handed any values, always
+runs it. The certificate runs the pass on the induced Markov chain, a view
+with one chosen move per reached state and none elsewhere, whose values must
+match on the reached states within ``10 * tol``. `check_determinacy` pins
+each side in the same kind of view. A view that only drops moves shares the
+cached SCCs; an SCC marked cyclic may then have no cycle, which the
+almost-sure loop and the sweeps' own re-split handle. No reverse index spans
+the game: the almost-sure rounds and tie-settling layers run one layered
+`_attractor` over a map of one cyclic SCC's moves.
 """
 
 import math
@@ -81,9 +84,6 @@ class SolveResult:
     prob0: frozenset[int] | None = None
     prob1: frozenset[int] | None = None
     warnings: list[str] = field(default_factory=list)
-    #: spoiling move index per state the payer cannot force the target from
-    #: (expected price only; not serialized)
-    spoilers: dict[int, int] | None = None
     #: value backups a prob-reach or exp-price solve performed (not serialized)
     backups: int = 0
 
@@ -190,11 +190,11 @@ def _spoiler(moves: Sequence[Move], e, rounds: list) -> int:
     return _smallest(moves, leave)
 
 
-def _cyclic_rounds(game, states, targets, reacher, pin, rounds):
+def _cyclic_rounds(game, states, targets, reacher, rounds):
     """Set the drop rounds of one cyclic SCC whose exits have theirs: round r
     of the almost-sure loop shrinks the candidates to the attractor of
-    `targets` over the moves (of `pin` only) that stay among them. Once the
-    last exit has dropped, the first round that drops nothing is final."""
+    `targets` over the moves that stay among them. Once the last exit has
+    dropped, the first round that drops nothing is final."""
     moves = game.moves
     inside = set(states)
     preds = _predecessors(moves, states)
@@ -210,12 +210,11 @@ def _cyclic_rounds(game, states, targets, reacher, pin, rounds):
         r += 1
         usable = {}
         for s in candidate:
-            allowed = (pin[s],) if s in pin else range(len(moves[s]))
             stay = {
-                mi for mi in allowed
-                if all(rounds[t] >= r for t, p in moves[s][mi].branches if p > 0)
+                mi for mi, m in enumerate(moves[s])
+                if all(rounds[t] >= r for t, p in m.branches if p > 0)
             }
-            if s in exists or len(stay) == len(allowed):
+            if s in exists or len(stay) == len(moves[s]):
                 usable[s] = stay
         live = dict.fromkeys(seeds + [t for t in exits if rounds[t] > r], 0)
         dropped = candidate.difference(_attractor(preds, live, exists, usable)[0])
@@ -233,7 +232,7 @@ def qualitative_reach(
     _check_two_players(game)
     target_set = _target_set(game, targets)
     # no sweep: the pass stops at drop rounds and starting values
-    result, _, _, _ = _pass(game, Objective("prob-reach", direction, target_set), target_set, 0.0, 0)
+    result = _pass(game, Objective("prob-reach", direction, target_set), target_set, 0.0, 0)[0]
     return result.prob0, result.prob1
 
 
@@ -279,7 +278,7 @@ def _solve(game, kind, targets, direction, tol, max_iters) -> SolveResult:
     target_set = _target_set(game, targets)
     # objectives carry either the label name or the explicit state set
     objective = Objective(kind, direction, targets if isinstance(targets, str) else target_set)
-    result, choice, _, pinned = _pass(game, objective, target_set, tol, max_iters)
+    result, choice, _ = _pass(game, objective, target_set, tol, max_iters)
     stuck = sum(1 for s, moves in enumerate(game.moves) if not moves and s not in target_set)
     infinite = len(game.states) - len(result.prob1)
     treatment = "infinite price" if kind == "exp-price" else "probability 0"
@@ -290,7 +289,10 @@ def _solve(game, kind, targets, direction, tol, max_iters) -> SolveResult:
             f"their expected price is infinite"
         )
     if result.converged:
-        p1, p2 = _profiles(game, objective, result.values, choice, pinned, tol)
+        # with its own values a game with no cycle cannot stall: each finite
+        # value is backed up from finite-valued successors, successors first
+        cyclic = any(c for _, c in game.components)
+        p1, p2 = _profiles(game, objective, result.values, choice, tol, stall_check=cyclic)
         result.strategy = {**p1, **p2}
     else:
         result.warnings.append("value iteration did not converge; no strategy synthesized")
@@ -397,9 +399,8 @@ def _optimal(backups: list[float], best: float, tol: float) -> list[int]:
 
 def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=None):
     """The one successors-first visit of `game.components` behind a solve:
-    the result without warnings or strategy, the chosen move index per state,
-    the drop rounds and, for expected price, those with the reaching side
-    pinned to its choice. With `fixed`, the values are held at that vector.
+    the result without warnings or strategy, the chosen move index per state
+    and the drop rounds. With `fixed`, the values are held at that vector.
     After a cyclic SCC ends above `tol`, the pass gives rounds and start values.
     """
     prices = objective.kind == "exp-price"
@@ -415,97 +416,84 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
     converged = not live or max_iters >= 1  # until an SCC hits the cap
     most, worst = (1, 0.0) if converged else (0, inf)
     backups = 0
-    rounds, pinned = [0] * n, [0] * n
+    rounds = [0] * n
     layer = [0 if s in target_set else inf for s in range(n)]
     choice: dict[int, int] = {}
-    spoilers: dict[int, int] = {}
     for states, cyclic in game.components:
         if not cyclic:
             # one loop over the moves and one walk of each one's positive branches:
             # its work, min(min e, max e - 1) over their drop rounds e (0 with none;
             # the reaching side drops after its best move stops working, the other
-            # after its first), its work over the pinned rounds, and its backup
+            # after its first), and its backup
             s = states[0]
             ms = moves[s]
             target = s in target_set
             reaching = owner[s] == reacher
-            works = stays = 0 if reaching or not ms else inf
-            step, paid = [], []  # backups; the reaching side's pinned work per move
+            works = 0 if reaching or not ms else inf
+            step = []  # backups
             for m in ms:
                 branches = m.branches
                 if len(branches) == 1 and branches[0][1] > 0:
                     t, p = branches[0]
-                    work, stay, backup = rounds[t] - 1, pinned[t] - 1, p * values[t]
+                    work, backup = rounds[t] - 1, p * values[t]
                 else:
-                    lo = plo = inf
-                    hi = phi = 1  # rounds are >= 1
+                    lo = inf
+                    hi = 1  # rounds are >= 1
                     backup = 0  # as `_backups` adds
                     for t, p in branches:
                         if p > 0:
                             backup += p * values[t]
-                            e, f = rounds[t], pinned[t]
+                            e = rounds[t]
                             lo, hi = (e if e < lo else lo), (e if e > hi else hi)
-                            plo, phi = (f if f < plo else plo), (f if f > phi else phi)
-                    work, stay = lo if lo < hi else hi - 1, plo if plo < phi else phi - 1
+                    work = lo if lo < hi else hi - 1
                 step.append(m.price + backup if prices else backup)
                 if reaching:
-                    paid.append(stay)
                     if work > works:
                         works = work
-                else:
-                    if work < works:
-                        works = work
-                    if stay < stays:
-                        stays = stay
+                elif work < works:
+                    works = work
             e = rounds[s] = inf if target else works + 1
-            if prices and e != inf and not reaching and ms:
-                spoilers[s] = _spoiler(ms, e, rounds)
             if live:
                 values[s] = (0.0 if e == inf else inf) if prices else (1.0 if e == inf else 0.0)
-            if not converged:
+            if not converged or not ms:
                 continue
-            if ms:
-                best = opt[s](step)
-                if live and ((e == inf and not target) if prices else 1 < e < inf):
-                    _update(values, s, best)
-                    backups += 1
-                c = 0
-                if len(ms) > 1:  # the tied moves, as `_optimal` finds them
-                    slack = 0.0 if math.isinf(best) else 2 * tol * max(1.0, abs(best))
-                    tied = [i for i, b in enumerate(step) if b == best or abs(b - best) <= slack]
-                    c = tied[0]
-                    if len(tied) > 1:
-                        # the (delay, action)-smallest, the earliest on equal keys; the
-                        # reaching side settles on a tied move into the earliest layer
-                        settle = reaching and not target
-                        key = (inf, inf, "")  # above every (layer, delay, action) key
-                        for i in tied:
-                            m = ms[i]
-                            low = inf if settle else 0
-                            for t, p in m.branches if settle else ():
-                                if p > 0 and layer[t] < low:
-                                    low = layer[t]
-                            k = (low, m.time or 0, m.action)
-                            if k < key:
-                                c, key = i, k
-                if not target:
-                    low = inf
-                    for t, p in ms[c].branches:
-                        if p > 0 and layer[t] < low:
-                            low = layer[t]
-                    layer[s] = low + 1
-                if prices and s in spoilers and math.isinf(values[s]):
-                    c = spoilers[s]  # the avoider witnesses the infinity
-                choice[s] = c
-            if prices:  # the payer's pinned round is its chosen move's
-                pinned[s] = inf if target else 1 + (max(paid[c], 0) if reaching and ms else stays)
+            best = opt[s](step)
+            if live and ((e == inf and not target) if prices else 1 < e < inf):
+                _update(values, s, best)
+                backups += 1
+            c = 0
+            if len(ms) > 1:  # the tied moves, as `_optimal` finds them
+                slack = 0.0 if math.isinf(best) else 2 * tol * max(1.0, abs(best))
+                tied = [i for i, b in enumerate(step) if b == best or abs(b - best) <= slack]
+                c = tied[0]
+                if len(tied) > 1:
+                    # the (delay, action)-smallest, the earliest on equal keys; the
+                    # reaching side settles on a tied move into the earliest layer
+                    settle = reaching and not target
+                    key = (inf, inf, "")  # above every (layer, delay, action) key
+                    for i in tied:
+                        m = ms[i]
+                        low = inf if settle else 0
+                        for t, p in m.branches if settle else ():
+                            if p > 0 and layer[t] < low:
+                                low = layer[t]
+                        k = (low, m.time or 0, m.action)
+                        if k < key:
+                            c, key = i, k
+            if not target:
+                low = inf
+                for t, p in ms[c].branches:
+                    if p > 0 and layer[t] < low:
+                        low = layer[t]
+                layer[s] = low + 1
+            if prices and e != inf and not reaching and math.isinf(values[s]):
+                c = _spoiler(ms, e, rounds)  # the avoider witnesses the infinity
+            choice[s] = c
             continue
-        _cyclic_rounds(game, states, target_set, reacher, {}, rounds)
+        _cyclic_rounds(game, states, target_set, reacher, rounds)
         active = []
         for s in states:
             e = rounds[s]
-            if prices and e != inf and owner[s] != reacher and moves[s]:
-                spoilers[s] = _spoiler(moves[s], e, rounds)
             if live:
                 values[s] = (0.0 if e == inf else inf) if prices else (1.0 if e == inf else 0.0)
                 if (e == inf and s not in target_set) if prices else 1 < e < inf:
@@ -531,23 +519,18 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
             layer[s] = k
             if s in exists and s in hits:
                 choice[s] = _smallest(moves[s], hits[s])
-        if prices:
-            pin = {}
-            for s in states:
-                if s in spoilers and math.isinf(values[s]):
-                    # at infinite-value states the avoider must witness the infinity
-                    choice[s] = spoilers[s]
-                elif owner[s] == reacher and s in choice:
-                    pin[s] = choice[s]
-            _cyclic_rounds(game, states, target_set, reacher, pin, pinned)
+        for s in states:
+            e = rounds[s]
+            if prices and e != inf and owner[s] != reacher and moves[s] and math.isinf(values[s]):
+                # at infinite-value states the avoider must witness the infinity
+                choice[s] = _spoiler(moves[s], e, rounds)
     result = SolveResult(
         objective, values, values[game.initial], most, worst, converged,
         prob0=None if prices else frozenset(s for s, e in enumerate(rounds) if e == 1),
         prob1=frozenset(s for s, e in enumerate(rounds) if e == inf),
-        spoilers=spoilers if prices else None,
         backups=backups,
     )
-    return result, choice, rounds, pinned
+    return result, choice, rounds
 
 
 def synthesize(
@@ -575,18 +558,25 @@ def synthesize(
     if objective.kind not in ("prob-reach", "exp-price"):
         raise ModelError(f"no memoryless synthesis for kind {objective.kind!r}")
     target_set = _target_set(game, objective.target)
-    result, choice, _, pinned = _pass(game, objective, target_set, tol, 0, list(values))
-    return _profiles(game, objective, result.values, choice, pinned, tol)
+    result, choice, _ = _pass(game, objective, target_set, tol, 0, list(values))
+    return _profiles(game, objective, result.values, choice, tol, stall_check=True)
 
 
-def _profiles(game: Tsg, objective: Objective, values, choice, pinned, tol: float):
+def _profiles(game: Tsg, objective: Objective, values, choice, tol: float, stall_check: bool):
     """A converged pass's choice as a profile pair, once it passes the stall
-    check and the certificate."""
-    if objective.kind == "exp-price":
+    check (if asked) and the certificate."""
+    if stall_check and objective.kind == "exp-price":
         # iteration from below credits zero-price cycles as free; its values
         # are the game's when the payer's profile forces the target almost
-        # surely from every finite-valued state
-        stalled = [s for s, v in enumerate(values) if not math.isinf(v) and pinned[s] != math.inf]
+        # surely from every finite-valued state, which the qualitative pass
+        # decides on a view keeping only the payer's chosen moves
+        payer = game.players[1 - _reach_maximizer(objective.direction)]
+        view = game.derive(moves=tuple(
+            (ms[choice[s]],) if s in choice and game.owner[s] == payer else ms
+            for s, ms in enumerate(game.moves)
+        ))
+        forced = _pass(view, objective, _target_set(game, objective.target), 0.0, 0)[0].prob1
+        stalled = [s for s, v in enumerate(values) if not math.isinf(v) and s not in forced]
         if stalled:
             raise ModelError(
                 f"expected price is ill-posed here: the minimizing side can stall at "

@@ -1,0 +1,152 @@
+"""Differential dump of solver outcomes on seeded random games.
+
+Run as ``python tests/differential.py OUT`` on two trees and compare the two
+files (or the md5 it prints): a change that must keep every outcome writes
+the same bytes. One line per record: values as hex, ``prob0``, ``prob1``,
+``iterations``, ``residual``, ``converged``, strategy, warnings and
+``backups`` of each ``prob_reach`` and ``expected_price`` solve, or its
+refusal message; the profile pair ``synthesize`` extracts from the solve's
+own values, or its refusal; ``bounded_expected_price`` at horizon 5; and
+``check_determinacy`` brackets. It uses the public API only, so it runs on
+any tree that has it. The file name keeps pytest from collecting it.
+"""
+
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from tptg import ModelError, Move, make_game  # noqa: E402
+from tptg.solver import (  # noqa: E402
+    DIRECTIONS,
+    Objective,
+    bounded_expected_price,
+    check_determinacy,
+    expected_price,
+    prob_reach,
+    synthesize,
+)
+
+from gamegen import random_game  # noqa: E402
+
+SOLVERS = (("prob-reach", prob_reach), ("exp-price", expected_price))
+
+
+def _hex(values) -> str:
+    return ",".join(float(v).hex() for v in values)
+
+
+def _states(states) -> str:
+    return "-" if states is None else ",".join(map(str, sorted(states)))
+
+
+def _solve_records(key: str, game, tol: float):
+    """The solve, then synthesis from its own values, per kind and direction."""
+    for kind, solver in SOLVERS:
+        for direction in DIRECTIONS:
+            tag = f"{key} {kind} {direction} tol={tol!r}"
+            try:
+                r = solver(game, "goal", direction, tol)
+            except ModelError as exc:
+                yield f"{tag} refused: {exc}"
+                continue
+            strategy = None if r.strategy is None else sorted(r.strategy.items())
+            yield (
+                f"{tag} values={_hex(r.values)} prob0={_states(r.prob0)} prob1={_states(r.prob1)} "
+                f"iterations={r.iterations} residual={float(r.residual).hex()} converged={r.converged} "
+                f"strategy={strategy} warnings={r.warnings} backups={r.backups}"
+            )
+            if not r.converged:
+                continue
+            try:
+                profiles = synthesize(game, Objective(kind, direction, "goal"), r.values, tol)
+            except ModelError as exc:
+                yield f"{tag} synthesize refused: {exc}"
+            else:
+                yield f"{tag} synthesize {profiles}"
+
+
+def _bounded_records(key: str, game):
+    for direction in DIRECTIONS:
+        yield f"{key} bounded {direction} {_hex(bounded_expected_price(game, 'goal', 5, direction))}"
+
+
+def _bracket_records(key: str, game, tol: float):
+    for kind, _ in SOLVERS:
+        for direction in DIRECTIONS:
+            tag = f"{key} bracket {kind} {direction} tol={tol!r}"
+            try:
+                yield f"{tag} {_hex(check_determinacy(game, 'goal', kind, direction, tol))}"
+            except ModelError as exc:
+                yield f"{tag} refused: {exc}"
+
+
+def records():
+    # seeded sets: (seeds, games per seed, max_states, min_price, max_price, tols)
+    for seeds, count, size, low, high, tols in (
+        (range(10, 40), 60, 6, 0, 2, (1e-12,)),
+        (range(1, 11), 60, 8, 1, 5, (1e-12,)),
+        (range(100, 105), 40, 10, 0, 5, (1e-12,)),
+    ):
+        for seed in seeds:
+            rng = random.Random(seed)
+            for i in range(count):
+                game = random_game(rng, max_states=size, min_price=low, max_price=high)
+                key = f"s{seed} g{i} n{size} p{low}-{high}"
+                for tol in tols:
+                    yield from _solve_records(key, game, tol)
+                yield from _bounded_records(key, game)
+    for acyclic in (False, True):
+        for seed in range(1000, 1040):
+            rng = random.Random(seed)
+            for i in range(40):
+                game = random_game(rng, max_states=8, min_price=0, max_price=3, acyclic=acyclic)
+                key = f"s{seed} g{i} n8 p0-3 acyclic={acyclic}"
+                for tol in (1e-8, 1e-12):
+                    yield from _solve_records(key, game, tol)
+                yield from _bounded_records(key, game)
+    # the known certificate refusals at the default tolerance
+    for seed, index in ((15, 10), (36, 14)):
+        rng = random.Random(seed)
+        for _ in range(index + 1):
+            game = random_game(rng, max_states=6, min_price=0, max_price=2)
+        yield from _solve_records(f"s{seed} g{index} default", game, 1e-8)
+    # a zero-price choice into a dead end, priced from a caller's vector on
+    # an acyclic game: the stall check must still refuse it
+    dead_end = make_game(
+        [[Move("a", ((1, 1.0),), 1.0)], [Move("x", ((2, 1.0),), 0.0), Move("y", ((3, 1.0),), 0.0)], [], []],
+        owner=[1, 2, 1, 1], labels={"goal": {2}}, players=(1, 2),
+    )
+    try:
+        profiles = synthesize(dead_end, Objective("exp-price", "maxmin", "goal"), [1.0, 0.0, 0.0, 0.0])
+        yield f"dead end synthesize {profiles}"
+    except ModelError as exc:
+        yield f"dead end synthesize refused: {exc}"
+    # determinacy brackets, alternately on acyclic games and at two tolerances
+    for seed in range(200, 250):
+        rng = random.Random(seed)
+        for i in range(50):
+            game = random_game(rng, max_states=8, min_price=0, max_price=3, acyclic=i % 2 == 1)
+            yield from _bracket_records(f"s{seed} g{i} n8 p0-3", game, 1e-8 if i % 4 < 2 else 1e-10)
+
+
+def main(argv):
+    if len(argv) != 2:
+        print("usage: python tests/differential.py OUT", file=sys.stderr)
+        return 2
+    digest = hashlib.md5()
+    count = 0
+    with open(argv[1], "w") as out:
+        for line in records():
+            line += "\n"
+            out.write(line)
+            digest.update(line.encode())
+            count += 1
+    print(f"{count} records, md5 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

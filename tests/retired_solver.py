@@ -11,6 +11,10 @@ kept here, unchanged in behaviour, as a differential oracle. `_iterate` and
 another value kernel for both. Its attractor reads the whole-game reverse
 index the games once cached, copied here (`predecessors`, `_attractor`) so
 that the oracle does not depend on the solver's SCC-local reverse maps.
+Its almost-sure search of a cyclic SCC is the solver's as it was when it
+still took the reaching side's pinned moves (`_cyclic_rounds`, copied here
+with the solver's layered attractor and SCC-local map), since the solver
+now pins by a view of the game instead.
 """
 
 import math
@@ -28,13 +32,14 @@ from tptg.solver import (
     SolveResult,
     _check_tol,
     _check_two_players,
-    _cyclic_rounds,
     _opt_for,
+    _predecessors,
     _reach_maximizer,
     _smallest,
     _target_set,
     bounded_expected_price,
 )
+from tptg.solver import _attractor as _layered_attractor
 
 
 def predecessors(game: Tsg) -> list[list[tuple[int, int]]]:
@@ -84,6 +89,42 @@ def _attractor(
                 member[s] = hits[s]
                 frontier.append(s)
     return member
+
+
+def _cyclic_rounds(game, states, targets, reacher, pin, rounds):
+    """Set the drop rounds of one cyclic SCC whose exits have theirs: round r
+    of the almost-sure loop shrinks the candidates to the attractor of
+    `targets` over the moves (of `pin` only) that stay among them. Once the
+    last exit has dropped, the first round that drops nothing is final."""
+    moves = game.moves
+    inside = set(states)
+    preds = _predecessors(moves, states)
+    exits = [t for t in preds if t not in inside]
+    last = max((rounds[t] for t in exits if rounds[t] != math.inf), default=0)
+    exists = {s for s in states if game.owner[s] == reacher}
+    seeds = [s for s in states if s in targets]
+    for s in states:
+        rounds[s] = math.inf
+    candidate = set(states)
+    r = 0
+    while True:
+        r += 1
+        usable = {}
+        for s in candidate:
+            allowed = (pin[s],) if s in pin else range(len(moves[s]))
+            stay = {
+                mi for mi in allowed
+                if all(rounds[t] >= r for t, p in moves[s][mi].branches if p > 0)
+            }
+            if s in exists or len(stay) == len(allowed):
+                usable[s] = stay
+        live = dict.fromkeys(seeds + [t for t in exits if rounds[t] > r], 0)
+        dropped = candidate.difference(_layered_attractor(preds, live, exists, usable)[0])
+        if not dropped and r > last:
+            return
+        for s in dropped:
+            rounds[s] = r
+        candidate -= dropped
 
 
 def _label_of(targets):
@@ -226,10 +267,9 @@ def _solve_active(
         prob0=prob0,
         prob1=prob1,
         warnings=warnings,
-        spoilers=spoilers,
     )
     if converged:
-        p1, p2 = synthesize(game, objective, result, tol)
+        p1, p2 = synthesize(game, objective, result, tol, spoilers)
         result.strategy = {**p1, **p2}
     else:
         result.warnings.append("value iteration did not converge; no strategy synthesized")
@@ -305,18 +345,18 @@ def synthesize(
     objective: Objective,
     values: Union[SolveResult, Sequence[float]],
     tol: float = DEFAULT_TOL,
+    spoilers: dict[int, int] | None = None,
 ) -> tuple[dict[int, str], dict[int, str]]:
-    """Optimal memoryless deterministic profile pair extracted from values."""
+    """Optimal memoryless deterministic profile pair extracted from values,
+    with the unpinned pass's `spoilers` if the caller has them."""
     _check_two_players(game)
     _check_tol(tol)
     if isinstance(values, SolveResult):
         if not values.converged:
             raise ModelError("refusing to synthesize from non-converged values")
         vector = values.values
-        spoilers = values.spoilers
     else:
         vector = list(values)
-        spoilers = None
     if objective.kind not in ("prob-reach", "exp-price"):
         raise ModelError(f"no memoryless synthesis for kind {objective.kind!r}")
     prices = objective.kind == "exp-price"

@@ -21,10 +21,16 @@ def _drop_rounds(game, targets, reacher, pin=None):
     """Drop rounds SCC by SCC, successors first, all by the solver's search
     for cyclic SCCs, which takes a state on no cycle as its smallest case
     (the pass's closed form for such a state is checked against the retired
-    path below)."""
+    path below). A pin keeps only each pinned state's pinned move, in a view
+    that shares the game's SCCs, as the solver's stall check pins."""
+    components = game.components
+    if pin:
+        game = game.derive(moves=tuple(
+            (ms[pin[s]],) if s in pin else ms for s, ms in enumerate(game.moves)
+        ))
     rounds = [0] * len(game.states)
-    for states, _ in game.components:
-        _cyclic_rounds(game, states, targets, reacher, pin or {}, rounds)
+    for states, _ in components:
+        _cyclic_rounds(game, states, targets, reacher, rounds)
     return rounds
 
 
@@ -111,50 +117,77 @@ def test_every_view_of_the_shipped_sweeps_matches_the_global_loop(monkeypatch, t
 
 
 def test_an_expected_price_solve_runs_one_unpinned_almost_sure_pass(monkeypatch):
-    # the pass takes each state's drop round once, and its round with the
-    # payer pinned to its choice once: both equal the retired path's two
-    # whole-game calls, and so do the spoilers read off them; a cyclic SCC
-    # runs the almost-sure search unpinned, then pinned. Only the passes and
-    # searches on the solved game count, not those of the certificate's view
-    passes, searches = [], []
+    # the pass takes each state's drop round once, as the retired path's
+    # unpinned whole-game call does, and plays the spoilers read off them at
+    # the avoider's infinite-valued states; a cyclic SCC of the game runs the
+    # almost-sure search once. The stall check is the qualitative pass on a
+    # view keeping the payer's chosen moves, with the retired pinned call's
+    # rounds. A solve skips it on a game with no cyclic SCC; there
+    # `synthesize`, which always runs it, shows that the view forces the
+    # target from every finite-valued state, so the skip refuses nothing
+    passes, stalls, searches = [], [], []
     pass_of, search = tptg.solver._pass, tptg.solver._cyclic_rounds
 
-    def recorded(view, *args):
-        out = pass_of(view, *args)
+    def recorded(view, objective, targets, tol, max_iters, *fixed):
+        out = pass_of(view, objective, targets, tol, max_iters, *fixed)
         if view is game:
             passes.append(out)
+        elif max_iters == 0:  # not the certificate's pass
+            stalls.append(out[2])
         return out
 
-    def counted(view, states, targets, reacher, pin, rounds):
+    def counted(view, states, targets, reacher, rounds):
         if view is game:
             searches.append(states)
-        search(view, states, targets, reacher, pin, rounds)
+        search(view, states, targets, reacher, rounds)
 
     monkeypatch.setattr(tptg.solver, "_pass", recorded)
     monkeypatch.setattr(tptg.solver, "_cyclic_rounds", counted)
-    solves = 0
-    infinite = 0
-    for seed in range(10, 40):
-        rng = random.Random(seed)
-        for _ in range(60):
-            game = random_game(rng, max_states=6, min_price=0, max_price=2)
-            targets = game.labels["goal"]
-            cyclic = [states for states, cyclic in game.components if cyclic]
-            for direction in tptg.solver.DIRECTIONS:
-                passes.clear()
-                searches.clear()
-                try:
-                    tptg.expected_price(game, "goal", direction)
-                except tptg.ModelError:
-                    pass  # refused solves count too
-                [(result, choice, unpinned, pinned)] = passes
-                payer = game.players[1 - tptg.solver._reach_maximizer(direction)]
-                pin = {s: mi for s, mi in choice.items() if game.owner[s] == payer}
-                assert unpinned == retired_solver._drop_rounds(game, targets, payer)
-                assert pinned == retired_solver._drop_rounds(game, targets, payer, pin)
-                assert result.spoilers == retired_solver._almost_sure(game, targets, payer)[1]
-                assert searches == [states for states in cyclic for _ in (unpinned, pinned)]
-                infinite += min(unpinned) < math.inf
-                solves += 1
-    assert solves == 3600
-    assert infinite > 1000
+    solves = {False: 0, True: 0}
+    infinite = {False: 0, True: 0}
+    skipped = finite = 0
+    for acyclic in (False, True):
+        for seed in range(10, 40):
+            rng = random.Random(seed)
+            for _ in range(60):
+                game = random_game(rng, max_states=6, min_price=0, max_price=2, acyclic=acyclic)
+                targets = game.labels["goal"]
+                cyclic = [states for states, cyclic in game.components if cyclic]
+                for direction in tptg.solver.DIRECTIONS:
+                    passes.clear()
+                    stalls.clear()
+                    searches.clear()
+                    try:
+                        tptg.expected_price(game, "goal", direction)
+                    except tptg.ModelError:
+                        pass  # refused solves count too
+                    [(result, choice, rounds)] = passes
+                    payer = game.players[1 - tptg.solver._reach_maximizer(direction)]
+                    assert rounds == retired_solver._drop_rounds(game, targets, payer)
+                    assert searches == cyclic
+                    assert {
+                        s: mi for s, mi in choice.items()
+                        if game.owner[s] != payer and math.isinf(result.values[s])
+                    } == retired_solver._almost_sure(game, targets, payer)[1]
+                    if not cyclic:
+                        assert not stalls
+                        skipped += 1
+                        passes.clear()
+                        objective = tptg.Objective("exp-price", direction, "goal")
+                        try:
+                            tptg.synthesize(game, objective, result.values)
+                        except tptg.ModelError:
+                            pass
+                        [(_, choice, _)] = passes
+                    [pinned] = stalls
+                    pin = {s: mi for s, mi in choice.items() if game.owner[s] == payer}
+                    assert pinned == retired_solver._drop_rounds(game, targets, payer, pin)
+                    if not cyclic:
+                        forced = [pinned[s] == math.inf for s, v in enumerate(result.values) if v < math.inf]
+                        assert all(forced)
+                        finite += len(forced)
+                    infinite[acyclic] += min(rounds) < math.inf
+                    solves[acyclic] += 1
+    assert solves == {False: 3600, True: 3600}
+    assert infinite[False] > 1000
+    assert skipped > 3700 and finite > 14000

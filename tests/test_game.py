@@ -214,6 +214,17 @@ def test_json_import_refuses_non_finite_prices_and_malformed_numbers():
         with pytest.raises(ModelError) as caught:
             from_json_dict(entry)
         assert str(caught.value) == f"game JSON has a malformed number {bad!r}"
+    # a wrongly typed record once escaped as a bare TypeError
+    good = json.loads(tptg.to_json(make_game([[Move("a", ((1, 1.0),))], []], owner=[1, 2])))
+    for wrong in (
+        {**good, "states": ["x"]},
+        {**good, "transitions": ["t"]},
+        [good],
+        {**good, "transitions": [{**good["transitions"][0], "branches": [3]}]},
+        {**good, "players": 5},
+    ):
+        with pytest.raises(ModelError, match="^game JSON has a wrongly typed record: "):
+            from_json_dict(wrong)
 
 
 def test_path_validates_support():

@@ -229,6 +229,17 @@ def test_expected_price_refuses_zero_price_stalling():
         expected_price(game, "goal", "minmax")
     # probabilities are unaffected
     assert prob_reach(game, "goal", "maxmin").initial_value == 1.0
+    # a solve of an acyclic game cannot stall on its own values, which price
+    # the dead end 3 at infinity; a caller's vector pricing it at 0 claims a
+    # finite price where the target is never reached, so `synthesize` runs
+    # the check on caller-supplied values even without a cycle
+    game = make_game(
+        [[Move("a", ((1, 1.0),), 1.0)], [Move("x", ((2, 1.0),), 0.0), Move("y", ((3, 1.0),), 0.0)], [], []],
+        owner=[1, 2, 1, 1], labels={"goal": {2}}, players=(1, 2),
+    )
+    assert expected_price(game, "goal", "maxmin").strategy == {0: "a", 1: "x"}
+    with pytest.raises(ModelError, match=r"stall at zero price in 1 state\(s\) \(e\.g\. state 3\)"):
+        synthesize(game, Objective("exp-price", "maxmin", "goal"), [1.0, 0.0, 0.0, 0.0])
 
 
 def test_expected_price_never_undershoots_cooperative_zero_price_cycle():
