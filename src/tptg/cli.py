@@ -101,73 +101,59 @@ def _properties(args, source: ModelSource) -> list[PropertyAst]:
     return list(source.props)
 
 
-def _game(model: Tptg, price: str | None, state_limit: int, games=None, key=None) -> Tsg:
-    """The game of `model` under `price`. `games` caches one priced game per
-    `key`: built for the first request, repriced for a later one with another
-    price, and replaced by the repriced game, components included."""
-    held = games.get(key) if games is not None else None
-    if held is None:
-        game = build(model, price=price, state_limit=state_limit)
-    else:
-        game = held[1] if held[0] == price else reprice(held[1], model, price)
-    if games is not None:
-        game.components  # computed once; reprice and coalition views share it
-        games[key] = (price, game)
-    return game
-
-
 def property_game(
-    model: Tptg, prop: PropertyAst, state_limit: int, games: dict | None = None
+    model: Tptg, prop: PropertyAst, state_limit: int, games: dict
 ) -> tuple[Objective, Tsg]:
-    """bound -> build -> coalition for one property of `model`. `games`, when
-    given, holds the games of `model` per time-bound group: None for unbounded
-    properties, (target, bound) for bounded ones."""
+    """bound -> build -> coalition for one property of `model`. `games` holds a
+    priced game of `model` per time-bound group (None unbounded, (target,
+    bound) bounded): built for the group's first property, then repriced for
+    another price and replaced by the repriced game, components included."""
     objective, coalition, bound = resolve_property(prop)
-    target = prop.target
-    if target not in model.labels:
-        raise ModelError(f"property targets unknown label {target!r}")
+    if prop.target not in model.labels:
+        raise ModelError(f"property targets unknown label {prop.target!r}")
+    key = None
     if bound is not None:
-        model, target = with_time_bound(model, target, bound)
+        model, target = with_time_bound(model, prop.target, bound)
         objective = Objective(objective.kind, objective.direction, target, price=prop.price)
-    key = None if bound is None else (prop.target, bound)
-    game = _game(model, prop.price, state_limit, games, key)
+        key = (prop.target, bound)
+    held = games.get(key)
+    if held is None:
+        game = build(model, price=prop.price, state_limit=state_limit)
+    else:
+        game = held[1] if held[0] == prop.price else reprice(held[1], model, prop.price)
+    game.components  # computed once; reprice and coalition views share it
+    games[key] = (prop.price, game)
     return objective, coalition_game(game, coalition)
 
 
-def run_property(
-    model: Tptg,
-    prop: PropertyAst,
-    tol: float,
-    max_iters: int,
-    state_limit: int,
-    games: dict | None = None,
-) -> tuple[SolveResult, Tsg]:
-    """parse -> bound -> build (or reuse from `games`) -> coalition -> solve."""
-    objective, two_player = property_game(model, prop, state_limit, games)
-    return solve(two_player, objective, tol=tol, max_iters=max_iters), two_player
+def _solved(args, model: Tptg, props: list[PropertyAst], state_limit: int):
+    """(prop, result, game) for each property of `model` in turn, over one
+    game cache; a property that fails leaves the earlier ones yielded."""
+    games = {}
+    for prop in props:
+        objective, game = property_game(model, prop, state_limit, games)
+        yield prop, solve(game, objective, tol=args.tol, max_iters=args.max_iters), game
+
+
+def _exit_code(worst: int, result: SolveResult) -> int:
+    return worst if result.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_check(args) -> int:
     source = load_source(args)
     model = to_tptg(source)
     props = _properties(args, source)
-    state_limit = _state_limit(args)
-    worst = EXIT_OK
-    records = []
-    games = {}
-    for prop in props:
-        result, game = run_property(model, prop, args.tol, args.max_iters, state_limit, games)
-        stats = game_stats(game)
+    records, worst = [], EXIT_OK
+    for prop, result, game in _solved(args, model, props, _state_limit(args)):
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         print(
             f"{describe_property(prop)} = {result.initial_value:.6f} "
             f"(converged={str(result.converged).lower()}, iterations={result.iterations}, "
-            f"states={stats['states']})"
+            f"states={len(game.states)})"
         )
         records.append(result.to_json_dict())
-        if not result.converged:
-            worst = EXIT_NOT_CONVERGED
+        worst = _exit_code(worst, result)
     if args.json:
         Path(args.json).write_text(json.dumps(records, indent=1), encoding="utf-8")
     return worst
@@ -178,8 +164,7 @@ def cmd_sweep(args) -> int:
     props = _properties(args, source)
     state_limit = _state_limit(args)
     values = [v for v in args.values.split(",") if v]
-    header = [args.param] + [describe_property(p) for p in props]
-    rows = [header]
+    rows = [[args.param] + [describe_property(p) for p in props]]
     worst = EXIT_OK
     if args.param == "T":
         model = to_tptg(source)  # a time bound leaves the model unchanged
@@ -191,16 +176,15 @@ def cmd_sweep(args) -> int:
         else:
             if args.gen is None:
                 raise ModelError(f"sweeping {args.param} needs --gen")
+            if args.param != "p" and args.gen != "taskgraph":
+                raise ModelError(f"sweeping {args.param} needs --gen taskgraph")
             value = raw if args.param == "p" else _number(int, raw, args.param)
             model = to_tptg(load_source(argparse.Namespace(**{**vars(args), args.param: value})))
             swept_props = props
         cells = [raw]
-        games = {}  # the games of this row's model and bound
-        for prop in swept_props:
-            result, _ = run_property(model, prop, args.tol, args.max_iters, state_limit, games)
+        for _, result, _ in _solved(args, model, swept_props, state_limit):
             cells.append(f"{result.initial_value:.10g}")
-            if not result.converged:
-                worst = EXIT_NOT_CONVERGED
+            worst = _exit_code(worst, result)
         rows.append(cells)
     text = "\n".join(",".join(row) for row in rows) + "\n"
     if args.csv:
@@ -214,19 +198,14 @@ def cmd_synth(args) -> int:
     source = load_source(args)
     model = to_tptg(source)
     props = _properties(args, source)
-    state_limit = _state_limit(args)
-    records = []
-    worst = EXIT_OK
-    games = {}
-    for prop in props:
-        result, _ = run_property(model, prop, args.tol, args.max_iters, state_limit, games)
+    records, worst = [], EXIT_OK
+    for prop, result, _ in _solved(args, model, props, _state_limit(args)):
         print(
             f"{describe_property(prop)} = {result.initial_value:.6f} "
             f"(strategy over {len(result.strategy or {})} states)"
         )
         records.append(result.to_json_dict())
-        if not result.converged:
-            worst = EXIT_NOT_CONVERGED
+        worst = _exit_code(worst, result)
     payload = records[0] if len(records) == 1 else records
     if args.json:
         Path(args.json).write_text(json.dumps(payload, indent=1), encoding="utf-8")
@@ -241,7 +220,7 @@ def cmd_simulate(args) -> int:
     props = _properties(args, source)
     if len(props) != 1:
         raise ModelError("simulate works on exactly one property")
-    objective, two_player = property_game(model, props[0], _state_limit(args))
+    objective, two_player = property_game(model, props[0], _state_limit(args), {})
     target = objective.target
     if args.uniform:
         profile = uniform_profile(random.Random(args.seed ^ 0x5EED))
@@ -297,7 +276,7 @@ def cmd_simulate(args) -> int:
 def cmd_export_game(args) -> int:
     source = load_source(args)
     model = to_tptg(source)
-    game = _game(model, args.price, _state_limit(args))
+    game = build(model, price=args.price, state_limit=_state_limit(args))
     payload = {"game": to_json_dict(game), "stats": game_stats(game)}
     text = json.dumps(payload, indent=1)
     if args.json:

@@ -8,8 +8,6 @@ and an action fires when its enabling condition holds after the delay.
 """
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .clocks import LE, ClockConstraint
@@ -27,16 +25,6 @@ class DigitalState(NamedTuple):
 
     location: str
     values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DigitalMove:
-    """A (delay, action) move with its exact branch distribution and price."""
-
-    time: int
-    action: str
-    branches: tuple[tuple[DigitalState, Fraction], ...]
-    price: int
 
 
 _UNPRICED: tuple[int, dict[str, int]] = (0, {})
@@ -166,23 +154,6 @@ class _Lowered:
                     outcomes[key] = (fprob, prob) if seen is None else (None, seen[1] + prob)
                 moves.append((t, action, t * rate + action_price, outcomes))
         return moves
-
-
-def enumerate_moves(model: Tptg, state: DigitalState, price: str | None = None) -> list[DigitalMove]:
-    """All (delay, action) moves available in `state`, ordered by (delay, action).
-
-    Branch probabilities to the same successor state are aggregated. An empty
-    result means the state is a deadlock.
-    """
-    moves = []
-    for t, action, cost, outcomes in _Lowered(model, price).moves(state.location, state.values):
-        branches = tuple((DigitalState(*key), prob) for key, (_, prob) in outcomes.items())
-        moves.append(DigitalMove(t, action, branches, cost))
-    return moves
-
-
-def initial_state(model: Tptg) -> DigitalState:
-    return DigitalState(model.initial, (0,) * len(max_constants(model)))
 
 
 def build(

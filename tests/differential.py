@@ -7,18 +7,28 @@ the same bytes. One line per record: values as hex, ``prob0``, ``prob1``,
 ``backups`` of each ``prob_reach`` and ``expected_price`` solve, or its
 refusal message; the profile pair ``synthesize`` extracts from the solve's
 own values, or its refusal; ``bounded_expected_price`` at horizon 5; and
-``check_determinacy`` brackets. It uses the public API only, so it runs on
-any tree that has it. The file name keeps pytest from collecting it.
+``check_determinacy`` brackets. A second section runs a fixed list of
+``tptg.cli.main`` calls in-process and records, per call, the argv, the exit
+code, stdout, stderr and the bytes of every ``--json``, ``--csv`` or
+``--traces`` file it writes, so a CLI refactor is checked byte for byte. It
+uses the public API and the CLI only, so it runs on any tree that has them.
+The file name keeps pytest from collecting it.
 """
 
+import contextlib
 import hashlib
+import importlib.resources
+import io
+import os
 import random
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tptg import ModelError, Move, make_game  # noqa: E402
+from tptg import ModelError, Move, cli, make_game  # noqa: E402
 from tptg.solver import (  # noqa: E402
     DIRECTIONS,
     Objective,
@@ -132,6 +142,67 @@ def records():
             yield from _bracket_records(f"s{seed} g{i} n8 p0-3", game, 1e-8 if i % 4 < 2 else 1e-10)
 
 
+FIG1_PROP = ["--prop", "Pmax [ F done ] coalition {sender, medium}"]
+TASKGRAPH = ["--gen", "taskgraph", "--k1", "1", "--k2", "1", "--p", "1/2"]
+HONEST = ["--gen", "nonrepudiation", "--variant", "honest"]
+TASKGRAPH_TIME = "Emin [ F all_done ] price time coalition {sched}"
+
+#: (environment overrides, argv); "{fig1}" is the shipped fig1 model and
+#: "{out}/" the directory the call's output files go to
+CLI_CALLS = (
+    ({}, ["check", "{fig1}"]),
+    ({}, ["check", *TASKGRAPH, "--prop", TASKGRAPH_TIME,
+          "--prop", "Emin [ F all_done ] price energy coalition {sched}", "--json", "{out}/check.json"]),
+    ({}, ["check", *HONEST]),
+    ({}, ["synth", "{fig1}", "--json", "{out}/synth.json"]),
+    ({}, ["synth", *TASKGRAPH, "--prop", TASKGRAPH_TIME, "--json", "{out}/synth.json"]),
+    ({}, ["synth", "--gen", "nonrepudiation", "--variant", "malicious1",
+          "--prop", "Pmax [ F r_gains_info ] coalition {R}", "--json", "{out}/synth.json"]),
+    ({}, ["sweep", *HONEST, "--p", "1/10",
+          *(arg for who in ("", "O", "R", "O, R")
+            for arg in ("--prop", f"Pmax [ F terminated_ok ] coalition {{{who}}}")),
+          "--param", "T", "--values", "0,4,8,12,16,20,24,28,32,36,40,48,56,64,80,100",
+          "--csv", "{out}/sweep.csv"]),
+    ({}, ["sweep", "--gen", "taskgraph", "--k1", "1", "--k2", "1", "--prop", TASKGRAPH_TIME,
+          "--prop", "Emin [ F all_done ] price energy coalition {sched}",
+          "--param", "p", "--values", "0,1/4,1/2,3/4,1", "--csv", "{out}/sweep.csv"]),
+    ({}, ["sweep", "--gen", "taskgraph", "--p", "1/2", "--prop", TASKGRAPH_TIME,
+          "--param", "k1", "--values", "0,1"]),
+    ({}, ["export-game", "{fig1}"]),
+    ({}, ["export-game", *TASKGRAPH, "--price", "time", "--json", "{out}/game.json"]),
+    ({}, ["validate", "{fig1}"]),
+    ({}, ["simulate", "{fig1}", *FIG1_PROP, "--uniform", "--samples", "200",
+          "--traces", "{out}/traces.jsonl", "--json", "{out}/simulate.json"]),
+    # error paths
+    ({}, ["check", "{fig1}", *FIG1_PROP, "--prop", "Pmax [ F nowhere ] coalition {sender}"]),
+    ({}, ["sweep", *HONEST, "--p", "1/2", "--prop", "Pmax [ F terminated_ok ] coalition {O, R}",
+          "--param", "T", "--values", "5,x"]),
+    ({"TPTG_STATE_LIMIT": "abc"}, ["check", "{fig1}", *FIG1_PROP]),
+    ({}, ["check", "{fig1}", *FIG1_PROP, "--state-limit", "3"]),
+    ({}, ["check", "{fig1}", *FIG1_PROP, "--max-iters", "0", "--json", "{out}/check.json"]),
+)
+
+
+def _cli_records():
+    fig1 = str(importlib.resources.files("tptg") / "models" / "fig1.tptg")
+    for i, (env, template) in enumerate(CLI_CALLS):
+        with tempfile.TemporaryDirectory() as out:
+            argv = [arg.replace("{fig1}", fig1).replace("{out}", out) for arg in template]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            tag = f"cli {i}"
+            yield f"{tag} env={env!r} argv={template!r} exit={code}"
+            yield f"{tag} stdout {stdout.getvalue()!r}"
+            yield f"{tag} stderr {stderr.getvalue()!r}"
+            for path in sorted(Path(out).iterdir()):
+                yield f"{tag} file {path.name} {path.read_bytes()!r}"
+
+
+SECTIONS = (("solver", records), ("cli", _cli_records))
+
+
 def main(argv):
     if len(argv) != 2:
         print("usage: python tests/differential.py OUT", file=sys.stderr)
@@ -139,11 +210,16 @@ def main(argv):
     digest = hashlib.md5()
     count = 0
     with open(argv[1], "w") as out:
-        for line in records():
-            line += "\n"
-            out.write(line)
-            digest.update(line.encode())
-            count += 1
+        for name, section in SECTIONS:
+            part = hashlib.md5()
+            start = count
+            for line in section():
+                line += "\n"
+                out.write(line)
+                digest.update(line.encode())
+                part.update(line.encode())
+                count += 1
+            print(f"{name}: {count - start} records, md5 {part.hexdigest()}")
     print(f"{count} records, md5 {digest.hexdigest()}")
     return 0
 

@@ -22,6 +22,7 @@ def random_game(
     goal_share: float = 0.25,
     goal_escape: Fraction | None = None,
     acyclic: bool = False,
+    dead_ends: float = 0.0,
 ):
     """Random two-player explicit game with a nonempty `goal` label.
 
@@ -30,7 +31,9 @@ def random_game(
     contracting and all states almost-surely reaching. `min_price=1` keeps
     expected-price objectives well-posed (no zero-price stalling).
     With `acyclic` set, branches go only to goal states or to states later
-    in a random ranking, so the game has no cycle.
+    in a random ranking, so the game has no cycle. With `dead_ends` set, each
+    non-goal state has no moves with that probability (infinite expected
+    price); at 0 nothing extra is drawn, so a seed gives the same game.
     """
     n = rng.randint(min_states, max_states)
     goals = {s for s in range(n) if rng.random() < goal_share}
@@ -44,6 +47,9 @@ def random_game(
     for s in range(n):
         if s in goals:
             moves.append([])  # absorbing goal
+            continue
+        if dead_ends and rng.random() < dead_ends:
+            moves.append([])
             continue
         state_moves = []
         for a in range(rng.randint(1, max_actions)):

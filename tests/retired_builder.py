@@ -5,9 +5,11 @@ into per-location integer tables. For every state it tries each delay t in
 turn, advances a :class:`ClockValuation`, and re-evaluates each invariant,
 guard and label atom through the valuation's clock-name lookup. It is kept
 here, unchanged in behaviour, as a differential oracle: `build` returns the
-same game, and `enumerate_moves` the same moves, as the package functions of
-those names. `ClockValuation` is the state record the package used before
-its states became plain ``(location, values)`` records.
+same game as the package function of that name, and `enumerate_moves` the
+same moves as `semantics._Lowered.moves`. `ClockValuation` is the state
+record the package used before its states became plain ``(location,
+values)`` records, and `DigitalMove` the move record the package returned
+from its own `enumerate_moves`.
 """
 
 from collections import deque
@@ -19,7 +21,17 @@ from tptg.clocks import ClockConstraint
 from tptg.errors import ModelError, StateLimitError
 from tptg.game import DEADLOCK_LABEL, Move, Tsg
 from tptg.model import Tptg, errors_only, max_constants, validate_assumptions
-from tptg.semantics import DEFAULT_STATE_LIMIT, DigitalMove, DigitalState
+from tptg.semantics import DEFAULT_STATE_LIMIT, DigitalState
+
+
+@dataclass(frozen=True)
+class DigitalMove:
+    """A (delay, action) move with its exact branch distribution and price."""
+
+    time: int
+    action: str
+    branches: tuple[tuple[DigitalState, Fraction], ...]
+    price: int
 
 
 @dataclass(frozen=True)

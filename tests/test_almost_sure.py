@@ -124,7 +124,8 @@ def test_an_expected_price_solve_runs_one_unpinned_almost_sure_pass(monkeypatch)
     # view keeping the payer's chosen moves, with the retired pinned call's
     # rounds. A solve skips it on a game with no cyclic SCC; there
     # `synthesize`, which always runs it, shows that the view forces the
-    # target from every finite-valued state, so the skip refuses nothing
+    # target from every finite-valued state, so the skip refuses nothing;
+    # acyclic draws with dead ends hold infinite states next to that skip
     passes, stalls, searches = [], [], []
     pass_of, search = tptg.solver._pass, tptg.solver._cyclic_rounds
 
@@ -143,14 +144,17 @@ def test_an_expected_price_solve_runs_one_unpinned_almost_sure_pass(monkeypatch)
 
     monkeypatch.setattr(tptg.solver, "_pass", recorded)
     monkeypatch.setattr(tptg.solver, "_cyclic_rounds", counted)
-    solves = {False: 0, True: 0}
-    infinite = {False: 0, True: 0}
+    draws = {
+        "default": {}, "acyclic": {"acyclic": True}, "dead ends": {"acyclic": True, "dead_ends": 0.2},
+    }
+    solves = dict.fromkeys(draws, 0)
+    infinite = dict.fromkeys(draws, 0)
     skipped = finite = 0
-    for acyclic in (False, True):
+    for draw, options in draws.items():
         for seed in range(10, 40):
             rng = random.Random(seed)
             for _ in range(60):
-                game = random_game(rng, max_states=6, min_price=0, max_price=2, acyclic=acyclic)
+                game = random_game(rng, max_states=6, min_price=0, max_price=2, **options)
                 targets = game.labels["goal"]
                 cyclic = [states for states, cyclic in game.components if cyclic]
                 for direction in tptg.solver.DIRECTIONS:
@@ -186,8 +190,11 @@ def test_an_expected_price_solve_runs_one_unpinned_almost_sure_pass(monkeypatch)
                         forced = [pinned[s] == math.inf for s, v in enumerate(result.values) if v < math.inf]
                         assert all(forced)
                         finite += len(forced)
-                    infinite[acyclic] += min(rounds) < math.inf
-                    solves[acyclic] += 1
-    assert solves == {False: 3600, True: 3600}
-    assert infinite[False] > 1000
-    assert skipped > 3700 and finite > 14000
+                    unreached = sum(map(math.isinf, result.values))
+                    warned = [w.split()[0] for w in result.warnings if w.endswith("price is infinite")]
+                    assert warned == ([str(unreached)] if unreached else [])
+                    infinite[draw] += min(rounds) < math.inf
+                    solves[draw] += 1
+    assert solves == dict.fromkeys(draws, 3600)
+    assert infinite["default"] > 1000 and infinite["dead ends"] > 1400
+    assert skipped > 7300 and finite > 25000

@@ -17,7 +17,7 @@ import pytest
 
 import tptg
 from tptg import ModelError, casestudies
-from tptg.cli import main, run_property
+from tptg.cli import main, property_game
 from tptg.game import move_successors, strongly_connected
 from tptg.solver import _certify, _opt_for, check_determinacy
 
@@ -168,9 +168,9 @@ def test_case_studies_certify_as_the_retired_certificate(make_source):
     tol, max_iters = tptg.solver.DEFAULT_TOL, tptg.solver.DEFAULT_MAX_ITERS
     certified = perturbed = 0
     for prop in source.props:
+        objective, game = property_game(model, prop, tptg.semantics.DEFAULT_STATE_LIMIT, {})
         done = _check_solve(
-            lambda: run_property(model, prop, tol, max_iters, tptg.semantics.DEFAULT_STATE_LIMIT),
-            perturbations=3,
+            lambda: tptg.solve(game, objective, tol=tol, max_iters=max_iters), perturbations=3
         )
         certified += done[0]
         perturbed += done[1]

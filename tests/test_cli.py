@@ -99,6 +99,17 @@ def test_sweep_p_requires_gen(fig1_file, capsys):
         "--prop", "Pmax [ F done ] coalition {sender}",
     ])
     assert code == 1
+    assert capsys.readouterr().err == "error: sweeping p needs --gen\n"
+    # the fault budgets are taskgraph parameters; nonrepudiation has none
+    for param in ("k1", "k2"):
+        code = main([
+            "sweep", "--gen", "nonrepudiation", "--variant", "honest", "--p", "1/10",
+            "--prop", "Pmax [ F terminated_ok ] coalition {O, R}",
+            "--param", param, "--values", "0,1,2",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: sweeping {param} needs --gen taskgraph\n"
 
 
 def test_sweep_empty_values_header_only(capsys):

@@ -9,7 +9,7 @@ import pytest
 
 import tptg
 from tptg import ModelError, Move, brute_force_solve, casestudies, make_game
-from tptg.cli import main, run_property
+from tptg.cli import main, property_game
 
 import retired_solver
 from global_sweep import global_sweep
@@ -101,7 +101,8 @@ def test_case_studies_match_the_global_sweep(make_source, acyclic):
     model = tptg.to_tptg(source)
     tol, max_iters = tptg.solver.DEFAULT_TOL, tptg.solver.DEFAULT_MAX_ITERS
     for prop in source.props:
-        new, game = run_property(model, prop, tol, max_iters, tptg.semantics.DEFAULT_STATE_LIMIT)
+        objective, game = property_game(model, prop, tptg.semantics.DEFAULT_STATE_LIMIT, {})
+        new = tptg.solve(game, objective, tol=tol, max_iters=max_iters)
         old = _outcome(lambda m: m.solve(game, new.objective, tol, max_iters), oracle=True)
         if acyclic:
             _assert_identical(new, old)

@@ -12,17 +12,15 @@ from tptg import (
     StateLimitError,
     Tptg,
     clock_le,
-    enumerate_moves,
-    initial_state,
 )
+from tptg.semantics import _Lowered
 
 import retired_builder
 from gamegen import naive_digital_reach, random_tptg
 
 
-def test_fig1_initial_moves(fig1_model):
-    start = initial_state(fig1_model)
-    moves = enumerate_moves(fig1_model, start)
+def test_fig1_initial_moves(fig1_game):
+    moves = fig1_game.moves[fig1_game.initial]
     assert [(m.time, m.action) for m in moves] == [(1, "send"), (2, "send")]
 
 
@@ -39,7 +37,7 @@ def test_zero_delay_move_has_action_price_only():
         transitions={("a", "go"): (tptg.ProbBranch(Fraction(1), frozenset(), "b"),)},
         prices={"cost": tptg.PriceStructure(rates={"a": 5}, action_prices={("a", "go"): 7})},
     )
-    moves = enumerate_moves(model, initial_state(model), price="cost")
+    moves = tptg.build(model, price="cost").moves[0]
     assert moves[0].time == 0 and moves[0].price == 7
     assert moves[1].time == 1 and moves[1].price == 5 + 7
 
@@ -65,11 +63,12 @@ def test_branch_aggregation_merges_equal_successors():
             )
         },
     )
-    (zero_delay, *_rest) = enumerate_moves(model, initial_state(model))
+    game = tptg.build(model)
+    (zero_delay, *_rest) = game.moves[0]
     assert len(zero_delay.branches) == 1
     (successor, prob) = zero_delay.branches[0]
     assert prob == 1
-    assert successor.values == (0, 0)
+    assert game.states[successor].values == (0, 0)
 
 
 def test_build_single_bounded_location_all_deadlocks():
@@ -168,9 +167,10 @@ def test_max_delay_bounded_by_ceilings(fig1_model, fig1_game):
 
 
 def test_branch_mass_exact_in_rationals(fig1_model):
+    lowered = _Lowered(fig1_model, None)
     for state in tptg.build(fig1_model).states:
-        for move in enumerate_moves(fig1_model, state):
-            assert sum((p for _, p in move.branches), Fraction(0)) == 1
+        for _, _, _, outcomes in lowered.moves(state.location, state.values):
+            assert sum((p for _, p in outcomes.values()), Fraction(0)) == 1
 
 
 def test_naive_enumerator_agrees_on_fig1(fig1_model, fig1_game):
@@ -296,6 +296,15 @@ def test_build_equals_retired_builder_on_time_bounded_labels(fig1_model):
             _assert_builds_like_retired_builder(bounded)
 
 
+def _lowered_moves(model, state, price):
+    """`_Lowered.moves` as the retired builder's moves, with colliding
+    branches summed exactly."""
+    return [
+        retired_builder.DigitalMove(t, action, tuple((k, p) for k, (_, p) in outcomes.items()), cost)
+        for t, action, cost, outcomes in _Lowered(model, price).moves(state.location, state.values)
+    ]
+
+
 def _moves_or_error(enumerate_moves, model, state, price):
     try:
         return enumerate_moves(model, state, price)
@@ -339,6 +348,6 @@ def test_enumerate_moves_equals_retired_builder_on_every_valuation(fig1_model):
             for values in itertools.product(*ranges):
                 state = DigitalState(location, values)
                 for price in (None, *model.prices):
-                    assert _moves_or_error(enumerate_moves, model, state, price) == _moves_or_error(
+                    assert _moves_or_error(_lowered_moves, model, state, price) == _moves_or_error(
                         retired_builder.enumerate_moves, model, state, price
                     ), (location, values, price)
