@@ -53,7 +53,7 @@ from .digitization import (
     uniform_profile,
 )
 from .dsl import ModelSource, parse, parse_property, print_model
-from .elaborate import resolve_property, to_tptg
+from .elaborate import to_tptg
 from .casestudies import (
     gen_nonrepudiation,
     gen_taskgraph,

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import casestudies
 from .digitization import estimate, simulate, uniform_profile
 from .dsl import ModelSource, PropertyAst, parse, parse_property
-from .elaborate import describe_property, resolve_property, to_tptg
+from .elaborate import describe_property, to_tptg
 from .errors import ModelError, ParseError, StateLimitError
 from .game import Tsg, coalition_game, game_stats, to_json_dict
 from .model import Tptg, errors_only, validate_assumptions, with_time_bound
@@ -104,18 +104,23 @@ def _properties(args, source: ModelSource) -> list[PropertyAst]:
 def property_game(
     model: Tptg, prop: PropertyAst, state_limit: int, games: dict
 ) -> tuple[Objective, Tsg]:
-    """bound -> build -> coalition for one property of `model`. `games` holds a
-    priced game of `model` per time-bound group (None unbounded, (target,
-    bound) bounded): built for the group's first property, then repriced for
-    another price and replaced by the repriced game, components included."""
-    objective, coalition, bound = resolve_property(prop)
+    """bound -> objective -> build -> coalition for one property of `model`.
+    `games` holds a priced game of `model` per time-bound group (None
+    unbounded, (target, bound) bounded): built for the group's first property,
+    then repriced for another price and replaced by the repriced game,
+    components included."""
     if prop.target not in model.labels:
         raise ModelError(f"property targets unknown label {prop.target!r}")
-    key = None
-    if bound is not None:
-        model, target = with_time_bound(model, prop.target, bound)
-        objective = Objective(objective.kind, objective.direction, target, price=prop.price)
-        key = (prop.target, bound)
+    target, key = prop.target, None
+    if prop.bound is not None:
+        model, target = with_time_bound(model, prop.target, prop.bound)
+        key = (prop.target, prop.bound)
+    objective = Objective(
+        "prob-reach" if prop.query[0] == "P" else "exp-price",
+        "maxmin" if prop.query.endswith("max") else "minmax",
+        target,
+        price=prop.price,
+    )
     held = games.get(key)
     if held is None:
         game = build(model, price=prop.price, state_limit=state_limit)
@@ -123,7 +128,7 @@ def property_game(
         game = held[1] if held[0] == prop.price else reprice(held[1], model, prop.price)
     game.components  # computed once; reprice and coalition views share it
     games[key] = (prop.price, game)
-    return objective, coalition_game(game, coalition)
+    return objective, coalition_game(game, prop.coalition)
 
 
 def _solved(args, model: Tptg, props: list[PropertyAst], state_limit: int):
@@ -163,6 +168,10 @@ def cmd_sweep(args) -> int:
     source = load_source(args)
     props = _properties(args, source)
     state_limit = _state_limit(args)
+    if args.param != "T" and args.gen is None:
+        raise ModelError(f"sweeping {args.param} needs --gen")
+    if args.param in ("k1", "k2") and args.gen != "taskgraph":
+        raise ModelError(f"sweeping {args.param} needs --gen taskgraph")
     values = [v for v in args.values.split(",") if v]
     rows = [[args.param] + [describe_property(p) for p in props]]
     worst = EXIT_OK
@@ -174,10 +183,6 @@ def cmd_sweep(args) -> int:
             swept_props = [PropertyAst(p.query, p.target, bound, p.price, p.coalition)
                            for p in props]
         else:
-            if args.gen is None:
-                raise ModelError(f"sweeping {args.param} needs --gen")
-            if args.param != "p" and args.gen != "taskgraph":
-                raise ModelError(f"sweeping {args.param} needs --gen taskgraph")
             value = raw if args.param == "p" else _number(int, raw, args.param)
             model = to_tptg(load_source(argparse.Namespace(**{**vars(args), args.param: value})))
             swept_props = props

@@ -26,7 +26,6 @@ from .dsl import (
 )
 from .errors import ModelError
 from .model import PriceStructure, ProbBranch, StateLabel, Tptg, compose
-from .solver import Objective
 
 
 def _resolve_int(value, constants: dict[str, Fraction], what: str) -> int:
@@ -103,17 +102,13 @@ def _mangle(location: str, order: list[str], values: dict[str, int]) -> str:
     return f"{location}#{suffix}"
 
 
-def unfold_automaton(
-    auto: AutomatonAst,
-    source: ModelSource,
-    placeholder_player: str,
-) -> Tptg:
+def unfold_automaton(auto: AutomatonAst, source: ModelSource) -> Tptg:
     """Single-component timed game with discrete variables folded into locations.
 
     Only locations (and variable values) reachable from the initial one
     through the component's own edges are materialized (synchronization can
     only remove behaviour, so this over-approximates product reachability).
-    The owner map is a placeholder; the network step assigns real owners.
+    The owner map is empty; the network step assigns owners.
     Every label atom on the component's own variables becomes a label named
     after the atom (e.g. ``st1=3``) whose extent is the locations where the
     atom holds.
@@ -201,7 +196,7 @@ def unfold_automaton(
         initial=initial,
         clocks=tuple(source.clocks),
         actions=actions,
-        owner={loc: placeholder_player for loc in locations},
+        owner={},
         invariants=invariants,
         enabling=enabling,
         transitions=transitions,
@@ -251,14 +246,10 @@ def to_tptg(source: ModelSource) -> Tptg:
                 )
             declared_vars.add(v.name)
 
-    placeholder = source.players[0]
-    components = [
-        unfold_automaton(source.automaton(name), source, placeholder)
-        for name in source.compose
-    ]
+    components = [unfold_automaton(source.automaton(name), source) for name in source.compose]
     network = components[0]
     for component in components[1:]:
-        network = compose(network, component, lambda la, lb: placeholder, source.clocks)
+        network = compose(network, component, source.clocks)
     owner = {loc: _owner_for(source.owners, loc) for loc in network.locations}
 
     labels = {
@@ -273,14 +264,6 @@ def to_tptg(source: ModelSource) -> Tptg:
                         f"label {label.name!r} tests unknown variable {atom.subject!r}"
                     )
     return replace(network, owner=owner, labels=labels)
-
-
-def resolve_property(prop: PropertyAst) -> tuple[Objective, tuple[str, ...], int | None]:
-    """Map a parsed property to (objective, coalition, optional time bound)."""
-    kind = "prob-reach" if prop.query[0] == "P" else "exp-price"
-    direction = "maxmin" if prop.query.endswith("max") else "minmax"
-    objective = Objective(kind, direction, prop.target, price=prop.price)
-    return objective, prop.coalition, prop.bound
 
 
 def describe_property(prop: PropertyAst) -> str:

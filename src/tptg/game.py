@@ -331,7 +331,10 @@ def from_json_dict(data: dict) -> Tsg:
         owner = tuple(record["owner"] for record in state_records)
         labels: dict[str, set[int]] = {}
         for i, record in enumerate(state_records):
-            for name in record.get("labels", []):
+            names = record.get("labels", [])
+            if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+                raise TypeError(f"labels of state {i} must be a list of strings, not {names!r}")
+            for name in names:
                 labels.setdefault(name, set()).add(i)
         moves: list[list[Move]] = [[] for _ in range(n)]
         for entry in raw_transitions:
@@ -341,7 +344,10 @@ def from_json_dict(data: dict) -> Tsg:
             time, action = parse_move_label(entry["action"])
             branches = tuple((b["to"], _number(b["prob"])) for b in entry["branches"])
             moves[source].append(Move(action, branches, _number(entry.get("price", 0.0)), time))
-        players = tuple(data.get("players", dict.fromkeys(owner)))
+        players = data.get("players", list(dict.fromkeys(owner)))
+        if not isinstance(players, list):
+            raise TypeError(f"players must be a list, not {players!r}")
+        players = tuple(players)
     except KeyError as missing:
         raise ModelError(f"game JSON is missing key {missing}") from None
     except (TypeError, AttributeError) as wrong:

@@ -9,13 +9,11 @@ diagonal-free by construction of :class:`~tptg.clocks.ClockConstraint`.
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .clocks import GE, TRUE, ClockConstraint, clock_le
 from .errors import ModelError
 from .game import strongly_connected
-
-OwnerFn = Union[Mapping[tuple[str, str], str], Callable[[str, str], str]]
 
 #: separator used for product location names
 JOIN = "."
@@ -243,16 +241,17 @@ def _zeno_warning(model: Tptg) -> list[Diagnostic]:
     return []
 
 
-def compose(a: Tptg, b: Tptg, owner: OwnerFn, shared_clocks: Iterable[str] = ()) -> Tptg:
+def compose(a: Tptg, b: Tptg, shared_clocks: Iterable[str] = ()) -> Tptg:
     """Parallel composition over the reachable location product.
 
     Product locations are explored breadth-first from the pair of initial
     locations, so only pairs reachable through product edges exist.
     Actions named in both alphabets synchronize (conjoined enabling, product
     distributions, unioned resets, summed action prices); the rest
-    interleave. Location rates add per price structure. The owner of every
-    product location comes from `owner`; components' own partitions are
-    ignored. Clocks common to both sides must be listed in `shared_clocks`.
+    interleave. Location rates add per price structure. The product's owner
+    map is empty: components' own partitions are ignored, and the caller
+    assigns owners. Clocks common to both sides must be listed in
+    `shared_clocks`.
     A label defined by both sides must carry the same clock guard in each.
     """
     shared_clocks = frozenset(shared_clocks)
@@ -262,17 +261,6 @@ def compose(a: Tptg, b: Tptg, owner: OwnerFn, shared_clocks: Iterable[str] = ())
             f"clocks {sorted(overlap - shared_clocks)} appear in both components "
             f"but are not declared shared"
         )
-    if callable(owner):
-        owner_of = owner
-    else:
-        mapping = owner
-
-        def owner_of(la: str, lb: str) -> str:
-            try:
-                return mapping[(la, lb)]
-            except KeyError:
-                raise ModelError(f"owner map does not cover product location ({la!r}, {lb!r})")
-
     players = tuple(dict.fromkeys(a.players + b.players))
     clocks = tuple(dict.fromkeys(a.clocks + b.clocks))
     actions = tuple(dict.fromkeys(a.actions + b.actions))
@@ -304,7 +292,6 @@ def compose(a: Tptg, b: Tptg, owner: OwnerFn, shared_clocks: Iterable[str] = ())
         return loc
 
     invariants: dict[str, ClockConstraint] = {}
-    owner_map: dict[str, str] = {}
     enabling: dict[tuple[str, str], ClockConstraint] = {}
     transitions: dict[tuple[str, str], Distribution] = {}
     rates: dict[str, dict[str, int]] = {n: {} for n in price_names}
@@ -322,13 +309,6 @@ def compose(a: Tptg, b: Tptg, owner: OwnerFn, shared_clocks: Iterable[str] = ())
         la, lb = queue.popleft()
         loc = names[(la, lb)]
         invariants[loc] = a.invariants[la].conjoin(b.invariants[lb])
-        player = owner_of(la, lb)
-        if player is None or player not in players:
-            raise ModelError(
-                f"owner for product location ({la!r}, {lb!r}) is {player!r}, "
-                f"expected one of {list(players)}"
-            )
-        owner_map[loc] = player
         for n in price_names:
             rate = sum(c.prices[n].rate(l) for c, l in ((a, la), (b, lb)) if n in c.prices)
             if rate:
@@ -394,7 +374,7 @@ def compose(a: Tptg, b: Tptg, owner: OwnerFn, shared_clocks: Iterable[str] = ())
         initial=initial,
         clocks=clocks,
         actions=actions,
-        owner=owner_map,
+        owner={},
         invariants=invariants,
         enabling=enabling,
         transitions=transitions,

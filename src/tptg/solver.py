@@ -48,7 +48,8 @@ DIRECTIONS = ("maxmin", "minmax")
 
 @dataclass(frozen=True)
 class Objective:
-    """What to optimize: kind, direction, and target label.
+    """What to optimize: kind, direction, and target (a label name, or a
+    set of states, kept as a frozenset).
 
     Direction fixes the goals of the two sides: under ``maxmin`` player 1
     maximizes the quantity and player 2 minimizes it; ``minmax`` swaps the
@@ -63,6 +64,8 @@ class Objective:
     price: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.target, str):
+            object.__setattr__(self, "target", frozenset(self.target))
         if self.kind not in KINDS:
             raise ModelError(f"unknown objective kind {self.kind!r}")
         if self.direction not in DIRECTIONS:
@@ -250,7 +253,7 @@ def prob_reach(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> SolveResult:
     """Optimal probability of reaching the target under the given direction."""
-    return _solve(game, "prob-reach", targets, direction, tol, max_iters)
+    return _solve(game, Objective("prob-reach", direction, targets), tol, max_iters)
 
 
 def expected_price(
@@ -268,22 +271,21 @@ def expected_price(
     side's profile does not force the target almost surely from every
     finite-valued state.
     """
-    return _solve(game, "exp-price", targets, direction, tol, max_iters)
+    return _solve(game, Objective("exp-price", direction, targets), tol, max_iters)
 
 
-def _solve(game, kind, targets, direction, tol, max_iters) -> SolveResult:
-    """The pass's values and sets, then the checks on its strategy."""
+def _solve(game: Tsg, objective: Objective, tol: float, max_iters: int) -> SolveResult:
+    """The pass's values and sets, then the checks on its strategy; the
+    result records `objective` itself."""
     _check_two_players(game)
     _check_tol(tol)
-    target_set = _target_set(game, targets)
-    # objectives carry either the label name or the explicit state set
-    objective = Objective(kind, direction, targets if isinstance(targets, str) else target_set)
+    target_set = _target_set(game, objective.target)
     result, choice, _ = _pass(game, objective, target_set, tol, max_iters)
     stuck = sum(1 for s, moves in enumerate(game.moves) if not moves and s not in target_set)
     infinite = len(game.states) - len(result.prob1)
-    treatment = "infinite price" if kind == "exp-price" else "probability 0"
+    treatment = "infinite price" if objective.kind == "exp-price" else "probability 0"
     result.warnings = [f"{stuck} non-target deadlock state(s) treated as {treatment}"] if stuck else []
-    if kind == "exp-price" and infinite:
+    if objective.kind == "exp-price" and infinite:
         result.warnings.append(
             f"{infinite} state(s) cannot be forced to reach the target almost surely; "
             f"their expected price is infinite"
@@ -637,12 +639,10 @@ def _certify(
 
 
 def solve(game: Tsg, objective: Objective, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> SolveResult:
-    """Dispatch on the objective kind."""
+    """Dispatch on the objective kind; the result records `objective` itself."""
     _check_tol(tol)
-    if objective.kind == "prob-reach":
-        return prob_reach(game, objective.target, objective.direction, tol, max_iters)
-    if objective.kind == "exp-price":
-        return expected_price(game, objective.target, objective.direction, tol, max_iters)
+    if objective.kind != "bounded-exp-price":
+        return _solve(game, objective, tol, max_iters)
     values = bounded_expected_price(game, objective.target, objective.horizon, objective.direction)
     return SolveResult(objective, values, values[game.initial], objective.horizon, 0.0, True)
 
@@ -665,25 +665,22 @@ def check_determinacy(
     """
     _check_two_players(game)
     target_set = _target_set(game, targets)
-    if kind == "prob-reach":
-        runner = prob_reach
-    elif kind == "exp-price":
-        runner = expected_price
-    else:
+    if kind not in ("prob-reach", "exp-price"):
         raise ModelError(f"determinacy check supports prob-reach and exp-price, not {kind!r}")
-    result = runner(game, target_set, direction, tol, max_iters)
+    objective = Objective(kind, direction, target_set)
+    result = _solve(game, objective, tol, max_iters)
     if not result.converged:
         raise ModelError("determinacy check needs a converged solve")
     # each side pinned to its strategy in a view that only drops moves, so
     # shares the cached SCCs
     strategy = result.strategy
     guaranteed1, guaranteed2 = (
-        runner(
+        _solve(
             game.derive(moves=tuple(
                 tuple(m for m in ms if m.label == strategy[s]) if s in strategy and game.owner[s] == player else ms
                 for s, ms in enumerate(game.moves)
             )),
-            target_set, direction, tol, max_iters,
+            objective, tol, max_iters,
         ).initial_value
         for player in game.players
     )

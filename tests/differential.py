@@ -153,7 +153,7 @@ CLI_CALLS = (
     ({}, ["check", "{fig1}"]),
     ({}, ["check", *TASKGRAPH, "--prop", TASKGRAPH_TIME,
           "--prop", "Emin [ F all_done ] price energy coalition {sched}", "--json", "{out}/check.json"]),
-    ({}, ["check", *HONEST]),
+    ({}, ["check", *HONEST, "--json", "{out}/check.json"]),
     ({}, ["synth", "{fig1}", "--json", "{out}/synth.json"]),
     ({}, ["synth", *TASKGRAPH, "--prop", TASKGRAPH_TIME, "--json", "{out}/synth.json"]),
     ({}, ["synth", "--gen", "nonrepudiation", "--variant", "malicious1",

@@ -6,19 +6,20 @@ behaviour, as a differential oracle for :func:`tptg.model.compose`: on the
 locations the reachable composer emits, both must agree on everything.
 """
 
-from typing import Iterable
+from typing import Callable, Iterable, Mapping, Union
 
 from tptg.clocks import ClockConstraint
 from tptg.errors import ModelError
 from tptg.model import (
     JOIN,
     Distribution,
-    OwnerFn,
     PriceStructure,
     ProbBranch,
     StateLabel,
     Tptg,
 )
+
+OwnerFn = Union[Mapping[tuple[str, str], str], Callable[[str, str], str]]
 
 
 def eager_compose(a: Tptg, b: Tptg, owner: OwnerFn, shared_clocks: Iterable[str] = ()) -> Tptg:

@@ -64,6 +64,21 @@ def test_check_writes_json(fig1_file, tmp_path, capsys):
     assert payload[0]["strategy"]
 
 
+def test_check_json_records_each_property_objective(tmp_path):
+    # nonrep honest's own properties: a time-bounded probability, then an
+    # expected price under the time structure
+    out_path = tmp_path / "results.json"
+    assert main(["check", "--gen", "nonrepudiation", "--variant", "honest",
+                 "--json", str(out_path)]) == 0
+    objectives = [record["objective"] for record in json.loads(out_path.read_text())]
+    assert objectives == [
+        {"kind": "prob-reach", "direction": "maxmin", "target": "terminated_ok_by_24",
+         "horizon": None, "price": None},
+        {"kind": "exp-price", "direction": "minmax", "target": "terminated_ok",
+         "horizon": None, "price": "time"},
+    ]
+
+
 def test_sweep_T_monotone(capsys):
     code = main([
         "sweep", "--gen", "nonrepudiation", "--variant", "honest", "--p", "1/2",
@@ -94,22 +109,26 @@ def test_sweep_T_elaborates_once(monkeypatch, capsys):
 
 
 def test_sweep_p_requires_gen(fig1_file, capsys):
-    code = main([
-        "sweep", fig1_file, "--param", "p", "--values", "0.1",
-        "--prop", "Pmax [ F done ] coalition {sender}",
-    ])
-    assert code == 1
-    assert capsys.readouterr().err == "error: sweeping p needs --gen\n"
-    # the fault budgets are taskgraph parameters; nonrepudiation has none
-    for param in ("k1", "k2"):
+    # checked before the rows, so an empty --values list is refused too
+    for values in ("0.1", ""):
         code = main([
-            "sweep", "--gen", "nonrepudiation", "--variant", "honest", "--p", "1/10",
-            "--prop", "Pmax [ F terminated_ok ] coalition {O, R}",
-            "--param", param, "--values", "0,1,2",
+            "sweep", fig1_file, "--param", "p", "--values", values,
+            "--prop", "Pmax [ F done ] coalition {sender}",
         ])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err == f"error: sweeping {param} needs --gen taskgraph\n"
+        assert captured.err == "error: sweeping p needs --gen\n"
+    # the fault budgets are taskgraph parameters; nonrepudiation has none
+    for param in ("k1", "k2"):
+        for values in ("0,1,2", ""):
+            code = main([
+                "sweep", "--gen", "nonrepudiation", "--variant", "honest", "--p", "1/10",
+                "--prop", "Pmax [ F terminated_ok ] coalition {O, R}",
+                "--param", param, "--values", values,
+            ])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err == f"error: sweeping {param} needs --gen taskgraph\n"
 
 
 def test_sweep_empty_values_header_only(capsys):
@@ -144,7 +163,7 @@ PINNED_SYNTH = [
     (
         ["--gen", "taskgraph", "--k1", "1", "--k2", "1", "--p", "1/2",
          "--prop", "Emin [ F all_done ] price time coalition {sched}"],
-        "374ce27204c3beefffa3345e339e4ad8089ba4409ea448266226cda5f708f72c",
+        "b3ea2ee6437afbe6b49609125aa0eb6fad0f11994e2f82cd19c6279c7bf09887",
     ),
     (
         ["--gen", "nonrepudiation", "--variant", "malicious1",

@@ -125,8 +125,10 @@ def test_reachable_product_matches_eager_product_on_random_pairs():
     ceilings_differ = ceilings_agree = 0
     for _ in range(60):
         a, b, owner, shared = _random_pair(rng)
-        product = compose(a, b, owner, shared)
+        product = compose(a, b, shared)
         eager = eager_compose(a, b, owner, shared)
+        assert product.owner == {}
+        product = replace(product, owner={l: eager.owner[l] for l in product.locations})
         _assert_restriction(product, eager)
 
         game = tptg.build(product, price="run")
@@ -159,7 +161,10 @@ CASE_STUDIES = {
 def test_case_studies_build_the_same_games_as_eager_composition(make_source, monkeypatch):
     source = make_source()
     model = tptg.to_tptg(source)
-    monkeypatch.setattr(tptg.elaborate, "compose", eager_compose)
+    monkeypatch.setattr(
+        tptg.elaborate, "compose",
+        lambda a, b, shared_clocks=(): eager_compose(a, b, lambda la, lb: a.players[0], shared_clocks),
+    )
     eager = tptg.to_tptg(source)
     assert len(model.locations) < len(eager.locations)
     assert max_constants(model) == max_constants(eager)

@@ -5,8 +5,10 @@ import pytest
 import tptg
 from tptg import ModelError, ParseError, parse, parse_property, print_model, to_tptg
 from tptg.casestudies import nonrepudiation_text, taskgraph_text
-from tptg.elaborate import resolve_property
+from tptg.cli import property_game
 from tptg.model import errors_only, validate_assumptions
+from tptg.semantics import DEFAULT_STATE_LIMIT
+from tptg.solver import Objective
 
 
 def test_fig1_parses_to_expected_shape(fig1_source, fig1_model):
@@ -197,21 +199,26 @@ def test_taskgraph_faultless_has_no_fault_edges():
     assert not any(action.startswith("fault") for (_, action) in zero_p.transitions)
 
 
-def test_parse_property_forms(fig1_source):
-    prop = parse_property("Pmax [ F done ] <= 10 coalition {sender, medium}", fig1_source)
-    objective, coalition, bound = resolve_property(prop)
-    assert objective.kind == "prob-reach" and objective.direction == "maxmin"
-    assert coalition == ("sender", "medium") and bound == 10
+def test_parse_property_forms(fig1_text):
+    # fig1 with a time structure, so that the priced property can be built
+    source = parse(fig1_text.replace("[send] x >= 1", "rate time 1;\n    [send] x >= 1"))
+    model = to_tptg(source)
+    games = {}
+    prop = parse_property("Pmax [ F done ] <= 10 coalition {sender, medium}", source)
+    objective, game = property_game(model, prop, DEFAULT_STATE_LIMIT, games)
+    assert objective == Objective("prob-reach", "maxmin", "done_by_10")
+    assert set(game.owner) == {1}
 
-    prop = parse_property("Emin [ F done ] price time coalition {}", fig1_source)
-    objective, coalition, bound = resolve_property(prop)
-    assert objective.kind == "exp-price" and objective.direction == "minmax"
-    assert objective.price == "time" and coalition == () and bound is None
+    prop = parse_property("Emin [ F done ] price time coalition {}", source)
+    objective, game = property_game(model, prop, DEFAULT_STATE_LIMIT, games)
+    assert objective == Objective("exp-price", "minmax", "done", price="time")
+    assert set(game.owner) == {2}
+    assert any(move.price for moves in game.moves for move in moves)
 
     with pytest.raises(ParseError):
-        parse_property("Pbest [ F done ] coalition {sender}", fig1_source)
+        parse_property("Pbest [ F done ] coalition {sender}", source)
     with pytest.raises(ParseError):
-        parse_property("Pmax [ F done ] coalition {stranger}", fig1_source)
+        parse_property("Pmax [ F done ] coalition {stranger}", source)
 
 
 @pytest.mark.parametrize("edge_place", ["unreachable location", "variable guard"])

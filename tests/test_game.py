@@ -222,6 +222,10 @@ def test_json_import_refuses_non_finite_prices_and_malformed_numbers():
         [good],
         {**good, "transitions": [{**good["transitions"][0], "branches": [3]}]},
         {**good, "players": 5},
+        # strings are iterable, but are not the lists the schema asks for
+        {**good, "states": [{"owner": 1, "labels": "goal"}, *good["states"][1:]]},
+        {**good, "states": [{"owner": 1, "labels": [3]}, *good["states"][1:]]},
+        {**good, "players": "12"},
     ):
         with pytest.raises(ModelError, match="^game JSON has a wrongly typed record: "):
             from_json_dict(wrong)

@@ -157,8 +157,10 @@ def test_compose_with_idle_component_shifts_rates_only():
         transitions={},
         prices={"time": PriceStructure(rates={"zzz": 3})},
     )
-    product = compose(base, idle, lambda la, lb: "p")
+    product = compose(base, idle)
     assert product.locations == ("only.zzz",)
+    # the components' owners are dropped; the caller assigns the product's
+    assert product.owner == {}
     assert product.initial == "only.zzz"
     # same single edge, untouched distribution
     assert set(product.transitions) == {("only.zzz", "tick")}
@@ -196,7 +198,7 @@ def test_compose_product_distribution_with_point_mass():
         enabling={("b", "sync"): ClockConstraint()},
         transitions={("b", "sync"): (ProbBranch(Fraction(1), frozenset(), "b"),)},
     )
-    product = compose(left, right, lambda la, lb: "p")
+    product = compose(left, right)
     dist = product.transitions[("a.b", "sync")]
     assert sorted(b.prob for b in dist) == [Fraction(1, 2), Fraction(1, 2)]
 
@@ -214,8 +216,8 @@ def test_compose_interleaves_disjoint_alphabets_commutatively():
         enabling={("r0", "hop"): ClockConstraint()},
         transitions={("r0", "hop"): (ProbBranch(Fraction(1), frozenset(), "r1"),)},
     )
-    ab = compose(left, right, lambda la, lb: "p")
-    ba = compose(right, left, lambda la, lb: "p")
+    ab = compose(left, right)
+    ba = compose(right, left)
     assert {tuple(l.split(".")) for l in ab.locations} == {
         tuple(reversed(l.split("."))) for l in ba.locations
     }
@@ -239,9 +241,8 @@ def test_compose_associative_up_to_rebracketing():
         )
 
     a, b, c = automaton("a"), automaton("b"), automaton("c")
-    owner = lambda la, lb: "p"
-    left = compose(compose(a, b, owner), c, owner)
-    right = compose(a, compose(b, c, owner), owner)
+    left = compose(compose(a, b), c)
+    right = compose(a, compose(b, c))
     # location names re-bracket but the underlying structure is identical
     assert set(left.locations) == set(right.locations)
     assert left.initial == right.initial
@@ -256,14 +257,9 @@ def test_compose_associative_up_to_rebracketing():
 
 def test_compose_requires_shared_clock_declaration():
     with pytest.raises(ModelError):
-        compose(tiny(), tiny(), lambda la, lb: "p")
-    product = compose(tiny(), tiny(), lambda la, lb: "p", shared_clocks={"x"})
+        compose(tiny(), tiny())
+    product = compose(tiny(), tiny(), shared_clocks={"x"})
     assert product.clocks == ("x",)
-
-
-def test_compose_owner_must_be_total():
-    with pytest.raises(ModelError):
-        compose(tiny(), tiny(), {}, shared_clocks={"x"})
 
 
 def test_with_time_bound_zero_only_initial_states(fig1_model):
@@ -307,7 +303,7 @@ def test_compose_keeps_only_reachable_pairs():
         prices={"time": PriceStructure(rates={"orphan": 9})},
         labels={"lost": StateLabel(frozenset({"orphan"}))},
     )
-    product = compose(left, right, lambda la, lb: "p")
+    product = compose(left, right)
     assert product.locations == ("only.r0", "only.r1")
     assert set(product.transitions) == {
         ("only.r0", "tick"), ("only.r0", "hop"), ("only.r1", "tick"),
@@ -325,8 +321,8 @@ def test_compose_rejects_label_with_conflicting_guards():
         )
 
     with pytest.raises(ModelError, match="different clock guards"):
-        compose(guarded(1), guarded(2), lambda la, lb: "p", shared_clocks={"x"})
-    same = compose(guarded(1), guarded(1), lambda la, lb: "p", shared_clocks={"x"})
+        compose(guarded(1), guarded(2), shared_clocks={"x"})
+    same = compose(guarded(1), guarded(1), shared_clocks={"x"})
     assert same.labels["loop"] == StateLabel(frozenset({"only.only"}), clock_le("x", 1))
 
 
@@ -347,7 +343,7 @@ def test_compose_rejects_two_pairs_with_one_name():
     left = chain("p", "x", "x.y", "go")
     right = chain("q", "y.z", "z", "hop")
     with pytest.raises(ModelError) as raised:
-        compose(left, right, lambda la, lb: "p")
+        compose(left, right)
     message = str(raised.value)
     assert "('x', 'y.z')" in message and "('x.y', 'z')" in message and "'x.y.z'" in message
 

@@ -352,6 +352,15 @@ def test_a_negative_nan_or_infinite_tolerance_is_refused(tol):
             call()
 
 
+def test_solve_records_the_callers_objective():
+    game = chain_game()
+    objective = Objective("exp-price", "minmax", "goal", price="time")
+    result = tptg.solve(game, objective)
+    assert result.objective is objective
+    assert result.initial_value == 3.0
+    assert result.to_json_dict()["objective"]["price"] == "time"
+
+
 def test_unknown_direction_is_refused():
     game = two_action_game()
     with pytest.raises(ModelError, match="unknown direction"):
