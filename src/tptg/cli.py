@@ -19,7 +19,7 @@ from .elaborate import describe_property, to_tptg
 from .errors import ModelError, ParseError, StateLimitError
 from .game import Tsg, coalition_game, game_stats, to_json_dict
 from .model import Tptg, errors_only, validate_assumptions, with_time_bound
-from .semantics import DEFAULT_STATE_LIMIT, build, reprice
+from .semantics import DEFAULT_STATE_LIMIT, build, reprice, reweigh
 from .solver import Objective, SolveResult, solve
 
 EXIT_OK = 0
@@ -102,18 +102,20 @@ def _properties(args, source: ModelSource) -> list[PropertyAst]:
 
 
 def property_game(
-    model: Tptg, prop: PropertyAst, state_limit: int, games: dict
+    model: Tptg, prop: PropertyAst, state_limit: int, games: dict | None = None
 ) -> tuple[Objective, Tsg]:
     """bound -> objective -> build -> coalition for one property of `model`.
-    `games` holds a priced game of `model` per time-bound group (None
-    unbounded, (target, bound) bounded): built for the group's first property,
-    then repriced for another price and replaced by the repriced game,
-    components included."""
+    `games` holds per time-bound group (None unbounded, (target, bound)
+    bounded) the last priced game, with `model` and the model it was built
+    from: a group's first property builds it, another price reprices it, and
+    another `model` (the next row of a p sweep) reweighs it, or builds anew
+    where `reweigh` refuses. Each replaces the held game, components
+    included. Without `games`, nothing is cached or decomposed."""
     if prop.target not in model.labels:
         raise ModelError(f"property targets unknown label {prop.target!r}")
-    target, key = prop.target, None
+    built_from, target, key = model, prop.target, None
     if prop.bound is not None:
-        model, target = with_time_bound(model, prop.target, prop.bound)
+        built_from, target = with_time_bound(model, prop.target, prop.bound)
         key = (prop.target, prop.bound)
     objective = Objective(
         "prob-reach" if prop.query[0] == "P" else "exp-price",
@@ -121,20 +123,25 @@ def property_game(
         target,
         price=prop.price,
     )
-    held = games.get(key)
+    held = games.get(key) if games is not None else None
     if held is None:
-        game = build(model, price=prop.price, state_limit=state_limit)
+        game = build(built_from, price=prop.price, state_limit=state_limit)
+    elif held[0] is model:
+        game = held[3] if held[2] == prop.price else reprice(held[3], built_from, prop.price)
     else:
-        game = held[1] if held[0] == prop.price else reprice(held[1], model, prop.price)
-    game.components  # computed once; reprice and coalition views share it
-    games[key] = (prop.price, game)
+        try:
+            game = reweigh(held[3], held[1], built_from, prop.price)
+        except ModelError:  # build refuses with its own message, or builds
+            game = build(built_from, price=prop.price, state_limit=state_limit)
+    if games is not None:
+        game.components  # computed once; reprice, reweigh and coalition views share it
+        games[key] = (model, built_from, prop.price, game)
     return objective, coalition_game(game, prop.coalition)
 
 
-def _solved(args, model: Tptg, props: list[PropertyAst], state_limit: int):
-    """(prop, result, game) for each property of `model` in turn, over one
-    game cache; a property that fails leaves the earlier ones yielded."""
-    games = {}
+def _solved(args, model: Tptg, props: list[PropertyAst], state_limit: int, games: dict):
+    """(prop, result, game) for each property of `model` in turn, over the
+    game cache `games`; a property that fails leaves the earlier ones yielded."""
     for prop in props:
         objective, game = property_game(model, prop, state_limit, games)
         yield prop, solve(game, objective, tol=args.tol, max_iters=args.max_iters), game
@@ -149,7 +156,7 @@ def cmd_check(args) -> int:
     model = to_tptg(source)
     props = _properties(args, source)
     records, worst = [], EXIT_OK
-    for prop, result, game in _solved(args, model, props, _state_limit(args)):
+    for prop, result, game in _solved(args, model, props, _state_limit(args), {}):
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         print(
@@ -175,6 +182,7 @@ def cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v]
     rows = [[args.param] + [describe_property(p) for p in props]]
     worst = EXIT_OK
+    games = {}  # a p sweep carries the previous row's games into the next
     if args.param == "T":
         model = to_tptg(source)  # a time bound leaves the model unchanged
     for raw in values:
@@ -187,7 +195,9 @@ def cmd_sweep(args) -> int:
             model = to_tptg(load_source(argparse.Namespace(**{**vars(args), args.param: value})))
             swept_props = props
         cells = [raw]
-        for _, result, _ in _solved(args, model, swept_props, state_limit):
+        if args.param != "p":
+            games = {}
+        for _, result, _ in _solved(args, model, swept_props, state_limit, games):
             cells.append(f"{result.initial_value:.10g}")
             worst = _exit_code(worst, result)
         rows.append(cells)
@@ -204,7 +214,7 @@ def cmd_synth(args) -> int:
     model = to_tptg(source)
     props = _properties(args, source)
     records, worst = [], EXIT_OK
-    for prop, result, _ in _solved(args, model, props, _state_limit(args)):
+    for prop, result, _ in _solved(args, model, props, _state_limit(args), {}):
         print(
             f"{describe_property(prop)} = {result.initial_value:.6f} "
             f"(strategy over {len(result.strategy or {})} states)"
@@ -225,7 +235,7 @@ def cmd_simulate(args) -> int:
     props = _properties(args, source)
     if len(props) != 1:
         raise ModelError("simulate works on exactly one property")
-    objective, two_player = property_game(model, props[0], _state_limit(args), {})
+    objective, two_player = property_game(model, props[0], _state_limit(args))
     target = objective.target
     if args.uniform:
         profile = uniform_profile(random.Random(args.seed ^ 0x5EED))

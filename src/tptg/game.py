@@ -173,10 +173,12 @@ class Tsg:
         )
 
     def derive(self, **changes) -> "Tsg":
-        """Copy with other owners, players or move prices, or with moves
-        dropped, but no other change to branches or move order, sharing the
-        components once they are computed: every edge of the copy is an edge
-        of this game, so their order stays successors first."""
+        """Copy with other owners, players or move prices, with moves
+        dropped, or with branch probabilities changed but each branch's
+        target and positivity kept, and no other change to branches or move
+        order, sharing the components once they are computed: every edge of
+        the copy is an edge of this game, so their order stays successors
+        first."""
         view = replace(self, **changes)
         if "components" in self.__dict__:
             view.__dict__["components"] = self.components

@@ -8,6 +8,7 @@ and an action fires when its enabling condition holds after the delay.
 """
 
 import math
+from dataclasses import fields
 from typing import NamedTuple
 
 from .clocks import LE, ClockConstraint
@@ -156,6 +157,12 @@ class _Lowered:
         return moves
 
 
+def _check_prerequisites(model: Tptg):
+    diagnostics = errors_only(validate_assumptions(model))
+    if diagnostics:
+        raise ModelError(f"model fails digital-semantics prerequisites: {summarize(diagnostics)}")
+
+
 def build(
     model: Tptg,
     price: str | None = None,
@@ -168,10 +175,7 @@ def build(
     deterministic: states are indexed in BFS discovery order and moves kept
     in (delay, action) order.
     """
-    diagnostics = errors_only(validate_assumptions(model))
-    if diagnostics:
-        raise ModelError(f"model fails digital-semantics prerequisites: {summarize(diagnostics)}")
-
+    _check_prerequisites(model)
     lowered = _Lowered(model, price)
     start = (model.initial, (0,) * len(lowered.clocks))
     # states are numbered in discovery order, so walking `states` while it
@@ -221,16 +225,95 @@ def build(
 def reprice(game: Tsg, model: Tptg, price: str | None) -> Tsg:
     """Same game with move prices recomputed under another price structure;
     branches and move order are kept, so the components are shared."""
+    return _rewalk(game, model, price, {})
+
+
+def reweigh(game: Tsg, built_from: Tptg, model: Tptg, price: str | None = None) -> Tsg:
+    """The game ``build(model, price)`` gives, from `game`, which was built,
+    reweighed or repriced from `built_from`, without exploring again.
+
+    `model` may differ from `built_from` in branch probabilities alone: each
+    distribution keeps its targets and resets, in order, and stays positive,
+    so the graph and its cached components are shared (the parametric
+    model instantiated per valuation of Quatmann, Dehnert, Jansen, Junges &
+    Katoen, ATVA 2016). Raises ModelError otherwise, with `build`'s message
+    where `build` refuses `model`.
+    """
+    def refuse(what: str):
+        _check_prerequisites(model)  # where `build` refuses, with its message
+        raise ModelError(f"reweigh changes branch probabilities only, not {what}")
+
+    for f in fields(Tptg):
+        if f.name != "transitions" and getattr(model, f.name) != getattr(built_from, f.name):
+            refuse(f"the model's {f.name}")
+    if model.transitions.keys() != built_from.transitions.keys():
+        refuse("the model's edges")
+    changed = {}
+    for key, dist in model.transitions.items():
+        old = built_from.transitions[key]
+        if dist == old:
+            continue
+        if (
+            len(dist) != len(old)
+            or any((b.target, b.resets) != (a.target, a.resets) for a, b in zip(old, dist))
+            or any(not 0 < b.prob <= 1 for b in dist)
+            or sum(b.prob for b in dist) != 1
+        ):
+            refuse(f"the targets, resets or positive support of edge {key}")
+        changed[key] = dist
+    return _rewalk(game, model, price, changed)
+
+
+def _rewalk(game: Tsg, model: Tptg, price: str | None, changed: dict) -> Tsg:
+    """One walk of `game`'s moves: prices recomputed under `price`, and the
+    branches of each move of a `changed` distribution ((location, action)
+    -> new distribution) recomputed as `build` computes them. Every other
+    move keeps its branches tuple."""
     table = _price_table(model, price)
+    ceilings = max_constants(model) if changed else {}
+    saturated = tuple(k + 1 for k in ceilings.values())
+    position = {x: i for i, x in enumerate(ceilings)}  # the clock order of states
+    weights = {
+        key: (
+            tuple(float(b.prob) for b in dist),
+            tuple((b.target, tuple(sorted(position[x] for x in b.resets)), b.prob) for b in dist),
+        )
+        for key, dist in changed.items()
+    }
     new_moves = []
     for state, moves in zip(game.states, game.moves):
         if not isinstance(state, DigitalState):
-            raise ModelError("reprice needs a game built from a timed model")
-        rate, action_prices = table.get(state.location, _UNPRICED)
-        new_moves.append(tuple(
-            Move(m.action, m.branches, float(m.time * rate + action_prices.get(m.action, 0)), m.time)
-            for m in moves
-        ))
+            raise ModelError("reprice and reweigh need a game built from a timed model")
+        location, values = state
+        rate, action_prices = table.get(location, _UNPRICED)
+        row = []
+        for m in moves:
+            branches = m.branches
+            weight = weights.get((location, m.action)) if weights else None
+            if weight is not None:
+                floats, exact = weight
+                if len(branches) == len(floats):
+                    branches = tuple([(t, f) for (t, _), f in zip(branches, floats)])
+                else:
+                    # branches collided: sum each landing's exact
+                    # probabilities in first-branch order, as `_Lowered.moves`
+                    t = m.time
+                    advanced = tuple([v + t if v + t < k else k for v, k in zip(values, saturated)])
+                    outcomes: dict = {}
+                    for target, resets, prob in exact:
+                        landed = advanced
+                        if resets:
+                            cleared = list(advanced)
+                            for i in resets:
+                                cleared[i] = 0
+                            landed = tuple(cleared)
+                        outcomes[target, landed] = outcomes.get((target, landed), 0) + prob
+                    if len(outcomes) != len(branches):
+                        raise ModelError(f"state ({location}, {values}) was not built from this model")
+                    branches = tuple([(s, float(q)) for (s, _), q in zip(branches, outcomes.values())])
+            cost = m.time * rate + action_prices.get(m.action, 0)
+            row.append(Move(m.action, branches, float(cost), m.time))
+        new_moves.append(tuple(row))
     return game.derive(moves=tuple(new_moves))
 
 

@@ -399,11 +399,13 @@ def _optimal(backups: list[float], best: float, tol: float) -> list[int]:
     return [i for i, b in enumerate(backups) if abs(b - best) <= slack]
 
 
-def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=None):
+def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=None, components=None):
     """The one successors-first visit of `game.components` behind a solve:
     the result without warnings or strategy, the chosen move index per state
     and the drop rounds. With `fixed`, the values are held at that vector.
     After a cyclic SCC ends above `tol`, the pass gives rounds and start values.
+    With `components`, a successors-first part of `game.components` closed
+    under moves, the pass visits those alone; other states keep value 0.
     """
     prices = objective.kind == "exp-price"
     moves, owner = game.moves, game.owner
@@ -421,7 +423,7 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
     rounds = [0] * n
     layer = [0 if s in target_set else inf for s in range(n)]
     choice: dict[int, int] = {}
-    for states, cyclic in game.components:
+    for states, cyclic in game.components if components is None else components:
         if not cyclic:
             # one loop over the moves and one walk of each one's positive branches:
             # its work, min(min e, max e - 1) over their drop rounds e (0 with none;
@@ -622,9 +624,12 @@ def _certify(
                     reached.add(t)
                     stack.append(t)
     # The induced Markov chain, a view keeping each reached state's chosen
-    # move and sharing the cached SCCs, is evaluated by the solve's own pass.
+    # move and sharing the cached SCCs, is evaluated by the solve's own pass
+    # over the SCCs the walk reached.
     view = game.derive(moves=tuple(chain))
-    check = _pass(view, objective, _target_set(game, objective.target), tol, DEFAULT_MAX_ITERS)[0].values
+    visited = [c for c in game.components if not reached.isdisjoint(c[0])]
+    check = _pass(view, objective, _target_set(game, objective.target), tol, DEFAULT_MAX_ITERS,
+                  None, visited)[0].values
     worst = 0.0
     for s in reached:
         a, b = vector[s], check[s]

@@ -168,6 +168,8 @@ CLI_CALLS = (
           "--param", "p", "--values", "0,1/4,1/2,3/4,1", "--csv", "{out}/sweep.csv"]),
     ({}, ["sweep", "--gen", "taskgraph", "--p", "1/2", "--prop", TASKGRAPH_TIME,
           "--param", "k1", "--values", "0,1"]),
+    # cyclic games reweighed row to row; at p=1 a round loses a branch
+    ({}, ["sweep", *HONEST, "--param", "p", "--values", "1/100,1/10,1/2,1"]),
     ({}, ["export-game", "{fig1}"]),
     ({}, ["export-game", *TASKGRAPH, "--price", "time", "--json", "{out}/game.json"]),
     ({}, ["validate", "{fig1}"]),
@@ -177,6 +179,8 @@ CLI_CALLS = (
     ({}, ["check", "{fig1}", *FIG1_PROP, "--prop", "Pmax [ F nowhere ] coalition {sender}"]),
     ({}, ["sweep", *HONEST, "--p", "1/2", "--prop", "Pmax [ F terminated_ok ] coalition {O, R}",
           "--param", "T", "--values", "5,x"]),
+    ({}, ["sweep", "--gen", "nonrepudiation", "--variant", "malicious1",
+          "--prop", "Pmax [ F r_gains_info ] coalition {R}", "--param", "p", "--values", "1/10,1"]),
     ({"TPTG_STATE_LIMIT": "abc"}, ["check", "{fig1}", *FIG1_PROP]),
     ({}, ["check", "{fig1}", *FIG1_PROP, "--state-limit", "3"]),
     ({}, ["check", "{fig1}", *FIG1_PROP, "--max-iters", "0", "--json", "{out}/check.json"]),

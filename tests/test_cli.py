@@ -382,13 +382,38 @@ def _count_builds(monkeypatch) -> list:
 
 def test_shipped_sweeps_build_once_per_model_and_time_bound(monkeypatch, tmp_path):
     results = pathlib.Path(__file__).resolve().parent.parent / "results"
-    # 16 values of T x 1 bound group; 5 values of p x 1 unbounded group
-    for name, builds in (("honest_termination_by_T.csv", 16), ("taskgraph_expected_by_p.csv", 5)):
+    # 16 values of T x 1 bound group; 5 values of p x 1 unbounded group, of
+    # which 1/2 and 3/4 reweigh the game of the row before
+    for name, builds in (("honest_termination_by_T.csv", 16), ("taskgraph_expected_by_p.csv", 3)):
         calls = _count_builds(monkeypatch)
         regenerated = tmp_path / name
         assert main(SHIPPED_SWEEPS[name] + ["--csv", str(regenerated)]) == 0
         assert len(calls) == builds, name
         assert regenerated.read_bytes() == (results / name).read_bytes(), name
+
+
+def test_a_p_sweep_reweighs_the_games_of_the_row_before(monkeypatch, capsys):
+    # the honest model's two properties form two time-bound groups; p=1/100
+    # builds both, 1/10 and 1/2 reweigh them, and p=1, whose rounds lose a
+    # branch, builds both again
+    honest = ["sweep", "--gen", "nonrepudiation", "--variant", "honest", "--param", "p"]
+    values = ["1/100", "1/10", "1/2", "1"]
+    rows = []
+    for value in values:  # each alone, on a fresh cache
+        assert main(honest + ["--values", value]) == 0
+        rows.append(capsys.readouterr().out.splitlines()[1])
+    calls, held = _count_builds(monkeypatch), []
+    property_game = cli.property_game
+
+    def record(model, prop, state_limit, games=None):
+        held.append(len(games))
+        return property_game(model, prop, state_limit, games)
+
+    monkeypatch.setattr(cli, "property_game", record)
+    assert main(honest + ["--values", ",".join(values)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == rows
+    assert len(calls) == 4
+    assert held == [0, 1, 2, 2, 2, 2, 2, 2]  # never more than one row's games
 
 
 def test_check_fig1_builds_once_per_time_bound(monkeypatch, capsys):

@@ -284,8 +284,8 @@ def test_components_are_successors_first_and_flag_cycles():
     assert game.components == (((2,), True), ((0, 1), True), ((3,), False))
 
 
-def _decompositions(monkeypatch, tmp_path, name) -> int:
-    """How many games `Tsg.components` decomposes in the shipped sweep `name`."""
+def _count_decompositions(monkeypatch) -> list:
+    """The games `Tsg.components` decomposes from here on, in order."""
     decomposed = []
     decompose = Tsg.__dict__["components"].func
 
@@ -296,8 +296,26 @@ def _decompositions(monkeypatch, tmp_path, name) -> int:
     counting = functools.cached_property(counted)
     counting.__set_name__(Tsg, "components")
     monkeypatch.setattr(Tsg, "components", counting)
+    return decomposed
+
+
+def _decompositions(monkeypatch, tmp_path, name) -> int:
+    """How many games `Tsg.components` decomposes in the shipped sweep `name`."""
+    decomposed = _count_decompositions(monkeypatch)
     assert main(SHIPPED_SWEEPS[name] + ["--csv", str(tmp_path / name)]) == 0
     return len(decomposed)
+
+
+def test_simulate_decomposes_no_game(monkeypatch, capsys):
+    # a simulation never solves, so it needs no SCCs
+    decomposed = _count_decompositions(monkeypatch)
+    assert main([
+        "simulate", "--gen", "taskgraph", "--k1", "1", "--k2", "1", "--p", "1/2",
+        "--prop", "Emin [ F all_done ] price time coalition {sched}",
+        "--uniform", "--samples", "20",
+    ]) == 0
+    assert "hits = 20" in capsys.readouterr().out
+    assert decomposed == []
 
 
 def test_the_nonrep_sweep_decomposes_each_built_game_once(monkeypatch, tmp_path):
@@ -306,5 +324,6 @@ def test_the_nonrep_sweep_decomposes_each_built_game_once(monkeypatch, tmp_path)
 
 
 def test_the_taskgraph_sweep_decomposes_each_built_game_once(monkeypatch, tmp_path):
-    # one per built game: 5 values of p; reprice and coalition views share it
-    assert _decompositions(monkeypatch, tmp_path, "taskgraph_expected_by_p.csv") == 5
+    # one per built game: p=0, 1/4 and 1; reprice, reweigh and coalition
+    # views share it
+    assert _decompositions(monkeypatch, tmp_path, "taskgraph_expected_by_p.csv") == 3

@@ -246,6 +246,86 @@ def test_reprice_equals_rebuild_on_fig1_and_random_models(fig1_model):
         _assert_reprice_equals_rebuild(random_tptg(rng))
 
 
+def _colliding_moves(game, model) -> int:
+    """Moves with fewer branches than their distribution: two or more of
+    its branches landed on one state, so the move carries their sum."""
+    return sum(
+        len(m.branches) < len(model.transitions[state.location, m.action])
+        for state, moves in zip(game.states, game.moves) for m in moves
+    )
+
+
+def _assert_reweighs_like_build(models, pairs, prices):
+    """For each ordered pair (p, q) of `models` keys and each pair of prices
+    (a, b), reweighing the game built from models[p] under a to models[q]
+    under b gives the game built from models[q] under b, down to the float
+    bits of every probability and price, and shares its components."""
+    built = {(k, price): tptg.build(model, price=price) for k, model in models.items() for price in prices}
+    for p, q in pairs:
+        for a in prices:
+            game = built[p, a]
+            components = game.components  # cached before reweighing, so shared
+            for b in prices:
+                reweighed = tptg.reweigh(game, models[p], models[q], b)
+                expected = built[q, b]
+                assert reweighed == expected, (p, q, a, b)
+                assert [[repr(m) for m in ms] for ms in reweighed.moves] == [
+                    [repr(m) for m in ms] for ms in expected.moves
+                ], (p, q, a, b)
+                assert reweighed.components is components
+    return built
+
+
+PROBABILITIES = ("1/4", "1/2", "3/4")
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_reweigh_equals_rebuild_on_taskgraph(k):
+    models = {p: tptg.gen_taskgraph(k, k, p) for p in PROBABILITIES}
+    pairs = list(itertools.product(PROBABILITIES, repeat=2))
+    built = _assert_reweighs_like_build(models, pairs, ("time", "energy"))
+    if k:  # the regrouping of collided branches is exercised
+        assert all(_colliding_moves(built[p, "time"], models[p]) == 160 for p in PROBABILITIES)
+
+
+def test_reweigh_equals_rebuild_on_taskgraph_2_2():
+    models = {p: tptg.gen_taskgraph(2, 2, p) for p in ("1/4", "3/4")}
+    built = _assert_reweighs_like_build(models, [("1/4", "3/4")], ("time", "energy"))
+    assert _colliding_moves(built["1/4", "time"], models["1/4"]) > 0
+
+
+@pytest.mark.parametrize("variant", ["honest", "malicious1", "malicious2"])
+def test_reweigh_equals_rebuild_on_cyclic_nonrep_games(variant):
+    probabilities = (Fraction(1, 100), Fraction(1, 10), Fraction(1, 2))
+    models = {p: tptg.gen_nonrepudiation(variant, p=p) for p in probabilities}
+    built = _assert_reweighs_like_build(
+        models, list(itertools.product(probabilities, repeat=2)), (None, "time")
+    )
+    assert all(any(cyclic for _, cyclic in game.components) for game in built.values())
+
+
+@pytest.mark.parametrize("old, new", [
+    ((1, 1, "0"), (1, 1, "1/4")),  # p=0 has no fault branches
+    ((1, 1, "3/4"), (1, 1, "1")),  # p=1 has one fault branch
+    ((1, 1, "1/2"), (2, 1, "1/2")),
+], ids=["p0-to-quarter", "three-quarters-to-p1", "k1"])
+def test_reweigh_refuses_another_graph(old, new):
+    built_from, model = tptg.gen_taskgraph(*old), tptg.gen_taskgraph(*new)
+    with pytest.raises(ModelError, match="reweigh changes branch probabilities only"):
+        tptg.reweigh(tptg.build(built_from), built_from, model)
+
+
+def test_reweigh_refuses_what_build_refuses_with_its_message():
+    built_from = tptg.gen_nonrepudiation("malicious1", p=Fraction(1, 10))
+    model = tptg.gen_nonrepudiation("malicious1", p=Fraction(1))  # a branch of probability 0
+    with pytest.raises(ModelError) as refused:
+        tptg.build(model)
+    with pytest.raises(ModelError) as reweighed:
+        tptg.reweigh(tptg.build(built_from), built_from, model)
+    assert "digital-semantics prerequisites" in str(refused.value)
+    assert str(reweighed.value) == str(refused.value)
+
+
 def _assert_builds_like_retired_builder(model, price=None):
     """The game `build` returns equals the retired builder's: the same
     states, owners and labels, and the same moves down to the float bits
