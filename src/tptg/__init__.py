@@ -27,7 +27,7 @@ from .model import (
     validate_assumptions,
     with_time_bound,
 )
-from .semantics import DigitalState, build, reprice, reweigh, state_index
+from .semantics import DigitalState, build, reweigh, state_index
 from .solver import (
     Objective,
     SolveResult,

@@ -19,7 +19,7 @@ from .elaborate import describe_property, to_tptg
 from .errors import ModelError, ParseError, StateLimitError
 from .game import Tsg, coalition_game, game_stats, to_json_dict
 from .model import Tptg, errors_only, validate_assumptions, with_time_bound
-from .semantics import DEFAULT_STATE_LIMIT, build, reprice, reweigh
+from .semantics import DEFAULT_STATE_LIMIT, build, reweigh
 from .solver import Objective, SolveResult, solve
 
 EXIT_OK = 0
@@ -107,10 +107,11 @@ def property_game(
     """bound -> objective -> build -> coalition for one property of `model`.
     `games` holds per time-bound group (None unbounded, (target, bound)
     bounded) the last priced game, with `model` and the model it was built
-    from: a group's first property builds it, another price reprices it, and
-    another `model` (the next row of a p sweep) reweighs it, or builds anew
-    where `reweigh` refuses. Each replaces the held game, components
-    included. Without `games`, nothing is cached or decomposed."""
+    from: a group's first property builds it, the same `model` and price
+    reuse it, and another price or `model` (the next row of a sweep)
+    reweighs it, or builds anew where `reweigh` returns None. Each replaces
+    the held game, components included. Without `games`, nothing is cached
+    or decomposed."""
     if prop.target not in model.labels:
         raise ModelError(f"property targets unknown label {prop.target!r}")
     built_from, target, key = model, prop.target, None
@@ -124,17 +125,15 @@ def property_game(
         price=prop.price,
     )
     held = games.get(key) if games is not None else None
-    if held is None:
+    game = None
+    if held is not None:
+        held_model, held_from, held_price, game = held
+        if held_model is not model or held_price != prop.price:
+            game = reweigh(game, held_from, built_from, prop.price)
+    if game is None:
         game = build(built_from, price=prop.price, state_limit=state_limit)
-    elif held[0] is model:
-        game = held[3] if held[2] == prop.price else reprice(held[3], built_from, prop.price)
-    else:
-        try:
-            game = reweigh(held[3], held[1], built_from, prop.price)
-        except ModelError:  # build refuses with its own message, or builds
-            game = build(built_from, price=prop.price, state_limit=state_limit)
     if games is not None:
-        game.components  # computed once; reprice, reweigh and coalition views share it
+        game.components  # computed once; reweigh and coalition views share it
         games[key] = (model, built_from, prop.price, game)
     return objective, coalition_game(game, prop.coalition)
 
@@ -182,7 +181,7 @@ def cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v]
     rows = [[args.param] + [describe_property(p) for p in props]]
     worst = EXIT_OK
-    games = {}  # a p sweep carries the previous row's games into the next
+    games = {}  # a row reweighs the games of the row before where it can
     if args.param == "T":
         model = to_tptg(source)  # a time bound leaves the model unchanged
     for raw in values:
@@ -190,13 +189,12 @@ def cmd_sweep(args) -> int:
             bound = _number(int, raw, "T")
             swept_props = [PropertyAst(p.query, p.target, bound, p.price, p.coalition)
                            for p in props]
+            games = {}  # an earlier bound's games would only take memory
         else:
             value = raw if args.param == "p" else _number(int, raw, args.param)
             model = to_tptg(load_source(argparse.Namespace(**{**vars(args), args.param: value})))
             swept_props = props
         cells = [raw]
-        if args.param != "p":
-            games = {}
         for _, result, _ in _solved(args, model, swept_props, state_limit, games):
             cells.append(f"{result.initial_value:.10g}")
             worst = _exit_code(worst, result)
@@ -254,7 +252,7 @@ def cmd_simulate(args) -> int:
             raise ModelError(f"strategy file {args.strategy} holds no state/action list") from None
         profile = {}
         for state, action in choices:
-            if not isinstance(state, int) or not 0 <= state < len(two_player.states):
+            if type(state) is not int or not 0 <= state < len(two_player.states):
                 raise ModelError(f"strategy refers to unknown state {state!r}")
             if action not in two_player.available_actions(state):
                 raise ModelError(f"strategy picks unavailable action {action!r} at state {state}")

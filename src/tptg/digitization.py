@@ -275,6 +275,8 @@ def simulate(
     The accumulated price covers every move up to and including the one that
     enters the target; runs starting inside the target cost nothing.
     """
+    if max_steps < 0:
+        raise ModelError(f"the step bound must be at least 0, not {max_steps}")
     rng = rng if rng is not None else random.Random(seed)
     target_set = game.label_states(targets) if isinstance(targets, str) else targets
     choose = _profile_fn(profile)

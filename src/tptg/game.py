@@ -173,12 +173,12 @@ class Tsg:
         )
 
     def derive(self, **changes) -> "Tsg":
-        """Copy with other owners, players or move prices, with moves
-        dropped, or with branch probabilities changed but each branch's
-        target and positivity kept, and no other change to branches or move
-        order, sharing the components once they are computed: every edge of
-        the copy is an edge of this game, so their order stays successors
-        first."""
+        """Copy with other owners or players (`coalition_game`), with moves
+        dropped, or with other move prices or branch probabilities, each
+        branch's target and positivity kept (`semantics.reweigh`), and no
+        other change to branches or move order, sharing the components once
+        they are computed: every edge of the copy is an edge of this game,
+        so their order stays successors first."""
         view = replace(self, **changes)
         if "components" in self.__dict__:
             view.__dict__["components"] = self.components
@@ -188,7 +188,8 @@ class Tsg:
         """Check structural invariants, returning one diagnostic per violation."""
         issues: list[str] = []
         n = len(self.states)
-        if not (isinstance(self.initial, int) and 0 <= self.initial < n):
+        # a state index is an int and not a bool, which Python counts as one
+        if not (type(self.initial) is int and 0 <= self.initial < n):
             issues.append(f"initial state {self.initial!r} out of range")
         if len(self.owner) != n:
             issues.append(
@@ -215,7 +216,7 @@ class Tsg:
                     )
                 mass = 0.0
                 for target, prob in m.branches:
-                    if not (isinstance(target, int) and 0 <= target < n):
+                    if not (type(target) is int and 0 <= target < n):
                         issues.append(
                             f"state {i}, action {m.label!r}: branch to invalid state {target!r}"
                         )
@@ -330,7 +331,7 @@ def from_json_dict(data: dict) -> Tsg:
         initial = data["initial"]
         raw_transitions = data["transitions"]
         n = len(state_records)
-        owner = tuple(record["owner"] for record in state_records)
+        owner = tuple(_player(record["owner"]) for record in state_records)
         labels: dict[str, set[int]] = {}
         for i, record in enumerate(state_records):
             names = record.get("labels", [])
@@ -341,7 +342,7 @@ def from_json_dict(data: dict) -> Tsg:
         moves: list[list[Move]] = [[] for _ in range(n)]
         for entry in raw_transitions:
             source = entry["from"]
-            if not (isinstance(source, int) and 0 <= source < n):
+            if not (type(source) is int and 0 <= source < n):
                 raise ModelError(f"game JSON has a transition from invalid state {source!r}")
             time, action = parse_move_label(entry["action"])
             branches = tuple((b["to"], _number(b["prob"])) for b in entry["branches"])
@@ -349,7 +350,7 @@ def from_json_dict(data: dict) -> Tsg:
         players = data.get("players", list(dict.fromkeys(owner)))
         if not isinstance(players, list):
             raise TypeError(f"players must be a list, not {players!r}")
-        players = tuple(players)
+        players = tuple(_player(p) for p in players)
     except KeyError as missing:
         raise ModelError(f"game JSON is missing key {missing}") from None
     except (TypeError, AttributeError) as wrong:
@@ -366,6 +367,12 @@ def from_json_dict(data: dict) -> Tsg:
     if issues:
         raise ModelError(f"game JSON fails validation: {summarize(issues)}")
     return game
+
+
+def _player(value) -> Player:
+    if type(value) not in (str, int):  # nor a bool
+        raise TypeError(f"an owner or player must be a string or an integer, not {value!r}")
+    return value
 
 
 def _number(value) -> float:

@@ -157,12 +157,6 @@ class _Lowered:
         return moves
 
 
-def _check_prerequisites(model: Tptg):
-    diagnostics = errors_only(validate_assumptions(model))
-    if diagnostics:
-        raise ModelError(f"model fails digital-semantics prerequisites: {summarize(diagnostics)}")
-
-
 def build(
     model: Tptg,
     price: str | None = None,
@@ -175,7 +169,9 @@ def build(
     deterministic: states are indexed in BFS discovery order and moves kept
     in (delay, action) order.
     """
-    _check_prerequisites(model)
+    diagnostics = errors_only(validate_assumptions(model))
+    if diagnostics:
+        raise ModelError(f"model fails digital-semantics prerequisites: {summarize(diagnostics)}")
     lowered = _Lowered(model, price)
     start = (model.initial, (0,) * len(lowered.clocks))
     # states are numbered in discovery order, so walking `states` while it
@@ -222,32 +218,27 @@ def build(
     )
 
 
-def reprice(game: Tsg, model: Tptg, price: str | None) -> Tsg:
-    """Same game with move prices recomputed under another price structure;
-    branches and move order are kept, so the components are shared."""
-    return _rewalk(game, model, price, {})
-
-
-def reweigh(game: Tsg, built_from: Tptg, model: Tptg, price: str | None = None) -> Tsg:
-    """The game ``build(model, price)`` gives, from `game`, which was built,
-    reweighed or repriced from `built_from`, without exploring again.
+def reweigh(game: Tsg, built_from: Tptg, model: Tptg, price: str | None = None) -> Tsg | None:
+    """The game ``build(model, price)`` gives, from `game`, which was built
+    or reweighed from `built_from`, without exploring again; with `model` as
+    `built_from`, that is `game` under another price structure.
 
     `model` may differ from `built_from` in branch probabilities alone: each
     distribution keeps its targets and resets, in order, and stays positive,
     so the graph and its cached components are shared (the parametric
     model instantiated per valuation of Quatmann, Dehnert, Jansen, Junges &
-    Katoen, ATVA 2016). Raises ModelError otherwise, with `build`'s message
-    where `build` refuses `model`.
-    """
-    def refuse(what: str):
-        _check_prerequisites(model)  # where `build` refuses, with its message
-        raise ModelError(f"reweigh changes branch probabilities only, not {what}")
+    Katoen, ATVA 2016). Returns None otherwise: then only `build` gives the
+    game, or refuses `model`.
 
+    One walk of the moves recomputes every price; every move keeps its
+    branches tuple but those of a changed distribution, which are
+    recomputed as `build` computes them.
+    """
     for f in fields(Tptg):
         if f.name != "transitions" and getattr(model, f.name) != getattr(built_from, f.name):
-            refuse(f"the model's {f.name}")
+            return None
     if model.transitions.keys() != built_from.transitions.keys():
-        refuse("the model's edges")
+        return None
     changed = {}
     for key, dist in model.transitions.items():
         old = built_from.transitions[key]
@@ -259,16 +250,8 @@ def reweigh(game: Tsg, built_from: Tptg, model: Tptg, price: str | None = None) 
             or any(not 0 < b.prob <= 1 for b in dist)
             or sum(b.prob for b in dist) != 1
         ):
-            refuse(f"the targets, resets or positive support of edge {key}")
+            return None
         changed[key] = dist
-    return _rewalk(game, model, price, changed)
-
-
-def _rewalk(game: Tsg, model: Tptg, price: str | None, changed: dict) -> Tsg:
-    """One walk of `game`'s moves: prices recomputed under `price`, and the
-    branches of each move of a `changed` distribution ((location, action)
-    -> new distribution) recomputed as `build` computes them. Every other
-    move keeps its branches tuple."""
     table = _price_table(model, price)
     ceilings = max_constants(model) if changed else {}
     saturated = tuple(k + 1 for k in ceilings.values())
@@ -283,7 +266,7 @@ def _rewalk(game: Tsg, model: Tptg, price: str | None, changed: dict) -> Tsg:
     new_moves = []
     for state, moves in zip(game.states, game.moves):
         if not isinstance(state, DigitalState):
-            raise ModelError("reprice and reweigh need a game built from a timed model")
+            raise ModelError("reweigh needs a game built from a timed model")
         location, values = state
         rate, action_prices = table.get(location, _UNPRICED)
         row = []

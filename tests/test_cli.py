@@ -1,11 +1,14 @@
 import hashlib
 import importlib.resources
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from tptg import cli
+from tptg import cli, semantics
 from tptg.cli import main
 
 
@@ -207,6 +210,20 @@ def test_shipped_csvs_regenerate_exactly(tmp_path):
         assert regenerated.read_bytes() == (results / name).read_bytes(), name
 
 
+def test_shipped_csvs_regenerate_exactly_under_python_O(tmp_path):
+    # `python -O` drops assert statements: no check the sweeps need may be one
+    results = pathlib.Path(__file__).resolve().parent.parent / "results"
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+    for name, args in SHIPPED_SWEEPS.items():
+        regenerated = tmp_path / name
+        subprocess.run(
+            [sys.executable, "-O", "-m", "tptg.cli", *args, "--csv", str(regenerated)],
+            capture_output=True, env=env, check=True,
+        )
+        assert regenerated.read_bytes() == (results / name).read_bytes(), name
+
+
 def test_sweep_p_taskgraph_monotone_via_cli(capsys):
     code = main([
         "sweep", "--gen", "taskgraph", "--k1", "1", "--k2", "1",
@@ -261,8 +278,9 @@ def test_simulate_without_strategy_errors(capsys):
         ("not json {", "is not JSON"),
         ('{"value": 1.0}', "has no 'strategy' key"),
         ('[{"state": "0", "action": "(1,send)"}]', "unknown state '0'"),
+        ('[{"state": true, "action": "(1,quick)"}]', "unknown state True"),  # not state 1
     ],
-    ids=["not-json", "no-strategy-key", "string-state"],
+    ids=["not-json", "no-strategy-key", "string-state", "boolean-state"],
 )
 def test_simulate_malformed_strategy_file_errors(fig1_file, tmp_path, capsys, text, message):
     strategy = tmp_path / "strategy.json"
@@ -282,6 +300,15 @@ def test_simulate_zero_samples_usage_error(fig1_file):
         "--prop", "Pmax [ F done ] coalition {sender, medium}",
     ])
     assert code == 1
+
+
+def test_simulate_negative_max_steps_usage_error(fig1_file, capsys):
+    code = main([
+        "simulate", fig1_file, "--uniform", "--max-steps", "-3",
+        "--prop", "Pmax [ F done ] coalition {sender, medium}",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: the step bound must be at least 0, not -3\n"
 
 
 def test_simulate_uniform(fig1_file, capsys):
@@ -414,6 +441,22 @@ def test_a_p_sweep_reweighs_the_games_of_the_row_before(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[1:] == rows
     assert len(calls) == 4
     assert held == [0, 1, 2, 2, 2, 2, 2, 2]  # never more than one row's games
+
+
+def test_a_sweep_checks_prerequisites_only_where_it_builds(monkeypatch, tmp_path):
+    # reweigh runs no prerequisite check, so each sweep checks once per build
+    calls = []
+    check = semantics.validate_assumptions
+    monkeypatch.setattr(semantics, "validate_assumptions", lambda m: calls.append(1) or check(m))
+    taskgraph = SHIPPED_SWEEPS["taskgraph_expected_by_p.csv"]
+    assert main(taskgraph + ["--csv", str(tmp_path / "taskgraph.csv")]) == 0
+    assert len(calls) == 3
+    calls.clear()
+    assert main([
+        "sweep", "--gen", "nonrepudiation", "--variant", "honest", "--param", "p",
+        "--values", "1/100,1/10,1/2,1", "--csv", str(tmp_path / "honest.csv"),
+    ]) == 0
+    assert len(calls) == 4
 
 
 def test_check_fig1_builds_once_per_time_bound(monkeypatch, capsys):

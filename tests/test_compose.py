@@ -173,7 +173,7 @@ def test_case_studies_build_the_same_games_as_eager_composition(make_source, mon
     _assert_same_game(game, reference)
     for price in model.prices:
         _assert_same_game(
-            tptg.reprice(game, model, price), tptg.reprice(reference, eager, price)
+            tptg.reweigh(game, model, model, price), tptg.reweigh(reference, eager, eager, price)
         )
 
 

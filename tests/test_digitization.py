@@ -230,6 +230,16 @@ def test_estimate_requires_samples():
         estimate(coin_game(), {0: "flip", 2: "again"}, "goal", samples=0)
 
 
+def test_a_negative_step_bound_is_refused():
+    # it once ran no step, and counted every run as censored
+    game, profile = coin_game(), {0: "flip", 2: "again"}
+    with pytest.raises(ModelError, match="step bound must be at least 0, not -3"):
+        simulate(game, profile, "goal", max_steps=-3)
+    with pytest.raises(ModelError, match="step bound must be at least 0, not -3"):
+        estimate(game, profile, "goal", samples=10, max_steps=-3)
+    assert simulate(game, profile, "goal", max_steps=0).censored
+
+
 def test_uniform_profile_runs(fig1_game):
     rng = random.Random(5)
     out = estimate(fig1_game, uniform_profile(rng), "done", samples=500, seed=5)

@@ -183,6 +183,32 @@ def test_json_import_refuses_an_invalid_game():
         "game JSON fails validation: initial state '0' out of range; "
         "state 0, action 'a': branch to invalid state '1'"
     )
+    # JSON booleans are not state indices, though Python counts them as ints
+    data["transitions"][0]["branches"][0]["to"] = True
+    data["initial"] = True
+    with pytest.raises(ModelError) as caught:
+        from_json_dict(data)
+    assert str(caught.value) == (
+        "game JSON fails validation: initial state True out of range; "
+        "state 0, action 'a': branch to invalid state True"
+    )
+    data["transitions"][0]["branches"][0]["to"] = 1
+    data["initial"] = 0
+    data["transitions"][0]["from"] = True
+    with pytest.raises(ModelError, match="transition from invalid state True"):
+        from_json_dict(data)
+    data["transitions"][0]["from"] = 0
+    from_json_dict(data)  # the game is valid again
+    # an owner or player is a string or an integer: not a bool, as True == 1
+    # would pass for player 1, nor an unhashable record
+    for where, bad in (("owner", True), ("owner", [1]), ("players", [{"a": 1}]), ("players", [1, 2.0])):
+        spoiled = json.loads(json.dumps(data))
+        if where == "owner":
+            spoiled["states"][0]["owner"] = bad
+        else:
+            spoiled["players"] = bad
+        with pytest.raises(ModelError, match="wrongly typed record: an owner or player must be"):
+            from_json_dict(spoiled)
 
 
 def test_json_import_names_a_missing_key():
@@ -260,7 +286,7 @@ def test_coalition_and_reprice_views_share_computed_components(fig1_model):
     components = game.components
     for coalition in ({"sender"}, {"medium"}, {"sender", "medium"}, set()):
         assert coalition_game(game, coalition).components is components
-    assert tptg.reprice(game, fig1_model, None).components is components
+    assert tptg.reweigh(game, fig1_model, fig1_model, None).components is components
     assert fresh.components == components and fresh.components is not components
     assert sorted(s for states, _ in components for s in states) == list(range(len(game.states)))
     objective = tptg.Objective("prob-reach", "maxmin", "done")
@@ -324,6 +350,6 @@ def test_the_nonrep_sweep_decomposes_each_built_game_once(monkeypatch, tmp_path)
 
 
 def test_the_taskgraph_sweep_decomposes_each_built_game_once(monkeypatch, tmp_path):
-    # one per built game: p=0, 1/4 and 1; reprice, reweigh and coalition
+    # one per built game: p=0, 1/4 and 1; reweigh and coalition
     # views share it
     assert _decompositions(monkeypatch, tmp_path, "taskgraph_expected_by_p.csv") == 3

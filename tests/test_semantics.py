@@ -13,6 +13,7 @@ from tptg import (
     Tptg,
     clock_le,
 )
+from tptg.cli import main
 from tptg.semantics import _Lowered
 
 import retired_builder
@@ -201,7 +202,7 @@ def test_naive_enumerator_agrees_on_random_models():
 def test_reprice_swaps_price_structure():
     model = tptg.gen_taskgraph(0, 0, 1)
     timed = tptg.build(model, price="time")
-    energetic = tptg.reprice(timed, model, "energy")
+    energetic = tptg.reweigh(timed, model, model, "energy")
     assert len(energetic.states) == len(timed.states)
     rebuilt = tptg.build(model, price="energy")
     assert energetic.moves == rebuilt.moves
@@ -218,12 +219,13 @@ def test_variable_provenance_parsing(taskgraph_k1_p1):
 
 def _assert_reprice_equals_rebuild(model):
     """For every ordered pair (a, b) of price structures, None included,
-    repricing the game built under a gives the game built under b."""
+    reweighing the game built under a from `model` to itself under b gives
+    the game built under b."""
     prices = [None, *model.prices]
     built = {price: tptg.build(model, price=price) for price in prices}
     for a in prices:
         for b in prices:
-            assert tptg.reprice(built[a], model, b) == built[b], (a, b)  # moves included
+            assert tptg.reweigh(built[a], model, model, b) == built[b], (a, b)  # moves included
 
 
 REPRICE_MODELS = {
@@ -311,19 +313,22 @@ def test_reweigh_equals_rebuild_on_cyclic_nonrep_games(variant):
 ], ids=["p0-to-quarter", "three-quarters-to-p1", "k1"])
 def test_reweigh_refuses_another_graph(old, new):
     built_from, model = tptg.gen_taskgraph(*old), tptg.gen_taskgraph(*new)
-    with pytest.raises(ModelError, match="reweigh changes branch probabilities only"):
-        tptg.reweigh(tptg.build(built_from), built_from, model)
+    assert tptg.reweigh(tptg.build(built_from), built_from, model) is None
 
 
-def test_reweigh_refuses_what_build_refuses_with_its_message():
+def test_reweigh_refuses_what_build_refuses_with_its_message(capsys):
     built_from = tptg.gen_nonrepudiation("malicious1", p=Fraction(1, 10))
     model = tptg.gen_nonrepudiation("malicious1", p=Fraction(1))  # a branch of probability 0
+    assert tptg.reweigh(tptg.build(built_from), built_from, model) is None
     with pytest.raises(ModelError) as refused:
         tptg.build(model)
-    with pytest.raises(ModelError) as reweighed:
-        tptg.reweigh(tptg.build(built_from), built_from, model)
     assert "digital-semantics prerequisites" in str(refused.value)
-    assert str(reweighed.value) == str(refused.value)
+    # the sweep's p=1 row builds where reweigh returns None, so build refuses
+    assert main([
+        "sweep", "--gen", "nonrepudiation", "--variant", "malicious1",
+        "--prop", "Pmax [ F r_gains_info ] coalition {R}", "--param", "p", "--values", "1/10,1",
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
 
 
 def _assert_builds_like_retired_builder(model, price=None):
