@@ -27,7 +27,7 @@ from .model import (
     validate_assumptions,
     with_time_bound,
 )
-from .semantics import DigitalState, build, reweigh, state_index
+from .semantics import DigitalState, bound_time, build, reweigh, state_index
 from .solver import (
     Objective,
     SolveResult,
@@ -39,7 +39,6 @@ from .solver import (
     solve,
     synthesize,
 )
-from .oracle import brute_force_solve, chain_expected_prices, chain_reach_probabilities
 from .digitization import (
     DigitalPath,
     TimedPath,

@@ -11,6 +11,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 from . import casestudies
 from .digitization import estimate, simulate, uniform_profile
@@ -18,8 +19,8 @@ from .dsl import ModelSource, PropertyAst, parse, parse_property
 from .elaborate import describe_property, to_tptg
 from .errors import ModelError, ParseError, StateLimitError
 from .game import Tsg, coalition_game, game_stats, to_json_dict
-from .model import Tptg, errors_only, validate_assumptions, with_time_bound
-from .semantics import DEFAULT_STATE_LIMIT, build, reweigh
+from .model import Tptg, errors_only, validate_assumptions
+from .semantics import DEFAULT_STATE_LIMIT, bound_time, build, reweigh
 from .solver import Objective, SolveResult, solve
 
 EXIT_OK = 0
@@ -102,39 +103,49 @@ def _properties(args, source: ModelSource) -> list[PropertyAst]:
 
 
 def property_game(
-    model: Tptg, prop: PropertyAst, state_limit: int, games: dict | None = None
+    model: Tptg,
+    prop: PropertyAst,
+    state_limit: int,
+    games: dict | None = None,
+    elapsed: Sequence[int] = (0,),
 ) -> tuple[Objective, Tsg]:
-    """bound -> objective -> build -> coalition for one property of `model`.
-    `games` holds per time-bound group (None unbounded, (target, bound)
-    bounded) the last priced game, with `model` and the model it was built
-    from: a group's first property builds it, the same `model` and price
-    reuse it, and another price or `model` (the next row of a sweep)
-    reweighs it, or builds anew where `reweigh` returns None. Each replaces
-    the held game, components included. Without `games`, nothing is cached
-    or decomposed."""
+    """objective -> build -> time bound -> coalition for one property of
+    `model`. A time-bounded property's game is derived from the unbounded
+    game by `bound_time`, with one start per value of `elapsed`. `games`
+    holds, with its model and price, the last unbounded game under None and
+    the last game derived for each (target, bound, elapsed): a property
+    reuses a held game of the same `model` and price; otherwise the
+    unbounded game is reused, reweighed (another price or `model`, the next
+    row of a sweep) or built, where `reweigh` returns None, and a bounded
+    game is derived from it. Each replaces the held game, components
+    included. Without `games`, nothing is cached or decomposed."""
     if prop.target not in model.labels:
         raise ModelError(f"property targets unknown label {prop.target!r}")
-    built_from, target, key = model, prop.target, None
-    if prop.bound is not None:
-        built_from, target = with_time_bound(model, prop.target, prop.bound)
-        key = (prop.target, prop.bound)
     objective = Objective(
         "prob-reach" if prop.query[0] == "P" else "exp-price",
         "maxmin" if prop.query.endswith("max") else "minmax",
-        target,
+        prop.target if prop.bound is None else f"{prop.target}_by_{prop.bound}",
         price=prop.price,
     )
-    held = games.get(key) if games is not None else None
-    game = None
-    if held is not None:
-        held_model, held_from, held_price, game = held
-        if held_model is not model or held_price != prop.price:
-            game = reweigh(game, held_from, built_from, prop.price)
-    if game is None:
-        game = build(built_from, price=prop.price, state_limit=state_limit)
+    held = {} if games is None else games
+    key = None if prop.bound is None else (prop.target, prop.bound, tuple(elapsed))
+    entry = held.get(key)
+    if entry is not None and entry[0] is model and entry[1] == prop.price:
+        game = entry[2]
+    else:
+        entry, game = held.get(None), None
+        if entry is not None:
+            held_model, held_price, game = entry
+            if held_model is not model or held_price != prop.price:
+                game = reweigh(game, held_model, model, prop.price)
+        if game is None:
+            game = build(model, price=prop.price, state_limit=state_limit)
+        held[None] = (model, prop.price, game)
+        if key is not None:
+            game = bound_time(game, prop.target, prop.bound, elapsed, state_limit)
+            held[key] = (model, prop.price, game)
     if games is not None:
         game.components  # computed once; reweigh and coalition views share it
-        games[key] = (model, built_from, prop.price, game)
     return objective, coalition_game(game, prop.coalition)
 
 
@@ -181,24 +192,37 @@ def cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v]
     rows = [[args.param] + [describe_property(p) for p in props]]
     worst = EXIT_OK
-    games = {}  # a row reweighs the games of the row before where it can
     if args.param == "T":
         model = to_tptg(source)  # a time bound leaves the model unchanged
-    for raw in values:
-        if args.param == "T":
-            bound = _number(int, raw, "T")
-            swept_props = [PropertyAst(p.query, p.target, bound, p.price, p.coalition)
-                           for p in props]
-            games = {}  # an earlier bound's games would only take memory
-        else:
+        bounds = []
+        for raw in values:
+            bounds.append(_number(int, raw, "T"))
+            if bounds[-1] < 0:
+                raise ModelError("time bound must be non-negative")
+        # one game for every row: the largest bound's, with one start at
+        # elapsed time top - T per row's bound T, read off one solve
+        top = max(bounds, default=0)
+        starts = tuple(dict.fromkeys(top - bound for bound in bounds))
+        columns, games = [], {}
+        for prop in props if bounds else ():  # no row, no game
+            swept = PropertyAst(prop.query, prop.target, top, prop.price, prop.coalition)
+            objective, game = property_game(model, swept, state_limit, games, starts)
+            result = solve(game, objective, args.tol, args.max_iters, roots=range(len(starts)))
+            columns.append(result.values)
+            worst = _exit_code(worst, result)
+        for raw, bound in zip(values, bounds):
+            start = starts.index(top - bound)
+            rows.append([raw] + [f"{column[start]:.10g}" for column in columns])
+    else:
+        games = {}  # a row reweighs the games of the row before where it can
+        for raw in values:
             value = raw if args.param == "p" else _number(int, raw, args.param)
             model = to_tptg(load_source(argparse.Namespace(**{**vars(args), args.param: value})))
-            swept_props = props
-        cells = [raw]
-        for _, result, _ in _solved(args, model, swept_props, state_limit, games):
-            cells.append(f"{result.initial_value:.10g}")
-            worst = _exit_code(worst, result)
-        rows.append(cells)
+            cells = [raw]
+            for _, result, _ in _solved(args, model, props, state_limit, games):
+                cells.append(f"{result.initial_value:.10g}")
+                worst = _exit_code(worst, result)
+            rows.append(cells)
     text = "\n".join(",".join(row) for row in rows) + "\n"
     if args.csv:
         Path(args.csv).write_text(text, encoding="utf-8")
@@ -257,10 +281,10 @@ def cmd_simulate(args) -> int:
             if action not in two_player.available_actions(state):
                 raise ModelError(f"strategy picks unavailable action {action!r} at state {state}")
             profile[state] = action
-    print(f"# seed={args.seed} samples={args.samples} max-steps={args.max_steps}")
     outcome = estimate(
         two_player, profile, target, args.samples, max_steps=args.max_steps, seed=args.seed
     )
+    print(f"# seed={args.seed} samples={args.samples} max-steps={args.max_steps}")
     print(
         f"probability = {outcome.probability:.10g} +- {outcome.probability_halfwidth:.10g} (99% CI)"
     )

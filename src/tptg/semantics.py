@@ -9,7 +9,7 @@ and an action fires when its enabling condition holds after the delay.
 
 import math
 from dataclasses import fields
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .clocks import LE, ClockConstraint
 from .errors import ModelError, StateLimitError, summarize
@@ -298,6 +298,90 @@ def reweigh(game: Tsg, built_from: Tptg, model: Tptg, price: str | None = None) 
             row.append(Move(m.action, branches, float(cost), m.time))
         new_moves.append(tuple(row))
     return game.derive(moves=tuple(new_moves))
+
+
+def bound_time(
+    game: Tsg,
+    target: str,
+    bound: int,
+    elapsed: Sequence[int] = (0,),
+    state_limit: int = DEFAULT_STATE_LIMIT,
+) -> Tsg:
+    """The game ``build(with_time_bound(model, target, bound)[0], price)``
+    gives, from `game`, built or reweighed as ``build(model, price)``,
+    without exploring the model again.
+
+    A state is a state of `game` with the observer clock's value e
+    appended, ``(location, values + (e,))``; a move of delay d takes e to
+    ``min(e + d, bound + 1)``. Every label is carried over, and the label
+    ``f"{target}_by_{bound}"`` holds where e <= bound. States are numbered
+    breadth-first from one start ``(game.initial, e)`` per distinct value
+    e of `elapsed`, start i as state i. The start at elapsed ``bound - B``
+    sees the game of the bound B <= `bound`, so one game serves every
+    bound of a sweep (the epoch model of Hartmanns, Junges, Katoen &
+    Quatmann, TACAS 2018, at the level of the explicit game).
+
+    The two games agree because no delay reaches `build`'s cap: every
+    invariant bounds every clock but observer clocks (`validate_assumptions`).
+    A model with no clock caps every delay at 1, which then stands for
+    every longer one, at the price rate the delay-0 and delay-1 moves of
+    an action differ by.
+    """
+    if bound < 0:
+        raise ModelError("time bound must be non-negative")
+    members = game.label_states(target)
+    if not isinstance(game.states[game.initial], DigitalState):
+        raise ModelError("bound_time needs a game built from a timed model")
+    cap = bound + 1
+    if not elapsed or not all(0 <= e <= cap for e in elapsed):
+        raise ModelError(f"bound_time needs start times in 0..{cap}, not {list(elapsed)}")
+    width = cap + 1  # a state is keyed s * width + e, s a state of `game`
+    clockless = not game.states[game.initial].values
+    keys = list(dict.fromkeys(game.initial * width + e for e in elapsed))
+    index = {key: i for i, key in enumerate(keys)}
+    all_moves = []
+    for key in keys:  # the breadth-first queue, growing as it is walked
+        s, e = divmod(key, width)
+        moves = game.moves[s]
+        if clockless:
+            now = [m for m in moves if m.time == 0]
+            later = [m for m in moves if m.time == 1]
+            moves = now + [
+                Move(m.action, m.branches, m0.price + t * (m.price - m0.price), t)
+                for t in range(1, cap + 1) for m0, m in zip(now, later)
+            ]
+        row = []
+        for action, old, price, time in moves:
+            landed = e + time if e + time < cap else cap
+            branches = []
+            for t, p in old:
+                key = t * width + landed
+                i = index.get(key)
+                if i is None:
+                    if len(keys) >= state_limit:
+                        raise StateLimitError(state_limit, len(keys))
+                    i = index[key] = len(keys)
+                    keys.append(key)
+                branches.append((i, p))
+            row.append(Move(action, tuple(branches), price, time))
+        all_moves.append(tuple(row))
+    pairs = [divmod(key, width) for key in keys]
+    labels = {
+        name: frozenset([i for i, (s, _) in enumerate(pairs) if s in states])
+        for name, states in game.labels.items()
+    }
+    labels[f"{target}_by_{bound}"] = frozenset(
+        [i for i, (s, e) in enumerate(pairs) if s in members and e <= bound]
+    )
+    records = game.states
+    return Tsg(
+        states=tuple([DigitalState(records[s].location, records[s].values + (e,)) for s, e in pairs]),
+        initial=0,
+        players=game.players,
+        owner=tuple([game.owner[s] for s, _ in pairs]),
+        moves=tuple(all_moves),
+        labels=labels,
+    )
 
 
 def state_index(game: Tsg) -> dict[tuple[str, tuple[int, ...]], int]:

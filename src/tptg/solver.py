@@ -274,9 +274,9 @@ def expected_price(
     return _solve(game, Objective("exp-price", direction, targets), tol, max_iters)
 
 
-def _solve(game: Tsg, objective: Objective, tol: float, max_iters: int) -> SolveResult:
-    """The pass's values and sets, then the checks on its strategy; the
-    result records `objective` itself."""
+def _solve(game: Tsg, objective: Objective, tol: float, max_iters: int, roots=None) -> SolveResult:
+    """The pass's values and sets, then the checks on its strategy, whose
+    certificate walks from `roots`; the result records `objective` itself."""
     _check_two_players(game)
     _check_tol(tol)
     target_set = _target_set(game, objective.target)
@@ -294,7 +294,7 @@ def _solve(game: Tsg, objective: Objective, tol: float, max_iters: int) -> Solve
         # with its own values a game with no cycle cannot stall: each finite
         # value is backed up from finite-valued successors, successors first
         cyclic = any(c for _, c in game.components)
-        p1, p2 = _profiles(game, objective, result.values, choice, tol, stall_check=cyclic)
+        p1, p2 = _profiles(game, objective, result.values, choice, tol, cyclic, roots)
         result.strategy = {**p1, **p2}
     else:
         result.warnings.append("value iteration did not converge; no strategy synthesized")
@@ -566,9 +566,9 @@ def synthesize(
     return _profiles(game, objective, result.values, choice, tol, stall_check=True)
 
 
-def _profiles(game: Tsg, objective: Objective, values, choice, tol: float, stall_check: bool):
+def _profiles(game: Tsg, objective: Objective, values, choice, tol: float, stall_check: bool, roots=None):
     """A converged pass's choice as a profile pair, once it passes the stall
-    check (if asked) and the certificate."""
+    check (if asked) and the certificate from `roots`."""
     if stall_check and objective.kind == "exp-price":
         # iteration from below credits zero-price cycles as free; its values
         # are the game's when the payer's profile forces the target almost
@@ -587,7 +587,7 @@ def _profiles(game: Tsg, objective: Objective, values, choice, tol: float, stall
                 f"zero price in {len(stalled)} state(s) (e.g. state {min(stalled)}); "
                 f"give the stalling moves positive prices"
             )
-    _certify(game, objective, values, choice, tol)
+    _certify(game, objective, values, choice, tol, roots)
     profiles: tuple[dict[int, str], dict[int, str]] = ({}, {})
     for s in sorted(choice):
         profiles[game.owner[s] != game.players[0]][s] = game.moves[s][choice[s]].label
@@ -608,13 +608,15 @@ def _certify(
     vector: Sequence[float],
     choice: dict[int, int],
     tol: float,
+    roots=None,
 ):
-    # Optimality holds along the play the profile pair actually induces;
-    # off-path states with infinite value keep arbitrary recorded choices.
+    # Optimality holds along the play the profile pair actually induces from
+    # each root (default: the initial state); off-path states with infinite
+    # value keep arbitrary recorded choices.
     moves = game.moves
     chain = [()] * len(moves)
-    reached = {game.initial}
-    stack = [game.initial]
+    reached = set((game.initial,) if roots is None else roots)
+    stack = list(reached)
     while stack:
         s = stack.pop()
         if s in choice:
@@ -643,11 +645,20 @@ def _certify(
         )
 
 
-def solve(game: Tsg, objective: Objective, tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> SolveResult:
-    """Dispatch on the objective kind; the result records `objective` itself."""
+def solve(
+    game: Tsg,
+    objective: Objective,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
+    roots: Iterable[int] | None = None,
+) -> SolveResult:
+    """Dispatch on the objective kind; the result records `objective` itself.
+    The certificate checks the play induced from every state of `roots`
+    (default: the initial state), so each start of a `bound_time` game with
+    several starts gets a certified value."""
     _check_tol(tol)
     if objective.kind != "bounded-exp-price":
-        return _solve(game, objective, tol, max_iters)
+        return _solve(game, objective, tol, max_iters, roots)
     values = bounded_expected_price(game, objective.target, objective.horizon, objective.direction)
     return SolveResult(objective, values, values[game.initial], objective.horizon, 0.0, True)
 

@@ -170,6 +170,15 @@ CLI_CALLS = (
           "--param", "k1", "--values", "0,1"]),
     # cyclic games reweighed row to row; at p=1 a round loses a branch
     ({}, ["sweep", *HONEST, "--param", "p", "--values", "1/100,1/10,1/2,1"]),
+    # time bounds out of order and repeated, both directions
+    ({}, ["sweep", *HONEST, "--p", "1/10", "--prop", "Pmax [ F terminated_ok ] coalition {O}",
+          "--prop", "Pmin [ F terminated_ok ] coalition {R}",
+          "--param", "T", "--values", "24,0,24,7,3,50"]),
+    ({}, ["check", "--gen", "nonrepudiation", "--variant", "malicious2",
+          "--prop", "Pmax [ F r_gains_info ] <= 30 coalition {R}",
+          "--prop", "Pmin [ F r_gains_info ] <= 12 coalition {O}", "--json", "{out}/check.json"]),
+    # a bounded expected price, infinite below some bound
+    ({}, ["sweep", *TASKGRAPH, "--prop", TASKGRAPH_TIME, "--param", "T", "--values", "20,0,18,20,19"]),
     ({}, ["export-game", "{fig1}"]),
     ({}, ["export-game", *TASKGRAPH, "--price", "time", "--json", "{out}/game.json"]),
     ({}, ["validate", "{fig1}"]),

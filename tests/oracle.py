@@ -12,8 +12,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import ModelError
-from .game import Tsg
+from tptg.errors import ModelError
+from tptg.game import Tsg
 
 #: refuse enumerations beyond this many profile pairs
 MAX_PROFILES = 500_000

@@ -9,7 +9,6 @@ from fractions import Fraction
 import tptg
 from tptg import (
     bounded_expected_price,
-    brute_force_solve,
     check_determinacy,
     coalition_game,
     digitize_path,
@@ -26,6 +25,7 @@ from tptg import (
 from tptg.casestudies import nonrepudiation_text, taskgraph_text
 
 from gamegen import random_game, random_tptg
+from oracle import brute_force_solve
 
 TOL = 1e-8
 

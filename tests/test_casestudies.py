@@ -4,12 +4,13 @@ import pytest
 
 import tptg
 from tptg import (
-    brute_force_solve,
     coalition_game,
     expected_price,
     prob_reach,
     with_time_bound,
 )
+
+from oracle import brute_force_solve
 
 
 @pytest.fixture(scope="module")

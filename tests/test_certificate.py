@@ -33,9 +33,10 @@ def _certificates(solve) -> list[tuple]:
     """The arguments of every certificate that `solve()` asks for."""
     calls = []
 
-    def record(*args):
-        calls.append(args)
-        return _certify(*args)
+    def record(game, objective, vector, choice, tol, roots):
+        assert roots is None  # each of these solves certifies from the initial state
+        calls.append((game, objective, vector, choice, tol))
+        return _certify(game, objective, vector, choice, tol, roots)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tptg.solver, "_certify", record)

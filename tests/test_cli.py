@@ -308,7 +308,9 @@ def test_simulate_negative_max_steps_usage_error(fig1_file, capsys):
         "--prop", "Pmax [ F done ] coalition {sender, medium}",
     ])
     assert code == 1
-    assert capsys.readouterr().err == "error: the step bound must be at least 0, not -3\n"
+    captured = capsys.readouterr()
+    assert captured.err == "error: the step bound must be at least 0, not -3\n"
+    assert captured.out == ""  # the run header comes after the bound is checked
 
 
 def test_simulate_uniform(fig1_file, capsys):
@@ -407,11 +409,11 @@ def _count_builds(monkeypatch) -> list:
     return calls
 
 
-def test_shipped_sweeps_build_once_per_model_and_time_bound(monkeypatch, tmp_path):
+def test_shipped_sweeps_build_once_per_model(monkeypatch, tmp_path):
     results = pathlib.Path(__file__).resolve().parent.parent / "results"
-    # 16 values of T x 1 bound group; 5 values of p x 1 unbounded group, of
-    # which 1/2 and 3/4 reweigh the game of the row before
-    for name, builds in (("honest_termination_by_T.csv", 16), ("taskgraph_expected_by_p.csv", 3)):
+    # one model for 16 values of T, whose game every bound is derived from;
+    # 5 values of p, of which 1/2 and 3/4 reweigh the game of the row before
+    for name, builds in (("honest_termination_by_T.csv", 1), ("taskgraph_expected_by_p.csv", 3)):
         calls = _count_builds(monkeypatch)
         regenerated = tmp_path / name
         assert main(SHIPPED_SWEEPS[name] + ["--csv", str(regenerated)]) == 0
@@ -420,9 +422,9 @@ def test_shipped_sweeps_build_once_per_model_and_time_bound(monkeypatch, tmp_pat
 
 
 def test_a_p_sweep_reweighs_the_games_of_the_row_before(monkeypatch, capsys):
-    # the honest model's two properties form two time-bound groups; p=1/100
-    # builds both, 1/10 and 1/2 reweigh them, and p=1, whose rounds lose a
-    # branch, builds both again
+    # the honest model's two properties, one time-bounded, share the
+    # unbounded game; p=1/100 builds it, 1/10 and 1/2 reweigh it, and p=1,
+    # whose rounds lose a branch, builds it again
     honest = ["sweep", "--gen", "nonrepudiation", "--variant", "honest", "--param", "p"]
     values = ["1/100", "1/10", "1/2", "1"]
     rows = []
@@ -439,8 +441,9 @@ def test_a_p_sweep_reweighs_the_games_of_the_row_before(monkeypatch, capsys):
     monkeypatch.setattr(cli, "property_game", record)
     assert main(honest + ["--values", ",".join(values)]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == rows
-    assert len(calls) == 4
-    assert held == [0, 1, 2, 2, 2, 2, 2, 2]  # never more than one row's games
+    assert len(calls) == 2
+    # the unbounded and the derived game: never more than one row's games
+    assert held == [0, 2, 2, 2, 2, 2, 2, 2]
 
 
 def test_a_sweep_checks_prerequisites_only_where_it_builds(monkeypatch, tmp_path):
@@ -456,14 +459,14 @@ def test_a_sweep_checks_prerequisites_only_where_it_builds(monkeypatch, tmp_path
         "sweep", "--gen", "nonrepudiation", "--variant", "honest", "--param", "p",
         "--values", "1/100,1/10,1/2,1", "--csv", str(tmp_path / "honest.csv"),
     ]) == 0
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
-def test_check_fig1_builds_once_per_time_bound(monkeypatch, capsys):
+def test_check_fig1_builds_once(monkeypatch, capsys):
     calls = _count_builds(monkeypatch)
     fig1 = str(importlib.resources.files("tptg") / "models" / "fig1.tptg")
     assert main(["check", fig1]) == 0
-    assert len(calls) == 2  # the two unbounded properties share a game
+    assert len(calls) == 1  # the time-bounded property's game is derived from it
     assert capsys.readouterr().out == (
         "Pmax[F done] {sender,medium} = 1.000000 (converged=true, iterations=1, states=142)\n"
         "Pmax[F done]<=10 {sender,medium} = 1.000000 (converged=true, iterations=1, states=142)\n"
@@ -487,6 +490,94 @@ def test_honest_T_sweep_cells_equal_one_property_checks(tmp_path):
             assert main(["check", *model_args, "--prop", bounded, "--json", str(out)]) == 0
             (record,) = json.loads(out.read_text())
             assert f"{record['value']:.10g}" == cell, (bound, prop)
+
+
+FIG1 = str(importlib.resources.files("tptg") / "models" / "fig1.tptg")
+
+
+def _check_value(model_args, prop, bound, out) -> float:
+    """The value `check` gives `prop` with the time bound `bound` alone."""
+    bounded = prop.replace("] ", f"] <= {bound} ", 1)
+    assert main(["check", *model_args, "--prop", bounded, "--json", str(out)]) == 0
+    (record,) = json.loads(out.read_text())
+    return record["value"]
+
+
+@pytest.mark.parametrize("model_args, prop, values", [
+    ([FIG1], "Pmax [ F done ] coalition {sender}", "24,0,24,7"),
+    (["--gen", "nonrepudiation", "--variant", "malicious1"],
+     "Pmax [ F r_gains_info ] coalition {R}", "24,0,24,7"),
+    # infinite below some bound
+    (["--gen", "taskgraph", "--k1", "1", "--k2", "1", "--p", "1/2"],
+     "Emin [ F all_done ] price time coalition {sched}", "18,0,17,18"),
+], ids=["fig1", "malicious1", "taskgraph"])
+def test_a_T_sweep_cell_equals_a_check_of_its_bound_alone(model_args, prop, values, tmp_path, capsys):
+    # one game serves every row, whatever the order of the bounds
+    assert main(["sweep", *model_args, "--prop", prop, "--param", "T", "--values", values]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert [bound for bound, _ in rows] == values.split(",")
+    checked = {bound: _check_value(model_args, prop, bound, tmp_path / "cell.json") for bound, _ in rows}
+    for bound, cell in rows:
+        assert cell == f"{checked[bound]:.10g}", bound
+    assert any(cell == "inf" for _, cell in rows) == (prop[0] == "E")
+
+
+ZERO_DELAY_CYCLE = """\
+player a, b;
+clock x, y;
+automaton m {
+  init s;
+  location s {
+    inv x <= 2 & y <= 9;
+    [try] true -> 1/3: {} & done + 1/3: {} & u + 1/3: {} & fail;
+    [wait] x >= 2 -> 1: {x} & s;
+  }
+  location u {
+    inv x <= 2 & y <= 9;
+    [back] true -> 1: {} & s;
+    [slow] x >= 1 -> 1/2: {x} & s + 1/2: {} & fail;
+  }
+  location done { inv x <= 2 & y <= 9; }
+  location fail { inv x <= 2 & y <= 9; }
+}
+compose m;
+owner { u -> b; * -> a; }
+label done = done;
+"""
+
+
+@pytest.mark.parametrize("prop", ["Pmax [ F done ] coalition {a}", "Pmin [ F done ] coalition {}"])
+def test_a_T_sweep_on_a_zero_delay_cycle_agrees_with_checks_within_tol(prop, tmp_path, capsys):
+    # s -> u -> s at delay 0 keeps the elapsed time, so each bound's game has
+    # cyclic SCCs that value iteration solves to the tolerance only; the one
+    # game of the sweep numbers their states otherwise
+    model = tmp_path / "zero.tptg"
+    model.write_text(ZERO_DELAY_CYCLE)
+    values = "3,0,7,3,12,1"
+    assert main(["sweep", str(model), "--prop", prop, "--param", "T", "--values", values]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    iterations = []
+    for bound, cell in rows:
+        value = _check_value([str(model)], prop, bound, tmp_path / "cell.json")
+        iterations.append(json.loads((tmp_path / "cell.json").read_text())[0]["iterations"])
+        assert abs(float(cell) - value) <= 1e-8, bound
+    assert max(iterations) > 1  # some bound's game has a cycle to iterate
+
+
+@pytest.mark.parametrize("values, message", [
+    ("5,-1", "time bound must be non-negative"),
+    ("5,x", "T must be an integer, not 'x'"),
+    ("-1,x", "time bound must be non-negative"),
+    ("x,-1", "T must be an integer, not 'x'"),
+])
+def test_a_T_sweep_reports_the_first_refused_row(values, message, capsys):
+    code = main([
+        "sweep", "--gen", "nonrepudiation", "--variant", "honest", "--p", "1/2",
+        "--prop", "Pmax [ F terminated_ok ] coalition {O, R}", "--param", "T", f"--values={values}",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_check_prints_earlier_results_before_an_unknown_label(fig1_file, capsys):

@@ -8,12 +8,13 @@ import random
 import pytest
 
 import tptg
-from tptg import ModelError, Move, brute_force_solve, casestudies, make_game
+from tptg import ModelError, Move, casestudies, make_game
 from tptg.cli import main, property_game
 
 import retired_solver
 from global_sweep import global_sweep
 from gamegen import random_game
+from oracle import brute_force_solve
 
 SOLVERS = {"prob-reach": "prob_reach", "exp-price": "expected_price"}
 

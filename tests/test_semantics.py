@@ -436,3 +436,121 @@ def test_enumerate_moves_equals_retired_builder_on_every_valuation(fig1_model):
                     assert _moves_or_error(_lowered_moves, model, state, price) == _moves_or_error(
                         retired_builder.enumerate_moves, model, state, price
                     ), (location, values, price)
+
+
+SHIPPED_MODELS = {
+    **{variant: lambda v=variant: tptg.gen_nonrepudiation(v, p=Fraction(1, 10))
+       for variant in ("honest", "malicious1", "malicious2")},
+    "taskgraph": lambda: tptg.gen_taskgraph(1, 1, Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", ["fig1", *SHIPPED_MODELS])
+def test_bound_time_equals_the_observer_clock_build(name, fig1_model):
+    # bounds 0, 1, one inside the clock ceilings and one past every ceiling
+    model = fig1_model if name == "fig1" else SHIPPED_MODELS[name]()
+    ceiling = max(tptg.max_constants(model).values())
+    for price in (None, *model.prices):
+        game = tptg.build(model, price)
+        for target in model.labels:
+            for bound in (0, 1, ceiling // 2, ceiling + 2):
+                bounded, label = tptg.with_time_bound(model, target, bound)
+                derived = tptg.bound_time(game, target, bound)
+                assert derived == tptg.build(bounded, price), (price, target, bound)
+                assert label in derived.labels
+
+
+def test_bound_time_equals_the_observer_clock_build_on_random_models():
+    # random models have zero-delay cycles
+    for seed in range(20):
+        model = random_tptg(random.Random(seed))
+        for price in (None, *model.prices):
+            game = tptg.build(model, price)
+            for bound in (0, 2, 5):
+                bounded, _ = tptg.with_time_bound(model, "goal", bound)
+                assert tptg.bound_time(game, "goal", bound) == tptg.build(bounded, price)
+
+
+def test_bound_time_without_clocks_lets_every_delay_up_to_the_bound_through():
+    # with no clock, `build` caps each delay at 1, which stands for every
+    # longer one; the observer clock then tells the delays apart
+    model = tptg.to_tptg(tptg.parse(
+        "player p, q;\n"
+        "automaton a {\n  init l;\n"
+        "  location l { inv true; rate time 2;\n"
+        "    [go] true price time 3 -> 1/2: {} & m + 1/2: {} & l;\n"
+        "    [stay] true -> 1: {} & k; }\n"
+        "  location m { inv true; [back] true -> 1: {} & l; }\n"
+        "  location k { inv true; }\n}\n"
+        "owner { l -> p; * -> q; }\nlabel m = m;\n"
+    ))
+    for price in (None, "time"):
+        game = tptg.build(model, price)
+        assert max(m.time for ms in game.moves for m in ms) == 1
+        for bound in (0, 1, 3):
+            bounded, _ = tptg.with_time_bound(model, "m", bound)
+            assert tptg.bound_time(game, "m", bound) == tptg.build(bounded, price)
+
+
+def _reached(game, start) -> list[int]:
+    """The states reached from `start`, breadth-first in move and branch order."""
+    order, seen = [start], {start}
+    for s in order:
+        for m in game.moves[s]:
+            for t, _ in m.branches:
+                if t not in seen:
+                    seen.add(t)
+                    order.append(t)
+    return order
+
+
+@pytest.mark.parametrize("name", ["fig1", "malicious2"])
+def test_each_start_of_a_bound_time_game_sees_its_bounds_game(name, fig1_model):
+    model = fig1_model if name == "fig1" else SHIPPED_MODELS[name]()
+    target = "done" if name == "fig1" else "r_gains_info"
+    game = tptg.build(model, "time" if "time" in model.prices else None)
+    bounds = (12, 0, 5, 12, 20)
+    top = max(bounds)
+    starts = tuple(dict.fromkeys(top - b for b in bounds))
+    swept = tptg.bound_time(game, target, top, starts)
+    assert [swept.states[i] for i in range(len(starts))] == [
+        (game.states[game.initial].location, game.states[game.initial].values + (e,)) for e in starts
+    ]
+    for bound in bounds:
+        start, shift = starts.index(top - bound), top - bound
+        alone = tptg.bound_time(game, target, bound)
+        order = _reached(swept, start)
+        renumber = {s: i for i, s in enumerate(order)}
+        # the elapsed counter runs `shift` ahead and saturates `shift` higher
+        assert [(swept.states[s].location, swept.states[s].values[:-1] + (swept.states[s].values[-1] - shift,))
+                for s in order] == list(alone.states)
+        assert [[(m.action, tuple((renumber[t], p) for t, p in m.branches), m.price, m.time)
+                 for m in swept.moves[s]] for s in order] == [list(ms) for ms in alone.moves]
+        assert [swept.owner[s] for s in order] == list(alone.owner)
+        for label, members in alone.labels.items():
+            mapped = f"{target}_by_{top}" if label == f"{target}_by_{bound}" else label
+            assert {renumber[s] for s in order if s in swept.labels[mapped]} == members, label
+
+
+def test_bound_time_refuses_as_build_and_with_time_bound(fig1_model, fig1_game):
+    bounded, _ = tptg.with_time_bound(fig1_model, "done", 10)
+    size = len(tptg.build(bounded).states)
+    for limit in (1, 3, size - 1):
+        with pytest.raises(StateLimitError) as built:
+            tptg.build(bounded, state_limit=limit)
+        with pytest.raises(StateLimitError) as derived:
+            tptg.bound_time(fig1_game, "done", 10, state_limit=limit)
+        assert str(derived.value) == str(built.value)
+    assert tptg.bound_time(fig1_game, "done", 10, state_limit=size) == tptg.build(bounded, state_limit=size)
+    for target, bound in (("done", -1), ("nope", 3)):
+        with pytest.raises(ModelError) as refused:
+            tptg.with_time_bound(fig1_model, target, bound)
+        with pytest.raises(ModelError) as derived:
+            tptg.bound_time(fig1_game, target, bound)
+        assert str(derived.value) == str(refused.value)
+    for elapsed in ((), (0, 12), (-1,)):
+        with pytest.raises(ModelError, match=r"bound_time needs start times in 0\.\.11"):
+            tptg.bound_time(fig1_game, "done", 10, elapsed)
+    plain = tptg.make_game([[tptg.Move("a", ((1, 1.0),), 0.0, 1)], []], owner=[1, 1], labels={"goal": {1}})
+    with pytest.raises(ModelError, match="bound_time needs a game built from a timed model"):
+        tptg.bound_time(plain, "goal", 3)
