@@ -52,7 +52,7 @@ from .digitization import (
     uniform_profile,
 )
 from .dsl import ModelSource, parse, parse_property, print_model
-from .elaborate import to_tptg
+from .elaborate import instantiate, to_tptg
 from .casestudies import (
     gen_nonrepudiation,
     gen_taskgraph,

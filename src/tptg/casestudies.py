@@ -2,7 +2,10 @@
 
 Both generators emit model text (so generated models parse, print and
 round-trip like hand-written ones) and elaborate it to a timed game.
-Probabilities are inlined as exact rationals.
+For 0 < p < 1 the probability parameter is declared as the constant `p`,
+and the branches it weighs read `p` and `1-p`, so texts for two such
+values differ in that constant alone; at p = 0 and p = 1 the branches of
+probability 0 are left out.
 """
 
 from fractions import Fraction
@@ -43,6 +46,11 @@ def _rational(value: RationalLike, what: str) -> Fraction:
         raise ModelError(f"{what}: {exc}") from None
 
 
+def _declare_p(p: Fraction) -> list[str]:
+    """The lines declaring p as a constant, where 0 < p < 1."""
+    return [f"const p = {_print_rational(p)};", ""] if 0 < p < 1 else []
+
+
 def nonrepudiation_text(
     variant: str = "honest",
     p: RationalLike = Fraction(1, 100),
@@ -71,15 +79,18 @@ def nonrepudiation_text(
     malicious = variant != "honest"
     if p == 1:
         ack_branches = "1: {x} & done"
+        guess_branches = "1: {} & has_info"
     else:
-        ack_branches = f"{_print_rational(p)}: {{x}} & done + {_print_rational(1 - p)}: {{x}} & send"
+        ack_branches = "p: {x} & done + 1-p: {x} & send"
+        guess_branches = "p: {} & has_info + 1-p: {} & burned"
 
     lines = [
         f"// Non-repudiation information transfer, {variant} recipient.",
         "// One shared clock x measures the current message delay and, once",
         "// the message is out, the acknowledgement delay; the round closes",
-        f"// with probability {_print_rational(p)} on each acknowledgement.",
+        f"// with probability {'1' if p == 1 else 'p'} on each acknowledgement.",
         "",
+        *_declare_p(p),
         "player O, R;",
         "clock x;",
         "",
@@ -127,8 +138,7 @@ def nonrepudiation_text(
     if malicious:
         lines += [
             "    // guessing commits R: a wrong guess leaves only the timeout",
-            f"    [guess] x <= {AD - 1} -> {_print_rational(p)}: {{}} & has_info"
-            f" + {_print_rational(1 - p)}: {{}} & burned;",
+            f"    [guess] x <= {AD - 1} -> {guess_branches};",
         ]
         if variant == "malicious2":
             lines.append(
@@ -214,10 +224,11 @@ def taskgraph_text(k1: int = 0, k2: int = 0, p: RationalLike = 1) -> str:
 
     lines = [
         f"// Two-processor task-graph scheduling with fault budgets k1={k1}, k2={k2}",
-        f"// and fault-failure probability {_print_rational(p)}.",
+        f"// and fault-failure probability {_print_rational(p) if p in (0, 1) else 'p'}.",
         "// Scheduling decisions are instantaneous: the deciding locations pin",
         "// the clock of the processor whose completion triggered them to zero.",
         "",
+        *_declare_p(p),
         "player sched, env;",
         "clock x1, x2;",
         "",
@@ -301,10 +312,7 @@ def taskgraph_text(k1: int = 0, k2: int = 0, p: RationalLike = 1) -> str:
                 if p == 1:
                     outcome = f"1: {{{clock}}} & busy{proc}_{t}"
                 else:
-                    outcome = (
-                        f"{_print_rational(p)}: {{{clock}}} & busy{proc}_{t}"
-                        f" + {_print_rational(1 - p)}: {{}} & busy{proc}_{t}"
-                    )
+                    outcome = f"p: {{{clock}}} & busy{proc}_{t} + 1-p: {{}} & busy{proc}_{t}"
                 lines.append(f"    [fault{proc}] true -> {outcome};")
             for s in task_ids:
                 lines.append(f"    [fin{other}_{s}] true -> 1: {{}} & busy{proc}_{t};")

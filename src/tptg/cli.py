@@ -8,7 +8,9 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -16,7 +18,7 @@ from typing import Sequence
 from . import casestudies
 from .digitization import estimate, simulate, uniform_profile
 from .dsl import ModelSource, PropertyAst, parse, parse_property
-from .elaborate import describe_property, to_tptg
+from .elaborate import describe_property, instantiate, to_tptg
 from .errors import ModelError, ParseError, StateLimitError
 from .game import Tsg, coalition_game, game_stats, to_json_dict
 from .model import Tptg, errors_only, validate_assumptions
@@ -77,21 +79,29 @@ def _state_limit(args) -> int:
     return _number(int, env, "TPTG_STATE_LIMIT") if env else DEFAULT_STATE_LIMIT
 
 
-def load_source(args) -> ModelSource:
+def model_text(args) -> str:
     if args.gen and args.model:
         raise ModelError("give either a model file or --gen, not both")
     if args.gen == "nonrepudiation":
         p = _number(Fraction, args.p, "p") if args.p is not None else Fraction(1, 100)
-        return casestudies.nonrepudiation_source(
+        return casestudies.nonrepudiation_text(
             args.variant, p=p, md=args.md, MD=args.MD, ad=args.ad, AD=args.AD,
             timeout=args.timeout,
         )
     if args.gen == "taskgraph":
         p = _number(Fraction, args.p, "p") if args.p is not None else Fraction(1)
-        return casestudies.taskgraph_source(args.k1, args.k2, p)
+        return casestudies.taskgraph_text(args.k1, args.k2, p)
     if not args.model:
         raise ModelError("no model given: pass a .tptg file or --gen")
-    return parse(Path(args.model).read_text(encoding="utf-8"))
+    return Path(args.model).read_text(encoding="utf-8")
+
+
+def load_source(args) -> ModelSource:
+    return parse(model_text(args))
+
+
+#: a constant's declaration, as the generators write it
+_CONST = re.compile(r"^const (\w+) = ([^;]*);$", re.MULTILINE)
 
 
 def _properties(args, source: ModelSource) -> list[PropertyAst]:
@@ -182,7 +192,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    source = load_source(args)
+    source_text = model_text(args)
+    source = parse(source_text)
     props = _properties(args, source)
     state_limit = _state_limit(args)
     if args.param != "T" and args.gen is None:
@@ -190,6 +201,8 @@ def cmd_sweep(args) -> int:
     if args.param in ("k1", "k2") and args.gen != "taskgraph":
         raise ModelError(f"sweeping {args.param} needs --gen taskgraph")
     values = [v for v in args.values.split(",") if v]
+    if args.param == "T":  # a column is its property at each row's bound
+        props = [replace(prop, bound=None) for prop in props]
     rows = [[args.param] + [describe_property(p) for p in props]]
     worst = EXIT_OK
     if args.param == "T":
@@ -205,7 +218,7 @@ def cmd_sweep(args) -> int:
         starts = tuple(dict.fromkeys(top - bound for bound in bounds))
         columns, games = [], {}
         for prop in props if bounds else ():  # no row, no game
-            swept = PropertyAst(prop.query, prop.target, top, prop.price, prop.coalition)
+            swept = replace(prop, bound=top)
             objective, game = property_game(model, swept, state_limit, games, starts)
             result = solve(game, objective, args.tol, args.max_iters, roots=range(len(starts)))
             columns.append(result.values)
@@ -214,10 +227,21 @@ def cmd_sweep(args) -> int:
             start = starts.index(top - bound)
             rows.append([raw] + [f"{column[start]:.10g}" for column in columns])
     else:
-        games = {}  # a row reweighs the games of the row before where it can
+        # a row whose text differs from that of the last elaborated row in
+        # constant values alone instantiates that row's model; a row
+        # reweighs the games of the row before where it can
+        games, held = {}, None
         for raw in values:
             value = raw if args.param == "p" else _number(int, raw, args.param)
-            model = to_tptg(load_source(argparse.Namespace(**{**vars(args), args.param: value})))
+            row_text = model_text(argparse.Namespace(**{**vars(args), args.param: value}))
+            shape = _CONST.sub(r"const \1", row_text)
+            if held is not None and shape == held[0]:
+                constants = {name: Fraction(v) for name, v in _CONST.findall(row_text)}
+                model = instantiate(held[1], held[2], constants)
+            else:
+                factors = {}
+                model = to_tptg(source if row_text == source_text else parse(row_text), factors)
+                held = shape, model, factors
             cells = [raw]
             for _, result, _ in _solved(args, model, props, state_limit, games):
                 cells.append(f"{result.initial_value:.10g}")

@@ -11,7 +11,7 @@ all errors carry line/column positions and a fix hint.
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import ParseError
 
@@ -76,8 +76,17 @@ def lex(text: str) -> Iterator[Token]:
 
 # ---------------------------------------------------------------- AST types
 
-ProbValue = Union[Fraction, str]  # literal rational or constant name
+ProbValue = Union[Fraction, str]  # literal rational, constant name or its complement "1-NAME"
 IntValue = Union[int, str]
+
+
+def resolve_prob(value: ProbValue, constants: Mapping[str, Fraction]) -> Fraction:
+    """The probability `value` denotes under `constants`; a KeyError names
+    an unknown constant."""
+    if isinstance(value, Fraction):
+        return value
+    name = value.removeprefix("1-")
+    return constants[name] if name == value else 1 - constants[name]
 
 
 @dataclass(frozen=True)
@@ -407,9 +416,7 @@ class _Parser:
         while self.accept("+"):
             branches.append(self.branch_def(variables))
         self.expect(";")
-        mass = Fraction(0)
-        for branch in branches:
-            mass += self.resolve_prob(branch.prob)
+        mass = sum(self.resolve_prob(branch.prob) for branch in branches)
         if mass != 1:
             raise self.error(
                 f"probabilities sum to {mass}",
@@ -418,15 +425,18 @@ class _Parser:
         return EdgeAst(action, guard, tuple(prices), tuple(branches))
 
     def resolve_prob(self, value: ProbValue) -> Fraction:
-        if isinstance(value, Fraction):
-            return value
-        if value not in self.constants:
-            raise self.error(f"unknown constant {value!r}", "declare it with const before use")
-        return self.constants[value]
+        try:
+            return resolve_prob(value, self.constants)
+        except KeyError as exc:
+            raise self.error(f"unknown constant {exc.args[0]!r}", "declare it with const before use") from None
 
     def branch_def(self, variables: list[str]) -> BranchAst:
-        if self.current.kind in ("int", "decimal"):
-            prob: ProbValue = self.rational()
+        if self.current.text == "1" and self.tokens[self.pos + 1].text == "-":
+            self.pos += 2
+            prob: ProbValue = "1-" + self.plain_name("probability constant")
+            self.resolve_prob(prob)
+        elif self.current.kind in ("int", "decimal"):
+            prob = self.rational()
         else:
             prob = self.plain_name("probability constant")
             self.resolve_prob(prob)

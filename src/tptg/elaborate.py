@@ -8,12 +8,18 @@ Every location, of a component and of the network, is reachable from the
 initial one. A label's variable atoms are decided on the component that
 declares the variable and carried to the product by composition, so no
 location name is ever parsed back.
+
+On request, a distribution that reads a probability constant is recorded
+with each branch's factors (see `to_tptg`), so `instantiate` can set the
+constants of an elaborated model without elaborating it again.
 """
 
 from collections import deque
 from dataclasses import replace
 from fnmatch import fnmatchcase
 from fractions import Fraction
+from math import prod
+from typing import Mapping
 
 from .clocks import ClockConstraint, Atom
 from .dsl import (
@@ -22,7 +28,9 @@ from .dsl import (
     GuardAtom,
     LabelAst,
     ModelSource,
+    ProbValue,
     PropertyAst,
+    resolve_prob,
 )
 from .errors import ModelError
 from .model import PriceStructure, ProbBranch, StateLabel, Tptg, compose
@@ -39,12 +47,39 @@ def _resolve_int(value, constants: dict[str, Fraction], what: str) -> int:
     return int(resolved)
 
 
-def _resolve_prob(value, constants: dict[str, Fraction]) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if value not in constants:
-        raise ModelError(f"unknown constant {value!r}")
-    return constants[value]
+def _resolve_prob(value: ProbValue, constants: Mapping[str, Fraction]) -> Fraction:
+    try:
+        return resolve_prob(value, constants)
+    except KeyError as exc:
+        raise ModelError(f"unknown constant {exc.args[0]!r}") from None
+
+
+#: one branch's factors: literals other than 1, constant names and
+#: complements "1-NAME"
+Factors = tuple[ProbValue, ...]
+
+
+class _Factored(Fraction):
+    """A branch probability, while elaborating, that remembers the factors
+    it is the product of: `compose` multiplies two branches under
+    synchronization, and the product keeps both sides' factors."""
+
+    def __new__(cls, value: Fraction, factors: Factors):
+        self = super().__new__(cls, value.numerator, value.denominator)
+        self.factors = factors
+        return self
+
+    def __mul__(self, other):
+        return _Factored(Fraction.__mul__(self, other), self.factors + _factors(other))
+
+    def __rmul__(self, other):
+        return _Factored(Fraction.__mul__(self, other), _factors(other) + self.factors)
+
+
+def _factors(prob: Fraction) -> Factors:
+    if isinstance(prob, _Factored):
+        return prob.factors
+    return () if prob == 1 else (prob,)
 
 
 def _clock_constraint(atoms: tuple[GuardAtom, ...], clocks: set[str], constants) -> ClockConstraint:
@@ -102,7 +137,7 @@ def _mangle(location: str, order: list[str], values: dict[str, int]) -> str:
     return f"{location}#{suffix}"
 
 
-def unfold_automaton(auto: AutomatonAst, source: ModelSource) -> Tptg:
+def unfold_automaton(auto: AutomatonAst, source: ModelSource, factored: bool = False) -> Tptg:
     """Single-component timed game with discrete variables folded into locations.
 
     Only locations (and variable values) reachable from the initial one
@@ -111,7 +146,8 @@ def unfold_automaton(auto: AutomatonAst, source: ModelSource) -> Tptg:
     The owner map is empty; the network step assigns owners.
     Every label atom on the component's own variables becomes a label named
     after the atom (e.g. ``st1=3``) whose extent is the locations where the
-    atom holds.
+    atom holds. With `factored`, a branch probability that reads a
+    constant is a `_Factored` one, for `to_tptg`'s factor record.
     """
     constants = dict(source.constants)
     clocks = set(source.clocks)
@@ -173,13 +209,10 @@ def unfold_automaton(auto: AutomatonAst, source: ModelSource) -> Tptg:
                 if key not in seen:
                     seen.add(key)
                     worklist.append(key)
-                branches.append(
-                    ProbBranch(
-                        _resolve_prob(branch.prob, constants),
-                        frozenset(branch.resets),
-                        target,
-                    )
-                )
+                prob = _resolve_prob(branch.prob, constants)
+                if factored and not isinstance(branch.prob, Fraction):
+                    prob = _Factored(prob, (branch.prob,))
+                branches.append(ProbBranch(prob, frozenset(branch.resets), target))
             enabling[(name, edge.action)] = _clock_constraint(edge.guard, clocks, constants)
             transitions[(name, edge.action)] = tuple(branches)
             for price in edge.prices:
@@ -233,8 +266,11 @@ def _label_extent(label: LabelAst, network: Tptg) -> frozenset[str]:
     return frozenset(extent)
 
 
-def to_tptg(source: ModelSource) -> Tptg:
-    """Elaborate a parsed model into the composed timed game."""
+def to_tptg(source: ModelSource, factors: dict | None = None) -> Tptg:
+    """Elaborate a parsed model into the composed timed game. `factors`,
+    if given, receives the model's factor record: for each distribution
+    that reads a probability constant, each branch's factors. Factors
+    are tracked only then, since tracking slows elaboration."""
     if not source.players:
         raise ModelError("model declares no players")
     declared_vars: set[str] = set()
@@ -246,7 +282,9 @@ def to_tptg(source: ModelSource) -> Tptg:
                 )
             declared_vars.add(v.name)
 
-    components = [unfold_automaton(source.automaton(name), source) for name in source.compose]
+    components = [
+        unfold_automaton(source.automaton(name), source, factors is not None) for name in source.compose
+    ]
     network = components[0]
     for component in components[1:]:
         network = compose(network, component, source.clocks)
@@ -263,7 +301,36 @@ def to_tptg(source: ModelSource) -> Tptg:
                     raise ModelError(
                         f"label {label.name!r} tests unknown variable {atom.subject!r}"
                     )
-    return replace(network, owner=owner, labels=labels)
+    transitions = network.transitions
+    if factors is not None:
+        factors.update({
+            key: tuple(_factors(b.prob) for b in dist)
+            for key, dist in transitions.items()
+            if any(isinstance(b.prob, _Factored) for b in dist)
+        })
+        # at the model's own constants, every factored probability becomes a Fraction
+        transitions = _instantiated(transitions, factors, dict(source.constants))
+    return replace(network, owner=owner, labels=labels, transitions=transitions)
+
+
+def _instantiated(transitions: Mapping, factors: Mapping, values: Mapping[str, Fraction]) -> dict:
+    instantiated = dict(transitions)
+    for key, per_branch in factors.items():
+        instantiated[key] = tuple(
+            ProbBranch(prod((_resolve_prob(f, values) for f in fs), start=Fraction(1)), b.resets, b.target)
+            for fs, b in zip(per_branch, transitions[key])
+        )
+    return instantiated
+
+
+def instantiate(model: Tptg, factors: Mapping, values: Mapping[str, Fraction]) -> Tptg:
+    """`model`, elaborated by `to_tptg` with the factor record `factors`,
+    with probability constants set to `values`: equal to the elaboration
+    of its text with those values, and sharing every field and every
+    distribution with `model` but the distributions that read a constant
+    (the parametric model instantiated per valuation of Quatmann, Dehnert,
+    Jansen, Junges & Katoen, ATVA 2016)."""
+    return replace(model, transitions=_instantiated(model.transitions, factors, values))
 
 
 def describe_property(prop: PropertyAst) -> str:

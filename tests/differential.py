@@ -193,6 +193,12 @@ CLI_CALLS = (
     ({"TPTG_STATE_LIMIT": "abc"}, ["check", "{fig1}", *FIG1_PROP]),
     ({}, ["check", "{fig1}", *FIG1_PROP, "--state-limit", "3"]),
     ({}, ["check", "{fig1}", *FIG1_PROP, "--max-iters", "0", "--json", "{out}/check.json"]),
+    # rows that instantiate the model of an earlier row; at p=1 a guess has one branch
+    ({}, ["sweep", "--gen", "nonrepudiation", "--variant", "malicious1",
+          "--prop", "Pmax [ F r_gains_info ] coalition {R}", "--param", "p", "--values", "1/10,1/2,1"]),
+    ({}, ["sweep", "--gen", "taskgraph", "--k1", "1", "--k2", "1", "--prop", TASKGRAPH_TIME,
+          "--prop", "Emin [ F all_done ] price energy coalition {sched}", "--param", "p",
+          "--values", ",".join(["0", *(f"{i}/20" for i in range(1, 20)), "1"])]),
 )
 
 

@@ -9,6 +9,7 @@ from tptg import (
     prob_reach,
     with_time_bound,
 )
+from tptg.cli import main
 
 from oracle import brute_force_solve
 
@@ -82,6 +83,19 @@ def test_malicious2_decoder_lifts_value_to_quarter():
         coalition_game(game, {"R"}), "r_gains_info", "maxmin"
     ).initial_value
     assert value == pytest.approx(0.25, abs=1e-9)
+
+
+@pytest.mark.parametrize("variant, states", [("malicious1", 10), ("malicious2", 16)])
+def test_malicious_variants_answer_at_p_1(variant, states, capsys):
+    # every guess is right: the guess has one branch, as the acknowledgement has
+    prop = "Pmax [ F r_gains_info ] coalition {R}"
+    assert main(["check", "--gen", "nonrepudiation", "--variant", variant, "--p", "1", "--prop", prop]) == 0
+    assert capsys.readouterr().out == (
+        f"Pmax[F r_gains_info] {{R}} = 1.000000 (converged=true, iterations=1, states={states})\n"
+    )
+    game = coalition_game(tptg.build(tptg.gen_nonrepudiation(variant, p=1)), {"R"})
+    value = prob_reach(game, "r_gains_info", "maxmin").initial_value
+    assert value == brute_force_solve(game, "r_gains_info") == 1
 
 
 def test_malicious_cheat_label_reachable():

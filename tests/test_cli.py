@@ -446,6 +446,58 @@ def test_a_p_sweep_reweighs_the_games_of_the_row_before(monkeypatch, capsys):
     assert held == [0, 2, 2, 2, 2, 2, 2, 2]
 
 
+def _count_calls(monkeypatch, *names) -> dict:
+    calls = {name: 0 for name in names}
+    for name in names:
+        fn = getattr(cli, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+TWENTY_ONE_PS = ",".join(["0", *(f"{i}/20" for i in range(1, 20)), "1"])
+
+
+def test_a_p_sweep_runs_the_front_end_three_times(monkeypatch, tmp_path, capsys):
+    # the model's parse, then p=0, the first interior p and p=1, whose
+    # texts differ in more than the constant p; p=1 is the model's own
+    # text, parsed already; every other row instantiates the held model
+    taskgraph = SHIPPED_SWEEPS["taskgraph_expected_by_p.csv"]
+    for values in ("0,1/4,1/2,3/4,1", TWENTY_ONE_PS):
+        argv = [arg if arg != "0,1/4,1/2,3/4,1" else values for arg in taskgraph]
+        calls = _count_calls(monkeypatch, "parse", "to_tptg", "instantiate", "build")
+        assert main(argv + ["--csv", str(tmp_path / "sweep.csv")]) == 0
+        rows = len(values.split(","))
+        assert calls == {"parse": 3, "to_tptg": 3, "instantiate": rows - 3, "build": 3}, values
+    # each cell of the 21-value sweep equals a check of its row alone
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    props = ["Emin [ F all_done ] price time coalition {sched}", "Emin [ F all_done ] price energy coalition {sched}"]
+    assert len(rows) == 22 and all(prop in taskgraph for prop in props)
+    for row in rows[1:]:
+        p, *cells = row.split(",")
+        out = tmp_path / "check.json"
+        assert main(["check", "--gen", "taskgraph", "--k1", "1", "--k2", "1", "--p", p,
+                     *(arg for prop in props for arg in ("--prop", prop)), "--json", str(out)]) == 0
+        assert cells == [f"{record['value']:.10g}" for record in json.loads(out.read_text())], p
+    capsys.readouterr()
+
+
+def test_a_T_sweep_heads_each_column_with_its_property_unbounded(capsys):
+    # the model's own properties, one bounded at 24: each row sets the bound
+    nonrep = ["sweep", "--gen", "nonrepudiation", "--param", "T", "--values", "4,30"]
+    assert main(nonrep) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "T,Pmax[F terminated_ok] {O,R},Emin[F terminated_ok] price time {O,R}"
+    assert main(nonrep + ["--prop", "Pmax [ F terminated_ok ] coalition {O, R}"]) == 0
+    alone = capsys.readouterr().out.splitlines()
+    assert alone[0] == "T,Pmax[F terminated_ok] {O,R}"
+    assert [row.split(",")[:2] for row in rows[1:]] == [row.split(",") for row in alone[1:]]
+
+
 def test_a_sweep_checks_prerequisites_only_where_it_builds(monkeypatch, tmp_path):
     # reweigh runs no prerequisite check, so each sweep checks once per build
     calls = []

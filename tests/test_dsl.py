@@ -253,3 +253,38 @@ def test_action_on_an_edge_never_taken_still_synchronizes(edge_place):
     assert len(model.locations) == 1
     assert "sync" in model.actions
     assert model.transitions == {}
+
+
+COMPLEMENT = """
+const q = 1/3;
+player p;
+clock x;
+automaton a {
+  init l;
+  location l { inv x <= 3; [go] true -> q: {} & l + 1-q: {x} & m; }
+  location m { inv x <= 3; }
+}
+owner { * -> p; }
+"""
+
+
+def test_the_complement_of_a_constant_parses_prints_and_elaborates():
+    source = parse(COMPLEMENT)
+    (edge,) = source.automata[0].locations[0].edges
+    assert [b.prob for b in edge.branches] == ["q", "1-q"]
+    printed = print_model(source)
+    assert "[go] true -> q: {} & l + 1-q: {x} & m;" in printed
+    assert parse(printed) == source
+    assert parse(COMPLEMENT.replace("1-q", "1 - q")) == source
+    model = to_tptg(source)
+    assert [b.prob for b in model.transitions["l", "go"]] == [Fraction(1, 3), Fraction(2, 3)]
+
+
+@pytest.mark.parametrize("branches, message", [
+    ("q: {} & l + 1-r: {x} & m", "unknown constant 'r'"),
+    ("1-q: {} & l + 1-q: {x} & m", "probabilities sum to 4/3"),
+    ("q: {} & l + 1-q: {x} & m + 1/3: {} & m", "probabilities sum to 4/3"),
+])
+def test_the_complement_of_a_constant_is_checked_at_parse_time(branches, message):
+    with pytest.raises(ParseError, match=message):
+        parse(COMPLEMENT.replace("q: {} & l + 1-q: {x} & m", branches))

@@ -1,6 +1,9 @@
-"""Elaboration: label extents and owners on composed networks."""
+"""Elaboration: label extents and owners on composed networks, and the
+instantiation of probability constants."""
 
 import importlib.resources
+from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
@@ -104,3 +107,83 @@ def test_owner_rules_that_miss_a_location_name_the_first_in_bfs_order():
     text = TWO_AUTOMATA.replace("  * -> b;\n", "")
     with pytest.raises(ModelError, match=r"owner rules do not cover location 'l0#u=0\.r1#w=1'"):
         tptg.to_tptg(tptg.parse(text))
+
+
+def _parametric(text: str):
+    """The elaborated model of `text` and its factor record."""
+    factors = {}
+    return tptg.to_tptg(tptg.parse(text), factors), factors
+
+
+# both sides of a synchronization read constants or literals other than 1
+SYNCHRONIZED = """
+const p = {p};
+const r = 1/5;
+player a;
+clock x;
+automaton left {{
+  init l;
+  location l {{ inv x <= 1; [go] true -> p: {{}} & l + 1-p: {{x}} & m; }}
+  location m {{ inv x <= 1; [go] true -> 1/2: {{}} & l + 1/2: {{x}} & m; }}
+}}
+automaton right {{
+  init n;
+  location n {{ inv x <= 1; [go] true -> 1/3: {{}} & n + 2/3: {{x}} & o; }}
+  location o {{ inv x <= 1; [go] true -> r: {{}} & n + 1-r: {{x}} & o; [stop] true -> 1-p: {{}} & o + p: {{}} & n; }}
+}}
+owner {{ * -> a; }}
+"""
+
+INSTANTIATED = {
+    "synchronized": (lambda p: SYNCHRONIZED.format(p=p), ("1/4", "1/2", "2/3")),
+    **{f"taskgraph-{k}-{k}": (lambda p, k=k: tptg.taskgraph_text(k, k, p), ("1/4", "1/2", "3/4"))
+       for k in (1, 2)},
+    **{f"nonrep-{v}": (lambda p, v=v: tptg.nonrepudiation_text(v, p), ("1/10", "1/2"))
+       for v in ("honest", "malicious1", "malicious2")},
+}
+
+
+@pytest.mark.parametrize("make_text, values", INSTANTIATED.values(), ids=INSTANTIATED.keys())
+def test_instantiate_equals_the_front_end_field_for_field(make_text, values):
+    for p in values:
+        model, factors = _parametric(make_text(p))
+        assert factors and all(type(b.prob) is Fraction for d in model.transitions.values() for b in d)
+        for q in values:
+            source = tptg.parse(make_text(q))
+            instantiated = tptg.instantiate(model, factors, dict(source.constants))
+            expected = tptg.to_tptg(source)
+            for field in fields(tptg.Tptg):
+                assert getattr(instantiated, field.name) == getattr(expected, field.name), (p, q, field.name)
+                if field.name != "transitions":
+                    assert getattr(instantiated, field.name) is getattr(model, field.name)
+            for key, dist in instantiated.transitions.items():
+                assert (dist is model.transitions[key]) == (key not in factors), (p, q, key)
+                assert all(type(b.prob) is Fraction for b in dist)
+            # the text elaborated with the factor record gives the same one
+            assert _parametric(make_text(q))[1] == factors
+
+
+def test_the_factor_record_names_each_branchs_factors():
+    model, factors = _parametric(tptg.taskgraph_text(1, 1, "1/4"))
+    # a fault of a busy processor synchronizes the fault edges of the
+    # scheduler, of the processor (p or 1-p) and of the environment
+    assert len(factors) == 100 and len(model.transitions) == 898
+    assert set(factors.values()) == {(("p",), ("1-p",))}
+
+
+def test_the_factor_record_keeps_every_factor_but_1():
+    model, factors = _parametric(SYNCHRONIZED.format(p="1/4"))
+    assert factors == {
+        ("l.n", "go"): (("p", Fraction(1, 3)), ("p", Fraction(2, 3)), ("1-p", Fraction(1, 3)), ("1-p", Fraction(2, 3))),
+        ("l.o", "go"): (("p", "r"), ("p", "1-r"), ("1-p", "r"), ("1-p", "1-r")),
+        ("m.o", "go"): ((Fraction(1, 2), "r"), (Fraction(1, 2), "1-r")) * 2,
+        ("l.o", "stop"): (("1-p",), ("p",)),
+        ("m.o", "stop"): (("1-p",), ("p",)),
+    }
+    assert set(model.transitions) - set(factors) == {("m.n", "go")}  # literals alone
+
+
+def test_instantiate_names_an_unknown_constant():
+    model, factors = _parametric(tptg.taskgraph_text(1, 1, "1/4"))
+    with pytest.raises(ModelError, match="unknown constant 'p'"):
+        tptg.instantiate(model, factors, {"q": Fraction(1, 2)})

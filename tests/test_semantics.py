@@ -257,18 +257,20 @@ def _colliding_moves(game, model) -> int:
     )
 
 
-def _assert_reweighs_like_build(models, pairs, prices):
+def _assert_reweighs_like_build(models, pairs, prices, targets=None):
     """For each ordered pair (p, q) of `models` keys and each pair of prices
     (a, b), reweighing the game built from models[p] under a to models[q]
-    under b gives the game built from models[q] under b, down to the float
-    bits of every probability and price, and shares its components."""
+    (or to targets[p, q], a model equal to it) under b gives the game built
+    from models[q] under b, down to the float bits of every probability and
+    price, and shares its components."""
     built = {(k, price): tptg.build(model, price=price) for k, model in models.items() for price in prices}
     for p, q in pairs:
+        target = models[q] if targets is None else targets[p, q]
         for a in prices:
             game = built[p, a]
             components = game.components  # cached before reweighing, so shared
             for b in prices:
-                reweighed = tptg.reweigh(game, models[p], models[q], b)
+                reweighed = tptg.reweigh(game, models[p], target, b)
                 expected = built[q, b]
                 assert reweighed == expected, (p, q, a, b)
                 assert [[repr(m) for m in ms] for ms in reweighed.moves] == [
@@ -306,6 +308,31 @@ def test_reweigh_equals_rebuild_on_cyclic_nonrep_games(variant):
     assert all(any(cyclic for _, cyclic in game.components) for game in built.values())
 
 
+def _parametric(text: str):
+    factors = {}
+    return tptg.to_tptg(tptg.parse(text), factors), factors
+
+
+@pytest.mark.parametrize("make_text, probabilities, pairs, prices", [
+    (lambda p: tptg.taskgraph_text(0, 0, p), PROBABILITIES, None, ("time", "energy")),
+    (lambda p: tptg.taskgraph_text(1, 1, p), PROBABILITIES, None, ("time", "energy")),
+    (lambda p: tptg.taskgraph_text(2, 2, p), ("1/4", "3/4"), [("1/4", "3/4")], ("time", "energy")),
+    *((lambda p, v=v: tptg.nonrepudiation_text(v, p), ("1/100", "1/10", "1/2"), None, (None, "time"))
+      for v in ("honest", "malicious1", "malicious2")),
+], ids=["taskgraph-0-0", "taskgraph-1-1", "taskgraph-2-2", "honest", "malicious1", "malicious2"])
+def test_instantiate_then_reweigh_equals_build(make_text, probabilities, pairs, prices):
+    # a p sweep's route: the model of one row instantiated at the next
+    # row's p, and the game of the row reweighed to it
+    parametric = {p: _parametric(make_text(p)) for p in probabilities}
+    models = {p: model for p, (model, _) in parametric.items()}
+    pairs = pairs or list(itertools.product(probabilities, repeat=2))
+    targets = {
+        (p, q): tptg.instantiate(*parametric[p], {"p": Fraction(q)}) for p, q in pairs
+    }
+    assert all(targets[p, q] == models[q] for p, q in pairs)
+    _assert_reweighs_like_build(models, pairs, prices, targets)
+
+
 @pytest.mark.parametrize("old, new", [
     ((1, 1, "0"), (1, 1, "1/4")),  # p=0 has no fault branches
     ((1, 1, "3/4"), (1, 1, "1")),  # p=1 has one fault branch
@@ -316,18 +343,20 @@ def test_reweigh_refuses_another_graph(old, new):
     assert tptg.reweigh(tptg.build(built_from), built_from, model) is None
 
 
-def test_reweigh_refuses_what_build_refuses_with_its_message(capsys):
-    built_from = tptg.gen_nonrepudiation("malicious1", p=Fraction(1, 10))
-    model = tptg.gen_nonrepudiation("malicious1", p=Fraction(1))  # a branch of probability 0
+def test_reweigh_refuses_what_build_refuses_with_its_message(tmp_path, capsys):
+    text = tptg.nonrepudiation_text("malicious1", p=Fraction(1, 10))
+    built_from = tptg.to_tptg(tptg.parse(text))
+    zero = text.replace("const p = 1/10;", "const p = 0;")  # branches of probability 0
+    model = tptg.to_tptg(tptg.parse(zero))
     assert tptg.reweigh(tptg.build(built_from), built_from, model) is None
     with pytest.raises(ModelError) as refused:
         tptg.build(model)
     assert "digital-semantics prerequisites" in str(refused.value)
-    # the sweep's p=1 row builds where reweigh returns None, so build refuses
-    assert main([
-        "sweep", "--gen", "nonrepudiation", "--variant", "malicious1",
-        "--prop", "Pmax [ F r_gains_info ] coalition {R}", "--param", "p", "--values", "1/10,1",
-    ]) == 1
+    # the CLI builds, where a sweep's row would after reweigh returns None,
+    # so it refuses with build's message
+    path = tmp_path / "zero.tptg"
+    path.write_text(zero, encoding="utf-8")
+    assert main(["check", str(path), "--prop", "Pmax [ F r_gains_info ] coalition {R}"]) == 1
     assert capsys.readouterr().err == f"error: {refused.value}\n"
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 import tptg
 
@@ -19,6 +20,19 @@ def test_the_package_has_no_assert_statements():
     ]
     assert len(SOURCES) > 10
     assert found == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    # the runtime has no dependencies; relative imports are the package's own
+    imported = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "fractions" in imported
+    assert sorted(imported - sys.stdlib_module_names) == []
 
 
 def _referenced_names(node) -> list[str]:
