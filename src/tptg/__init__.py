@@ -25,7 +25,6 @@ from .model import (
     errors_only,
     max_constants,
     validate_assumptions,
-    with_time_bound,
 )
 from .semantics import DigitalState, bound_time, build, reweigh, state_index
 from .solver import (

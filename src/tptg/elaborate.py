@@ -235,7 +235,6 @@ def unfold_automaton(auto: AutomatonAst, source: ModelSource, factored: bool = F
         transitions=transitions,
         prices=prices,
         labels={n: StateLabel(frozenset(extent)) for n, extent in atom_extents.items()},
-        clock_caps={},
     )
 
 

@@ -7,11 +7,11 @@ diagonal-free by construction of :class:`~tptg.clocks.ClockConstraint`.
 """
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .clocks import GE, TRUE, ClockConstraint, clock_le
+from .clocks import GE, TRUE, ClockConstraint
 from .errors import ModelError
 from .game import strongly_connected
 
@@ -51,10 +51,9 @@ class PriceStructure:
 
 @dataclass(frozen=True)
 class StateLabel:
-    """Predicate naming target states: a location set plus an optional clock guard."""
+    """Predicate naming target states: the states at a set of locations."""
 
     locations: frozenset[str]
-    guard: ClockConstraint = TRUE
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,7 @@ class Tptg:
     """A turn-based probabilistic timed game.
 
     `owner` partitions locations among players; `enabling` and `transitions`
-    share the same (location, action) domain. `clock_caps` registers observer
-    clocks (added e.g. by :func:`with_time_bound`) that are exempt from the
-    bounded-invariant requirement and saturate at the registered constant
-    plus one.
+    share the same (location, action) domain.
     """
 
     players: tuple[str, ...]
@@ -93,7 +89,6 @@ class Tptg:
     transitions: Mapping[tuple[str, str], Distribution]
     prices: Mapping[str, PriceStructure] = field(default_factory=dict)
     labels: Mapping[str, StateLabel] = field(default_factory=dict)
-    clock_caps: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         locations = set(self.locations)
@@ -125,39 +120,30 @@ class Tptg:
 
 
 def max_constants(model: Tptg) -> dict[str, int]:
-    """Largest constant each clock is compared against; 0 if never compared.
-
-    Registered observer-clock caps participate so that never-guarded bound
-    clocks still saturate at a useful point.
-    """
+    """Largest constant each clock is compared against; 0 if never compared."""
     k = {x: 0 for x in model.clocks}
     constraints = list(model.invariants.values()) + list(model.enabling.values())
     for constraint in constraints:
         for atom in constraint.atoms:
             if atom.bound > k.get(atom.clock, 0):
                 k[atom.clock] = atom.bound
-    for clock, cap in model.clock_caps.items():
-        if cap > k.get(clock, 0):
-            k[clock] = cap
     return k
 
 
 def validate_assumptions(model: Tptg) -> list[Diagnostic]:
     """Check the digital-semantics prerequisites.
 
-    Errors: some clock is not upper-bounded in some invariant (observer
-    clocks registered in `clock_caps` are exempt), an invariant, guard or
-    label guard has an atom on an unknown clock, a
-    distribution is sub- or super-stochastic, or the enabling/transition
-    domains disagree. A structural loop that never resets a clock and has
-    no positive lower-bound guard yields a warning (possible time-convergent
-    behaviour), not an error.
+    Errors: some clock is not upper-bounded in some invariant, an invariant
+    or guard has an atom on an unknown clock, a distribution is sub- or
+    super-stochastic, or the enabling/transition domains disagree. A
+    structural loop that never resets a clock and has no positive
+    lower-bound guard yields a warning (possible time-convergent behaviour),
+    not an error.
     """
     diags: list[Diagnostic] = []
-    bound_clocks = [x for x in model.clocks if x not in model.clock_caps]
     for loc in model.locations:
         invariant = model.invariants[loc]
-        for clock in bound_clocks:
+        for clock in model.clocks:
             if invariant.upper_bound(clock) is None:
                 diags.append(
                     Diagnostic(
@@ -166,8 +152,7 @@ def validate_assumptions(model: Tptg) -> list[Diagnostic]:
                         f"unbounded invariant: no upper bound on clock {clock!r}",
                     )
                 )
-    guards = [(f"label {name!r}", label.guard) for name, label in model.labels.items()]
-    for where, constraint in list(model.invariants.items()) + list(model.enabling.items()) + guards:
+    for where, constraint in list(model.invariants.items()) + list(model.enabling.items()):
         for atom in constraint.atoms:
             if atom.clock not in model.clocks:
                 diags.append(
@@ -252,7 +237,6 @@ def compose(a: Tptg, b: Tptg, shared_clocks: Iterable[str] = ()) -> Tptg:
     map is empty: components' own partitions are ignored, and the caller
     assigns owners. Clocks common to both sides must be listed in
     `shared_clocks`.
-    A label defined by both sides must carry the same clock guard in each.
     """
     shared_clocks = frozenset(shared_clocks)
     overlap = set(a.clocks) & set(b.clocks)
@@ -356,17 +340,8 @@ def compose(a: Tptg, b: Tptg, shared_clocks: Iterable[str] = ()) -> Tptg:
                 loc for pair, loc in names.items() if pair[side] in label.locations
             )
             if label_name in labels:
-                if set(labels[label_name].guard.atoms) != set(label.guard.atoms):
-                    raise ModelError(
-                        f"label {label_name!r} has different clock guards in the two "
-                        f"components ({labels[label_name].guard} vs {label.guard})"
-                    )
                 extent |= labels[label_name].locations
-            labels[label_name] = StateLabel(extent, label.guard)
-
-    caps = dict(a.clock_caps)
-    for clock, cap in b.clock_caps.items():
-        caps[clock] = max(cap, caps.get(clock, 0))
+            labels[label_name] = StateLabel(extent)
 
     return Tptg(
         players=players,
@@ -383,35 +358,5 @@ def compose(a: Tptg, b: Tptg, shared_clocks: Iterable[str] = ()) -> Tptg:
             for n in price_names
         },
         labels=labels,
-        clock_caps=caps,
     )
 
-
-def with_time_bound(model: Tptg, target: str, bound: int) -> tuple[Tptg, str]:
-    """Time-bounded variant of a reachability target.
-
-    Adds a fresh, never-reset observer clock that saturates just past
-    `bound` and a new label restricting `target` to states reached while the
-    observer is still within the bound. Invariants and edges are untouched,
-    so the underlying behaviour is identical.
-    """
-    if bound < 0:
-        raise ModelError("time bound must be non-negative")
-    if target not in model.labels:
-        raise ModelError(f"unknown label {target!r}")
-    clock = "_elapsed"
-    while clock in model.clocks:
-        clock += "_"
-    old = model.labels[target]
-    new_label = f"{target}_by_{bound}"
-    labels = dict(model.labels)
-    labels[new_label] = StateLabel(old.locations, old.guard.conjoin(clock_le(clock, bound)))
-    caps = dict(model.clock_caps)
-    caps[clock] = bound
-    bounded = replace(
-        model,
-        clocks=model.clocks + (clock,),
-        labels=labels,
-        clock_caps=caps,
-    )
-    return bounded, new_label

@@ -199,10 +199,6 @@ def build(
     labels: dict[str, frozenset[int]] = {}
     for name, label in model.labels.items():
         members = [i for i, (location, _) in enumerate(states) if location in label.locations]
-        if members:
-            # a guard is a conjunction: keep the states inside each interval
-            for c, low, high in lowered.lower(label.guard):
-                members = [i for i in members if low <= states[i].values[c] <= high]
         labels[name] = frozenset(members)
     deadlocked = frozenset(i for i, ms in enumerate(all_moves) if not ms)
     if deadlocked:
@@ -307,9 +303,12 @@ def bound_time(
     elapsed: Sequence[int] = (0,),
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> Tsg:
-    """The game ``build(with_time_bound(model, target, bound)[0], price)``
-    gives, from `game`, built or reweighed as ``build(model, price)``,
-    without exploring the model again.
+    """The digital-clocks game of the model with an observer clock
+    (Kwiatkowska, Norman, Parker & Sproston, FMSD 2006), from `game`, built
+    or reweighed as ``build(model, price)``, without exploring the model
+    again. The observer clock is never reset and saturates just past
+    `bound`; the test oracle in ``tests/retired_builder.py`` builds that
+    game directly.
 
     A state is a state of `game` with the observer clock's value e
     appended, ``(location, values + (e,))``; a move of delay d takes e to
@@ -321,8 +320,9 @@ def bound_time(
     bound of a sweep (the epoch model of Hartmanns, Junges, Katoen &
     Quatmann, TACAS 2018, at the level of the explicit game).
 
-    The two games agree because no delay reaches `build`'s cap: every
-    invariant bounds every clock but observer clocks (`validate_assumptions`).
+    Building the observer-clock model gives the same game because no
+    delay reaches `build`'s cap: every invariant bounds every clock
+    (`validate_assumptions`).
     A model with no clock caps every delay at 1, which then stands for
     every longer one, at the price rate the delay-0 and delay-1 moves of
     an action differ by.

@@ -155,15 +155,8 @@ def eager_compose(a: Tptg, b: Tptg, owner: OwnerFn, shared_clocks: Iterable[str]
             for l in label.locations:
                 extent.update(lift(l))
             if label_name in labels:
-                labels[label_name] = StateLabel(
-                    labels[label_name].locations | frozenset(extent), label.guard
-                )
-            else:
-                labels[label_name] = StateLabel(frozenset(extent), label.guard)
-
-    caps = dict(a.clock_caps)
-    for clock, cap in b.clock_caps.items():
-        caps[clock] = max(cap, caps.get(clock, 0))
+                extent |= labels[label_name].locations
+            labels[label_name] = StateLabel(frozenset(extent))
 
     return Tptg(
         players=players,
@@ -177,5 +170,4 @@ def eager_compose(a: Tptg, b: Tptg, owner: OwnerFn, shared_clocks: Iterable[str]
         transitions=transitions,
         prices=prices,
         labels=labels,
-        clock_caps=caps,
     )

@@ -180,8 +180,6 @@ def naive_digital_reach(model: Tptg) -> set[tuple[str, tuple[int, ...]]]:
     for constraint in list(model.invariants.values()) + list(model.enabling.values()):
         for atom in constraint.atoms:
             ceilings[atom.clock] = max(ceilings[atom.clock], atom.bound)
-    for clock, cap in model.clock_caps.items():
-        ceilings[clock] = max(ceilings[clock], cap)
     order = list(model.clocks)
     max_delay = 1 + max(ceilings.values(), default=0)
 

@@ -10,6 +10,15 @@ same moves as `semantics._Lowered.moves`. `ClockValuation` is the state
 record the package used before its states became plain ``(location,
 values)`` records, and `DigitalMove` the move record the package returned
 from its own `enumerate_moves`.
+
+It is also the oracle of :func:`tptg.bound_time`: ``build(model, price,
+observer=(target, bound))`` explores the model with an observer clock
+appended, the construction the package's ``with_time_bound`` made before
+time bounds were derived from the one unbounded game. That clock,
+``_elapsed`` extended with ``_`` past the model's clock names, is never
+reset and saturates at ``bound + 1``, and the label
+``f"{target}_by_{bound}"`` holds at `target`'s locations while it is at
+most `bound`.
 """
 
 from collections import deque
@@ -166,7 +175,23 @@ def enumerate_moves(model: Tptg, state: DigitalState, price=None) -> list[Digita
     ]
 
 
-def build(model: Tptg, price=None, state_limit: int = DEFAULT_STATE_LIMIT) -> Tsg:
+def build(
+    model: Tptg,
+    price=None,
+    state_limit: int = DEFAULT_STATE_LIMIT,
+    observer: tuple[str, int] | None = None,
+) -> Tsg:
+    ceilings = max_constants(model)
+    if observer is not None:
+        observed, bound = observer
+        if bound < 0:
+            raise ModelError("time bound must be non-negative")
+        if observed not in model.labels:
+            raise ModelError(f"unknown label {observed!r}")
+        clock = "_elapsed"
+        while clock in model.clocks:
+            clock += "_"
+        ceilings[clock] = bound
     diagnostics = errors_only(validate_assumptions(model))
     if diagnostics:
         summary = "; ".join(str(d) for d in diagnostics[:5])
@@ -176,7 +201,7 @@ def build(model: Tptg, price=None, state_limit: int = DEFAULT_STATE_LIMIT) -> Ts
     if price is not None and price not in model.prices:
         raise ModelError(f"unknown price structure {price!r}")
 
-    start = _State(model.initial, ClockValuation.zero(max_constants(model)))
+    start = _State(model.initial, ClockValuation.zero(ceilings))
     index: dict[_State, int] = {start: 0}
     states: list[_State] = [start]
     all_moves: list[tuple[Move, ...]] = []
@@ -204,10 +229,13 @@ def build(model: Tptg, price=None, state_limit: int = DEFAULT_STATE_LIMIT) -> Ts
 
     labels: dict[str, frozenset[int]] = {}
     for name, label in model.labels.items():
-        labels[name] = frozenset(
+        labels[name] = frozenset(i for i, s in enumerate(states) if s.location in label.locations)
+    if observer is not None:
+        reached = model.labels[observed].locations
+        labels[f"{observed}_by_{bound}"] = frozenset(
             i
             for i, s in enumerate(states)
-            if s.location in label.locations and s.valuation.satisfies(label.guard)
+            if s.location in reached and s.valuation[clock] <= bound
         )
     deadlocked = frozenset(i for i, ms in enumerate(all_moves) if not ms)
     if deadlocked:

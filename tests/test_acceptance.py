@@ -20,7 +20,6 @@ from tptg import (
     print_model,
     prob_reach,
     random_timed_path,
-    with_time_bound,
 )
 from tptg.casestudies import nonrepudiation_text, taskgraph_text
 
@@ -122,10 +121,10 @@ def test_criterion_2_taskgraph_parameter_shape():
     )
 
 
-def malicious1_bounded(model, bound, coalition):
-    bounded, label = with_time_bound(model, "r_gains_info", bound)
-    game = tptg.build(bounded)
-    return prob_reach(coalition_game(game, coalition), label, "maxmin", tol=TOL).initial_value
+def malicious1_bounded(game, bound, coalition):
+    bounded = tptg.bound_time(game, "r_gains_info", bound)
+    label = f"r_gains_info_by_{bound}"
+    return prob_reach(coalition_game(bounded, coalition), label, "maxmin", tol=TOL).initial_value
 
 
 def test_criterion_3_malicious_equality_and_sweep():
@@ -138,8 +137,8 @@ def test_criterion_3_malicious_equality_and_sweep():
     ordered = True
     worst = 0.0
     for bound in range(1, 101):
-        lo = malicious1_bounded(model, bound, {"R"})
-        hi = malicious1_bounded(model, bound, {"O", "R"})
+        lo = malicious1_bounded(game, bound, {"R"})
+        hi = malicious1_bounded(game, bound, {"O", "R"})
         worst = max(worst, lo - hi)
         if lo > hi + 2 * TOL:
             ordered = False
@@ -157,11 +156,11 @@ def test_criterion_4_honest_coalition_structure():
     ok = True
     details = []
     for p in (Fraction(1, 100), Fraction(1, 10)):
-        model = tptg.gen_nonrepudiation("honest", p=p)
+        unbounded = tptg.build(tptg.gen_nonrepudiation("honest", p=p))
         curves = {frozenset(c): [] for c in coalitions}
         for bound in range(0, 61, 4):
-            bounded, label = with_time_bound(model, "terminated_ok", bound)
-            game = tptg.build(bounded)
+            game = tptg.bound_time(unbounded, "terminated_ok", bound)
+            label = f"terminated_ok_by_{bound}"
             for c in coalitions:
                 value = prob_reach(
                     coalition_game(game, c), label, "maxmin", tol=TOL

@@ -7,7 +7,6 @@ from tptg import (
     coalition_game,
     expected_price,
     prob_reach,
-    with_time_bound,
 )
 from tptg.cli import main
 
@@ -50,13 +49,13 @@ def test_honest_expected_time_is_geometric_in_p():
 
 
 def test_time_bound_converges_to_unbounded_value(honest_half):
+    game = tptg.build(honest_half)
     unbounded = prob_reach(
-        coalition_game(tptg.build(honest_half), {"O", "R"}), "terminated_ok", "maxmin"
+        coalition_game(game, {"O", "R"}), "terminated_ok", "maxmin"
     ).initial_value
-    bounded_model, label = with_time_bound(honest_half, "terminated_ok", 200)
     bounded = prob_reach(
-        coalition_game(tptg.build(bounded_model), {"O", "R"}), label, "maxmin",
-        tol=1e-12,
+        coalition_game(tptg.bound_time(game, "terminated_ok", 200), {"O", "R"}),
+        "terminated_ok_by_200", "maxmin", tol=1e-12,
     ).initial_value
     assert unbounded == pytest.approx(1.0, abs=1e-9)
     # 200 time units allow at least 66 rounds; the leftover tail is far below

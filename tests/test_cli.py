@@ -263,6 +263,26 @@ def test_synth_then_simulate_round_trip(tmp_path, capsys):
     assert set(steps[0]) == {"step", "state", "action", "duration", "price"}
 
 
+@pytest.mark.parametrize("bound", [10, 4])
+def test_synth_then_simulate_round_trip_on_a_time_bound(fig1_file, tmp_path, bound, capsys):
+    # fig1 ships the bound 10 (value 1); at 4 the value is 3/4. The strategy
+    # is keyed by the states of the game `bound_time` derives
+    prop = f"Pmax [ F done ] <= {bound} coalition {{sender, medium}}"
+    strategy_path = tmp_path / "strategy.json"
+    assert main(["synth", fig1_file, "--prop", prop, "--json", str(strategy_path)]) == 0
+    value = json.loads(strategy_path.read_text())["value"]
+    outcome_path = tmp_path / "outcome.json"
+    code = main([
+        "simulate", fig1_file, "--prop", prop, "--strategy", str(strategy_path),
+        "--samples", "2000", "--seed", "7", "--json", str(outcome_path),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    outcome = json.loads(outcome_path.read_text())
+    assert outcome["censored"] == 0
+    assert abs(outcome["probability"] - value) <= outcome["probability_ci99"]
+
+
 def test_simulate_without_strategy_errors(capsys):
     code = main([
         "simulate", "--gen", "taskgraph",

@@ -1,11 +1,9 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import tptg
-import tptg.cli
 from tptg import (
     ClockConstraint,
     ModelError,
@@ -19,7 +17,6 @@ from tptg import (
     errors_only,
     max_constants,
     validate_assumptions,
-    with_time_bound,
 )
 
 from gamegen import random_tptg
@@ -60,7 +57,6 @@ def test_max_constants_uncompared_clock_is_zero():
         invariants=dict(model.invariants),
         enabling=dict(model.enabling),
         transitions=dict(model.transitions),
-        clock_caps={"z": 0},
     )
     assert max_constants(bigger)["z"] == 0
 
@@ -262,27 +258,25 @@ def test_compose_requires_shared_clock_declaration():
     assert product.clocks == ("x",)
 
 
-def test_with_time_bound_zero_only_initial_states(fig1_model):
-    bounded, label = with_time_bound(fig1_model, "done", 0)
-    game = tptg.build(bounded)
+def test_with_time_bound_zero_only_initial_states(fig1_game):
+    game = tptg.bound_time(fig1_game, "done", 0)
     # delivery takes at least two time units, so the bounded target is empty
     # among reachable states
-    assert game.label_states(label) == frozenset()
-    assert errors_only(validate_assumptions(bounded)) == []
+    assert game.label_states("done_by_0") == frozenset()
+    assert game.label_states("done") != frozenset()
 
 
-def test_with_time_bound_keeps_behaviour(fig1_model):
-    bounded, label = with_time_bound(fig1_model, "done", 6)
-    game = tptg.build(bounded)
-    plain = tptg.build(fig1_model)
+def test_with_time_bound_keeps_behaviour(fig1_game):
+    game = tptg.bound_time(fig1_game, "done", 6)
     # the observer clock multiplies states but not the underlying moves
     assert game.label_states("done") != frozenset()
-    assert game.available_actions(game.initial) == plain.available_actions(plain.initial)
+    assert game.available_actions(game.initial) == fig1_game.available_actions(fig1_game.initial)
+    assert {(s.location, s.values[:-1]) for s in game.states} == set(fig1_game.states)
 
 
-def test_with_time_bound_unknown_label(fig1_model):
-    with pytest.raises(ModelError):
-        with_time_bound(fig1_model, "nope", 3)
+def test_with_time_bound_unknown_label(fig1_game):
+    with pytest.raises(ModelError, match="unknown label 'nope'"):
+        tptg.bound_time(fig1_game, "nope", 3)
 
 
 def test_compose_keeps_only_reachable_pairs():
@@ -311,19 +305,6 @@ def test_compose_keeps_only_reachable_pairs():
     assert product.prices["time"].rates == {}
     assert product.labels["lost"].locations == frozenset()
     assert product.labels["loop"].locations == frozenset(product.locations)
-
-
-def test_compose_rejects_label_with_conflicting_guards():
-    def guarded(bound):
-        model = tiny()
-        return replace(
-            model, labels={"loop": StateLabel(frozenset({"only"}), clock_le("x", bound))}
-        )
-
-    with pytest.raises(ModelError, match="different clock guards"):
-        compose(guarded(1), guarded(2), shared_clocks={"x"})
-    same = compose(guarded(1), guarded(1), shared_clocks={"x"})
-    assert same.labels["loop"] == StateLabel(frozenset({"only.only"}), clock_le("x", 1))
 
 
 def test_compose_rejects_two_pairs_with_one_name():
@@ -391,31 +372,3 @@ def test_validate_assumptions_matches_the_retired_cycle_search():
         assert validate_assumptions(model) == expected, seed
         warned += bool(zeno_warning(model))
     assert 0 < warned < 400
-
-
-@pytest.mark.parametrize("locations", [frozenset({"only"}), frozenset()], ids=["reached", "unreached"])
-def test_a_label_guard_on_an_unknown_clock_is_an_error(locations):
-    model = replace(tiny(), labels={"t": StateLabel(locations, clock_le("q", 2))})
-    diags = errors_only(validate_assumptions(model))
-    assert [str(d) for d in diags] == ["[error] label 't': atom on unknown clock 'q'"]
-
-
-def test_validate_exits_with_the_model_error_code_on_a_label_guard_on_an_unknown_clock(
-    fig1_text, tmp_path, monkeypatch, capsys
-):
-    # the DSL names no clock in a label, so the guard is put on the
-    # elaborated model of a DSL source
-    path = tmp_path / "fig1.tptg"
-    path.write_text(fig1_text)
-    assert tptg.cli.main(["validate", str(path)]) == tptg.cli.EXIT_OK
-    elaborate = tptg.cli.to_tptg
-
-    def guarded(source):
-        model = elaborate(source)
-        done = model.labels["done"]
-        return replace(model, labels={**model.labels, "done": StateLabel(done.locations, clock_le("q", 2))})
-
-    monkeypatch.setattr(tptg.cli, "to_tptg", guarded)
-    capsys.readouterr()
-    assert tptg.cli.main(["validate", str(path)]) == tptg.cli.EXIT_MODEL_ERROR
-    assert "[error] label 'done': atom on unknown clock 'q'" in capsys.readouterr().err

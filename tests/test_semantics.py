@@ -360,12 +360,15 @@ def test_reweigh_refuses_what_build_refuses_with_its_message(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {refused.value}\n"
 
 
-def _assert_builds_like_retired_builder(model, price=None):
-    """The game `build` returns equals the retired builder's: the same
-    states, owners and labels, and the same moves down to the float bits
-    of every probability and price."""
+def _assert_builds_like_retired_builder(model, price=None, observer=None):
+    """The game `build` returns, or with an `observer` ``(target, bound)``
+    the game `bound_time` derives from it, equals the retired builder's:
+    the same states, owners and labels, and the same moves down to the
+    float bits of every probability and price."""
     built = tptg.build(model, price=price)
-    expected = retired_builder.build(model, price=price)
+    if observer is not None:
+        built = tptg.bound_time(built, *observer)
+    expected = retired_builder.build(model, price=price, observer=observer)
     assert built.states == expected.states
     assert built.owner == expected.owner
     assert built.labels == expected.labels
@@ -385,8 +388,7 @@ def test_build_equals_retired_builder_on_nonrepudiation(variant):
     model = tptg.gen_nonrepudiation(variant)
     _assert_builds_like_retired_builder(model)
     for bound in (0, 4, 20, 100):
-        bounded, _ = tptg.with_time_bound(model, "terminated_ok", bound)
-        _assert_builds_like_retired_builder(bounded)
+        _assert_builds_like_retired_builder(model, observer=("terminated_ok", bound))
 
 
 def test_build_equals_retired_builder_on_fig1_and_random_models(fig1_model):
@@ -399,15 +401,13 @@ def test_build_equals_retired_builder_on_fig1_and_random_models(fig1_model):
 
 
 def test_build_equals_retired_builder_on_time_bounded_labels(fig1_model):
-    # `with_time_bound` adds a label whose guard bounds an observer clock:
-    # the one place where labels are decided on clock values
+    # the observer clock's label is the one label decided on clock values
     for model, target in [
         (fig1_model, "done"),
         *((random_tptg(random.Random(seed)), "goal") for seed in range(20)),
     ]:
         for bound in (0, 2, 5):
-            bounded, _ = tptg.with_time_bound(model, target, bound)
-            _assert_builds_like_retired_builder(bounded)
+            _assert_builds_like_retired_builder(model, observer=(target, bound))
 
 
 def _lowered_moves(model, state, price):
@@ -483,10 +483,10 @@ def test_bound_time_equals_the_observer_clock_build(name, fig1_model):
         game = tptg.build(model, price)
         for target in model.labels:
             for bound in (0, 1, ceiling // 2, ceiling + 2):
-                bounded, label = tptg.with_time_bound(model, target, bound)
                 derived = tptg.bound_time(game, target, bound)
-                assert derived == tptg.build(bounded, price), (price, target, bound)
-                assert label in derived.labels
+                expected = retired_builder.build(model, price, observer=(target, bound))
+                assert derived == expected, (price, target, bound)
+                assert f"{target}_by_{bound}" in derived.labels
 
 
 def test_bound_time_equals_the_observer_clock_build_on_random_models():
@@ -496,8 +496,8 @@ def test_bound_time_equals_the_observer_clock_build_on_random_models():
         for price in (None, *model.prices):
             game = tptg.build(model, price)
             for bound in (0, 2, 5):
-                bounded, _ = tptg.with_time_bound(model, "goal", bound)
-                assert tptg.bound_time(game, "goal", bound) == tptg.build(bounded, price)
+                expected = retired_builder.build(model, price, observer=("goal", bound))
+                assert tptg.bound_time(game, "goal", bound) == expected
 
 
 def test_bound_time_without_clocks_lets_every_delay_up_to_the_bound_through():
@@ -517,8 +517,8 @@ def test_bound_time_without_clocks_lets_every_delay_up_to_the_bound_through():
         game = tptg.build(model, price)
         assert max(m.time for ms in game.moves for m in ms) == 1
         for bound in (0, 1, 3):
-            bounded, _ = tptg.with_time_bound(model, "m", bound)
-            assert tptg.bound_time(game, "m", bound) == tptg.build(bounded, price)
+            expected = retired_builder.build(model, price, observer=("m", bound))
+            assert tptg.bound_time(game, "m", bound) == expected
 
 
 def _reached(game, start) -> list[int]:
@@ -562,18 +562,21 @@ def test_each_start_of_a_bound_time_game_sees_its_bounds_game(name, fig1_model):
 
 
 def test_bound_time_refuses_as_build_and_with_time_bound(fig1_model, fig1_game):
-    bounded, _ = tptg.with_time_bound(fig1_model, "done", 10)
-    size = len(tptg.build(bounded).states)
+    # as the retired builder refuses when given the observer clock
+    observer = ("done", 10)
+    size = len(retired_builder.build(fig1_model, observer=observer).states)
     for limit in (1, 3, size - 1):
         with pytest.raises(StateLimitError) as built:
-            tptg.build(bounded, state_limit=limit)
+            retired_builder.build(fig1_model, state_limit=limit, observer=observer)
         with pytest.raises(StateLimitError) as derived:
             tptg.bound_time(fig1_game, "done", 10, state_limit=limit)
         assert str(derived.value) == str(built.value)
-    assert tptg.bound_time(fig1_game, "done", 10, state_limit=size) == tptg.build(bounded, state_limit=size)
+    assert tptg.bound_time(fig1_game, "done", 10, state_limit=size) == retired_builder.build(
+        fig1_model, state_limit=size, observer=observer
+    )
     for target, bound in (("done", -1), ("nope", 3)):
         with pytest.raises(ModelError) as refused:
-            tptg.with_time_bound(fig1_model, target, bound)
+            retired_builder.build(fig1_model, observer=(target, bound))
         with pytest.raises(ModelError) as derived:
             tptg.bound_time(fig1_game, target, bound)
         assert str(derived.value) == str(refused.value)
