@@ -5,7 +5,6 @@ from .clocks import Atom, ClockConstraint, TRUE, clock_ge, clock_le
 from .errors import ModelError, ParseError, StateLimitError
 from .game import (
     DEADLOCK_LABEL,
-    MemorylessProfile,
     Move,
     Tsg,
     TsgPath,
@@ -19,7 +18,6 @@ from .model import (
     Diagnostic,
     PriceStructure,
     ProbBranch,
-    StateLabel,
     Tptg,
     compose,
     errors_only,

@@ -237,11 +237,10 @@ def cmd_sweep(args) -> int:
             shape = _CONST.sub(r"const \1", row_text)
             if held is not None and shape == held[0]:
                 constants = {name: Fraction(v) for name, v in _CONST.findall(row_text)}
-                model = instantiate(held[1], held[2], constants)
+                model = instantiate(held[1], constants)
             else:
-                factors = {}
-                model = to_tptg(source if row_text == source_text else parse(row_text), factors)
-                held = shape, model, factors
+                model = to_tptg(source if row_text == source_text else parse(row_text))
+                held = shape, model
             cells = [raw]
             for _, result, _ in _solved(args, model, props, state_limit, games):
                 cells.append(f"{result.initial_value:.10g}")
@@ -261,6 +260,8 @@ def cmd_synth(args) -> int:
     props = _properties(args, source)
     records, worst = [], EXIT_OK
     for prop, result, _ in _solved(args, model, props, _state_limit(args), {}):
+        for warning in result.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
         print(
             f"{describe_property(prop)} = {result.initial_value:.6f} "
             f"(strategy over {len(result.strategy or {})} states)"

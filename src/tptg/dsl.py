@@ -11,7 +11,7 @@ all errors carry line/column positions and a fix hint.
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 from .errors import ParseError
 
@@ -38,8 +38,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "decimal" | "punct" | "eof"
     text: str
     line: int

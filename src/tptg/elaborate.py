@@ -9,8 +9,8 @@ initial one. A label's variable atoms are decided on the component that
 declares the variable and carried to the product by composition, so no
 location name is ever parsed back.
 
-On request, a distribution that reads a probability constant is recorded
-with each branch's factors (see `to_tptg`), so `instantiate` can set the
+Each distribution that reads a probability constant is recorded with each
+branch's factors in the model's `factors`, so `instantiate` can set the
 constants of an elaborated model without elaborating it again.
 """
 
@@ -33,7 +33,7 @@ from .dsl import (
     resolve_prob,
 )
 from .errors import ModelError
-from .model import PriceStructure, ProbBranch, StateLabel, Tptg, compose
+from .model import PriceStructure, ProbBranch, Tptg, compose
 
 
 def _resolve_int(value, constants: dict[str, Fraction], what: str) -> int:
@@ -137,7 +137,7 @@ def _mangle(location: str, order: list[str], values: dict[str, int]) -> str:
     return f"{location}#{suffix}"
 
 
-def unfold_automaton(auto: AutomatonAst, source: ModelSource, factored: bool = False) -> Tptg:
+def unfold_automaton(auto: AutomatonAst, source: ModelSource) -> Tptg:
     """Single-component timed game with discrete variables folded into locations.
 
     Only locations (and variable values) reachable from the initial one
@@ -146,8 +146,8 @@ def unfold_automaton(auto: AutomatonAst, source: ModelSource, factored: bool = F
     The owner map is empty; the network step assigns owners.
     Every label atom on the component's own variables becomes a label named
     after the atom (e.g. ``st1=3``) whose extent is the locations where the
-    atom holds. With `factored`, a branch probability that reads a
-    constant is a `_Factored` one, for `to_tptg`'s factor record.
+    atom holds. A branch probability that reads a constant is a
+    `_Factored` one, for `to_tptg`'s factor record.
     """
     constants = dict(source.constants)
     clocks = set(source.clocks)
@@ -210,7 +210,7 @@ def unfold_automaton(auto: AutomatonAst, source: ModelSource, factored: bool = F
                     seen.add(key)
                     worklist.append(key)
                 prob = _resolve_prob(branch.prob, constants)
-                if factored and not isinstance(branch.prob, Fraction):
+                if not isinstance(branch.prob, Fraction):
                     prob = _Factored(prob, (branch.prob,))
                 branches.append(ProbBranch(prob, frozenset(branch.resets), target))
             enabling[(name, edge.action)] = _clock_constraint(edge.guard, clocks, constants)
@@ -234,7 +234,7 @@ def unfold_automaton(auto: AutomatonAst, source: ModelSource, factored: bool = F
         enabling=enabling,
         transitions=transitions,
         prices=prices,
-        labels={n: StateLabel(frozenset(extent)) for n, extent in atom_extents.items()},
+        labels={n: frozenset(extent) for n, extent in atom_extents.items()},
     )
 
 
@@ -256,8 +256,7 @@ def _label_extent(label: LabelAst, network: Tptg) -> frozenset[str]:
     for clause in label.clauses:
         candidates = set(network.locations)
         for atom in clause.var_atoms:
-            holds = network.labels.get(_atom_label(atom))
-            candidates &= holds.locations if holds else set()
+            candidates &= network.labels.get(_atom_label(atom), frozenset())
         extent.update(
             name for name in candidates
             if all(fnmatchcase(name, pattern) for pattern in clause.patterns)
@@ -265,11 +264,10 @@ def _label_extent(label: LabelAst, network: Tptg) -> frozenset[str]:
     return frozenset(extent)
 
 
-def to_tptg(source: ModelSource, factors: dict | None = None) -> Tptg:
-    """Elaborate a parsed model into the composed timed game. `factors`,
-    if given, receives the model's factor record: for each distribution
-    that reads a probability constant, each branch's factors. Factors
-    are tracked only then, since tracking slows elaboration."""
+def to_tptg(source: ModelSource) -> Tptg:
+    """Elaborate a parsed model into the composed timed game, with its
+    factor record in `factors`: for each distribution that reads a
+    probability constant, each branch's factors."""
     if not source.players:
         raise ModelError("model declares no players")
     declared_vars: set[str] = set()
@@ -282,17 +280,14 @@ def to_tptg(source: ModelSource, factors: dict | None = None) -> Tptg:
             declared_vars.add(v.name)
 
     components = [
-        unfold_automaton(source.automaton(name), source, factors is not None) for name in source.compose
+        unfold_automaton(source.automaton(name), source) for name in source.compose
     ]
     network = components[0]
     for component in components[1:]:
         network = compose(network, component, source.clocks)
     owner = {loc: _owner_for(source.owners, loc) for loc in network.locations}
 
-    labels = {
-        label.name: StateLabel(_label_extent(label, network))
-        for label in source.labels
-    }
+    labels = {label.name: _label_extent(label, network) for label in source.labels}
     for label in source.labels:
         for clause in label.clauses:
             for atom in clause.var_atoms:
@@ -300,16 +295,14 @@ def to_tptg(source: ModelSource, factors: dict | None = None) -> Tptg:
                     raise ModelError(
                         f"label {label.name!r} tests unknown variable {atom.subject!r}"
                     )
-    transitions = network.transitions
-    if factors is not None:
-        factors.update({
-            key: tuple(_factors(b.prob) for b in dist)
-            for key, dist in transitions.items()
-            if any(isinstance(b.prob, _Factored) for b in dist)
-        })
-        # at the model's own constants, every factored probability becomes a Fraction
-        transitions = _instantiated(transitions, factors, dict(source.constants))
-    return replace(network, owner=owner, labels=labels, transitions=transitions)
+    factors = {
+        key: tuple(_factors(b.prob) for b in dist)
+        for key, dist in network.transitions.items()
+        if any(isinstance(b.prob, _Factored) for b in dist)
+    }
+    # at the model's own constants, every factored probability becomes a Fraction
+    transitions = _instantiated(network.transitions, factors, dict(source.constants))
+    return replace(network, owner=owner, labels=labels, transitions=transitions, factors=factors)
 
 
 def _instantiated(transitions: Mapping, factors: Mapping, values: Mapping[str, Fraction]) -> dict:
@@ -322,14 +315,14 @@ def _instantiated(transitions: Mapping, factors: Mapping, values: Mapping[str, F
     return instantiated
 
 
-def instantiate(model: Tptg, factors: Mapping, values: Mapping[str, Fraction]) -> Tptg:
-    """`model`, elaborated by `to_tptg` with the factor record `factors`,
-    with probability constants set to `values`: equal to the elaboration
-    of its text with those values, and sharing every field and every
+def instantiate(model: Tptg, values: Mapping[str, Fraction]) -> Tptg:
+    """`model`, elaborated by `to_tptg`, with probability constants set to
+    `values`, read through its factor record: equal to the elaboration of
+    its text with those values, and sharing every field and every
     distribution with `model` but the distributions that read a constant
     (the parametric model instantiated per valuation of Quatmann, Dehnert,
     Jansen, Junges & Katoen, ATVA 2016)."""
-    return replace(model, transitions=_instantiated(model.transitions, factors, values))
+    return replace(model, transitions=_instantiated(model.transitions, model.factors, values))
 
 
 def describe_property(prop: PropertyAst) -> str:

@@ -16,9 +16,6 @@ from .errors import ModelError, summarize
 
 Player = Union[int, str]
 
-#: memoryless deterministic strategy: one chosen move label per owned state
-MemorylessProfile = dict[int, str]
-
 DEADLOCK_LABEL = "deadlock"
 
 #: how tightly branch distributions must sum to one

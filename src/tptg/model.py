@@ -50,13 +50,6 @@ class PriceStructure:
 
 
 @dataclass(frozen=True)
-class StateLabel:
-    """Predicate naming target states: the states at a set of locations."""
-
-    locations: frozenset[str]
-
-
-@dataclass(frozen=True)
 class Diagnostic:
     severity: str  # "error" | "warning"
     where: str
@@ -75,7 +68,8 @@ class Tptg:
     """A turn-based probabilistic timed game.
 
     `owner` partitions locations among players; `enabling` and `transitions`
-    share the same (location, action) domain.
+    share the same (location, action) domain. A label names the set of
+    locations whose states it marks.
     """
 
     players: tuple[str, ...]
@@ -88,7 +82,11 @@ class Tptg:
     enabling: Mapping[tuple[str, str], ClockConstraint]
     transitions: Mapping[tuple[str, str], Distribution]
     prices: Mapping[str, PriceStructure] = field(default_factory=dict)
-    labels: Mapping[str, StateLabel] = field(default_factory=dict)
+    labels: Mapping[str, frozenset[str]] = field(default_factory=dict)
+    #: the probability-factor record `to_tptg` fills: for each distribution
+    #: that reads a probability constant, each branch's factors (see
+    #: `instantiate`); `compose` and hand-built models carry ``{}``
+    factors: Mapping[tuple[str, str], tuple] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         locations = set(self.locations)
@@ -114,7 +112,7 @@ class Tptg:
                         f"edge ({loc!r}, {act!r}) resets unknown clock(s) {sorted(bad)}"
                     )
         for name, label in self.labels.items():
-            missing = label.locations - locations
+            missing = label - locations
             if missing:
                 raise ModelError(f"label {name!r} names unknown location(s) {sorted(missing)}")
 
@@ -333,15 +331,11 @@ def compose(a: Tptg, b: Tptg, shared_clocks: Iterable[str] = ()) -> Tptg:
             prices = {n: b.prices[n].action_price(lb, act) for n in b.prices}
             put(loc, act, b.enabling[(lb, act)], dist, prices)
 
-    labels: dict[str, StateLabel] = {}
+    labels: dict[str, frozenset[str]] = {}
     for side, source in enumerate((a, b)):
         for label_name, label in source.labels.items():
-            extent = frozenset(
-                loc for pair, loc in names.items() if pair[side] in label.locations
-            )
-            if label_name in labels:
-                extent |= labels[label_name].locations
-            labels[label_name] = StateLabel(extent)
+            extent = frozenset(loc for pair, loc in names.items() if pair[side] in label)
+            labels[label_name] = labels.get(label_name, frozenset()) | extent
 
     return Tptg(
         players=players,

@@ -198,7 +198,7 @@ def build(
 
     labels: dict[str, frozenset[int]] = {}
     for name, label in model.labels.items():
-        members = [i for i, (location, _) in enumerate(states) if location in label.locations]
+        members = [i for i, (location, _) in enumerate(states) if location in label]
         labels[name] = frozenset(members)
     deadlocked = frozenset(i for i, ms in enumerate(all_moves) if not ms)
     if deadlocked:
@@ -231,7 +231,7 @@ def reweigh(game: Tsg, built_from: Tptg, model: Tptg, price: str | None = None) 
     recomputed as `build` computes them.
     """
     for f in fields(Tptg):
-        if f.name != "transitions" and getattr(model, f.name) != getattr(built_from, f.name):
+        if f.compare and f.name != "transitions" and getattr(model, f.name) != getattr(built_from, f.name):
             return None
     if model.transitions.keys() != built_from.transitions.keys():
         return None

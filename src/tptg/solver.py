@@ -197,7 +197,8 @@ def _cyclic_rounds(game, states, targets, reacher, rounds):
     """Set the drop rounds of one cyclic SCC whose exits have theirs: round r
     of the almost-sure loop shrinks the candidates to the attractor of
     `targets` over the moves that stay among them. Once the last exit has
-    dropped, the first round that drops nothing is final."""
+    dropped, the first round that drops nothing is final. Returns the
+    SCC's reverse index and its states of the reaching side."""
     moves = game.moves
     inside = set(states)
     preds = _predecessors(moves, states)
@@ -222,7 +223,7 @@ def _cyclic_rounds(game, states, targets, reacher, rounds):
         live = dict.fromkeys(seeds + [t for t in exits if rounds[t] > r], 0)
         dropped = candidate.difference(_attractor(preds, live, exists, usable)[0])
         if not dropped and r > last:
-            return
+            return preds, exists
         for s in dropped:
             rounds[s] = r
         candidate -= dropped
@@ -339,8 +340,6 @@ def _iterate(
     most `max_iters`. Returns (the most sweeps of an SCC, the largest final
     residual of a cyclic SCC, converged, backups); the first SCC at the cap
     stops the solve."""
-    if max_iters < 1:
-        return 0, math.inf, False, 0
 
     def sweep(states) -> float:
         residual = 0.0
@@ -494,7 +493,7 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
                 c = _spoiler(ms, e, rounds)  # the avoider witnesses the infinity
             choice[s] = c
             continue
-        _cyclic_rounds(game, states, target_set, reacher, rounds)
+        preds, exists = _cyclic_rounds(game, states, target_set, reacher, rounds)
         active = []
         for s in states:
             e = rounds[s]
@@ -516,8 +515,6 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
                 optimal = _optimal(step, opt[s](step), tol)
                 choice[s] = _smallest(moves[s], optimal)
                 usable[s] = optimal if owner[s] == reacher and s not in target_set else (choice[s],)
-        preds = _predecessors(moves, states)
-        exists = {s for s in states if owner[s] == reacher}
         joined, hits = _attractor(preds, {t: layer[t] for t in preds if layer[t] != inf}, exists, usable)
         for s, k in joined.items():
             layer[s] = k

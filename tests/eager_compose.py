@@ -15,7 +15,6 @@ from tptg.model import (
     Distribution,
     PriceStructure,
     ProbBranch,
-    StateLabel,
     Tptg,
 )
 
@@ -147,16 +146,16 @@ def eager_compose(a: Tptg, b: Tptg, owner: OwnerFn, shared_clocks: Iterable[str]
                     rates[name(la, lb)] = rate
         prices[n] = PriceStructure(rates=rates, action_prices=action_prices[n])
 
-    labels: dict[str, StateLabel] = {}
+    labels: dict[str, frozenset[str]] = {}
     for source, lift in ((a, lambda l: [name(l, lb) for lb in b.locations]),
                          (b, lambda l: [name(la, l) for la in a.locations])):
         for label_name, label in source.labels.items():
             extent = set()
-            for l in label.locations:
+            for l in label:
                 extent.update(lift(l))
             if label_name in labels:
-                extent |= labels[label_name].locations
-            labels[label_name] = StateLabel(frozenset(extent))
+                extent |= labels[label_name]
+            labels[label_name] = frozenset(extent)
 
     return Tptg(
         players=players,

@@ -9,7 +9,7 @@ checks) so it shares no shortcuts with the production construction.
 import random
 from fractions import Fraction
 
-from tptg import Atom, ClockConstraint, Move, PriceStructure, ProbBranch, StateLabel, Tptg, make_game
+from tptg import Atom, ClockConstraint, Move, PriceStructure, ProbBranch, Tptg, make_game
 
 
 def random_game(
@@ -165,7 +165,7 @@ def random_tptg(rng: random.Random) -> Tptg:
         transitions=transitions,
         prices={"run": PriceStructure(rates={loc: rng.randint(0, 2) for loc in locations},
                                       action_prices=action_prices)},
-        labels={"goal": StateLabel(goal)},
+        labels={"goal": goal},
     )
 
 

@@ -229,9 +229,9 @@ def build(
 
     labels: dict[str, frozenset[int]] = {}
     for name, label in model.labels.items():
-        labels[name] = frozenset(i for i, s in enumerate(states) if s.location in label.locations)
+        labels[name] = frozenset(i for i, s in enumerate(states) if s.location in label)
     if observer is not None:
-        reached = model.labels[observed].locations
+        reached = model.labels[observed]
         labels[f"{observed}_by_{bound}"] = frozenset(
             i
             for i, s in enumerate(states)

@@ -140,7 +140,7 @@ def test_an_expected_price_solve_runs_one_unpinned_almost_sure_pass(monkeypatch)
     def counted(view, states, targets, reacher, rounds):
         if view is game:
             searches.append(states)
-        search(view, states, targets, reacher, rounds)
+        return search(view, states, targets, reacher, rounds)
 
     monkeypatch.setattr(tptg.solver, "_pass", recorded)
     monkeypatch.setattr(tptg.solver, "_cyclic_rounds", counted)

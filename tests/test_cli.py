@@ -183,6 +183,19 @@ def test_synth_json_bytes_are_pinned(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args
 
 
+@pytest.mark.parametrize("model_args, prop, warnings", [
+    (["--gen", "nonrepudiation", "--variant", "malicious1"], "Pmax [ F r_gains_info ] coalition {R}",
+     ["3 non-target deadlock state(s) treated as probability 0"]),
+    (["--gen", "taskgraph", "--k1", "1", "--k2", "1"], "Emin [ F all_done ] <= 5 price time coalition {sched}",
+     ["8 non-target deadlock state(s) treated as infinite price",
+      "7891 state(s) cannot be forced to reach the target almost surely; their expected price is infinite"]),
+], ids=["malicious1", "taskgraph-1-1"])
+def test_synth_prints_the_solves_warnings_as_check_does(model_args, prop, warnings, capsys):
+    for command in ("check", "synth"):
+        assert main([command, *model_args, "--prop", prop]) == 0
+        assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in warnings), command
+
+
 SHIPPED_SWEEPS = {
     "honest_termination_by_T.csv": [
         "sweep", "--gen", "nonrepudiation", "--variant", "honest", "--p", "1/10",

@@ -51,7 +51,7 @@ def _assert_restriction(product, eager):
         }
     assert list(product.labels) == list(eager.labels)
     for name, label in eager.labels.items():
-        assert product.labels[name].locations == label.locations & keep
+        assert product.labels[name] == label & keep
 
 
 def _assert_same_game(left, right):
@@ -93,7 +93,7 @@ def _renamed(model, tag: str, actions: dict[str, str]):
             for n, s in model.prices.items()
         },
         labels={
-            n: replace(lab, locations=frozenset(loc(l) for l in lab.locations))
+            n: frozenset(loc(l) for l in lab)
             for n, lab in model.labels.items()
         },
     )

@@ -188,8 +188,8 @@ def test_generator_rejects_bad_parameters():
 
 def test_honest_model_has_empty_gain_label():
     model = tptg.gen_nonrepudiation("honest", p=Fraction(1, 2))
-    assert model.labels["r_gains_info"].locations == frozenset()
-    assert model.labels["terminated_ok"].locations != frozenset()
+    assert model.labels["r_gains_info"] == frozenset()
+    assert model.labels["terminated_ok"] != frozenset()
 
 
 def test_taskgraph_faultless_has_no_fault_edges():

@@ -2,7 +2,7 @@
 instantiation of probability constants."""
 
 import importlib.resources
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -86,7 +86,7 @@ def test_label_extents_equal_the_name_parsing_oracle(make_source):
     assert set(model.labels) == {label.name for label in source.labels}
     for label in source.labels:
         expected = label_extent(label, model.locations, dict(source.constants))
-        assert model.labels[label.name].locations == expected, label.name
+        assert model.labels[label.name] == expected, label.name
 
 
 def test_two_automata_labels_and_owners():
@@ -95,11 +95,11 @@ def test_two_automata_labels_and_owners():
         "l0#u=0.r0#w=0", "l0#u=1.r0#w=0", "l0#u=0.r1#w=1", "l0#u=2.r0#w=0",
         "l0#u=1.r1#w=1", "l1#u=2.r1#w=1", "l1#u=2.r1#w=2", "l0#u=2.r1#w=1",
     )
-    assert model.labels["mixed"].locations == {
+    assert model.labels["mixed"] == {
         "l0#u=1.r0#w=0", "l0#u=1.r1#w=1", "l1#u=2.r1#w=1", "l1#u=2.r1#w=2",
     }
-    assert model.labels["never"].locations == frozenset()
-    assert model.labels["spare_var"].locations == {"l1#u=2.r1#w=1", "l1#u=2.r1#w=2"}
+    assert model.labels["never"] == frozenset()
+    assert model.labels["spare_var"] == {"l1#u=2.r1#w=1", "l1#u=2.r1#w=2"}
     assert [model.owner[loc] for loc in model.locations] == ["a", "a", "b", "a", "b", "b", "b", "b"]
 
 
@@ -111,8 +111,8 @@ def test_owner_rules_that_miss_a_location_name_the_first_in_bfs_order():
 
 def _parametric(text: str):
     """The elaborated model of `text` and its factor record."""
-    factors = {}
-    return tptg.to_tptg(tptg.parse(text), factors), factors
+    model = tptg.to_tptg(tptg.parse(text))
+    return model, model.factors
 
 
 # both sides of a synchronization read constants or literals other than 1
@@ -150,7 +150,7 @@ def test_instantiate_equals_the_front_end_field_for_field(make_text, values):
         assert factors and all(type(b.prob) is Fraction for d in model.transitions.values() for b in d)
         for q in values:
             source = tptg.parse(make_text(q))
-            instantiated = tptg.instantiate(model, factors, dict(source.constants))
+            instantiated = tptg.instantiate(model, dict(source.constants))
             expected = tptg.to_tptg(source)
             for field in fields(tptg.Tptg):
                 assert getattr(instantiated, field.name) == getattr(expected, field.name), (p, q, field.name)
@@ -186,4 +186,24 @@ def test_the_factor_record_keeps_every_factor_but_1():
 def test_instantiate_names_an_unknown_constant():
     model, factors = _parametric(tptg.taskgraph_text(1, 1, "1/4"))
     with pytest.raises(ModelError, match="unknown constant 'p'"):
-        tptg.instantiate(model, factors, {"q": Fraction(1, 2)})
+        tptg.instantiate(model, {"q": Fraction(1, 2)})
+
+
+def test_every_elaboration_carries_its_factor_record(fig1_model):
+    # `instantiate` reads the record off the model; at p=0 and p=1 no
+    # branch of the taskgraph text reads p
+    assert len(tptg.gen_taskgraph(1, 1, "1/4").factors) == 100
+    assert fig1_model.factors == {}
+    assert tptg.gen_taskgraph(1, 1, "0").factors == tptg.gen_taskgraph(1, 1, "1").factors == {}
+
+
+def test_a_composition_carries_no_factor_record():
+    model = tptg.to_tptg(tptg.parse(SYNCHRONIZED.format(p="1/4")))
+    assert model.factors and tptg.compose(model, model, model.clocks).factors == {}
+
+
+def test_equality_and_repr_ignore_the_factor_record():
+    model = tptg.to_tptg(tptg.parse(SYNCHRONIZED.format(p="1/4")))
+    bare = replace(model, factors={})
+    assert model.factors and bare == model
+    assert repr(bare) == repr(model) and "factors" not in repr(model)

@@ -9,7 +9,6 @@ from tptg import (
     ModelError,
     PriceStructure,
     ProbBranch,
-    StateLabel,
     Tptg,
     clock_ge,
     clock_le,
@@ -36,7 +35,7 @@ def tiny(rate=0, cap=4):
         enabling={("only", "tick"): clock_ge("x", 1)},
         transitions={("only", "tick"): (ProbBranch(Fraction(1), frozenset({"x"}), "only"),)},
         prices={"time": PriceStructure(rates={"only": rate})},
-        labels={"loop": StateLabel(frozenset({"only"}))},
+        labels={"loop": frozenset({"only"})},
     )
 
 
@@ -295,7 +294,7 @@ def test_compose_keeps_only_reachable_pairs():
             ("orphan", "hop"): (ProbBranch(Fraction(1), frozenset(), "r0"),),
         },
         prices={"time": PriceStructure(rates={"orphan": 9})},
-        labels={"lost": StateLabel(frozenset({"orphan"}))},
+        labels={"lost": frozenset({"orphan"})},
     )
     product = compose(left, right)
     assert product.locations == ("only.r0", "only.r1")
@@ -303,8 +302,8 @@ def test_compose_keeps_only_reachable_pairs():
         ("only.r0", "tick"), ("only.r0", "hop"), ("only.r1", "tick"),
     }
     assert product.prices["time"].rates == {}
-    assert product.labels["lost"].locations == frozenset()
-    assert product.labels["loop"].locations == frozenset(product.locations)
+    assert product.labels["lost"] == frozenset()
+    assert product.labels["loop"] == frozenset(product.locations)
 
 
 def test_compose_rejects_two_pairs_with_one_name():

@@ -308,11 +308,6 @@ def test_reweigh_equals_rebuild_on_cyclic_nonrep_games(variant):
     assert all(any(cyclic for _, cyclic in game.components) for game in built.values())
 
 
-def _parametric(text: str):
-    factors = {}
-    return tptg.to_tptg(tptg.parse(text), factors), factors
-
-
 @pytest.mark.parametrize("make_text, probabilities, pairs, prices", [
     (lambda p: tptg.taskgraph_text(0, 0, p), PROBABILITIES, None, ("time", "energy")),
     (lambda p: tptg.taskgraph_text(1, 1, p), PROBABILITIES, None, ("time", "energy")),
@@ -323,11 +318,10 @@ def _parametric(text: str):
 def test_instantiate_then_reweigh_equals_build(make_text, probabilities, pairs, prices):
     # a p sweep's route: the model of one row instantiated at the next
     # row's p, and the game of the row reweighed to it
-    parametric = {p: _parametric(make_text(p)) for p in probabilities}
-    models = {p: model for p, (model, _) in parametric.items()}
+    models = {p: tptg.to_tptg(tptg.parse(make_text(p))) for p in probabilities}
     pairs = pairs or list(itertools.product(probabilities, repeat=2))
     targets = {
-        (p, q): tptg.instantiate(*parametric[p], {"p": Fraction(q)}) for p, q in pairs
+        (p, q): tptg.instantiate(models[p], {"p": Fraction(q)}) for p, q in pairs
     }
     assert all(targets[p, q] == models[q] for p, q in pairs)
     _assert_reweighs_like_build(models, pairs, prices, targets)

@@ -52,9 +52,10 @@ def _referenced_names(node) -> list[str]:
 
 
 def test_every_definition_in_the_package_is_used():
-    # a function, method or class that nothing names, outside its own body,
-    # in the package, the tests or the benchmark is dead surface; a
-    # re-export from the package's __init__ is not a use
+    # a function, method, class or module-level name (a constant or a type
+    # alias) that nothing names, outside its own definition, in the package,
+    # the tests or the benchmark is dead surface; a re-export from the
+    # package's __init__ is not a use
     root = pathlib.Path(__file__).resolve().parent.parent
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
@@ -68,13 +69,24 @@ def test_every_definition_in_the_package_is_used():
         for name in _referenced_names(tree):
             uses[name] = uses.get(name, 0) + 1
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    unused = [
-        f"{path.name}:{node.lineno} {node.name}"
+    defined = [
+        (path, node, node.name)
         for path in SOURCES
         for node in ast.walk(trees[path])
         if isinstance(node, kinds)
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and uses.get(node.name, 0) <= _referenced_names(node).count(node.name)
+    ] + [
+        (path, node, target.id)
+        for path in SOURCES
+        for node in trees[path].body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    ]
+    unused = [
+        f"{path.name}:{node.lineno} {name}"
+        for path, node, name in defined
+        if not (name.startswith("__") and name.endswith("__"))
+        and uses.get(name, 0) <= _referenced_names(node).count(name)
     ]
     assert unused == []
 
