@@ -23,7 +23,7 @@ from .errors import ModelError, ParseError, StateLimitError
 from .game import Tsg, coalition_game, game_stats, to_json_dict
 from .model import Tptg, errors_only, validate_assumptions
 from .semantics import DEFAULT_STATE_LIMIT, bound_time, build, reweigh
-from .solver import Objective, SolveResult, solve
+from .solver import Objective, solve, time_bounded
 
 EXIT_OK = 0
 EXIT_MODEL_ERROR = 1
@@ -37,7 +37,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_MODEL_ERROR)
 
 
-def _add_common(sub: argparse.ArgumentParser):
+def _add_common(commands, name: str, text: str, run) -> argparse.ArgumentParser:
+    """The subcommand `name`, run by `run`, with the options every command takes."""
+    sub = commands.add_parser(name, help=text)
+    sub.set_defaults(run=run)
     sub.add_argument("model", nargs="?", help="path to a .tptg model file")
     sub.add_argument("--gen", choices=["nonrepudiation", "taskgraph"],
                      help="use a built-in generator instead of a model file")
@@ -61,6 +64,7 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--state-limit", type=int, default=None,
                      help="cap on explored states (default 5e6 or TPTG_STATE_LIMIT)")
     sub.add_argument("--json", help="write results as JSON to this path")
+    return sub
 
 
 def _number(kind, text: str, what: str):
@@ -167,11 +171,12 @@ def _solved(args, model: Tptg, props: list[PropertyAst], state_limit: int, games
         yield prop, solve(game, objective, tol=args.tol, max_iters=args.max_iters), game
 
 
-def _exit_code(worst: int, result: SolveResult) -> int:
-    return worst if result.converged else EXIT_NOT_CONVERGED
+def _exit_code(worst: int, converged: bool) -> int:
+    return worst if converged else EXIT_NOT_CONVERGED
 
 
 def cmd_check(args) -> int:
+    """`check`, or `synth`, whose JSON holds a lone record unwrapped."""
     source = load_source(args)
     model = to_tptg(source)
     props = _properties(args, source)
@@ -179,15 +184,17 @@ def cmd_check(args) -> int:
     for prop, result, game in _solved(args, model, props, _state_limit(args), {}):
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        print(
-            f"{describe_property(prop)} = {result.initial_value:.6f} "
-            f"(converged={str(result.converged).lower()}, iterations={result.iterations}, "
-            f"states={len(game.states)})"
+        detail = (
+            f"strategy over {len(result.strategy or {})} states" if args.command == "synth" else
+            f"converged={str(result.converged).lower()}, iterations={result.iterations}, "
+            f"states={len(game.states)}"
         )
+        print(f"{describe_property(prop)} = {result.initial_value:.6f} ({detail})")
         records.append(result.to_json_dict())
-        worst = _exit_code(worst, result)
+        worst = _exit_code(worst, result.converged)
+    payload = records[0] if args.command == "synth" and len(records) == 1 else records
     if args.json:
-        Path(args.json).write_text(json.dumps(records, indent=1), encoding="utf-8")
+        Path(args.json).write_text(json.dumps(payload, indent=1), encoding="utf-8")
     return worst
 
 
@@ -212,20 +219,26 @@ def cmd_sweep(args) -> int:
             bounds.append(_number(int, raw, "T"))
             if bounds[-1] < 0:
                 raise ModelError("time bound must be non-negative")
-        # one game for every row: the largest bound's, with one start at
-        # elapsed time top - T per row's bound T, read off one solve
+        # per property, one induction over the budget up to the largest bound;
+        # over a zero-delay cycle, one solve of the game derived at that bound,
+        # with one start at elapsed time top - T per row's bound T
         top = max(bounds, default=0)
-        starts = tuple(dict.fromkeys(top - bound for bound in bounds))
         columns, games = [], {}
         for prop in props if bounds else ():  # no row, no game
-            swept = replace(prop, bound=top)
-            objective, game = property_game(model, swept, state_limit, games, starts)
-            result = solve(game, objective, args.tol, args.max_iters, roots=range(len(starts)))
-            columns.append(result.values)
-            worst = _exit_code(worst, result)
-        for raw, bound in zip(values, bounds):
-            start = starts.index(top - bound)
-            rows.append([raw] + [f"{column[start]:.10g}" for column in columns])
+            objective, game = property_game(model, prop, state_limit, games)
+            solved = time_bounded(game, objective, top, args.tol, args.max_iters)
+            if solved is None:
+                starts = tuple(dict.fromkeys(top - bound for bound in bounds))
+                objective, game = property_game(model, replace(prop, bound=top), state_limit, games, starts)
+                result = solve(game, objective, args.tol, args.max_iters, roots=range(len(starts)))
+                column = [result.values[starts.index(top - bound)] for bound in bounds]
+                converged = result.converged
+            else:
+                levels, converged = solved
+                column = [levels[bound][game.initial] for bound in bounds]
+            columns.append([f"{value:.10g}" for value in column])
+            worst = _exit_code(worst, converged)
+        rows += [[raw, *cells] for raw, *cells in zip(values, *columns)]
     else:
         # a row whose text differs from that of the last elaborated row in
         # constant values alone instantiates that row's model; a row
@@ -244,33 +257,13 @@ def cmd_sweep(args) -> int:
             cells = [raw]
             for _, result, _ in _solved(args, model, props, state_limit, games):
                 cells.append(f"{result.initial_value:.10g}")
-                worst = _exit_code(worst, result)
+                worst = _exit_code(worst, result.converged)
             rows.append(cells)
     text = "\n".join(",".join(row) for row in rows) + "\n"
     if args.csv:
         Path(args.csv).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return worst
-
-
-def cmd_synth(args) -> int:
-    source = load_source(args)
-    model = to_tptg(source)
-    props = _properties(args, source)
-    records, worst = [], EXIT_OK
-    for prop, result, _ in _solved(args, model, props, _state_limit(args), {}):
-        for warning in result.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        print(
-            f"{describe_property(prop)} = {result.initial_value:.6f} "
-            f"(strategy over {len(result.strategy or {})} states)"
-        )
-        records.append(result.to_json_dict())
-        worst = _exit_code(worst, result)
-    payload = records[0] if len(records) == 1 else records
-    if args.json:
-        Path(args.json).write_text(json.dumps(payload, indent=1), encoding="utf-8")
     return worst
 
 
@@ -366,39 +359,22 @@ def main(argv=None) -> int:
     parser = _Parser(prog="tptg", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    check = commands.add_parser("check", help="solve properties")
-    _add_common(check)
-    check.set_defaults(run=cmd_check)
-
-    sweep = commands.add_parser("sweep", help="solve a property across a parameter range")
-    _add_common(sweep)
+    _add_common(commands, "check", "solve properties", cmd_check)
+    sweep = _add_common(commands, "sweep", "solve a property across a parameter range", cmd_sweep)
     sweep.add_argument("--param", required=True, choices=["T", "p", "k1", "k2"])
     sweep.add_argument("--values", required=True, help="comma-separated parameter values")
     sweep.add_argument("--csv", help="write the CSV here instead of stdout")
-    sweep.set_defaults(run=cmd_sweep)
-
-    synth = commands.add_parser("synth", help="solve and export optimal strategies")
-    _add_common(synth)
-    synth.set_defaults(run=cmd_synth)
-
-    sim = commands.add_parser("simulate", help="Monte Carlo estimation under a strategy")
-    _add_common(sim)
+    _add_common(commands, "synth", "solve and export optimal strategies", cmd_check)
+    sim = _add_common(commands, "simulate", "Monte Carlo estimation under a strategy", cmd_simulate)
     sim.add_argument("--strategy", help="SolveResult JSON with the strategy to follow")
     sim.add_argument("--uniform", action="store_true", help="choose moves uniformly")
     sim.add_argument("--samples", type=int, default=10_000)
     sim.add_argument("--max-steps", type=int, default=10_000)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--traces", help="write one sampled trace as JSON lines")
-    sim.set_defaults(run=cmd_simulate)
-
-    export = commands.add_parser("export-game", help="build and export the explicit game")
-    _add_common(export)
+    export = _add_common(commands, "export-game", "build and export the explicit game", cmd_export_game)
     export.add_argument("--price", help="price structure to bake into the game")
-    export.set_defaults(run=cmd_export_game)
-
-    validate = commands.add_parser("validate", help="parse and check model assumptions")
-    _add_common(validate)
-    validate.set_defaults(run=cmd_validate)
+    _add_common(commands, "validate", "parse and check model assumptions", cmd_validate)
 
     args = parser.parse_args(argv)
     try:

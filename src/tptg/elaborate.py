@@ -266,8 +266,8 @@ def _label_extent(label: LabelAst, network: Tptg) -> frozenset[str]:
 
 def to_tptg(source: ModelSource) -> Tptg:
     """Elaborate a parsed model into the composed timed game, with its
-    factor record in `factors`: for each distribution that reads a
-    probability constant, each branch's factors."""
+    factor record in `factors` (for each distribution that reads a
+    probability constant, each branch's factors) and `parameters`."""
     if not source.players:
         raise ModelError("model declares no players")
     declared_vars: set[str] = set()
@@ -302,7 +302,9 @@ def to_tptg(source: ModelSource) -> Tptg:
     }
     # at the model's own constants, every factored probability becomes a Fraction
     transitions = _instantiated(network.transitions, factors, dict(source.constants))
-    return replace(network, owner=owner, labels=labels, transitions=transitions, factors=factors)
+    parameters = frozenset(name for name, value in source.constants if value.denominator != 1)
+    return replace(network, owner=owner, labels=labels, transitions=transitions, factors=factors,
+                   parameters=parameters)
 
 
 def _instantiated(transitions: Mapping, factors: Mapping, values: Mapping[str, Fraction]) -> dict:
@@ -321,8 +323,14 @@ def instantiate(model: Tptg, values: Mapping[str, Fraction]) -> Tptg:
     its text with those values, and sharing every field and every
     distribution with `model` but the distributions that read a constant
     (the parametric model instantiated per valuation of Quatmann, Dehnert,
-    Jansen, Junges & Katoen, ATVA 2016)."""
-    return replace(model, transitions=_instantiated(model.transitions, model.factors, values))
+    Jansen, Junges & Katoen, ATVA 2016). A value for a constant that is not
+    one of the model's `parameters` is refused: an integer position may read
+    it, or the model has no such constant."""
+    transitions = _instantiated(model.transitions, model.factors, values)
+    for name in values:
+        if name not in model.parameters:
+            raise ModelError(f"the model has no probability parameter {name!r}")
+    return replace(model, transitions=transitions)
 
 
 def describe_property(prop: PropertyAst) -> str:

@@ -84,9 +84,12 @@ class Tptg:
     prices: Mapping[str, PriceStructure] = field(default_factory=dict)
     labels: Mapping[str, frozenset[str]] = field(default_factory=dict)
     #: the probability-factor record `to_tptg` fills: for each distribution
-    #: that reads a probability constant, each branch's factors (see
-    #: `instantiate`); `compose` and hand-built models carry ``{}``
+    #: that reads a probability constant, each branch's factors, and the
+    #: parameters, constants declared with a value other than an integer,
+    #: which only probabilities read (see `instantiate`); `compose` and
+    #: hand-built models carry none
     factors: Mapping[tuple[str, str], tuple] = field(default_factory=dict, compare=False, repr=False)
+    parameters: frozenset[str] = field(default=frozenset(), compare=False, repr=False)
 
     def __post_init__(self):
         locations = set(self.locations)

@@ -296,6 +296,17 @@ def reweigh(game: Tsg, built_from: Tptg, model: Tptg, price: str | None = None) 
     return game.derive(moves=tuple(new_moves))
 
 
+def spell_delays(moves: Sequence[Move], cap: int) -> list[Move]:
+    """A state's moves in a game with no clock, each delay-1 move (which stands
+    for every longer delay) spelled out for the delays 1..`cap`."""
+    now = [m for m in moves if m.time == 0]
+    later = [m for m in moves if m.time == 1]
+    return now + [
+        Move(m.action, m.branches, m0.price + t * (m.price - m0.price), t)
+        for t in range(1, cap + 1) for m0, m in zip(now, later)
+    ]
+
+
 def bound_time(
     game: Tsg,
     target: str,
@@ -304,28 +315,22 @@ def bound_time(
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> Tsg:
     """The digital-clocks game of the model with an observer clock
-    (Kwiatkowska, Norman, Parker & Sproston, FMSD 2006), from `game`, built
-    or reweighed as ``build(model, price)``, without exploring the model
-    again. The observer clock is never reset and saturates just past
-    `bound`; the test oracle in ``tests/retired_builder.py`` builds that
-    game directly.
+    (Kwiatkowska, Norman, Parker & Sproston, FMSD 2006), derived from
+    `game`, built or reweighed as ``build(model, price)``. The clock is
+    never reset and saturates just past `bound`; the test oracle in
+    ``tests/retired_builder.py`` builds that game directly.
 
-    A state is a state of `game` with the observer clock's value e
-    appended, ``(location, values + (e,))``; a move of delay d takes e to
+    A state is a state of `game` with the clock's value e appended,
+    ``(location, values + (e,))``; a move of delay d takes e to
     ``min(e + d, bound + 1)``. Every label is carried over, and the label
     ``f"{target}_by_{bound}"`` holds where e <= bound. States are numbered
     breadth-first from one start ``(game.initial, e)`` per distinct value
-    e of `elapsed`, start i as state i. The start at elapsed ``bound - B``
-    sees the game of the bound B <= `bound`, so one game serves every
-    bound of a sweep (the epoch model of Hartmanns, Junges, Katoen &
-    Quatmann, TACAS 2018, at the level of the explicit game).
-
-    Building the observer-clock model gives the same game because no
-    delay reaches `build`'s cap: every invariant bounds every clock
-    (`validate_assumptions`).
-    A model with no clock caps every delay at 1, which then stands for
-    every longer one, at the price rate the delay-0 and delay-1 moves of
-    an action differ by.
+    e of `elapsed`, start i as state i; the start at elapsed ``bound - B``
+    sees the game of the bound B <= `bound`. The observer-clock model
+    builds the same game because no delay reaches `build`'s cap: every
+    invariant bounds every clock (`validate_assumptions`). A model with no
+    clock caps every delay at 1, which stands for every longer one
+    (`spell_delays`).
     """
     if bound < 0:
         raise ModelError("time bound must be non-negative")
@@ -342,14 +347,7 @@ def bound_time(
     all_moves = []
     for key in keys:  # the breadth-first queue, growing as it is walked
         s, e = divmod(key, width)
-        moves = game.moves[s]
-        if clockless:
-            now = [m for m in moves if m.time == 0]
-            later = [m for m in moves if m.time == 1]
-            moves = now + [
-                Move(m.action, m.branches, m0.price + t * (m.price - m0.price), t)
-                for t in range(1, cap + 1) for m0, m in zip(now, later)
-            ]
+        moves = spell_delays(game.moves[s], cap) if clockless else game.moves[s]
         row = []
         for action, old, price, time in moves:
             landed = e + time if e + time < cap else cap

@@ -35,6 +35,7 @@ from typing import Collection, Iterable, Sequence, Union
 
 from .errors import ModelError
 from .game import Move, Tsg, move_successors, strongly_connected
+from .semantics import DigitalState, spell_delays
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 10**6
@@ -323,6 +324,80 @@ def bounded_expected_price(
             step[s] = opt[s](_backups(moves, values, True))
         values = step
     return values
+
+
+def time_bounded(game: Tsg, objective: Objective, top: int, tol: float = DEFAULT_TOL,
+                 max_iters: int = DEFAULT_MAX_ITERS) -> tuple[list[list[float]], bool] | None:
+    """`objective` within each time budget b = 0..`top`, by induction over
+    the budget on the unbounded game (the epoch model of Hartmanns, Junges,
+    Katoen & Quatmann, TACAS 2018), and whether it converged: ``levels[b][s]``
+    is, bit for bit, what `solve` gives state (s, B - b) of ``bound_time(game,
+    target, B)``. None where zero-delay moves form a cycle. The certificate
+    evaluates the chain of the chosen moves budget by budget."""
+    _check_two_players(game)
+    _check_tol(tol)
+    if objective.kind == "bounded-exp-price" or top < 0:
+        raise ModelError("a time-bounded solve needs a probability or price objective and a bound >= 0")
+    if not isinstance(game.states[game.initial], DigitalState):
+        raise ModelError("a time-bounded solve needs a game built from a timed model")
+    moves, order = game.moves, []
+    instant = move_successors([[m for m in ms if m.time == 0] for ms in moves])
+    for states, cyclic in strongly_connected(instant, range(len(moves))):
+        if cyclic:
+            return None
+        order.append(states[0])
+    clockless = not game.states[game.initial].values  # a delay-1 move stands for every longer one
+    within = (lambda s, b: spell_delays(moves[s], b + 1)) if clockless else (lambda s, b: moves[s])
+    targets, live = _target_set(game, objective.target), max_iters >= 1
+    levels, choices = _budgets(game, objective, targets, order, top, live, within)
+    if live:
+        chain = _budgets(game, objective, targets, order, top, True, lambda s, b: choices[b][s])[0]
+        _check_chain([pair for pairs in zip(levels, chain) for pair in zip(*pairs)], tol)
+    return levels, live
+
+
+def _budgets(game: Tsg, objective: Objective, targets, order, top: int, live: bool, within):
+    """Values per budget 0..`top` over the moves ``within(s, b)``, and each
+    state's chosen move as a 0- or 1-tuple. A move of delay d reads budget
+    b - d, or an exhausted one past b (probability 0, price infinite);
+    zero-delay moves read budget b, `order` visiting successors first. A
+    sure flag, that the reaching side forces the target, gives the pass's
+    start value; where the pass backs up (if `live`), a value takes the best
+    backup and the first optimal move, elsewhere the first keeping the flag."""
+    prices = objective.kind == "exp-price"
+    maximizer = _reach_maximizer(objective.direction)
+    reacher = game.players[1 - maximizer if prices else maximizer]
+    opt, n, inf = _opt_for(game, objective.direction), len(game.moves), math.inf
+    reaching = [owner == reacher for owner in game.owner]
+    spent = ([inf if prices else 0.0] * n, [False] * n)
+    levels, choices = [], []  # levels[b]: the values and sure flags at budget b
+    for b in range(top + 1):
+        values, sure, choice = [0.0] * n, [False] * n, [()] * n
+        for s in order:
+            ms, flags, step = within(s, b), [], []
+            for _, branches, price, d in ms:
+                at, ok = (values, sure) if d == 0 else levels[b - d] if d <= b else spent
+                backup, forced = 0, None
+                for t, p in branches:
+                    if p > 0:
+                        backup += p * at[t]
+                        forced = ok[t] and forced is not False  # None until a branch is seen
+                step.append(price + backup if prices else backup)
+                flags.append(bool(forced))
+            target = s in targets
+            sure[s] = forced = target or (any(flags) if game.owner[s] == reacher else bool(flags) and all(flags))
+            values[s] = (0.0 if forced else inf) if prices else (1.0 if forced else 0.0)
+            if target or not ms:
+                continue
+            c = flags.index(forced)
+            if live and (forced if prices else not forced):
+                best = opt[s](step)
+                _update(values, s, best)
+                c = step.index(best)
+            choice[s] = (ms[c],)
+        levels.append((values, sure))
+        choices.append(choice)
+    return [values for values, _ in levels], choices
 
 
 def _iterate(
@@ -629,12 +704,15 @@ def _certify(
     visited = [c for c in game.components if not reached.isdisjoint(c[0])]
     check = _pass(view, objective, _target_set(game, objective.target), tol, DEFAULT_MAX_ITERS,
                   None, visited)[0].values
+    _check_chain([(vector[s], check[s]) for s in reached], tol)
+
+
+def _check_chain(pairs, tol: float):
+    """Raise unless each (claimed, chain) value pair agrees within ``10 * tol``."""
     worst = 0.0
-    for s in reached:
-        a, b = vector[s], check[s]
-        if math.isinf(a) and math.isinf(b):
-            continue
-        worst = max(worst, abs(a - b))
+    for a, b in pairs:
+        if not (math.isinf(a) and math.isinf(b)):
+            worst = max(worst, abs(a - b))
     if worst > 10 * tol:
         raise ModelError(
             f"synthesized profile fails its optimality certificate: induced chain "

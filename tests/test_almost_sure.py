@@ -97,7 +97,7 @@ def test_a_cyclic_scc_waits_for_the_last_exit_round():
 
 
 @pytest.mark.parametrize("name, views", [
-    ("honest_termination_by_T.csv", 4),  # one game for all rows
+    ("honest_termination_by_T.csv", 4),  # the unbounded game, once per property
     ("taskgraph_expected_by_p.csv", 10),
 ])
 def test_every_view_of_the_shipped_sweeps_matches_the_global_loop(monkeypatch, tmp_path, name, views):

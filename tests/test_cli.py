@@ -444,7 +444,7 @@ def _count_builds(monkeypatch) -> list:
 
 def test_shipped_sweeps_build_once_per_model(monkeypatch, tmp_path):
     results = pathlib.Path(__file__).resolve().parent.parent / "results"
-    # one model for 16 values of T, whose game every bound is derived from;
+    # one model for 16 values of T, whose game every bound is solved on;
     # 5 values of p, of which 1/2 and 3/4 reweigh the game of the row before
     for name, builds in (("honest_termination_by_T.csv", 1), ("taskgraph_expected_by_p.csv", 3)):
         calls = _count_builds(monkeypatch)
@@ -597,7 +597,7 @@ def _check_value(model_args, prop, bound, out) -> float:
      "Emin [ F all_done ] price time coalition {sched}", "18,0,17,18"),
 ], ids=["fig1", "malicious1", "taskgraph"])
 def test_a_T_sweep_cell_equals_a_check_of_its_bound_alone(model_args, prop, values, tmp_path, capsys):
-    # one game serves every row, whatever the order of the bounds
+    # one induction over the budget serves every row, whatever their order
     assert main(["sweep", *model_args, "--prop", prop, "--param", "T", "--values", values]) == 0
     rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
     assert [bound for bound, _ in rows] == values.split(",")

@@ -189,6 +189,38 @@ def test_instantiate_names_an_unknown_constant():
         tptg.instantiate(model, {"q": Fraction(1, 2)})
 
 
+NATURAL_AND_PROBABILITY = """
+const c = {c};
+const q = {q};
+player a;
+clock x;
+automaton m {{
+  init l;
+  location l {{ inv x <= c; [go] x >= 1 -> q: {{x}} & l + 1-q: {{}} & n; }}
+  location n {{ inv x <= c; }}
+}}
+owner {{ * -> a; }}
+"""
+
+
+def test_instantiate_refuses_a_constant_that_is_no_parameter():
+    # the p=0 taskgraph text declares no p, and its model differs from the
+    # p=1/2 one in 100 factored distributions
+    with pytest.raises(ModelError, match="the model has no probability parameter 'p'"):
+        tptg.instantiate(tptg.gen_taskgraph(1, 1, "0"), {"p": Fraction(1, 2)})
+    with pytest.raises(ModelError, match="the model has no probability parameter 'zzz'"):
+        tptg.instantiate(tptg.gen_taskgraph(1, 1, "1/2"), {"p": Fraction(1, 4), "zzz": Fraction(1, 2)})
+    # a natural constant may bound a clock, which the factor record does not
+    # cover; a parameter that no branch reads may be set
+    model = tptg.to_tptg(tptg.parse(NATURAL_AND_PROBABILITY.format(c=2, q="1/3")))
+    assert model.parameters == {"q"}
+    with pytest.raises(ModelError, match="the model has no probability parameter 'c'"):
+        tptg.instantiate(model, {"q": Fraction(1, 2), "c": Fraction(3)})
+    expected = tptg.to_tptg(tptg.parse(NATURAL_AND_PROBABILITY.format(c=2, q="1/2")))
+    assert tptg.instantiate(model, {"q": Fraction(1, 2)}) == expected
+    assert tptg.instantiate(tptg.gen_taskgraph(0, 0, "1/4"), {"p": Fraction(1, 2)}) == tptg.gen_taskgraph(0, 0, "1/2")
+
+
 def test_every_elaboration_carries_its_factor_record(fig1_model):
     # `instantiate` reads the record off the model; at p=0 and p=1 no
     # branch of the taskgraph text reads p

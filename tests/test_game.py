@@ -345,8 +345,8 @@ def test_simulate_decomposes_no_game(monkeypatch, capsys):
 
 
 def test_the_nonrep_sweep_decomposes_each_built_game_once(monkeypatch, tmp_path):
-    # the one game derived for all 16 values of T; the unbounded game it is
-    # derived from is never solved
+    # the unbounded game, as `property_game` holds it; the induction over the
+    # time budget derives no game
     assert _decompositions(monkeypatch, tmp_path, "honest_termination_by_T.csv") == 1
 
 

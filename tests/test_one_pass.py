@@ -193,22 +193,38 @@ def test_no_solve_builds_a_reverse_index_over_the_whole_game(monkeypatch, tmp_pa
 
 
 @pytest.mark.parametrize("name, solves, acyclic_backups", [
-    ("honest_termination_by_T.csv", 4, 0),  # one game for all rows, with a cycle
+    ("honest_termination_by_T.csv", 0, 0),  # by induction over the time budget
     ("taskgraph_expected_by_p.csv", 10, 20234),
 ])
 def test_the_shipped_sweeps_match_the_retired_solve_path(monkeypatch, tmp_path, name, solves, acyclic_backups):
-    # on an acyclic game each active state is backed up exactly once
-    seen = []
-    solve = tptg.cli.solve
+    # on an acyclic game each active state is backed up exactly once; a T
+    # sweep's column at each row's bound T equals the retired solve of the
+    # game `bound_time` derives for T alone
+    seen, inducted = [], []
+    solve, time_bounded = tptg.cli.solve, tptg.cli.time_bounded
 
     def record(game, objective, tol, max_iters, roots=None):
         result = solve(game, objective, tol=tol, max_iters=max_iters, roots=roots)
         seen.append((game, objective, tol, max_iters, result))
         return result
 
+    def induct(game, objective, top, tol, max_iters):
+        levels, converged = time_bounded(game, objective, top, tol, max_iters)
+        inducted.append((game, objective, tol, max_iters, levels))
+        return levels, converged
+
     monkeypatch.setattr(tptg.cli, "solve", record)
+    monkeypatch.setattr(tptg.cli, "time_bounded", induct)
     assert main(SHIPPED_SWEEPS[name] + ["--csv", str(tmp_path / name)]) == 0
     assert len(seen) == solves
+    assert len(inducted) == (4 if name.startswith("honest") else 0)  # one per column
+    rows = (tmp_path / name).read_text().splitlines()[1:]
+    for game, objective, tol, max_iters, levels in inducted:
+        for bound in (int(row.split(",")[0]) for row in rows):
+            bounded = tptg.bound_time(game, objective.target, bound)
+            target = f"{objective.target}_by_{bound}"
+            old = retired_solver.solve(bounded, dataclasses.replace(objective, target=target), tol, max_iters)
+            assert levels[bound][game.initial].hex() == old.initial_value.hex(), (objective, bound)
     backups = 0
     for game, objective, tol, max_iters, result in seen:
         old = retired_solver.solve(game, objective, tol, max_iters)
