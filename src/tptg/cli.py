@@ -37,34 +37,33 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_MODEL_ERROR)
 
 
-def _add_common(commands, name: str, text: str, run) -> argparse.ArgumentParser:
-    """The subcommand `name`, run by `run`, with the options every command takes."""
-    sub = commands.add_parser(name, help=text)
-    sub.set_defaults(run=run)
-    sub.add_argument("model", nargs="?", help="path to a .tptg model file")
-    sub.add_argument("--gen", choices=["nonrepudiation", "taskgraph"],
-                     help="use a built-in generator instead of a model file")
-    sub.add_argument("--variant", default="honest",
-                     choices=list(casestudies.NONREP_VARIANTS),
-                     help="nonrepudiation protocol variant")
-    sub.add_argument("--p", default=None, help="generator probability parameter (rational)")
-    sub.add_argument("--k1", type=int, default=0, help="fault budget of processor 1")
-    sub.add_argument("--k2", type=int, default=0, help="fault budget of processor 2")
-    sub.add_argument("--md", type=int, default=2)
-    sub.add_argument("--MD", type=int, default=9)
-    sub.add_argument("--ad", type=int, default=1)
-    sub.add_argument("--AD", type=int, default=5)
-    sub.add_argument("--timeout", type=int, default=24)
-    sub.add_argument("--prop", action="append", default=[],
-                     help="property text, e.g. 'Pmax [ F done ] coalition {sender}'; "
-                          "may be repeated (default: properties listed in the model)")
-    sub.add_argument("--tol", type=float, default=1e-8)
-    sub.add_argument("--max-iters", type=int, default=10**6,
-                     help="cap on the value-iteration sweeps of each strongly connected component")
-    sub.add_argument("--state-limit", type=int, default=None,
-                     help="cap on explored states (default 5e6 or TPTG_STATE_LIMIT)")
-    sub.add_argument("--json", help="write results as JSON to this path")
-    return sub
+def _common_options() -> argparse.ArgumentParser:
+    """The options every command takes, as a parent of each command's parser."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("model", nargs="?", help="path to a .tptg model file")
+    common.add_argument("--gen", choices=["nonrepudiation", "taskgraph"],
+                        help="use a built-in generator instead of a model file")
+    common.add_argument("--variant", default="honest",
+                        choices=list(casestudies.NONREP_VARIANTS),
+                        help="nonrepudiation protocol variant")
+    common.add_argument("--p", default=None, help="generator probability parameter (rational)")
+    common.add_argument("--k1", type=int, default=0, help="fault budget of processor 1")
+    common.add_argument("--k2", type=int, default=0, help="fault budget of processor 2")
+    common.add_argument("--md", type=int, default=2)
+    common.add_argument("--MD", type=int, default=9)
+    common.add_argument("--ad", type=int, default=1)
+    common.add_argument("--AD", type=int, default=5)
+    common.add_argument("--timeout", type=int, default=24)
+    common.add_argument("--prop", action="append", default=[],
+                        help="property text, e.g. 'Pmax [ F done ] coalition {sender}'; "
+                             "may be repeated (default: properties listed in the model)")
+    common.add_argument("--tol", type=float, default=1e-8)
+    common.add_argument("--max-iters", type=int, default=10**6,
+                        help="cap on the value-iteration sweeps of each strongly connected component")
+    common.add_argument("--state-limit", type=int, default=None,
+                        help="cap on explored states (default 5e6 or TPTG_STATE_LIMIT)")
+    common.add_argument("--json", help="write results as JSON to this path")
+    return common
 
 
 def _number(kind, text: str, what: str):
@@ -131,8 +130,8 @@ def property_game(
     reuses a held game of the same `model` and price; otherwise the
     unbounded game is reused, reweighed (another price or `model`, the next
     row of a sweep) or built, where `reweigh` returns None, and a bounded
-    game is derived from it. Each replaces the held game, components
-    included. Without `games`, nothing is cached or decomposed."""
+    game is derived from it. Each replaces the held game, whose views share
+    its components. Without `games`, nothing is cached."""
     if prop.target not in model.labels:
         raise ModelError(f"property targets unknown label {prop.target!r}")
     objective = Objective(
@@ -158,8 +157,6 @@ def property_game(
         if key is not None:
             game = bound_time(game, prop.target, prop.bound, elapsed, state_limit)
             held[key] = (model, prop.price, game)
-    if games is not None:
-        game.components  # computed once; reweigh and coalition views share it
     return objective, coalition_game(game, prop.coalition)
 
 
@@ -358,23 +355,29 @@ def cmd_validate(args) -> int:
 def main(argv=None) -> int:
     parser = _Parser(prog="tptg", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
+    common = [_common_options()]
 
-    _add_common(commands, "check", "solve properties", cmd_check)
-    sweep = _add_common(commands, "sweep", "solve a property across a parameter range", cmd_sweep)
+    def command(name: str, text: str, run) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=text, parents=common)
+        sub.set_defaults(run=run)
+        return sub
+
+    command("check", "solve properties", cmd_check)
+    sweep = command("sweep", "solve a property across a parameter range", cmd_sweep)
     sweep.add_argument("--param", required=True, choices=["T", "p", "k1", "k2"])
     sweep.add_argument("--values", required=True, help="comma-separated parameter values")
     sweep.add_argument("--csv", help="write the CSV here instead of stdout")
-    _add_common(commands, "synth", "solve and export optimal strategies", cmd_check)
-    sim = _add_common(commands, "simulate", "Monte Carlo estimation under a strategy", cmd_simulate)
+    command("synth", "solve and export optimal strategies", cmd_check)
+    sim = command("simulate", "Monte Carlo estimation under a strategy", cmd_simulate)
     sim.add_argument("--strategy", help="SolveResult JSON with the strategy to follow")
     sim.add_argument("--uniform", action="store_true", help="choose moves uniformly")
     sim.add_argument("--samples", type=int, default=10_000)
     sim.add_argument("--max-steps", type=int, default=10_000)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--traces", help="write one sampled trace as JSON lines")
-    export = _add_common(commands, "export-game", "build and export the explicit game", cmd_export_game)
+    export = command("export-game", "build and export the explicit game", cmd_export_game)
     export.add_argument("--price", help="price structure to bake into the game")
-    _add_common(commands, "validate", "parse and check model assumptions", cmd_validate)
+    command("validate", "parse and check model assumptions", cmd_validate)
 
     args = parser.parse_args(argv)
     try:

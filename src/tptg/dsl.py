@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Union
 
-from .errors import ParseError
+from .errors import ParseError, _gc_paused
 
 KEYWORDS = {
     "const", "player", "clock", "automaton", "var", "init", "location",
@@ -626,6 +626,7 @@ class _Parser:
         self.props.append(PropertyAst(query, target, bound, price, tuple(coalition)))
 
 
+@_gc_paused
 def parse(text: str) -> ModelSource:
     """Parse model text into its AST, rejecting local semantic errors."""
     return _Parser(text).model()

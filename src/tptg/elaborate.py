@@ -32,7 +32,7 @@ from .dsl import (
     PropertyAst,
     resolve_prob,
 )
-from .errors import ModelError
+from .errors import ModelError, _gc_paused
 from .model import PriceStructure, ProbBranch, Tptg, compose
 
 
@@ -264,6 +264,7 @@ def _label_extent(label: LabelAst, network: Tptg) -> frozenset[str]:
     return frozenset(extent)
 
 
+@_gc_paused
 def to_tptg(source: ModelSource) -> Tptg:
     """Elaborate a parsed model into the composed timed game, with its
     factor record in `factors` (for each distribution that reads a
@@ -317,6 +318,7 @@ def _instantiated(transitions: Mapping, factors: Mapping, values: Mapping[str, F
     return instantiated
 
 
+@_gc_paused
 def instantiate(model: Tptg, values: Mapping[str, Fraction]) -> Tptg:
     """`model`, elaborated by `to_tptg`, with probability constants set to
     `values`, read through its factor record: equal to the elaboration of

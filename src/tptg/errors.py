@@ -1,5 +1,7 @@
-"""Shared exception types, and the one-line summary of a list of problems."""
+"""Shared exception types, the summary of a list of problems, the collector pause."""
 
+import functools
+import gc
 from typing import Sequence
 
 
@@ -38,3 +40,19 @@ def summarize(problems: Sequence) -> str:
     """The first five problems joined by ``; ``, then how many are left out."""
     more = f"; and {len(problems) - 5} more" if len(problems) > 5 else ""
     return "; ".join(str(p) for p in problems[:5]) + more
+
+
+def _gc_paused(run):
+    """`run` with the cyclic garbage collector paused and, on every exit, as
+    the caller had it: the states, moves and tokens the library allocates
+    are acyclic, yet the collector would scan them again and again."""
+    @functools.wraps(run)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return run(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+    return paused

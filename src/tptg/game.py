@@ -9,10 +9,9 @@ label; the solver gives them reach probability 0 and infinite expected price.
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .errors import ModelError, summarize
+from .errors import ModelError, _gc_paused, summarize
 
 Player = Union[int, str]
 
@@ -155,30 +154,32 @@ class Tsg:
     def player_states(self, player: Player) -> frozenset[int]:
         return frozenset(i for i, p in enumerate(self.owner) if p == player)
 
-    @cached_property
+    @property
+    @_gc_paused
     def components(self) -> tuple[tuple[tuple[int, ...], bool], ...]:
         """Strongly connected components of the positive-branch graph over all
         states, successors first: (states in ascending order, whether the SCC
-        has a cycle). Owners and prices play no part. A view that only drops
-        moves (`derive`) shares them; there an SCC may split and `cyclic`
-        means it may have a cycle."""
-        return tuple(
-            (tuple(states), cyclic)
-            for states, cyclic in strongly_connected(
-                move_successors(self.moves), range(len(self.states))
-            )
-        )
+        has a cycle). Owners and prices play no part. Computed once, and shared
+        with every view `derive` makes; in a view that dropped moves an SCC
+        may split, and `cyclic` means it may have a cycle."""
+        # [moves, None] until first use, then [None, SCCs]; read in one step
+        shared = self.__dict__.setdefault("_components", [self.moves, None])
+        moves, components = shared
+        if components is None:
+            found = strongly_connected(move_successors(moves), range(len(moves)))
+            components = tuple((tuple(states), cyclic) for states, cyclic in found)
+            shared[:] = None, components
+        return components
 
     def derive(self, **changes) -> "Tsg":
         """Copy with other owners or players (`coalition_game`), with moves
         dropped, or with other move prices or branch probabilities, each
         branch's target and positivity kept (`semantics.reweigh`), and no
-        other change to branches or move order, sharing the components once
-        they are computed: every edge of the copy is an edge of this game,
-        so their order stays successors first."""
+        other change to branches or move order, sharing the components,
+        computed or not: every edge of the copy is an edge of this game, so
+        their order stays successors first."""
         view = replace(self, **changes)
-        if "components" in self.__dict__:
-            view.__dict__["components"] = self.components
+        view.__dict__["_components"] = self.__dict__.setdefault("_components", [self.moves, None])
         return view
 
     def validate(self) -> list[str]:

@@ -12,7 +12,7 @@ from dataclasses import fields
 from typing import NamedTuple, Sequence
 
 from .clocks import LE, ClockConstraint
-from .errors import ModelError, StateLimitError, summarize
+from .errors import ModelError, StateLimitError, _gc_paused, summarize
 from .game import DEADLOCK_LABEL, Move, Tsg
 from .model import PriceStructure, Tptg, errors_only, max_constants, validate_assumptions
 
@@ -157,6 +157,7 @@ class _Lowered:
         return moves
 
 
+@_gc_paused
 def build(
     model: Tptg,
     price: str | None = None,
@@ -214,6 +215,7 @@ def build(
     )
 
 
+@_gc_paused
 def reweigh(game: Tsg, built_from: Tptg, model: Tptg, price: str | None = None) -> Tsg | None:
     """The game ``build(model, price)`` gives, from `game`, which was built
     or reweighed from `built_from`, without exploring again; with `model` as
@@ -307,6 +309,7 @@ def spell_delays(moves: Sequence[Move], cap: int) -> list[Move]:
     ]
 
 
+@_gc_paused
 def bound_time(
     game: Tsg,
     target: str,

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Sequence, Union
 
-from .errors import ModelError
+from .errors import ModelError, _gc_paused
 from .game import Move, Tsg, move_successors, strongly_connected
 from .semantics import DigitalState, spell_delays
 
@@ -276,6 +276,7 @@ def expected_price(
     return _solve(game, Objective("exp-price", direction, targets), tol, max_iters)
 
 
+@_gc_paused
 def _solve(game: Tsg, objective: Objective, tol: float, max_iters: int, roots=None) -> SolveResult:
     """The pass's values and sets, then the checks on its strategy, whose
     certificate walks from `roots`; the result records `objective` itself."""
@@ -326,6 +327,7 @@ def bounded_expected_price(
     return values
 
 
+@_gc_paused
 def time_bounded(game: Tsg, objective: Objective, top: int, tol: float = DEFAULT_TOL,
                  max_iters: int = DEFAULT_MAX_ITERS) -> tuple[list[list[float]], bool] | None:
     """`objective` within each time budget b = 0..`top`, by induction over

@@ -208,7 +208,7 @@ def test_certificates_and_pinned_solves_share_the_game_decomposition(monkeypatch
     objective, game = built[-1]
     solved, chain = passed
     assert solved is game and chain is not game
-    assert vars(chain)["components"] is game.components
+    assert chain.components is game.components
     assert all(len(ms) <= 1 for ms in chain.moves)
 
     def search(*args):

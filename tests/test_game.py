@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import random
@@ -8,7 +7,7 @@ import pytest
 import tptg
 from tptg import ModelError, Move, TsgPath, coalition_game, make_game
 from tptg.cli import main
-from tptg.game import Tsg, from_json_dict
+from tptg.game import from_json_dict
 
 from gamegen import random_game
 from test_cli import SHIPPED_SWEEPS
@@ -281,17 +280,17 @@ def test_game_stats(fig1_game):
 
 def test_coalition_and_reprice_views_share_computed_components(fig1_model):
     game = tptg.build(fig1_model)
-    fresh = coalition_game(game, {"sender"})
-    assert "components" not in vars(fresh)  # nothing to share yet
-    components = game.components
+    early = coalition_game(game, {"sender"})  # derived before any decomposition
+    components = early.components
+    assert game.components is components  # the view's first use filled the game's
     for coalition in ({"sender"}, {"medium"}, {"sender", "medium"}, set()):
         assert coalition_game(game, coalition).components is components
     assert tptg.reweigh(game, fig1_model, fig1_model, None).components is components
-    assert fresh.components == components and fresh.components is not components
+    assert tptg.build(fig1_model).components == components
     assert sorted(s for states, _ in components for s in states) == list(range(len(game.states)))
     objective = tptg.Objective("prob-reach", "maxmin", "done")
-    shared = tptg.solve(coalition_game(game, {"sender"}), objective)
-    alone = tptg.solve(fresh, objective)  # on its own decomposition
+    shared = tptg.solve(early, objective)
+    alone = tptg.solve(coalition_game(tptg.build(fig1_model), {"sender"}), objective)
     assert shared.values == alone.values
     assert shared.strategy == alone.strategy
 
@@ -311,17 +310,15 @@ def test_components_are_successors_first_and_flag_cycles():
 
 
 def _count_decompositions(monkeypatch) -> list:
-    """The games `Tsg.components` decomposes from here on, in order."""
+    """The node ranges `Tsg.components` decomposes from here on, in order."""
     decomposed = []
-    decompose = Tsg.__dict__["components"].func
+    search = tptg.game.strongly_connected  # only `Tsg.components` calls it there
 
-    def counted(game):
-        decomposed.append(game)
-        return decompose(game)
+    def counted(successors, nodes):
+        decomposed.append(nodes)
+        return search(successors, nodes)
 
-    counting = functools.cached_property(counted)
-    counting.__set_name__(Tsg, "components")
-    monkeypatch.setattr(Tsg, "components", counting)
+    monkeypatch.setattr(tptg.game, "strongly_connected", counted)
     return decomposed
 
 
@@ -344,10 +341,9 @@ def test_simulate_decomposes_no_game(monkeypatch, capsys):
     assert decomposed == []
 
 
-def test_the_nonrep_sweep_decomposes_each_built_game_once(monkeypatch, tmp_path):
-    # the unbounded game, as `property_game` holds it; the induction over the
-    # time budget derives no game
-    assert _decompositions(monkeypatch, tmp_path, "honest_termination_by_T.csv") == 1
+def test_the_nonrep_sweep_decomposes_no_game(monkeypatch, tmp_path):
+    # the induction over the time budget derives no game and reads no SCC
+    assert _decompositions(monkeypatch, tmp_path, "honest_termination_by_T.csv") == 0
 
 
 def test_the_taskgraph_sweep_decomposes_each_built_game_once(monkeypatch, tmp_path):

@@ -187,7 +187,7 @@ def test_no_solve_builds_a_reverse_index_over_the_whole_game(monkeypatch, tmp_pa
                     except ModelError:
                         pass
             assert all(any(states <= scc for scc in cyclic) for states in indexed)
-            assert set(vars(game)) == fields | {"components"}
+            assert set(vars(game)) == fields | {"_components"}
             maps += len(indexed)
     assert maps > 1000
 

@@ -123,3 +123,28 @@ def test_every_function_parameter_in_the_package_is_read():
                 if p not in read and f"{path.name}:{node.name} {p}" not in UNREAD_PARAMETERS_ALLOWED
             ]
     assert unread == []
+
+
+def test_only_one_helper_pauses_the_garbage_collector():
+    # every pause goes through `errors._gc_paused`, which gives the caller's
+    # setting back on every exit; a second path could leave the collector off
+    toggles, helpers = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_gc_paused":
+                helpers.append((path.name, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                toggles.append((path.name, node.lineno))
+            elif isinstance(node, ast.Import) and any(a.name == "gc" and a.asname for a in node.names):
+                toggles.append((path.name, node.lineno))
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("disable", "enable")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "gc"
+            ):
+                toggles.append((path.name, node.lineno))
+    assert len(helpers) == 1
+    name, first, last = helpers[0]
+    assert len(toggles) == 2
+    assert all(path == name and first <= line <= last for path, line in toggles)
