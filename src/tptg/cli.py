@@ -124,14 +124,18 @@ def property_game(
 ) -> tuple[Objective, Tsg]:
     """objective -> build -> time bound -> coalition for one property of
     `model`. A time-bounded property's game is derived from the unbounded
-    game by `bound_time`, with one start per value of `elapsed`. `games`
-    holds, with its model and price, the last unbounded game under None and
-    the last game derived for each (target, bound, elapsed): a property
-    reuses a held game of the same `model` and price; otherwise the
-    unbounded game is reused, reweighed (another price or `model`, the next
-    row of a sweep) or built, where `reweigh` returns None, and a bounded
-    game is derived from it. Each replaces the held game, whose views share
-    its components. Without `games`, nothing is cached."""
+    game by `bound_time`, with one start per value of `elapsed`. Without
+    `games`, nothing is cached. Otherwise `games` holds entries ``(model,
+    price, game)``: the unbounded game of each price structure under
+    ``("unbounded", price)``, the last of them again under None, and the
+    last game derived for each (target, bound, elapsed). A property reuses
+    a held game of the same `model` and price. Otherwise its unbounded game
+    is the held one of its price reweighed to `model` (the next row of a
+    sweep: only the rows at changed distributions' locations are walked,
+    and none is repriced); else the last one, if of `model`, reweighed to
+    its price; else, where `reweigh` returns None, a build, after every
+    held game of another model is dropped so that it can be freed. Views
+    share the components of the game they are made from."""
     if prop.target not in model.labels:
         raise ModelError(f"property targets unknown label {prop.target!r}")
     objective = Objective(
@@ -144,28 +148,33 @@ def property_game(
     key = None if prop.bound is None else (prop.target, prop.bound, tuple(elapsed))
     entry = held.get(key)
     if entry is not None and entry[0] is model and entry[1] == prop.price:
-        game = entry[2]
-    else:
-        entry, game = held.get(None), None
-        if entry is not None:
-            held_model, held_price, game = entry
-            if held_model is not model or held_price != prop.price:
-                game = reweigh(game, held_model, model, prop.price)
-        if game is None:
-            game = build(model, price=prop.price, state_limit=state_limit)
-        held[None] = (model, prop.price, game)
-        if key is not None:
-            game = bound_time(game, prop.target, prop.bound, elapsed, state_limit)
-            held[key] = (model, prop.price, game)
+        return objective, coalition_game(entry[2], prop.coalition)
+    unbounded = ("unbounded", prop.price)
+    same, last, game = held.get(unbounded), held.get(None), None
+    if same is not None:
+        game = same[2] if same[0] is model else reweigh(same[2], same[0], model, prop.price, built_price=prop.price)
+    if game is None and last is not None and last[0] is model:
+        game = reweigh(last[2], model, model, prop.price, built_price=last[1])
+    if game is None:
+        entry = same = last = None  # so that the dropped games are freed
+        for stale in [k for k, (held_model, _, _) in held.items() if held_model is not model]:
+            del held[stale]
+        game = build(model, price=prop.price, state_limit=state_limit)
+    held[unbounded] = held[None] = (model, prop.price, game)
+    if key is not None:
+        game = bound_time(game, prop.target, prop.bound, elapsed, state_limit)
+        held[key] = (model, prop.price, game)
     return objective, coalition_game(game, prop.coalition)
 
 
 def _solved(args, model: Tptg, props: list[PropertyAst], state_limit: int, games: dict):
-    """(prop, result, game) for each property of `model` in turn, over the
-    game cache `games`; a property that fails leaves the earlier ones yielded."""
+    """(prop, result, states of its game) for each property of `model` in
+    turn, over the game cache `games`; a property that fails leaves the
+    earlier ones yielded. No game is yielded, so none outlives its row of a
+    sweep but those `games` holds."""
     for prop in props:
         objective, game = property_game(model, prop, state_limit, games)
-        yield prop, solve(game, objective, tol=args.tol, max_iters=args.max_iters), game
+        yield prop, solve(game, objective, tol=args.tol, max_iters=args.max_iters), len(game.states)
 
 
 def _exit_code(worst: int, converged: bool) -> int:
@@ -178,13 +187,13 @@ def cmd_check(args) -> int:
     model = to_tptg(source)
     props = _properties(args, source)
     records, worst = [], EXIT_OK
-    for prop, result, game in _solved(args, model, props, _state_limit(args), {}):
+    for prop, result, states in _solved(args, model, props, _state_limit(args), {}):
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         detail = (
             f"strategy over {len(result.strategy or {})} states" if args.command == "synth" else
             f"converged={str(result.converged).lower()}, iterations={result.iterations}, "
-            f"states={len(game.states)}"
+            f"states={states}"
         )
         print(f"{describe_property(prop)} = {result.initial_value:.6f} ({detail})")
         records.append(result.to_json_dict())
@@ -239,7 +248,7 @@ def cmd_sweep(args) -> int:
     else:
         # a row whose text differs from that of the last elaborated row in
         # constant values alone instantiates that row's model; a row
-        # reweighs the games of the row before where it can
+        # reweighs the row before's game of each price where it can
         games, held = {}, None
         for raw in values:
             value = raw if args.param == "p" else _number(int, raw, args.param)

@@ -169,7 +169,8 @@ def validate_assumptions(model: Tptg) -> list[Diagnostic]:
             diags.append(
                 Diagnostic("error", f"edge {key}", "distribution without enabling condition")
             )
-        mass = sum((b.prob for b in dist), Fraction(0))
+        # a lone branch's mass is its probability, with no Fraction sum
+        mass = dist[0].prob if len(dist) == 1 else sum((b.prob for b in dist), Fraction(0))
         if any(b.prob <= 0 or b.prob > 1 for b in dist):
             diags.append(
                 Diagnostic("error", f"edge {key}", "branch probability outside (0,1]")

@@ -215,8 +215,41 @@ def build(
     )
 
 
+#: `reweigh`'s default: the price structure `game` carries is not stated
+_UNSTATED = object()
+
+
+def _reweighed(m: Move, state: DigitalState, weight: tuple, saturated: tuple[int, ...]) -> tuple:
+    """The branches of `m`, a move of `state`, under the `weight` of its
+    changed distribution (the branches' floats, and their exact target,
+    reset indices and probability), as `build` computes them."""
+    floats, exact = weight
+    branches = m.branches
+    if len(branches) == len(floats):
+        return tuple([(t, f) for (t, _), f in zip(branches, floats)])
+    # branches collided: sum each landing's exact probabilities in
+    # first-branch order, as `_Lowered.moves`
+    location, values = state
+    t = m.time
+    advanced = tuple([v + t if v + t < k else k for v, k in zip(values, saturated)])
+    outcomes: dict = {}
+    for target, resets, prob in exact:
+        landed = advanced
+        if resets:
+            cleared = list(advanced)
+            for i in resets:
+                cleared[i] = 0
+            landed = tuple(cleared)
+        outcomes[target, landed] = outcomes.get((target, landed), 0) + prob
+    if len(outcomes) != len(branches):
+        raise ModelError(f"state ({location}, {values}) was not built from this model")
+    return tuple([(s, float(q)) for (s, _), q in zip(branches, outcomes.values())])
+
+
 @_gc_paused
-def reweigh(game: Tsg, built_from: Tptg, model: Tptg, price: str | None = None) -> Tsg | None:
+def reweigh(
+    game: Tsg, built_from: Tptg, model: Tptg, price: str | None = None, *, built_price=_UNSTATED
+) -> Tsg | None:
     """The game ``build(model, price)`` gives, from `game`, which was built
     or reweighed from `built_from`, without exploring again; with `model` as
     `built_from`, that is `game` under another price structure.
@@ -228,9 +261,13 @@ def reweigh(game: Tsg, built_from: Tptg, model: Tptg, price: str | None = None) 
     Katoen, ATVA 2016). Returns None otherwise: then only `build` gives the
     game, or refuses `model`.
 
-    One walk of the moves recomputes every price; every move keeps its
-    branches tuple but those of a changed distribution, which are
-    recomputed as `build` computes them.
+    `built_price` states the price structure `game` carries. Where it is
+    `price`, only the moves of changed distributions are rewritten, in the
+    states at their locations, and every other row and move is shared, as
+    storm-pars rewrites only the matrix entries that read a parameter.
+    Otherwise one walk of the moves recomputes every price, and shares each
+    move whose branches and price stay. The branches of a changed
+    distribution's moves are recomputed as `build` computes them.
     """
     for f in fields(Tptg):
         if f.compare and f.name != "transitions" and getattr(model, f.name) != getattr(built_from, f.name):
@@ -254,47 +291,39 @@ def reweigh(game: Tsg, built_from: Tptg, model: Tptg, price: str | None = None) 
     ceilings = max_constants(model) if changed else {}
     saturated = tuple(k + 1 for k in ceilings.values())
     position = {x: i for i, x in enumerate(ceilings)}  # the clock order of states
-    weights = {
-        key: (
+    weights: dict[str, dict] = {}  # location -> action -> its distribution's weight
+    for (location, action), dist in changed.items():
+        weights.setdefault(location, {})[action] = (
             tuple(float(b.prob) for b in dist),
             tuple((b.target, tuple(sorted(position[x] for x in b.resets)), b.prob) for b in dist),
         )
-        for key, dist in changed.items()
-    }
+    same = built_price is not _UNSTATED and built_price == price
     new_moves = []
     for state, moves in zip(game.states, game.moves):
         if not isinstance(state, DigitalState):
             raise ModelError("reweigh needs a game built from a timed model")
-        location, values = state
-        rate, action_prices = table.get(location, _UNPRICED)
-        row = []
+        local = weights.get(state.location)
+        if same:  # every price stays: only a changed distribution's moves change
+            if local:
+                row = []
+                for m in moves:
+                    weight = local.get(m.action)
+                    if weight is not None:
+                        m = Move(m.action, _reweighed(m, state, weight, saturated), m.price, m.time)
+                    row.append(m)
+                moves = tuple(row)
+            new_moves.append(moves)
+            continue
+        rate, action_prices = table.get(state.location, _UNPRICED)
+        row, fresh = [], False
         for m in moves:
-            branches = m.branches
-            weight = weights.get((location, m.action)) if weights else None
-            if weight is not None:
-                floats, exact = weight
-                if len(branches) == len(floats):
-                    branches = tuple([(t, f) for (t, _), f in zip(branches, floats)])
-                else:
-                    # branches collided: sum each landing's exact
-                    # probabilities in first-branch order, as `_Lowered.moves`
-                    t = m.time
-                    advanced = tuple([v + t if v + t < k else k for v, k in zip(values, saturated)])
-                    outcomes: dict = {}
-                    for target, resets, prob in exact:
-                        landed = advanced
-                        if resets:
-                            cleared = list(advanced)
-                            for i in resets:
-                                cleared[i] = 0
-                            landed = tuple(cleared)
-                        outcomes[target, landed] = outcomes.get((target, landed), 0) + prob
-                    if len(outcomes) != len(branches):
-                        raise ModelError(f"state ({location}, {values}) was not built from this model")
-                    branches = tuple([(s, float(q)) for (s, _), q in zip(branches, outcomes.values())])
-            cost = m.time * rate + action_prices.get(m.action, 0)
-            row.append(Move(m.action, branches, float(cost), m.time))
-        new_moves.append(tuple(row))
+            weight = local.get(m.action) if local else None
+            branches = m.branches if weight is None else _reweighed(m, state, weight, saturated)
+            cost = float(m.time * rate + action_prices.get(m.action, 0))
+            if branches is not m.branches or cost != m.price:
+                m, fresh = Move(m.action, branches, cost, m.time), True
+            row.append(m)
+        new_moves.append(tuple(row) if fresh else moves)
     return game.derive(moves=tuple(new_moves))
 
 

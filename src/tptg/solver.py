@@ -663,8 +663,13 @@ def _profiles(game: Tsg, objective: Objective, values, choice, tol: float, stall
             )
     _certify(game, objective, values, choice, tol, roots)
     profiles: tuple[dict[int, str], dict[int, str]] = ({}, {})
+    labels: dict[tuple, str] = {}  # one label per distinct (delay, action)
     for s in sorted(choice):
-        profiles[game.owner[s] != game.players[0]][s] = game.moves[s][choice[s]].label
+        m = game.moves[s][choice[s]]
+        label = labels.get((m.time, m.action))
+        if label is None:
+            label = labels[m.time, m.action] = m.label
+        profiles[game.owner[s] != game.players[0]][s] = label
     return profiles
 
 

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -455,28 +456,76 @@ def test_shipped_sweeps_build_once_per_model(monkeypatch, tmp_path):
 
 
 def test_a_p_sweep_reweighs_the_games_of_the_row_before(monkeypatch, capsys):
-    # the honest model's two properties, one time-bounded, share the
-    # unbounded game; p=1/100 builds it, 1/10 and 1/2 reweigh it, and p=1,
-    # whose rounds lose a branch, builds it again
+    # the honest model's two properties, one time-bounded, one priced,
+    # share one cache; p=1/100 builds the first game, 1/10 and 1/2 reweigh the
+    # games of the row before, and p=1, whose rounds lose a branch, builds
     honest = ["sweep", "--gen", "nonrepudiation", "--variant", "honest", "--param", "p"]
     values = ["1/100", "1/10", "1/2", "1"]
     rows = []
     for value in values:  # each alone, on a fresh cache
         assert main(honest + ["--values", value]) == 0
         rows.append(capsys.readouterr().out.splitlines()[1])
-    calls, held = _count_builds(monkeypatch), []
-    property_game = cli.property_game
+    calls, caches = [], []
+    property_game, build = cli.property_game, cli.build
 
     def record(model, prop, state_limit, games=None):
-        held.append(len(games))
-        return property_game(model, prop, state_limit, games)
+        caches.append(games)
+        objective, game = property_game(model, prop, state_limit, games)
+        # at most one held game per price structure and per derived key
+        unbounded = {}
+        for key, (_, price, held) in games.items():
+            if key is None or key[0] == "unbounded":
+                unbounded.setdefault(price, set()).add(id(held))
+        assert all(len(ids) == 1 for ids in unbounded.values())
+        return objective, game
+
+    def counted(model, *args, **kwargs):
+        # none of another model is held when a game is built
+        assert all(held_model is model for held_model, _, _ in caches[-1].values())
+        calls.append(1)
+        return build(model, *args, **kwargs)
 
     monkeypatch.setattr(cli, "property_game", record)
+    monkeypatch.setattr(cli, "build", counted)
     assert main(honest + ["--values", ",".join(values)]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == rows
-    assert len(calls) == 2
-    # the unbounded and the derived game: never more than one row's games
-    assert held == [0, 2, 2, 2, 2, 2, 2, 2]
+    assert len(calls) == 2 and len(caches) == 2 * len(values)
+    assert len({id(games) for games in caches}) == 1  # one cache, carried across rows
+
+
+def test_a_p_sweep_holds_no_game_of_the_model_before_a_build(monkeypatch, tmp_path):
+    # neither the game cache nor the row loop keeps a game of the row
+    # before, held or viewed, alive when a row builds: at p=1, the p=3/4
+    # row's reweighed games and their views are freed
+    refs, builds = [], []  # (model, weak reference) per game made or viewed
+    property_game, reweigh, build = cli.property_game, cli.reweigh, cli.build
+
+    def viewed(model, *args, **kwargs):
+        objective, game = property_game(model, *args, **kwargs)
+        refs.append((model, weakref.ref(game)))
+        return objective, game
+
+    def reweighed(game, built_from, model, *args, **kwargs):
+        result = reweigh(game, built_from, model, *args, **kwargs)
+        if result is not None:
+            refs.append((model, weakref.ref(result)))
+        return result
+
+    def built(model, *args, **kwargs):
+        others = [ref for held_model, ref in refs if held_model is not model]
+        builds.append((len(others), sum(ref() is not None for ref in others)))
+        game = build(model, *args, **kwargs)
+        refs.append((model, weakref.ref(game)))
+        return game
+
+    monkeypatch.setattr(cli, "property_game", viewed)
+    monkeypatch.setattr(cli, "reweigh", reweighed)
+    monkeypatch.setattr(cli, "build", built)
+    taskgraph = SHIPPED_SWEEPS["taskgraph_expected_by_p.csv"]
+    assert main(taskgraph + ["--csv", str(tmp_path / "taskgraph.csv")]) == 0
+    # p=0, 1/4 and 1 build; before p=1, the rows 0 to 3/4 made 16 games
+    assert [alive for _, alive in builds] == [0, 0, 0]
+    assert builds[2][0] == 16
 
 
 def _count_calls(monkeypatch, *names) -> dict:
@@ -490,6 +539,20 @@ def _count_calls(monkeypatch, *names) -> dict:
 
         monkeypatch.setattr(cli, name, counted)
     return calls
+
+
+def test_a_check_reuses_the_held_game_of_each_price(monkeypatch, capsys):
+    # the third property, priced as the first, reuses the held `time` game
+    taskgraph = ["check", "--gen", "taskgraph", "--k1", "1", "--k2", "1", "--p", "1/2"]
+    props = [f"Emin [ F all_done ] price {price} coalition {{sched}}" for price in ("time", "energy", "time")]
+    alone = []
+    for prop in props:
+        assert main(taskgraph + ["--prop", prop]) == 0
+        alone.append(capsys.readouterr().out)
+    calls = _count_calls(monkeypatch, "build", "reweigh")
+    assert main(taskgraph + [arg for prop in props for arg in ("--prop", prop)]) == 0
+    assert capsys.readouterr().out == "".join(alone)
+    assert calls == {"build": 1, "reweigh": 1}
 
 
 TWENTY_ONE_PS = ",".join(["0", *(f"{i}/20" for i in range(1, 20)), "1"])
@@ -517,6 +580,31 @@ def test_a_p_sweep_runs_the_front_end_three_times(monkeypatch, tmp_path, capsys)
                      *(arg for prop in props for arg in ("--prop", prop)), "--json", str(out)]) == 0
         assert cells == [f"{record['value']:.10g}" for record in json.loads(out.read_text())], p
     capsys.readouterr()
+
+
+def test_every_game_a_p_sweep_holds_equals_its_build(monkeypatch, tmp_path):
+    # the 21-value sweep reweighs 36 of its 42 games; each held game equals
+    # the build of its model and price, down to the float bits
+    checked = {}
+    property_game = cli.property_game
+
+    def record(model, prop, state_limit, games=None):
+        result = property_game(model, prop, state_limit, games)
+        for held_model, price, game in games.values():
+            if id(game) not in checked:
+                checked[id(game)] = game  # kept, so that no id is reused
+                expected = semantics.build(held_model, price=price)
+                assert game == expected
+                assert [[repr(m) for m in ms] for ms in game.moves] == [
+                    [repr(m) for m in ms] for ms in expected.moves
+                ]
+        return result
+
+    monkeypatch.setattr(cli, "property_game", record)
+    taskgraph = SHIPPED_SWEEPS["taskgraph_expected_by_p.csv"]
+    argv = [arg if arg != "0,1/4,1/2,3/4,1" else TWENTY_ONE_PS for arg in taskgraph]
+    assert main(argv + ["--csv", str(tmp_path / "sweep.csv")]) == 0
+    assert len(checked) == 42
 
 
 def test_a_T_sweep_heads_each_column_with_its_property_unbounded(capsys):

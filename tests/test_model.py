@@ -120,6 +120,31 @@ def test_bad_distribution_mass_diagnosed():
     assert any("mass 9/10" in d.message for d in diags)
 
 
+def test_single_branch_mass_diagnosed():
+    # a lone branch's mass is its probability: a Fraction, an int and a float
+    model = Tptg(
+        players=("p",),
+        locations=("a", "b"),
+        initial="a",
+        clocks=("x",),
+        actions=("go", "stop", "half"),
+        owner={"a": "p", "b": "p"},
+        invariants={"a": clock_le("x", 1), "b": clock_le("x", 1)},
+        enabling={key: ClockConstraint() for key in (("a", "go"), ("a", "stop"), ("b", "half"))},
+        transitions={
+            ("a", "go"): (ProbBranch(Fraction(1, 2), frozenset(), "b"),),
+            ("a", "stop"): (ProbBranch(2, frozenset(), "a"),),
+            ("b", "half"): (ProbBranch(0.5, frozenset(), "a"),),
+        },
+    )
+    assert [str(d) for d in errors_only(validate_assumptions(model))] == [
+        "[error] edge ('a', 'go'): distribution mass 1/2",
+        "[error] edge ('a', 'stop'): branch probability outside (0,1]",
+        "[error] edge ('a', 'stop'): distribution mass 2",
+        "[error] edge ('b', 'half'): distribution mass 1/2",
+    ]
+
+
 def test_zeno_cycle_warned_but_not_error():
     model = tiny()
     lazy = Tptg(

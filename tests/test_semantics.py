@@ -262,7 +262,9 @@ def _assert_reweighs_like_build(models, pairs, prices, targets=None):
     (a, b), reweighing the game built from models[p] under a to models[q]
     (or to targets[p, q], a model equal to it) under b gives the game built
     from models[q] under b, down to the float bits of every probability and
-    price, and shares its components."""
+    price, and shares its components: told that the game carries a, so
+    that where a is b only the changed distributions' moves are rewritten,
+    and not told, so that every price is recomputed."""
     built = {(k, price): tptg.build(model, price=price) for k, model in models.items() for price in prices}
     for p, q in pairs:
         target = models[q] if targets is None else targets[p, q]
@@ -270,13 +272,16 @@ def _assert_reweighs_like_build(models, pairs, prices, targets=None):
             game = built[p, a]
             components = game.components  # cached before reweighing, so shared
             for b in prices:
-                reweighed = tptg.reweigh(game, models[p], target, b)
                 expected = built[q, b]
-                assert reweighed == expected, (p, q, a, b)
-                assert [[repr(m) for m in ms] for ms in reweighed.moves] == [
-                    [repr(m) for m in ms] for ms in expected.moves
-                ], (p, q, a, b)
-                assert reweighed.components is components
+                for reweighed in (
+                    tptg.reweigh(game, models[p], target, b, built_price=a),
+                    tptg.reweigh(game, models[p], target, b),
+                ):
+                    assert reweighed == expected, (p, q, a, b)
+                    assert [[repr(m) for m in ms] for ms in reweighed.moves] == [
+                        [repr(m) for m in ms] for ms in expected.moves
+                    ], (p, q, a, b)
+                    assert reweighed.components is components
     return built
 
 
@@ -325,6 +330,34 @@ def test_instantiate_then_reweigh_equals_build(make_text, probabilities, pairs, 
     }
     assert all(targets[p, q] == models[q] for p, q in pairs)
     _assert_reweighs_like_build(models, pairs, prices, targets)
+
+
+def test_a_same_price_reweigh_shares_every_row_and_move_it_does_not_rewrite():
+    quarter = tptg.to_tptg(tptg.parse(tptg.taskgraph_text(1, 1, "1/4")))
+    half = tptg.instantiate(quarter, {"p": Fraction(1, 2)})
+    changed = {key for key, dist in half.transitions.items() if dist != quarter.transitions[key]}
+    locations = {location for location, _ in changed}
+    game = tptg.build(quarter, price="time")
+    reweighed = tptg.reweigh(game, quarter, half, "time", built_price="time")
+    assert reweighed == tptg.build(half, price="time")
+    rewritten = 0
+    for state, old, new in zip(game.states, game.moves, reweighed.moves):
+        if state.location not in locations:
+            assert new is old
+            continue
+        for m, n in zip(old, new):
+            if (state.location, m.action) in changed:
+                assert n is not m  # its branches may have collided into one
+                rewritten += n.branches != m.branches
+            else:
+                assert n is m
+    assert 0 < rewritten < sum(map(len, game.moves)) // 2
+    # a reprice shares each move whose price stays: every delay-0 move here
+    energy = tptg.reweigh(game, quarter, quarter, "energy", built_price="time")
+    assert energy == tptg.build(quarter, price="energy")
+    now = [(m, n) for old, new in zip(game.moves, energy.moves) for m, n in zip(old, new) if m.time == 0]
+    assert now and all(n is m for m, n in now)
+    assert any(n is not m for old, new in zip(game.moves, energy.moves) for m, n in zip(old, new))
 
 
 @pytest.mark.parametrize("old, new", [
