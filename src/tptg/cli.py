@@ -13,7 +13,6 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
 
 from . import casestudies
 from .digitization import estimate, simulate, uniform_profile
@@ -120,22 +119,22 @@ def property_game(
     prop: PropertyAst,
     state_limit: int,
     games: dict | None = None,
-    elapsed: Sequence[int] = (0,),
 ) -> tuple[Objective, Tsg]:
     """objective -> build -> time bound -> coalition for one property of
     `model`. A time-bounded property's game is derived from the unbounded
-    game by `bound_time`, with one start per value of `elapsed`. Without
-    `games`, nothing is cached. Otherwise `games` holds entries ``(model,
-    price, game)``: the unbounded game of each price structure under
-    ``("unbounded", price)``, the last of them again under None, and the
-    last game derived for each (target, bound, elapsed). A property reuses
-    a held game of the same `model` and price. Otherwise its unbounded game
-    is the held one of its price reweighed to `model` (the next row of a
-    sweep: only the rows at changed distributions' locations are walked,
-    and none is repriced); else the last one, if of `model`, reweighed to
-    its price; else, where `reweigh` returns None, a build, after every
-    held game of another model is dropped so that it can be freed. Views
-    share the components of the game they are made from."""
+    game by `bound_time`. Without `games`, nothing is cached. Otherwise
+    `games` holds entries ``(model, price, game)``: the unbounded game of
+    each price structure under ``("unbounded", price)``, the last of them
+    again under None, and the last derived game under its (target, bound),
+    dropped before another is derived, so that at most one is held. A
+    property reuses a held game of the same `model` and price. Otherwise
+    its unbounded game is the held one of its price reweighed to `model`
+    (the next row of a sweep: only the rows at changed distributions'
+    locations are walked, and none is repriced); else the last one, if of
+    `model`, reweighed to its price; else, where `reweigh` returns None, a
+    build, after every held game of another model is dropped so that it
+    can be freed. Views share the components of the game they are made
+    from."""
     if prop.target not in model.labels:
         raise ModelError(f"property targets unknown label {prop.target!r}")
     objective = Objective(
@@ -145,7 +144,7 @@ def property_game(
         price=prop.price,
     )
     held = {} if games is None else games
-    key = None if prop.bound is None else (prop.target, prop.bound, tuple(elapsed))
+    key = None if prop.bound is None else (prop.target, prop.bound)
     entry = held.get(key)
     if entry is not None and entry[0] is model and entry[1] == prop.price:
         return objective, coalition_game(entry[2], prop.coalition)
@@ -162,7 +161,12 @@ def property_game(
         game = build(model, price=prop.price, state_limit=state_limit)
     held[unbounded] = held[None] = (model, prop.price, game)
     if key is not None:
-        game = bound_time(game, prop.target, prop.bound, elapsed, state_limit)
+        # at most one derived game is held: the last goes before this one is
+        # derived (its key ends in an int bound, an unbounded key in a price)
+        entry = None
+        for stale in [k for k in held if k is not None and isinstance(k[1], int)]:
+            del held[stale]
+        game = bound_time(game, prop.target, prop.bound, state_limit)
         held[key] = (model, prop.price, game)
     return objective, coalition_game(game, prop.coalition)
 
@@ -217,7 +221,7 @@ def cmd_sweep(args) -> int:
     if args.param == "T":  # a column is its property at each row's bound
         props = [replace(prop, bound=None) for prop in props]
     rows = [[args.param] + [describe_property(p) for p in props]]
-    worst = EXIT_OK
+    worst, games, held, checked = EXIT_OK, {}, None, values
     if args.param == "T":
         model = to_tptg(source)  # a time bound leaves the model unchanged
         bounds = []
@@ -225,32 +229,28 @@ def cmd_sweep(args) -> int:
             bounds.append(_number(int, raw, "T"))
             if bounds[-1] < 0:
                 raise ModelError("time bound must be non-negative")
-        # per property, one induction over the budget up to the largest bound;
-        # over a zero-delay cycle, one solve of the game derived at that bound,
-        # with one start at elapsed time top - T per row's bound T
-        top = max(bounds, default=0)
-        columns, games = [], {}
+        # per property, one induction over the budget up to the largest
+        # bound; where zero-delay moves form a cycle, whatever the price,
+        # each row checks its bound as `check` does
+        columns = []
         for prop in props if bounds else ():  # no row, no game
             objective, game = property_game(model, prop, state_limit, games)
-            solved = time_bounded(game, objective, top, args.tol, args.max_iters)
+            solved = time_bounded(game, objective, max(bounds), args.tol, args.max_iters)
             if solved is None:
-                starts = tuple(dict.fromkeys(top - bound for bound in bounds))
-                objective, game = property_game(model, replace(prop, bound=top), state_limit, games, starts)
-                result = solve(game, objective, args.tol, args.max_iters, roots=range(len(starts)))
-                column = [result.values[starts.index(top - bound)] for bound in bounds]
-                converged = result.converged
-            else:
-                levels, converged = solved
-                column = [levels[bound][game.initial] for bound in bounds]
-            columns.append([f"{value:.10g}" for value in column])
+                break
+            levels, converged = solved
+            columns.append([f"{levels[bound][game.initial]:.10g}" for bound in bounds])
             worst = _exit_code(worst, converged)
-        rows += [[raw, *cells] for raw, *cells in zip(values, *columns)]
-    else:
-        # a row whose text differs from that of the last elaborated row in
-        # constant values alone instantiates that row's model; a row
-        # reweighs the row before's game of each price where it can
-        games, held = {}, None
-        for raw in values:
+        else:
+            rows += [[raw, *cells] for raw, *cells in zip(values, *columns)]
+            checked = ()
+    for raw in checked:
+        if args.param == "T":
+            row_props = [replace(prop, bound=int(raw)) for prop in props]
+        else:
+            # a row whose text differs from that of the last elaborated row
+            # in constant values alone instantiates that row's model; a row
+            # reweighs the row before's game of each price where it can
             value = raw if args.param == "p" else _number(int, raw, args.param)
             row_text = model_text(argparse.Namespace(**{**vars(args), args.param: value}))
             shape = _CONST.sub(r"const \1", row_text)
@@ -260,11 +260,12 @@ def cmd_sweep(args) -> int:
             else:
                 model = to_tptg(source if row_text == source_text else parse(row_text))
                 held = shape, model
-            cells = [raw]
-            for _, result, _ in _solved(args, model, props, state_limit, games):
-                cells.append(f"{result.initial_value:.10g}")
-                worst = _exit_code(worst, result.converged)
-            rows.append(cells)
+            row_props = props
+        cells = [raw]
+        for _, result, _ in _solved(args, model, row_props, state_limit, games):
+            cells.append(f"{result.initial_value:.10g}")
+            worst = _exit_code(worst, result.converged)
+        rows.append(cells)
     text = "\n".join(",".join(row) for row in rows) + "\n"
     if args.csv:
         Path(args.csv).write_text(text, encoding="utf-8")

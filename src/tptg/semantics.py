@@ -215,10 +215,6 @@ def build(
     )
 
 
-#: `reweigh`'s default: the price structure `game` carries is not stated
-_UNSTATED = object()
-
-
 def _reweighed(m: Move, state: DigitalState, weight: tuple, saturated: tuple[int, ...]) -> tuple:
     """The branches of `m`, a move of `state`, under the `weight` of its
     changed distribution (the branches' floats, and their exact target,
@@ -248,7 +244,7 @@ def _reweighed(m: Move, state: DigitalState, weight: tuple, saturated: tuple[int
 
 @_gc_paused
 def reweigh(
-    game: Tsg, built_from: Tptg, model: Tptg, price: str | None = None, *, built_price=_UNSTATED
+    game: Tsg, built_from: Tptg, model: Tptg, price: str | None = None, *, built_price: str | None
 ) -> Tsg | None:
     """The game ``build(model, price)`` gives, from `game`, which was built
     or reweighed from `built_from`, without exploring again; with `model` as
@@ -261,7 +257,7 @@ def reweigh(
     Katoen, ATVA 2016). Returns None otherwise: then only `build` gives the
     game, or refuses `model`.
 
-    `built_price` states the price structure `game` carries. Where it is
+    `built_price` is the price structure `game` carries. Where it is
     `price`, only the moves of changed distributions are rewritten, in the
     states at their locations, and every other row and move is shared, as
     storm-pars rewrites only the matrix entries that read a parameter.
@@ -297,7 +293,7 @@ def reweigh(
             tuple(float(b.prob) for b in dist),
             tuple((b.target, tuple(sorted(position[x] for x in b.resets)), b.prob) for b in dist),
         )
-    same = built_price is not _UNSTATED and built_price == price
+    same = built_price == price
     new_moves = []
     for state, moves in zip(game.states, game.moves):
         if not isinstance(state, DigitalState):
@@ -339,13 +335,7 @@ def spell_delays(moves: Sequence[Move], cap: int) -> list[Move]:
 
 
 @_gc_paused
-def bound_time(
-    game: Tsg,
-    target: str,
-    bound: int,
-    elapsed: Sequence[int] = (0,),
-    state_limit: int = DEFAULT_STATE_LIMIT,
-) -> Tsg:
+def bound_time(game: Tsg, target: str, bound: int, state_limit: int = DEFAULT_STATE_LIMIT) -> Tsg:
     """The digital-clocks game of the model with an observer clock
     (Kwiatkowska, Norman, Parker & Sproston, FMSD 2006), derived from
     `game`, built or reweighed as ``build(model, price)``. The clock is
@@ -356,9 +346,7 @@ def bound_time(
     ``(location, values + (e,))``; a move of delay d takes e to
     ``min(e + d, bound + 1)``. Every label is carried over, and the label
     ``f"{target}_by_{bound}"`` holds where e <= bound. States are numbered
-    breadth-first from one start ``(game.initial, e)`` per distinct value
-    e of `elapsed`, start i as state i; the start at elapsed ``bound - B``
-    sees the game of the bound B <= `bound`. The observer-clock model
+    breadth-first from ``(game.initial, 0)``. The observer-clock model
     builds the same game because no delay reaches `build`'s cap: every
     invariant bounds every clock (`validate_assumptions`). A model with no
     clock caps every delay at 1, which stands for every longer one
@@ -370,12 +358,10 @@ def bound_time(
     if not isinstance(game.states[game.initial], DigitalState):
         raise ModelError("bound_time needs a game built from a timed model")
     cap = bound + 1
-    if not elapsed or not all(0 <= e <= cap for e in elapsed):
-        raise ModelError(f"bound_time needs start times in 0..{cap}, not {list(elapsed)}")
     width = cap + 1  # a state is keyed s * width + e, s a state of `game`
     clockless = not game.states[game.initial].values
-    keys = list(dict.fromkeys(game.initial * width + e for e in elapsed))
-    index = {key: i for i, key in enumerate(keys)}
+    keys = [game.initial * width]
+    index = {keys[0]: 0}
     all_moves = []
     for key in keys:  # the breadth-first queue, growing as it is walked
         s, e = divmod(key, width)

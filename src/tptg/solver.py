@@ -277,9 +277,9 @@ def expected_price(
 
 
 @_gc_paused
-def _solve(game: Tsg, objective: Objective, tol: float, max_iters: int, roots=None) -> SolveResult:
-    """The pass's values and sets, then the checks on its strategy, whose
-    certificate walks from `roots`; the result records `objective` itself."""
+def _solve(game: Tsg, objective: Objective, tol: float, max_iters: int) -> SolveResult:
+    """The pass's values and sets, then the checks on its strategy; the
+    result records `objective` itself."""
     _check_two_players(game)
     _check_tol(tol)
     target_set = _target_set(game, objective.target)
@@ -297,7 +297,7 @@ def _solve(game: Tsg, objective: Objective, tol: float, max_iters: int, roots=No
         # with its own values a game with no cycle cannot stall: each finite
         # value is backed up from finite-valued successors, successors first
         cyclic = any(c for _, c in game.components)
-        p1, p2 = _profiles(game, objective, result.values, choice, tol, cyclic, roots)
+        p1, p2 = _profiles(game, objective, result.values, choice, tol, cyclic)
         result.strategy = {**p1, **p2}
     else:
         result.warnings.append("value iteration did not converge; no strategy synthesized")
@@ -334,8 +334,10 @@ def time_bounded(game: Tsg, objective: Objective, top: int, tol: float = DEFAULT
     the budget on the unbounded game (the epoch model of Hartmanns, Junges,
     Katoen & Quatmann, TACAS 2018), and whether it converged: ``levels[b][s]``
     is, bit for bit, what `solve` gives state (s, B - b) of ``bound_time(game,
-    target, B)``. None where zero-delay moves form a cycle. The certificate
-    evaluates the chain of the chosen moves budget by budget."""
+    target, B)``. None where zero-delay moves form a cycle, which depends on
+    the graph alone, not on prices or coalitions: there each bound's game
+    is derived and solved. The certificate evaluates the chain of the
+    chosen moves budget by budget."""
     _check_two_players(game)
     _check_tol(tol)
     if objective.kind == "bounded-exp-price" or top < 0:
@@ -640,9 +642,9 @@ def synthesize(
     return _profiles(game, objective, result.values, choice, tol, stall_check=True)
 
 
-def _profiles(game: Tsg, objective: Objective, values, choice, tol: float, stall_check: bool, roots=None):
+def _profiles(game: Tsg, objective: Objective, values, choice, tol: float, stall_check: bool):
     """A converged pass's choice as a profile pair, once it passes the stall
-    check (if asked) and the certificate from `roots`."""
+    check (if asked) and the certificate."""
     if stall_check and objective.kind == "exp-price":
         # iteration from below credits zero-price cycles as free; its values
         # are the game's when the payer's profile forces the target almost
@@ -661,7 +663,7 @@ def _profiles(game: Tsg, objective: Objective, values, choice, tol: float, stall
                 f"zero price in {len(stalled)} state(s) (e.g. state {min(stalled)}); "
                 f"give the stalling moves positive prices"
             )
-    _certify(game, objective, values, choice, tol, roots)
+    _certify(game, objective, values, choice, tol)
     profiles: tuple[dict[int, str], dict[int, str]] = ({}, {})
     labels: dict[tuple, str] = {}  # one label per distinct (delay, action)
     for s in sorted(choice):
@@ -687,15 +689,14 @@ def _certify(
     vector: Sequence[float],
     choice: dict[int, int],
     tol: float,
-    roots=None,
 ):
     # Optimality holds along the play the profile pair actually induces from
-    # each root (default: the initial state); off-path states with infinite
-    # value keep arbitrary recorded choices.
+    # the initial state; off-path states with infinite value keep arbitrary
+    # recorded choices.
     moves = game.moves
     chain = [()] * len(moves)
-    reached = set((game.initial,) if roots is None else roots)
-    stack = list(reached)
+    reached = {game.initial}
+    stack = [game.initial]
     while stack:
         s = stack.pop()
         if s in choice:
@@ -732,15 +733,12 @@ def solve(
     objective: Objective,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    roots: Iterable[int] | None = None,
 ) -> SolveResult:
     """Dispatch on the objective kind; the result records `objective` itself.
-    The certificate checks the play induced from every state of `roots`
-    (default: the initial state), so each start of a `bound_time` game with
-    several starts gets a certified value."""
+    The certificate checks the play induced from the initial state."""
     _check_tol(tol)
     if objective.kind != "bounded-exp-price":
-        return _solve(game, objective, tol, max_iters, roots)
+        return _solve(game, objective, tol, max_iters)
     values = bounded_expected_price(game, objective.target, objective.horizon, objective.direction)
     return SolveResult(objective, values, values[game.initial], objective.horizon, 0.0, True)
 

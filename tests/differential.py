@@ -40,6 +40,7 @@ from tptg.solver import (  # noqa: E402
 )
 
 from gamegen import random_game  # noqa: E402
+from test_cli import ZERO_DELAY_CYCLE  # noqa: E402
 
 SOLVERS = (("prob-reach", prob_reach), ("exp-price", expected_price))
 
@@ -147,8 +148,9 @@ TASKGRAPH = ["--gen", "taskgraph", "--k1", "1", "--k2", "1", "--p", "1/2"]
 HONEST = ["--gen", "nonrepudiation", "--variant", "honest"]
 TASKGRAPH_TIME = "Emin [ F all_done ] price time coalition {sched}"
 
-#: (environment overrides, argv); "{fig1}" is the shipped fig1 model and
-#: "{out}/" the directory the call's output files go to
+#: (environment overrides, argv); "{fig1}" is the shipped fig1 model,
+#: "{zero}" the model `ZERO_DELAY_CYCLE`, written into the call's directory,
+#: and "{out}/" that directory, where the call's output files go
 CLI_CALLS = (
     ({}, ["check", "{fig1}"]),
     ({}, ["check", *TASKGRAPH, "--prop", TASKGRAPH_TIME,
@@ -199,6 +201,10 @@ CLI_CALLS = (
     ({}, ["sweep", "--gen", "taskgraph", "--k1", "1", "--k2", "1", "--prop", TASKGRAPH_TIME,
           "--prop", "Emin [ F all_done ] price energy coalition {sched}", "--param", "p",
           "--values", ",".join(["0", *(f"{i}/20" for i in range(1, 20)), "1"])]),
+    # zero-delay moves form a cycle: each row's bound is checked alone; time
+    # bounds out of order and repeated, both directions
+    ({}, ["sweep", "{zero}", "--prop", "Pmax [ F done ] coalition {a}", "--prop", "Pmin [ F done ] coalition {}",
+          "--param", "T", "--values", "3,0,7,3,12,1", "--csv", "{out}/sweep.csv"]),
 )
 
 
@@ -206,7 +212,10 @@ def _cli_records():
     fig1 = str(importlib.resources.files("tptg") / "models" / "fig1.tptg")
     for i, (env, template) in enumerate(CLI_CALLS):
         with tempfile.TemporaryDirectory() as out:
-            argv = [arg.replace("{fig1}", fig1).replace("{out}", out) for arg in template]
+            zero = Path(out) / "zero.tptg"
+            zero.write_text(ZERO_DELAY_CYCLE, encoding="utf-8")
+            argv = [arg.replace("{fig1}", fig1).replace("{zero}", str(zero)).replace("{out}", out)
+                    for arg in template]
             stdout, stderr = io.StringIO(), io.StringIO()
             with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(stderr):
@@ -216,7 +225,8 @@ def _cli_records():
             yield f"{tag} stdout {stdout.getvalue()!r}"
             yield f"{tag} stderr {stderr.getvalue()!r}"
             for path in sorted(Path(out).iterdir()):
-                yield f"{tag} file {path.name} {path.read_bytes()!r}"
+                if path != zero:
+                    yield f"{tag} file {path.name} {path.read_bytes()!r}"
 
 
 SECTIONS = (("solver", records), ("cli", _cli_records))

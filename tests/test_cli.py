@@ -676,25 +676,6 @@ def _check_value(model_args, prop, bound, out) -> float:
     return record["value"]
 
 
-@pytest.mark.parametrize("model_args, prop, values", [
-    ([FIG1], "Pmax [ F done ] coalition {sender}", "24,0,24,7"),
-    (["--gen", "nonrepudiation", "--variant", "malicious1"],
-     "Pmax [ F r_gains_info ] coalition {R}", "24,0,24,7"),
-    # infinite below some bound
-    (["--gen", "taskgraph", "--k1", "1", "--k2", "1", "--p", "1/2"],
-     "Emin [ F all_done ] price time coalition {sched}", "18,0,17,18"),
-], ids=["fig1", "malicious1", "taskgraph"])
-def test_a_T_sweep_cell_equals_a_check_of_its_bound_alone(model_args, prop, values, tmp_path, capsys):
-    # one induction over the budget serves every row, whatever their order
-    assert main(["sweep", *model_args, "--prop", prop, "--param", "T", "--values", values]) == 0
-    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
-    assert [bound for bound, _ in rows] == values.split(",")
-    checked = {bound: _check_value(model_args, prop, bound, tmp_path / "cell.json") for bound, _ in rows}
-    for bound, cell in rows:
-        assert cell == f"{checked[bound]:.10g}", bound
-    assert any(cell == "inf" for _, cell in rows) == (prop[0] == "E")
-
-
 ZERO_DELAY_CYCLE = """\
 player a, b;
 clock x, y;
@@ -719,22 +700,67 @@ label done = done;
 """
 
 
-@pytest.mark.parametrize("prop", ["Pmax [ F done ] coalition {a}", "Pmin [ F done ] coalition {}"])
-def test_a_T_sweep_on_a_zero_delay_cycle_agrees_with_checks_within_tol(prop, tmp_path, capsys):
-    # s -> u -> s at delay 0 keeps the elapsed time, so each bound's game has
-    # cyclic SCCs that value iteration solves to the tolerance only; the one
-    # game of the sweep numbers their states otherwise
+@pytest.mark.parametrize("model_args, prop, values", [
+    ([FIG1], "Pmax [ F done ] coalition {sender}", "24,0,24,7"),
+    (["--gen", "nonrepudiation", "--variant", "malicious1"],
+     "Pmax [ F r_gains_info ] coalition {R}", "24,0,24,7"),
+    # infinite below some bound
+    (["--gen", "taskgraph", "--k1", "1", "--k2", "1", "--p", "1/2"],
+     "Emin [ F all_done ] price time coalition {sched}", "18,0,17,18"),
+    # s -> u -> s at delay 0 keeps the elapsed time: no induction over the
+    # budget, and each row's game has cyclic SCCs to iterate
+    (["{zero}"], "Pmax [ F done ] coalition {a}", "3,0,7,3,12,1"),
+    (["{zero}"], "Pmin [ F done ] coalition {}", "3,0,7,3,12,1"),
+], ids=["fig1", "malicious1", "taskgraph", "zero-delay-cycle-Pmax", "zero-delay-cycle-Pmin"])
+def test_a_T_sweep_cell_equals_a_check_of_its_bound_alone(model_args, prop, values, tmp_path, capsys):
+    # one induction over the budget, or one check per row, serves every row,
+    # whatever their order
+    zero = tmp_path / "zero.tptg"
+    zero.write_text(ZERO_DELAY_CYCLE)
+    model_args = [str(zero) if arg == "{zero}" else arg for arg in model_args]
+    assert main(["sweep", *model_args, "--prop", prop, "--param", "T", "--values", values]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert [bound for bound, _ in rows] == values.split(",")
+    checked, iterations = {}, []
+    for bound, _ in rows:
+        checked[bound] = _check_value(model_args, prop, bound, tmp_path / "cell.json")
+        iterations.append(json.loads((tmp_path / "cell.json").read_text())[0]["iterations"])
+    for bound, cell in rows:
+        assert cell == f"{checked[bound]:.10g}", bound
+    assert any(cell == "inf" for _, cell in rows) == (prop[0] == "E")
+    if str(zero) in model_args:
+        assert max(iterations) > 1  # some bound's game has a cycle to iterate
+
+
+def test_a_zero_delay_cycle_T_sweep_holds_one_derived_game_at_a_time(monkeypatch, tmp_path):
+    # the two properties share target and price, so each row derives one
+    # game, and neither the cache nor the row loop keeps the row before's
+    # derived game, held or viewed, alive when the next is derived
     model = tmp_path / "zero.tptg"
     model.write_text(ZERO_DELAY_CYCLE)
-    values = "3,0,7,3,12,1"
-    assert main(["sweep", str(model), "--prop", prop, "--param", "T", "--values", values]) == 0
-    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
-    iterations = []
-    for bound, cell in rows:
-        value = _check_value([str(model)], prop, bound, tmp_path / "cell.json")
-        iterations.append(json.loads((tmp_path / "cell.json").read_text())[0]["iterations"])
-        assert abs(float(cell) - value) <= 1e-8, bound
-    assert max(iterations) > 1  # some bound's game has a cycle to iterate
+    refs, alive = [], []  # weak references to derived games and their views
+    property_game, bound_time = cli.property_game, cli.bound_time
+
+    def viewed(model, prop, *args, **kwargs):
+        objective, game = property_game(model, prop, *args, **kwargs)
+        if prop.bound is not None:
+            refs.append(weakref.ref(game))
+        return objective, game
+
+    def derived(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        game = bound_time(*args, **kwargs)
+        refs.append(weakref.ref(game))
+        return game
+
+    monkeypatch.setattr(cli, "property_game", viewed)
+    monkeypatch.setattr(cli, "bound_time", derived)
+    assert main([
+        "sweep", str(model), "--prop", "Pmax [ F done ] coalition {a}", "--prop", "Pmin [ F done ] coalition {}",
+        "--param", "T", "--values", "3,0,7,3,12,1", "--csv", str(tmp_path / "sweep.csv"),
+    ]) == 0
+    assert alive == [0] * 6  # one derivation per row, the row before's freed
+    assert len(refs) == 6 + 2 * 6  # and a view per property and row
 
 
 @pytest.mark.parametrize("values, message", [

@@ -203,8 +203,8 @@ def test_the_shipped_sweeps_match_the_retired_solve_path(monkeypatch, tmp_path, 
     seen, inducted = [], []
     solve, time_bounded = tptg.cli.solve, tptg.cli.time_bounded
 
-    def record(game, objective, tol, max_iters, roots=None):
-        result = solve(game, objective, tol=tol, max_iters=max_iters, roots=roots)
+    def record(game, objective, tol, max_iters):
+        result = solve(game, objective, tol=tol, max_iters=max_iters)
         seen.append((game, objective, tol, max_iters, result))
         return result
 

@@ -468,30 +468,3 @@ def test_a_probability_0_branch_plays_no_part_in_backups():
     assert result.initial_value == 1.0
     assert result.strategy == {0: "a"}
     assert brute_force_solve(game, "goal", "exp-price", "maxmin") == 1
-
-
-def test_solve_certifies_the_play_from_every_root(fig1_model):
-    # two starts of one time-bounded game, at elapsed 0 and 10; y never
-    # resets, so the second start's state is reached from it alone
-    game = tptg.bound_time(tptg.build(fig1_model), "done", 10, elapsed=(0, 10))
-    reached, stack = {0}, [0]
-    while stack:
-        for m in game.moves[stack.pop()]:
-            for t, _ in m.branches:
-                if t not in reached:
-                    reached.add(t)
-                    stack.append(t)
-    assert 1 not in reached
-    two = tptg.coalition_game(game, {"sender"})
-    objective = Objective("prob-reach", "maxmin", "done_by_10")
-    result = tptg.solve(two, objective, roots=(0, 1))
-    assert result.converged and result.strategy
-    # a value off by far more than the tolerance at the second start: only
-    # a certificate that walks from it sees it
-    _, choice, _ = tptg.solver._pass(two, objective, two.labels["done_by_10"], 1e-8, 10**6)
-    wrong = list(result.values)
-    wrong[1] = 1 - wrong[1]
-    assert abs(wrong[1] - result.values[1]) > 0.1
-    tptg.solver._certify(two, objective, wrong, choice, 1e-8)
-    with pytest.raises(ModelError, match="fails its optimality certificate"):
-        tptg.solver._certify(two, objective, wrong, choice, 1e-8, (0, 1))
