@@ -18,7 +18,7 @@ from . import casestudies
 from .digitization import estimate, simulate, uniform_profile
 from .dsl import ModelSource, PropertyAst, parse, parse_property
 from .elaborate import describe_property, instantiate, to_tptg
-from .errors import ModelError, ParseError, StateLimitError
+from .errors import ModelError, ParseError, StateLimitError, _gc_paused
 from .game import Tsg, coalition_game, game_stats, to_json_dict
 from .model import Tptg, errors_only, validate_assumptions
 from .semantics import DEFAULT_STATE_LIMIT, bound_time, build, reweigh
@@ -257,7 +257,8 @@ def cmd_sweep(args) -> int:
             if held is not None and shape == held[0]:
                 constants = {name: Fraction(v) for name, v in _CONST.findall(row_text)}
                 model = instantiate(held[1], constants)
-            else:
+            else:  # the games of a model of another shape go before this one is elaborated
+                games.clear()
                 model = to_tptg(source if row_text == source_text else parse(row_text))
                 held = shape, model
             row_props = props
@@ -362,6 +363,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@_gc_paused  # as a whole: no collection scans the games a paused call returns
 def main(argv=None) -> int:
     parser = _Parser(prog="tptg", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)

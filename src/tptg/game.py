@@ -6,6 +6,7 @@ price). States with no moves are deadlocks and must carry the ``deadlock``
 label; the solver gives them reach probability 0 and infinite expected price.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -59,28 +60,26 @@ def move_successors(moves: Sequence[Sequence[Move]]):
     return lambda s: [t for m in moves[s] for t, p in m.branches if p > 0]
 
 
-def strongly_connected(successors: Callable, nodes: Iterable):
-    """Strongly connected components of the graph on `nodes`, successors first.
-
-    `successors(s)` gives the targets of the edges out of s; edges leaving
-    `nodes` are ignored. Iterative Tarjan (SIAM J. Comput. 1972): roots in
-    ascending order, successors in the order given. Yields (nodes in
-    ascending order, whether the SCC has a cycle: two or more nodes, or a
-    self-loop).
+def strongly_connected(successors: Callable, n: int):
+    """Strongly connected components of the graph on the states 0..n-1,
+    successors first. `successors(s)` gives the targets of the edges out of
+    s, each in 0..n-1. Iterative Tarjan (SIAM J. Comput. 1972) over lists
+    indexed by state: roots in ascending order, successors in the order
+    given. Yields (a tuple of the states in ascending order, whether the SCC
+    has a cycle: two or more states, or a self-loop).
     """
-    number: dict = dict.fromkeys(nodes, -1)
-    low: dict = {}
-    stack: list = []
-    on_stack: set = set()
+    number = [-1] * n  # -1 until visited, n once in a yielded component
+    low = [0] * n
+    stack: list[int] = []
+    order = itertools.count()
 
     def visit(s):
-        number[s] = low[s] = len(low)
+        number[s] = low[s] = next(order)
         stack.append(s)
-        on_stack.add(s)
-        out = [t for t in successors(s) if t in number]
+        out = successors(s)
         work.append((s, out, iter(out)))
 
-    for root in sorted(number):
+    for root in range(n):
         if number[root] >= 0:
             continue
         work = []
@@ -88,26 +87,24 @@ def strongly_connected(successors: Callable, nodes: Iterable):
         while work:
             s, out, pending = work[-1]
             for t in pending:
-                if number[t] < 0:
+                e = number[t]
+                if e < 0:
                     visit(t)
                     break
-                if t in on_stack and number[t] < low[s]:
-                    low[s] = number[t]
+                if e < low[s]:  # t is on the stack, or it would read n
+                    low[s] = e
             else:
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[s] < low[parent]:
-                        low[parent] = low[s]
-                if low[s] == number[s]:
+                e = low[s]
+                if work and e < low[work[-1][0]]:
+                    low[work[-1][0]] = e  # the parent's
+                if e == number[s]:
                     component = [stack.pop()]
                     while component[-1] != s:
                         component.append(stack.pop())
-                    on_stack.difference_update(component)
-                    if len(component) > 1:
-                        yield sorted(component), True
-                    else:
-                        yield component, s in out
+                    for t in component:
+                        number[t] = n
+                    yield tuple(sorted(component)), len(component) > 1 or s in out
 
 
 @dataclass(frozen=True)
@@ -166,8 +163,7 @@ class Tsg:
         shared = self.__dict__.setdefault("_components", [self.moves, None])
         moves, components = shared
         if components is None:
-            found = strongly_connected(move_successors(moves), range(len(moves)))
-            components = tuple((tuple(states), cyclic) for states, cyclic in found)
+            components = tuple(strongly_connected(move_successors(moves), len(moves)))
             shared[:] = None, components
         return components
 

@@ -206,7 +206,8 @@ def _zeno_warning(model: Tptg) -> list[Diagnostic]:
     # Conservative check: a location cycle whose edges neither reset a clock
     # nor require a positive lower bound can be traversed without time ever
     # advancing. Such a cycle exists iff that edge graph has a cyclic SCC.
-    successors: dict[str, set[str]] = {loc: set() for loc in model.locations}
+    index = {loc: i for i, loc in enumerate(model.locations)}  # the search's numbering
+    successors: list[set[int]] = [set() for _ in model.locations]
     for (loc, act), dist in model.transitions.items():
         guard = model.enabling.get((loc, act), TRUE)
         delayed = any(a.op == GE and a.bound >= 1 for a in guard.atoms)
@@ -214,9 +215,9 @@ def _zeno_warning(model: Tptg) -> list[Diagnostic]:
             continue
         for branch in dist:
             if not branch.resets:
-                successors[loc].add(branch.target)
+                successors[index[loc]].add(index[branch.target])
 
-    if any(cyclic for _, cyclic in strongly_connected(successors.__getitem__, model.locations)):
+    if any(cyclic for _, cyclic in strongly_connected(successors.__getitem__, len(successors))):
         return [
             Diagnostic(
                 "warning",

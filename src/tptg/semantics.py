@@ -217,29 +217,33 @@ def build(
 
 def _reweighed(m: Move, state: DigitalState, weight: tuple, saturated: tuple[int, ...]) -> tuple:
     """The branches of `m`, a move of `state`, under the `weight` of its
-    changed distribution (the branches' floats, and their exact target,
-    reset indices and probability), as `build` computes them."""
-    floats, exact = weight
+    changed distribution (the branches' floats, their exact target, reset
+    indices and probability, the clocks any branch resets, and the collided
+    branches found so far), as `build` computes them."""
+    floats, exact, clocks, found = weight
     branches = m.branches
     if len(branches) == len(floats):
         return tuple([(t, f) for (t, _), f in zip(branches, floats)])
-    # branches collided: sum each landing's exact probabilities in
-    # first-branch order, as `_Lowered.moves`
+    # branches collided. Two land together where their targets match and each
+    # clock that only one of them resets reads 0 after the delay: the delay is
+    # 0 and the clock was 0. So the reset clocks reading 0 fix the landings,
+    # whose exact probabilities are summed once per such set, in first-branch
+    # order as `_Lowered.moves`; later moves reuse the floats
     location, values = state
     t = m.time
-    advanced = tuple([v + t if v + t < k else k for v, k in zip(values, saturated)])
-    outcomes: dict = {}
-    for target, resets, prob in exact:
-        landed = advanced
-        if resets:
-            cleared = list(advanced)
-            for i in resets:
-                cleared[i] = 0
-            landed = tuple(cleared)
-        outcomes[target, landed] = outcomes.get((target, landed), 0) + prob
-    if len(outcomes) != len(branches):
+    zeros = 0 if t else sum(1 << k for k, i in enumerate(clocks) if values[i] == 0)
+    known = found.get(zeros)  # the branches of a move with the same landings
+    if known is None:
+        advanced = tuple([v + t if v + t < k else k for v, k in zip(values, saturated)])
+        outcomes: dict = {}
+        for target, resets, prob in exact:
+            landed = tuple([0 if i in resets else v for i, v in enumerate(advanced)]) if resets else advanced
+            outcomes[target, landed] = outcomes.get((target, landed), 0) + prob
+        known = [(None, float(q)) for q in outcomes.values()]
+    if len(known) != len(branches):
         raise ModelError(f"state ({location}, {values}) was not built from this model")
-    return tuple([(s, float(q)) for (s, _), q in zip(branches, outcomes.values())])
+    found[zeros] = reweighed = tuple([(s, f) for (s, _), (_, f) in zip(branches, known)])
+    return reweighed
 
 
 @_gc_paused
@@ -292,6 +296,8 @@ def reweigh(
         weights.setdefault(location, {})[action] = (
             tuple(float(b.prob) for b in dist),
             tuple((b.target, tuple(sorted(position[x] for x in b.resets)), b.prob) for b in dist),
+            sorted({position[x] for b in dist for x in b.resets}),
+            {},
         )
     same = built_price == price
     new_moves = []

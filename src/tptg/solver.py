@@ -346,7 +346,7 @@ def time_bounded(game: Tsg, objective: Objective, top: int, tol: float = DEFAULT
         raise ModelError("a time-bounded solve needs a game built from a timed model")
     moves, order = game.moves, []
     instant = move_successors([[m for m in ms if m.time == 0] for ms in moves])
-    for states, cyclic in strongly_connected(instant, range(len(moves))):
+    for states, cyclic in strongly_connected(instant, len(moves)):
         if cyclic:
             return None
         order.append(states[0])
@@ -413,12 +413,12 @@ def _iterate(
     max_iters: int,
     prices: bool,
 ) -> tuple[int, float, bool, int]:
-    """Solve the active states SCC by SCC, successors first, in place, over
-    the moves `moves[s]`: one backup on a trivial SCC, Gauss-Seidel sweeps in
-    ascending order on a cyclic one until a sweep changes less than `tol`, at
-    most `max_iters`. Returns (the most sweeps of an SCC, the largest final
-    residual of a cyclic SCC, converged, backups); the first SCC at the cap
-    stops the solve."""
+    """Solve the `active` states, in ascending order, SCC by SCC, successors
+    first, in place, over the moves `moves[s]`: one backup on a trivial SCC,
+    Gauss-Seidel sweeps in ascending order on a cyclic one until a sweep
+    changes less than `tol`, at most `max_iters`. Returns (the most sweeps of
+    an SCC, the largest final residual of a cyclic SCC, converged, backups);
+    the first SCC at the cap stops the solve."""
 
     def sweep(states) -> float:
         residual = 0.0
@@ -427,7 +427,10 @@ def _iterate(
         return residual
 
     most, worst, backups = 1, 0.0, 0
-    for component, cyclic in strongly_connected(move_successors(moves), active):
+    local = {s: i for i, s in enumerate(active)}  # the search numbers the active states
+    edges = lambda i: [local[t] for m in moves[active[i]] for t, p in m.branches if p > 0 and t in local]
+    for members, cyclic in strongly_connected(edges, len(active)):
+        component = [active[i] for i in members]
         sweeps = 0
         residual = math.inf
         while sweeps < (max_iters if cyclic else 1):
@@ -539,21 +542,29 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
                 values[s] = (0.0 if e == inf else inf) if prices else (1.0 if e == inf else 0.0)
             if not converged or not ms:
                 continue
-            best = opt[s](step)
+            best = step[0] if len(step) == 1 else opt[s](step)
             if live and ((e == inf and not target) if prices else 1 < e < inf):
-                _update(values, s, best)
+                old = values[s]  # raised as `_update` raises it
+                if best < old - _MONOTONE_SLACK:
+                    raise ModelError(f"non-monotone sweep at state {s}: {old} -> {best}")
+                values[s] = best
                 backups += 1
             c = 0
-            if len(ms) > 1:  # the tied moves, as `_optimal` finds them
+            if len(ms) > 1:  # the first tied move, as `_optimal` finds them
                 slack = 0.0 if math.isinf(best) else 2 * tol * max(1.0, abs(best))
-                tied = [i for i, b in enumerate(step) if b == best or abs(b - best) <= slack]
-                c = tied[0]
-                if len(tied) > 1:
+                c = tie = -1
+                for i, b in enumerate(step):
+                    if b == best or abs(b - best) <= slack:
+                        if c >= 0:
+                            tie = i  # a second move ties
+                            break
+                        c = i
+                if tie > 0:
                     # the (delay, action)-smallest, the earliest on equal keys; the
                     # reaching side settles on a tied move into the earliest layer
                     settle = reaching and not target
                     key = (inf, inf, "")  # above every (layer, delay, action) key
-                    for i in tied:
+                    for i in _optimal(step, best, tol):
                         m = ms[i]
                         low = inf if settle else 0
                         for t, p in m.branches if settle else ():
@@ -666,12 +677,13 @@ def _profiles(game: Tsg, objective: Objective, values, choice, tol: float, stall
     _certify(game, objective, values, choice, tol)
     profiles: tuple[dict[int, str], dict[int, str]] = ({}, {})
     labels: dict[tuple, str] = {}  # one label per distinct (delay, action)
+    moves, owner, first = game.moves, game.owner, game.players[0]
     for s in sorted(choice):
-        m = game.moves[s][choice[s]]
-        label = labels.get((m.time, m.action))
+        action, _, _, time = m = moves[s][choice[s]]
+        label = labels.get((time, action))
         if label is None:
-            label = labels[m.time, m.action] = m.label
-        profiles[game.owner[s] != game.players[0]][s] = label
+            label = labels[time, action] = m.label
+        profiles[owner[s] != first][s] = label
     return profiles
 
 

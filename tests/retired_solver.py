@@ -23,7 +23,7 @@ from operator import add
 from typing import Iterable, Sequence, Union
 
 from tptg.errors import ModelError
-from tptg.game import Move, Tsg, move_successors, strongly_connected
+from tptg.game import Move, Tsg, move_successors
 from tptg.solver import (
     _MONOTONE_SLACK,
     DEFAULT_MAX_ITERS,
@@ -40,6 +40,8 @@ from tptg.solver import (
     bounded_expected_price,
 )
 from tptg.solver import _attractor as _layered_attractor
+
+from retired_scc import strongly_connected
 
 
 def predecessors(game: Tsg) -> list[list[tuple[int, int]]]:

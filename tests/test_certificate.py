@@ -22,6 +22,7 @@ from tptg.game import move_successors, strongly_connected
 from tptg.solver import _certify, _opt_for, check_determinacy
 
 import retired_certificate
+import retired_scc
 from retired_solver import _backup
 from gamegen import random_game, reshaped
 from test_cli import SHIPPED_SWEEPS
@@ -89,7 +90,7 @@ def _splits_a_cyclic_scc(game, choice) -> bool:
     reached = set(retired_certificate.chain_reachable(game, _labels(game, choice)))
     for states, cyclic in game.components:
         members = [s for s in states if s in reached]
-        if cyclic and members and list(strongly_connected(move_successors(chain), members)) != [(members, True)]:
+        if cyclic and members and list(retired_scc.strongly_connected(move_successors(chain), members)) != [(members, True)]:
             return True
     return False
 

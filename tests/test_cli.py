@@ -528,6 +528,34 @@ def test_a_p_sweep_holds_no_game_of_the_model_before_a_build(monkeypatch, tmp_pa
     assert builds[2][0] == 16
 
 
+def test_a_p_sweep_holds_no_game_while_it_elaborates_a_row(monkeypatch, tmp_path):
+    # a row whose text differs in more than constant values goes through the
+    # front end with no game held: at p=1/4 the p=0 games, and at p=1 the
+    # p=3/4 games, are freed before `to_tptg` runs
+    refs, elaborations = [], []  # a weak reference per game built or reweighed
+    build, reweigh, to_tptg = cli.build, cli.reweigh, cli.to_tptg
+
+    def made(make):
+        def recorded(*args, **kwargs):
+            game = make(*args, **kwargs)
+            if game is not None:
+                refs.append(weakref.ref(game))
+            return game
+        return recorded
+
+    def elaborated(source, *args, **kwargs):
+        elaborations.append(sum(ref() is not None for ref in refs))
+        return to_tptg(source, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build", made(build))
+    monkeypatch.setattr(cli, "reweigh", made(reweigh))
+    monkeypatch.setattr(cli, "to_tptg", elaborated)
+    taskgraph = SHIPPED_SWEEPS["taskgraph_expected_by_p.csv"]
+    assert main(taskgraph + ["--csv", str(tmp_path / "taskgraph.csv")]) == 0
+    assert elaborations == [0, 0, 0]  # p=0, 1/4 and 1
+    assert len(refs) == 10  # 3 builds, 7 reweighs
+
+
 def _count_calls(monkeypatch, *names) -> dict:
     calls = {name: 0 for name in names}
     for name in names:

@@ -310,13 +310,13 @@ def test_components_are_successors_first_and_flag_cycles():
 
 
 def _count_decompositions(monkeypatch) -> list:
-    """The node ranges `Tsg.components` decomposes from here on, in order."""
+    """The state counts `Tsg.components` decomposes from here on, in order."""
     decomposed = []
     search = tptg.game.strongly_connected  # only `Tsg.components` calls it there
 
-    def counted(successors, nodes):
-        decomposed.append(nodes)
-        return search(successors, nodes)
+    def counted(successors, n):
+        decomposed.append(n)
+        return search(successors, n)
 
     monkeypatch.setattr(tptg.game, "strongly_connected", counted)
     return decomposed

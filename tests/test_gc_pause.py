@@ -1,6 +1,6 @@
-"""The library's entry points that allocate per state, move or token run with
-the cyclic garbage collector paused, and give the caller's setting back on
-every exit."""
+"""The library's entry points that allocate per state, move or token, and
+every CLI command as a whole, run with the cyclic garbage collector paused,
+and give the caller's setting back on every exit."""
 
 import gc
 import sys
@@ -11,8 +11,15 @@ import pytest
 
 import tptg
 from tptg import ModelError, ParseError, StateLimitError
+from tptg.cli import main
 from tptg.solver import Objective, time_bounded
 
+from test_cli import SHIPPED_SWEEPS
+
+TASKGRAPH_CHECK = [
+    "--gen", "taskgraph", "--k1", "1", "--k2", "1", "--p", "1/2",
+    "--prop", "Emin [ F all_done ] price time coalition {sched}",
+]
 REACH = Objective("prob-reach", "maxmin", "done")
 
 
@@ -105,3 +112,45 @@ def test_threads_calling_at_once_never_leave_the_collector_off(fig1_text):
     finally:
         sys.setswitchinterval(switch)
     assert gc.isenabled()
+
+
+COMMANDS = {
+    **{name: args + ["--csv", "{tmp}/" + name] for name, args in SHIPPED_SWEEPS.items()},
+    "check": ["check", *TASKGRAPH_CHECK],
+}
+
+
+@pytest.fixture
+def collections():
+    """How many collections the cyclic garbage collector starts from here on."""
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(count)
+    yield started
+    gc.callbacks.remove(count)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_no_collection_runs_during_a_command(collecting, collections, name, tmp_path, capsys):
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in COMMANDS[name]]
+    assert main(args) == 0
+    assert collections == []
+    assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize("args, code", [
+    (["check", *TASKGRAPH_CHECK, "--state-limit", "10"], 1),
+    (["check", "--no-such-option"], None),
+], ids=["model-error", "usage-error"])
+def test_a_failing_command_leaves_the_collector_as_it_found_it(collecting, args, code, capsys):
+    if code is None:  # argparse exits
+        with pytest.raises(SystemExit):
+            main(args)
+    else:
+        assert main(args) == code
+        assert "state limit of 10 exceeded" in capsys.readouterr().err
+    assert gc.isenabled() is collecting

@@ -10,8 +10,9 @@ import pytest
 import tptg
 from tptg import ModelError, Move, make_game
 from tptg.cli import main
-from tptg.game import move_successors, strongly_connected
+from tptg.game import move_successors
 
+import retired_scc
 import retired_solver
 from gamegen import random_game, reshaped
 from test_cli import SHIPPED_SWEEPS
@@ -122,7 +123,7 @@ def test_a_cyclic_scc_whose_undecided_states_split(make, solver):
         undecided = [s for s in (0, 1, 2) if s in result.prob1 - game.labels["goal"]]
     else:
         undecided = [s for s in (0, 1, 2) if s not in result.prob0 | result.prob1]
-    pieces = list(strongly_connected(move_successors(game.moves), undecided))
+    pieces = list(retired_scc.strongly_connected(move_successors(game.moves), undecided))
     assert pieces == [([1], True), ([0], False)]
     assert result.converged and result.iterations > 1
     for direction in tptg.solver.DIRECTIONS:
@@ -145,9 +146,9 @@ def test_the_taskgraph_sweep_searches_each_built_game_once(monkeypatch, tmp_path
     searches = []
     search = tptg.game.strongly_connected
 
-    def counted(successors, nodes):
+    def counted(successors, n):
         searches.append(1)
-        return search(successors, nodes)
+        return search(successors, n)
 
     for module in (tptg.game, tptg.solver):
         monkeypatch.setattr(module, "strongly_connected", counted)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -327,6 +328,51 @@ def test_instantiate_then_reweigh_equals_build(make_text, probabilities, pairs, 
     }
     assert all(targets[p, q] == models[q] for p, q in pairs)
     _assert_reweighs_like_build(models, pairs, prices, targets)
+
+
+def test_a_21_value_p_sweep_reweighs_each_interior_row_like_build():
+    # a p sweep over 0, 1/20, ..., 1: each interior row's model instantiated
+    # from the row before's, whose game is reweighed to it; the collided
+    # branches' sums are looked up per landing partition within a call
+    values = [Fraction(i, 20) for i in range(21)]
+    models = {p: tptg.to_tptg(tptg.parse(tptg.taskgraph_text(1, 1, p))) for p in values}
+    pairs = list(zip(values[1:-2], values[2:-1]))
+    targets = {(p, q): tptg.instantiate(models[p], {"p": q}) for p, q in pairs}
+    built = _assert_reweighs_like_build(models, pairs, ("time",), targets)
+    assert all(_colliding_moves(built[p, "time"], models[p]) == 160 for p in values[1:-1])
+    # p=0 and p=1 drop fault branches: those rows are built
+    for p, q in ((values[0], values[1]), (values[-2], values[-1])):
+        assert tptg.reweigh(built[p, "time"], models[p], models[q], "time", built_price="time") is None
+
+
+def test_reweigh_refuses_a_state_whose_collided_branches_would_land_apart():
+    # a delay-0 move whose branches collided, at a state whose record is
+    # altered so that a clock only one branch resets reads 1: the branches
+    # would land apart, so the game was not built from this model; a move
+    # with the same landings seen before it changes nothing
+    quarter = tptg.to_tptg(tptg.parse(tptg.taskgraph_text(1, 1, "1/4")))
+    half = tptg.instantiate(quarter, {"p": Fraction(1, 2)})
+    game = tptg.build(quarter, price="time")
+    clocks = list(tptg.max_constants(quarter))
+    for s, (state, moves) in enumerate(zip(game.states, game.moves)):
+        for m in moves:
+            dist = quarter.transitions[state.location, m.action]
+            if m.time == 0 and len(m.branches) < len(dist) and dist != half.transitions[state.location, m.action]:
+                apart = set(dist[0].resets) ^ set(dist[1].resets)
+                if apart:
+                    break
+        else:
+            continue
+        break
+    else:
+        pytest.fail("no delay-0 move with collided branches")
+    values = list(state.values)
+    values[clocks.index(min(apart))] = 1
+    states = list(game.states)
+    states[s] = type(state)(state.location, tuple(values))
+    altered = dataclasses.replace(game, states=tuple(states))
+    with pytest.raises(ModelError, match="was not built from this model"):
+        tptg.reweigh(altered, quarter, half, "time", built_price="time")
 
 
 def test_a_same_price_reweigh_shares_every_row_and_move_it_does_not_rewrite():
