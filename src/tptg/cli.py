@@ -75,10 +75,13 @@ def _number(kind, text: str, what: str):
 
 
 def _state_limit(args) -> int:
-    if args.state_limit is not None:
-        return args.state_limit
-    env = os.environ.get("TPTG_STATE_LIMIT")
-    return _number(int, env, "TPTG_STATE_LIMIT") if env else DEFAULT_STATE_LIMIT
+    limit = args.state_limit
+    if limit is None:
+        env = os.environ.get("TPTG_STATE_LIMIT")
+        limit = _number(int, env, "TPTG_STATE_LIMIT") if env else DEFAULT_STATE_LIMIT
+    if limit < 1:
+        raise ModelError(f"state limit must be at least 1, not {limit}")
+    return limit
 
 
 def model_text(args) -> str:
@@ -123,18 +126,16 @@ def property_game(
     """objective -> build -> time bound -> coalition for one property of
     `model`. A time-bounded property's game is derived from the unbounded
     game by `bound_time`. Without `games`, nothing is cached. Otherwise
-    `games` holds entries ``(model, price, game)``: the unbounded game of
-    each price structure under ``("unbounded", price)``, the last of them
-    again under None, and the last derived game under its (target, bound),
-    dropped before another is derived, so that at most one is held. A
-    property reuses a held game of the same `model` and price. Otherwise
-    its unbounded game is the held one of its price reweighed to `model`
-    (the next row of a sweep: only the rows at changed distributions'
-    locations are walked, and none is repriced); else the last one, if of
-    `model`, reweighed to its price; else, where `reweigh` returns None, a
-    build, after every held game of another model is dropped so that it
-    can be freed. Views share the components of the game they are made
-    from."""
+    `games` holds the unbounded game of each price structure under the
+    price, and at most one derived game, under ``(price, target, bound)``.
+    A property reuses a held game of `model` and its price. Otherwise its
+    unbounded game is the held one of its price reweighed to `model` (the
+    next row of a sweep: only the rows at changed distributions' locations
+    are walked); where its price has none, a held game of `model` reweighed
+    to its price; else a build on an emptied table, so that the games of
+    another model can be freed. A derived game goes with the game it was
+    derived from, and before another is derived. Views share the
+    components of the game they are made from."""
     if prop.target not in model.labels:
         raise ModelError(f"property targets unknown label {prop.target!r}")
     objective = Objective(
@@ -144,30 +145,27 @@ def property_game(
         price=prop.price,
     )
     held = {} if games is None else games
-    key = None if prop.bound is None else (prop.target, prop.bound)
-    entry = held.get(key)
-    if entry is not None and entry[0] is model and entry[1] == prop.price:
-        return objective, coalition_game(entry[2], prop.coalition)
-    unbounded = ("unbounded", prop.price)
-    same, last, game = held.get(unbounded), held.get(None), None
-    if same is not None:
-        game = same[2] if same[0] is model else reweigh(same[2], same[0], model, prop.price, built_price=prop.price)
-    if game is None and last is not None and last[0] is model:
-        game = reweigh(last[2], model, model, prop.price, built_price=last[1])
-    if game is None:
-        entry = same = last = None  # so that the dropped games are freed
-        for stale in [k for k, (held_model, _, _) in held.items() if held_model is not model]:
+    game = held.get(prop.price)
+    fresh = game is None or game.origin[0] is not model
+    key = (prop.price, prop.target, prop.bound)
+    if fresh or prop.bound is not None and key not in held:
+        # the derived game, the one held game with no origin, is of another
+        # property or of the game about to be replaced
+        for stale in [k for k, g in held.items() if g.origin is None]:
             del held[stale]
-        game = build(model, price=prop.price, state_limit=state_limit)
-    held[unbounded] = held[None] = (model, prop.price, game)
-    if key is not None:
-        # at most one derived game is held: the last goes before this one is
-        # derived (its key ends in an int bound, an unbounded key in a price)
-        entry = None
-        for stale in [k for k in held if k is not None and isinstance(k[1], int)]:
-            del held[stale]
-        game = bound_time(game, prop.target, prop.bound, state_limit)
-        held[key] = (model, prop.price, game)
+    if fresh:
+        if game is None:
+            game = next((g for g in held.values() if g.origin[0] is model), None)
+        if game is not None:
+            game = reweigh(game, model, prop.price)
+        if game is None:
+            held.clear()
+            game = build(model, price=prop.price, state_limit=state_limit)
+        held[prop.price] = game
+    if prop.bound is not None:
+        if key not in held:
+            held[key] = bound_time(game, prop.target, prop.bound, state_limit)
+        game = held[key]
     return objective, coalition_game(game, prop.coalition)
 
 

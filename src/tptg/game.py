@@ -114,7 +114,10 @@ class Tsg:
     `states` holds opaque per-state records (the digital semantics stores its
     own state objects there; imported games just keep indices). `owner[i]`
     is the player controlling state i, `moves[i]` its available moves in a
-    fixed deterministic order, and `labels` names sets of states.
+    fixed deterministic order, and `labels` names sets of states. `origin`
+    is ``(model, price)`` on a game `semantics.build` or `semantics.reweigh`
+    returned, and None on every other game and on every view `derive`
+    makes; equality, `repr` and JSON ignore it.
     """
 
     states: tuple
@@ -123,6 +126,7 @@ class Tsg:
     owner: tuple[Player, ...]
     moves: tuple[tuple[Move, ...], ...]
     labels: Mapping[str, frozenset[int]]
+    origin: tuple | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -173,7 +177,9 @@ class Tsg:
         branch's target and positivity kept (`semantics.reweigh`), and no
         other change to branches or move order, sharing the components,
         computed or not: every edge of the copy is an edge of this game, so
-        their order stays successors first."""
+        their order stays successors first. The copy carries no `origin`
+        unless `changes` gives one."""
+        changes.setdefault("origin", None)
         view = replace(self, **changes)
         view.__dict__["_components"] = self.__dict__.setdefault("_components", [self.moves, None])
         return view

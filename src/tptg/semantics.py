@@ -168,7 +168,7 @@ def build(
     Every model label is attached. `price` picks the price structure baked
     into move prices (default: all prices zero). The construction is
     deterministic: states are indexed in BFS discovery order and moves kept
-    in (delay, action) order.
+    in (delay, action) order. The game's `origin` is ``(model, price)``.
     """
     diagnostics = errors_only(validate_assumptions(model))
     if diagnostics:
@@ -212,6 +212,7 @@ def build(
         owner=tuple(model.owner[s.location] for s in states),
         moves=tuple(all_moves),
         labels=labels,
+        origin=(model, price),
     )
 
 
@@ -247,36 +248,39 @@ def _reweighed(m: Move, state: DigitalState, weight: tuple, saturated: tuple[int
 
 
 @_gc_paused
-def reweigh(
-    game: Tsg, built_from: Tptg, model: Tptg, price: str | None = None, *, built_price: str | None
-) -> Tsg | None:
-    """The game ``build(model, price)`` gives, from `game`, which was built
-    or reweighed from `built_from`, without exploring again; with `model` as
-    `built_from`, that is `game` under another price structure.
+def reweigh(game: Tsg, model: Tptg, price: str | None = None) -> Tsg | None:
+    """The game ``build(model, price)`` gives, from `game`, without exploring
+    again. `game` is one that `build` or `reweigh` returned: its `origin`
+    names the model and price structure it was made from, and any other
+    game, such as a view, is refused with a ModelError. With `model` as
+    that model, the result is `game` under another price structure.
 
-    `model` may differ from `built_from` in branch probabilities alone: each
-    distribution keeps its targets and resets, in order, and stays positive,
-    so the graph and its cached components are shared (the parametric
-    model instantiated per valuation of Quatmann, Dehnert, Jansen, Junges &
-    Katoen, ATVA 2016). Returns None otherwise: then only `build` gives the
-    game, or refuses `model`.
+    `model` may differ from the origin's model in branch probabilities
+    alone: each distribution keeps its targets and resets, in order, and
+    stays positive, so the graph and its cached components are shared (the
+    parametric model instantiated per valuation of Quatmann, Dehnert,
+    Jansen, Junges & Katoen, ATVA 2016). Returns None otherwise: then only
+    `build` gives the game, or refuses `model`.
 
-    `built_price` is the price structure `game` carries. Where it is
-    `price`, only the moves of changed distributions are rewritten, in the
-    states at their locations, and every other row and move is shared, as
-    storm-pars rewrites only the matrix entries that read a parameter.
-    Otherwise one walk of the moves recomputes every price, and shares each
-    move whose branches and price stay. The branches of a changed
-    distribution's moves are recomputed as `build` computes them.
+    One walk of the rows recomputes the branches of a changed
+    distribution's moves as `build` computes them and, under another price
+    structure, every price; it shares each move whose branches and price
+    stay, and each row none of whose moves changes. Where the price
+    structure stays, a row at a location with no changed distribution is
+    shared unread, as storm-pars rewrites only the matrix entries that
+    read a parameter.
     """
+    if game.origin is None:
+        raise ModelError("reweigh needs a game that build or reweigh returned")
+    source, source_price = game.origin
     for f in fields(Tptg):
-        if f.compare and f.name != "transitions" and getattr(model, f.name) != getattr(built_from, f.name):
+        if f.compare and f.name != "transitions" and getattr(model, f.name) != getattr(source, f.name):
             return None
-    if model.transitions.keys() != built_from.transitions.keys():
+    if model.transitions.keys() != source.transitions.keys():
         return None
     changed = {}
     for key, dist in model.transitions.items():
-        old = built_from.transitions[key]
+        old = source.transitions[key]
         if dist == old:
             continue
         if (
@@ -299,21 +303,11 @@ def reweigh(
             sorted({position[x] for b in dist for x in b.resets}),
             {},
         )
-    same = built_price == price
+    same = source_price == price
     new_moves = []
     for state, moves in zip(game.states, game.moves):
-        if not isinstance(state, DigitalState):
-            raise ModelError("reweigh needs a game built from a timed model")
         local = weights.get(state.location)
-        if same:  # every price stays: only a changed distribution's moves change
-            if local:
-                row = []
-                for m in moves:
-                    weight = local.get(m.action)
-                    if weight is not None:
-                        m = Move(m.action, _reweighed(m, state, weight, saturated), m.price, m.time)
-                    row.append(m)
-                moves = tuple(row)
+        if same and not local:
             new_moves.append(moves)
             continue
         rate, action_prices = table.get(state.location, _UNPRICED)
@@ -321,12 +315,12 @@ def reweigh(
         for m in moves:
             weight = local.get(m.action) if local else None
             branches = m.branches if weight is None else _reweighed(m, state, weight, saturated)
-            cost = float(m.time * rate + action_prices.get(m.action, 0))
+            cost = m.price if same else float(m.time * rate + action_prices.get(m.action, 0))
             if branches is not m.branches or cost != m.price:
                 m, fresh = Move(m.action, branches, cost, m.time), True
             row.append(m)
         new_moves.append(tuple(row) if fresh else moves)
-    return game.derive(moves=tuple(new_moves))
+    return game.derive(moves=tuple(new_moves), origin=(model, price))
 
 
 def spell_delays(moves: Sequence[Move], cap: int) -> list[Move]:

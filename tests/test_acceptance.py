@@ -92,7 +92,7 @@ def test_criterion_2_taskgraph_parameter_shape():
         game = tptg.build(model, price="time")
         two = coalition_game(game, {"sched"})
         p_curves["time"].append(expected_price(two, "all_done", "minmax", tol=TOL).initial_value)
-        energetic = coalition_game(tptg.reweigh(game, model, model, "energy", built_price="time"), {"sched"})
+        energetic = coalition_game(tptg.reweigh(game, model, "energy"), {"sched"})
         p_curves["energy"].append(
             expected_price(energetic, "all_done", "minmax", tol=TOL).initial_value
         )
@@ -106,7 +106,7 @@ def test_criterion_2_taskgraph_parameter_shape():
         game = tptg.build(model, price="time")
         two = coalition_game(game, {"sched"})
         k_curves["time"].append(expected_price(two, "all_done", "minmax", tol=TOL).initial_value)
-        energetic = coalition_game(tptg.reweigh(game, model, model, "energy", built_price="time"), {"sched"})
+        energetic = coalition_game(tptg.reweigh(game, model, "energy"), {"sched"})
         k_curves["energy"].append(
             expected_price(energetic, "all_done", "minmax", tol=TOL).initial_value
         )

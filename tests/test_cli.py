@@ -471,17 +471,15 @@ def test_a_p_sweep_reweighs_the_games_of_the_row_before(monkeypatch, capsys):
     def record(model, prop, state_limit, games=None):
         caches.append(games)
         objective, game = property_game(model, prop, state_limit, games)
-        # at most one held game per price structure and per derived key
-        unbounded = {}
-        for key, (_, price, held) in games.items():
-            if key is None or key[0] == "unbounded":
-                unbounded.setdefault(price, set()).add(id(held))
-        assert all(len(ids) == 1 for ids in unbounded.values())
+        # at most one held game per price structure and one derived game
+        prices = [held.origin[1] for held in games.values() if held.origin is not None]
+        assert len(prices) == len(set(prices))
+        assert len(games) - len(prices) <= 1
         return objective, game
 
     def counted(model, *args, **kwargs):
         # none of another model is held when a game is built
-        assert all(held_model is model for held_model, _, _ in caches[-1].values())
+        assert all(held.origin is not None and held.origin[0] is model for held in caches[-1].values())
         calls.append(1)
         return build(model, *args, **kwargs)
 
@@ -505,8 +503,8 @@ def test_a_p_sweep_holds_no_game_of_the_model_before_a_build(monkeypatch, tmp_pa
         refs.append((model, weakref.ref(game)))
         return objective, game
 
-    def reweighed(game, built_from, model, *args, **kwargs):
-        result = reweigh(game, built_from, model, *args, **kwargs)
+    def reweighed(game, model, *args, **kwargs):
+        result = reweigh(game, model, *args, **kwargs)
         if result is not None:
             refs.append((model, weakref.ref(result)))
         return result
@@ -618,7 +616,8 @@ def test_every_game_a_p_sweep_holds_equals_its_build(monkeypatch, tmp_path):
 
     def record(model, prop, state_limit, games=None):
         result = property_game(model, prop, state_limit, games)
-        for held_model, price, game in games.values():
+        for game in games.values():
+            held_model, price = game.origin
             if id(game) not in checked:
                 checked[id(game)] = game  # kept, so that no id is reused
                 expected = semantics.build(held_model, price=price)
@@ -873,3 +872,16 @@ def test_state_limit_env_must_be_an_integer(fig1_file, capsys, monkeypatch):
     code = main(["check", fig1_file, "--prop", "Pmax [ F done ] coalition {sender, medium}"])
     assert code == 1
     assert "error: TPTG_STATE_LIMIT must be an integer, not 'abc'" in capsys.readouterr().err
+
+
+def test_a_state_limit_flag_below_1_is_a_model_error(fig1_file, capsys):
+    code = main(["check", fig1_file, "--state-limit", "-5", "--prop", "Pmax [ F done ] coalition {sender, medium}"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: state limit must be at least 1, not -5\n")
+
+
+def test_a_state_limit_env_below_1_is_a_model_error(fig1_file, capsys, monkeypatch):
+    monkeypatch.setenv("TPTG_STATE_LIMIT", "0")
+    code = main(["check", fig1_file, "--prop", "Pmax [ F done ] coalition {sender, medium}"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: state limit must be at least 1, not 0\n")

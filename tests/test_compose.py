@@ -172,8 +172,8 @@ def test_case_studies_build_the_same_games_as_eager_composition(make_source, mon
     _assert_same_game(game, reference)
     for price in model.prices:
         _assert_same_game(
-            tptg.reweigh(game, model, model, price, built_price=None),
-            tptg.reweigh(reference, eager, eager, price, built_price=None),
+            tptg.reweigh(game, model, price),
+            tptg.reweigh(reference, eager, price),
         )
 
 

@@ -285,7 +285,7 @@ def test_coalition_and_reprice_views_share_computed_components(fig1_model):
     assert game.components is components  # the view's first use filled the game's
     for coalition in ({"sender"}, {"medium"}, {"sender", "medium"}, set()):
         assert coalition_game(game, coalition).components is components
-    assert tptg.reweigh(game, fig1_model, fig1_model, None, built_price=None).components is components
+    assert tptg.reweigh(game, fig1_model).components is components
     assert tptg.build(fig1_model).components == components
     assert sorted(s for states, _ in components for s in states) == list(range(len(game.states)))
     objective = tptg.Objective("prob-reach", "maxmin", "done")

@@ -43,7 +43,7 @@ CALLS = {
         tptg.to_tptg(tptg.taskgraph_source(1, 1, Fraction(1, 2))), {"p": Fraction(1, 3)}
     ),
     "build": lambda text, model, game: tptg.build(model),
-    "reweigh": lambda text, model, game: tptg.reweigh(game, model, model, None, built_price=None),
+    "reweigh": lambda text, model, game: tptg.reweigh(game, model),
     "bound_time": lambda text, model, game: tptg.bound_time(game, "done", 3),
     "components": lambda text, model, game: tptg.build(model).components,
     "solve": lambda text, model, game: tptg.solve(_view(game), REACH),

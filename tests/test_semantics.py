@@ -203,7 +203,7 @@ def test_naive_enumerator_agrees_on_random_models():
 def test_reprice_swaps_price_structure():
     model = tptg.gen_taskgraph(0, 0, 1)
     timed = tptg.build(model, price="time")
-    energetic = tptg.reweigh(timed, model, model, "energy", built_price="time")
+    energetic = tptg.reweigh(timed, model, "energy")
     assert len(energetic.states) == len(timed.states)
     rebuilt = tptg.build(model, price="energy")
     assert energetic.moves == rebuilt.moves
@@ -226,7 +226,7 @@ def _assert_reprice_equals_rebuild(model):
     built = {price: tptg.build(model, price=price) for price in prices}
     for a in prices:
         for b in prices:
-            assert tptg.reweigh(built[a], model, model, b, built_price=a) == built[b], (a, b)  # moves included
+            assert tptg.reweigh(built[a], model, b) == built[b], (a, b)  # moves included
 
 
 REPRICE_MODELS = {
@@ -263,8 +263,8 @@ def _assert_reweighs_like_build(models, pairs, prices, targets=None):
     (a, b), reweighing the game built from models[p] under a to models[q]
     (or to targets[p, q], a model equal to it) under b gives the game built
     from models[q] under b, down to the float bits of every probability and
-    price, and shares its components. It is told that the game carries a:
-    where a is b only the changed distributions' moves are rewritten, and
+    price, and shares its components. The game's origin carries a: where
+    a is b only the changed distributions' moves are rewritten, and
     otherwise every price is recomputed."""
     built = {(k, price): tptg.build(model, price=price) for k, model in models.items() for price in prices}
     for p, q in pairs:
@@ -274,7 +274,7 @@ def _assert_reweighs_like_build(models, pairs, prices, targets=None):
             components = game.components  # cached before reweighing, so shared
             for b in prices:
                 expected = built[q, b]
-                reweighed = tptg.reweigh(game, models[p], target, b, built_price=a)
+                reweighed = tptg.reweigh(game, target, b)
                 assert reweighed == expected, (p, q, a, b)
                 assert [[repr(m) for m in ms] for ms in reweighed.moves] == [
                     [repr(m) for m in ms] for ms in expected.moves
@@ -342,7 +342,7 @@ def test_a_21_value_p_sweep_reweighs_each_interior_row_like_build():
     assert all(_colliding_moves(built[p, "time"], models[p]) == 160 for p in values[1:-1])
     # p=0 and p=1 drop fault branches: those rows are built
     for p, q in ((values[0], values[1]), (values[-2], values[-1])):
-        assert tptg.reweigh(built[p, "time"], models[p], models[q], "time", built_price="time") is None
+        assert tptg.reweigh(built[p, "time"], models[q], "time") is None
 
 
 def test_reweigh_refuses_a_state_whose_collided_branches_would_land_apart():
@@ -372,7 +372,7 @@ def test_reweigh_refuses_a_state_whose_collided_branches_would_land_apart():
     states[s] = type(state)(state.location, tuple(values))
     altered = dataclasses.replace(game, states=tuple(states))
     with pytest.raises(ModelError, match="was not built from this model"):
-        tptg.reweigh(altered, quarter, half, "time", built_price="time")
+        tptg.reweigh(altered, half, "time")
 
 
 def test_a_same_price_reweigh_shares_every_row_and_move_it_does_not_rewrite():
@@ -381,7 +381,7 @@ def test_a_same_price_reweigh_shares_every_row_and_move_it_does_not_rewrite():
     changed = {key for key, dist in half.transitions.items() if dist != quarter.transitions[key]}
     locations = {location for location, _ in changed}
     game = tptg.build(quarter, price="time")
-    reweighed = tptg.reweigh(game, quarter, half, "time", built_price="time")
+    reweighed = tptg.reweigh(game, half, "time")
     assert reweighed == tptg.build(half, price="time")
     rewritten = 0
     for state, old, new in zip(game.states, game.moves, reweighed.moves):
@@ -396,7 +396,7 @@ def test_a_same_price_reweigh_shares_every_row_and_move_it_does_not_rewrite():
                 assert n is m
     assert 0 < rewritten < sum(map(len, game.moves)) // 2
     # a reprice shares each move whose price stays: every delay-0 move here
-    energy = tptg.reweigh(game, quarter, quarter, "energy", built_price="time")
+    energy = tptg.reweigh(game, quarter, "energy")
     assert energy == tptg.build(quarter, price="energy")
     now = [(m, n) for old, new in zip(game.moves, energy.moves) for m, n in zip(old, new) if m.time == 0]
     assert now and all(n is m for m, n in now)
@@ -409,16 +409,16 @@ def test_a_same_price_reweigh_shares_every_row_and_move_it_does_not_rewrite():
     ((1, 1, "1/2"), (2, 1, "1/2")),
 ], ids=["p0-to-quarter", "three-quarters-to-p1", "k1"])
 def test_reweigh_refuses_another_graph(old, new):
-    built_from, model = tptg.gen_taskgraph(*old), tptg.gen_taskgraph(*new)
-    assert tptg.reweigh(tptg.build(built_from), built_from, model, built_price=None) is None
+    source, model = tptg.gen_taskgraph(*old), tptg.gen_taskgraph(*new)
+    assert tptg.reweigh(tptg.build(source), model) is None
 
 
 def test_reweigh_refuses_what_build_refuses_with_its_message(tmp_path, capsys):
     text = tptg.nonrepudiation_text("malicious1", p=Fraction(1, 10))
-    built_from = tptg.to_tptg(tptg.parse(text))
+    source = tptg.to_tptg(tptg.parse(text))
     zero = text.replace("const p = 1/10;", "const p = 0;")  # branches of probability 0
     model = tptg.to_tptg(tptg.parse(zero))
-    assert tptg.reweigh(tptg.build(built_from), built_from, model, built_price=None) is None
+    assert tptg.reweigh(tptg.build(source), model) is None
     with pytest.raises(ModelError) as refused:
         tptg.build(model)
     assert "digital-semantics prerequisites" in str(refused.value)
@@ -428,6 +428,29 @@ def test_reweigh_refuses_what_build_refuses_with_its_message(tmp_path, capsys):
     path.write_text(zero, encoding="utf-8")
     assert main(["check", str(path), "--prop", "Pmax [ F r_gains_info ] coalition {R}"]) == 1
     assert capsys.readouterr().err == f"error: {refused.value}\n"
+
+
+def test_reweigh_refuses_a_game_that_build_or_reweigh_did_not_return():
+    # `origin` names the model and price structure of a game `build` or
+    # `reweigh` returned, and equality and repr ignore it; a derived game,
+    # a view, a game made by hand and one read from JSON carry none
+    model = tptg.gen_taskgraph(0, 0, 1)
+    game = tptg.build(model, price="time")
+    assert game.origin[0] is model and game.origin[1] == "time"
+    bare = dataclasses.replace(game, origin=None)
+    assert bare == game and repr(bare) == repr(game)
+    reweighed = tptg.reweigh(game, model, "energy")
+    assert reweighed.origin[0] is model and reweighed.origin[1] == "energy"
+    others = {
+        "bound_time": tptg.bound_time(game, "all_done", 10),
+        "coalition_game": tptg.coalition_game(game, {"sched"}),
+        "make_game": tptg.make_game(game.moves, game.owner, game.labels),
+        "from_json": tptg.from_json(tptg.to_json(game)),
+    }
+    for name, other in others.items():
+        assert other.origin is None, name
+        with pytest.raises(ModelError, match="reweigh needs a game that build or reweigh returned"):
+            tptg.reweigh(other, model, "energy")
 
 
 def _assert_builds_like_retired_builder(model, price=None, observer=None):
