@@ -35,7 +35,7 @@ from typing import Collection, Iterable, Sequence, Union
 
 from .errors import ModelError, _gc_paused
 from .game import Move, Tsg, move_successors, strongly_connected
-from .semantics import DigitalState, spell_delays
+from .semantics import DigitalState
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 10**6
@@ -336,8 +336,9 @@ def time_bounded(game: Tsg, objective: Objective, top: int, tol: float = DEFAULT
     is, bit for bit, what `solve` gives state (s, B - b) of ``bound_time(game,
     target, B)``. None where zero-delay moves form a cycle, which depends on
     the graph alone, not on prices or coalitions: there each bound's game
-    is derived and solved. The certificate evaluates the chain of the
-    chosen moves budget by budget."""
+    is derived and solved. The certificate compares the values with the
+    chain of the chosen moves, which the same visit of each (state, budget)
+    cell backs up from vectors of its own."""
     _check_two_players(game)
     _check_tol(tol)
     if objective.kind == "bounded-exp-price" or top < 0:
@@ -350,58 +351,76 @@ def time_bounded(game: Tsg, objective: Objective, top: int, tol: float = DEFAULT
         if cyclic:
             return None
         order.append(states[0])
-    clockless = not game.states[game.initial].values  # a delay-1 move stands for every longer one
-    within = (lambda s, b: spell_delays(moves[s], b + 1)) if clockless else (lambda s, b: moves[s])
-    targets, live = _target_set(game, objective.target), max_iters >= 1
-    levels, choices = _budgets(game, objective, targets, order, top, live, within)
+    live = max_iters >= 1
+    levels, chain = _budgets(game, objective, _target_set(game, objective.target), order, top, live)
     if live:
-        chain = _budgets(game, objective, targets, order, top, True, lambda s, b: choices[b][s])[0]
         _check_chain([pair for pairs in zip(levels, chain) for pair in zip(*pairs)], tol)
     return levels, live
 
 
-def _budgets(game: Tsg, objective: Objective, targets, order, top: int, live: bool, within):
-    """Values per budget 0..`top` over the moves ``within(s, b)``, and each
-    state's chosen move as a 0- or 1-tuple. A move of delay d reads budget
-    b - d, or an exhausted one past b (probability 0, price infinite);
-    zero-delay moves read budget b, `order` visiting successors first. A
-    sure flag, that the reaching side forces the target, gives the pass's
-    start value; where the pass backs up (if `live`), a value takes the best
-    backup and the first optimal move, elsewhere the first keeping the flag."""
+def _budgets(game: Tsg, objective: Objective, targets, order, top: int, live: bool):
+    """Values per budget 0..`top`, and those of the chain of the chosen
+    moves, from one visit per (state, budget) cell. A move of delay d reads
+    budget b - d, or an exhausted one past b (probability 0, price
+    infinite); zero-delay moves read budget b, `order` visiting successors
+    first. With no clock a delay-1 move stands for each delay 1..b + 1,
+    priced as `spell_delays` prices it. A sure flag, that the reaching side
+    forces the target, gives the pass's start value; where the pass backs up
+    (if `live`), a value takes the best backup and the first optimal move,
+    elsewhere the first keeping the flag. The chain backs up that move the
+    same way from its own values and sure flags, never from the values."""
     prices = objective.kind == "exp-price"
     maximizer = _reach_maximizer(objective.direction)
     reacher = game.players[1 - maximizer if prices else maximizer]
     opt, n, inf = _opt_for(game, objective.direction), len(game.moves), math.inf
-    reaching = [owner == reacher for owner in game.owner]
-    spent = ([inf if prices else 0.0] * n, [False] * n)
-    levels, choices = [], []  # levels[b]: the values and sure flags at budget b
+    clockless = not game.states[game.initial].values  # a delay-1 move stands for every longer one
+    plans = []  # per state in `order` but the targets: it, its side reaching, min or max, its rows
+    for s in [s for s in order if s not in targets]:
+        rows = [(tuple([(t, p) for t, p in m.branches if p > 0]), m.price, m.time) for m in game.moves[s]]
+        if clockless:  # each delay-1 row with the price of the zero-delay row it pairs with
+            now = [row for row in rows if row[2] == 0]
+            rows = now, [(r[0], r0[1], r[1] - r0[1]) for r0, r in zip(now, [r for r in rows if r[2] == 1])]
+        plans.append((s, game.owner[s] == reacher, opt[s], rows))
+    start = (0.0, inf) if prices else (1.0, 0.0)  # the value of a sure and of an unsure state
+    spent = ([start[1]] * n, [False] * n)
+    known = [s in targets for s in range(n)]  # a target is sure
+    first = [start[not k] for k in known]
+    levels, chain = [], []  # levels[b], chain[b]: the values and sure flags at budget b
     for b in range(top + 1):
-        values, sure, choice = [0.0] * n, [False] * n, [()] * n
-        for s in order:
-            ms, flags, step = within(s, b), [], []
-            for _, branches, price, d in ms:
-                at, ok = (values, sure) if d == 0 else levels[b - d] if d <= b else spent
-                backup, forced = 0, None
-                for t, p in branches:
-                    if p > 0:
-                        backup += p * at[t]
-                        forced = ok[t] and forced is not False  # None until a branch is seen
-                step.append(price + backup if prices else backup)
-                flags.append(bool(forced))
-            target = s in targets
-            sure[s] = forced = target or (any(flags) if game.owner[s] == reacher else bool(flags) and all(flags))
-            values[s] = (0.0 if forced else inf) if prices else (1.0 if forced else 0.0)
-            if target or not ms:
+        values, sure, cvalues, csure = first[:], known[:], first[:], known[:]
+        for s, reaching, best_of, rows in plans:
+            if clockless:
+                now, later = rows
+                rows = now + [(branches, p0 + t * dp, t) for t in range(1, b + 2) for branches, p0, dp in later]
+            if not rows:
                 continue
+            step, flags = [], []
+            for branches, price, d in rows:
+                at, ok = (values, sure) if d == 0 else levels[b - d] if d <= b else spent
+                backup, forced = 0, bool(branches)
+                for t, p in branches:
+                    backup += p * at[t]
+                    forced = forced and ok[t]
+                step.append(price + backup if prices else backup)
+                flags.append(forced)
+            sure[s] = forced = any(flags) if reaching else all(flags)
+            values[s] = start[not forced]
             c = flags.index(forced)
-            if live and (forced if prices else not forced):
-                best = opt[s](step)
+            if live and forced == prices:  # where the pass would back up
+                best = best_of(step)
                 _update(values, s, best)
                 c = step.index(best)
-            choice[s] = (ms[c],)
+            branches, price, d = rows[c]
+            at, ok = (cvalues, csure) if d == 0 else chain[b - d] if d <= b else spent
+            backup, forced = 0, bool(branches)
+            for t, p in branches:
+                backup += p * at[t]
+                forced = forced and ok[t]
+            csure[s] = forced
+            cvalues[s] = (price + backup if prices else backup) if forced == prices else start[not forced]
         levels.append((values, sure))
-        choices.append(choice)
-    return [values for values, _ in levels], choices
+        chain.append((cvalues, csure))
+    return [values for values, _ in levels], [values for values, _ in chain]
 
 
 def _iterate(

@@ -2,12 +2,16 @@
 
 Run as ``python tests/differential.py OUT`` on two trees and compare the two
 files (or the md5 it prints): a change that must keep every outcome writes
-the same bytes. One line per record: values as hex, ``prob0``, ``prob1``,
-``iterations``, ``residual``, ``converged``, strategy, warnings and
-``backups`` of each ``prob_reach`` and ``expected_price`` solve, or its
-refusal message; the profile pair ``synthesize`` extracts from the solve's
-own values, or its refusal; ``bounded_expected_price`` at horizon 5; and
-``check_determinacy`` brackets. A second section runs a fixed list of
+the same bytes. ``python tests/differential.py OUT REF`` also reads REF, a
+dump written by another tree, and where the two part prints the first record
+that differs, with its section and key (the words that name the record, up
+to its outcome), and exits 1. One line per record, its key and then its
+outcome: values as hex, ``prob0``, ``prob1``, ``iterations``, ``residual``,
+``converged``, strategy, warnings and ``backups`` of each ``prob_reach``
+and ``expected_price`` solve, or its refusal message; the profile pair
+``synthesize`` extracts from the solve's own values, or its refusal;
+``bounded_expected_price`` at horizon 5; and ``check_determinacy``
+brackets. A second section runs a fixed list of
 ``tptg.cli.main`` calls in-process and records, per call, the argv, the exit
 code, stdout, stderr and the bytes of every ``--json``, ``--csv`` or
 ``--traces`` file it writes, so a CLI refactor is checked byte for byte. It
@@ -61,11 +65,11 @@ def _solve_records(key: str, game, tol: float):
             try:
                 r = solver(game, "goal", direction, tol)
             except ModelError as exc:
-                yield f"{tag} refused: {exc}"
+                yield tag, f"refused: {exc}"
                 continue
             strategy = None if r.strategy is None else sorted(r.strategy.items())
-            yield (
-                f"{tag} values={_hex(r.values)} prob0={_states(r.prob0)} prob1={_states(r.prob1)} "
+            yield tag, (
+                f"values={_hex(r.values)} prob0={_states(r.prob0)} prob1={_states(r.prob1)} "
                 f"iterations={r.iterations} residual={float(r.residual).hex()} converged={r.converged} "
                 f"strategy={strategy} warnings={r.warnings} backups={r.backups}"
             )
@@ -74,14 +78,14 @@ def _solve_records(key: str, game, tol: float):
             try:
                 profiles = synthesize(game, Objective(kind, direction, "goal"), r.values, tol)
             except ModelError as exc:
-                yield f"{tag} synthesize refused: {exc}"
+                yield f"{tag} synthesize", f"refused: {exc}"
             else:
-                yield f"{tag} synthesize {profiles}"
+                yield f"{tag} synthesize", str(profiles)
 
 
 def _bounded_records(key: str, game):
     for direction in DIRECTIONS:
-        yield f"{key} bounded {direction} {_hex(bounded_expected_price(game, 'goal', 5, direction))}"
+        yield f"{key} bounded {direction}", _hex(bounded_expected_price(game, 'goal', 5, direction))
 
 
 def _bracket_records(key: str, game, tol: float):
@@ -89,9 +93,9 @@ def _bracket_records(key: str, game, tol: float):
         for direction in DIRECTIONS:
             tag = f"{key} bracket {kind} {direction} tol={tol!r}"
             try:
-                yield f"{tag} {_hex(check_determinacy(game, 'goal', kind, direction, tol))}"
+                yield tag, _hex(check_determinacy(game, 'goal', kind, direction, tol))
             except ModelError as exc:
-                yield f"{tag} refused: {exc}"
+                yield tag, f"refused: {exc}"
 
 
 def records():
@@ -132,9 +136,9 @@ def records():
     )
     try:
         profiles = synthesize(dead_end, Objective("exp-price", "maxmin", "goal"), [1.0, 0.0, 0.0, 0.0])
-        yield f"dead end synthesize {profiles}"
+        yield "dead end synthesize", str(profiles)
     except ModelError as exc:
-        yield f"dead end synthesize refused: {exc}"
+        yield "dead end synthesize", f"refused: {exc}"
     # determinacy brackets, alternately on acyclic games and at two tolerances
     for seed in range(200, 250):
         rng = random.Random(seed)
@@ -221,36 +225,61 @@ def _cli_records():
                     contextlib.redirect_stderr(stderr):
                 code = cli.main(argv)
             tag = f"cli {i}"
-            yield f"{tag} env={env!r} argv={template!r} exit={code}"
-            yield f"{tag} stdout {stdout.getvalue()!r}"
-            yield f"{tag} stderr {stderr.getvalue()!r}"
+            yield tag, f"env={env!r} argv={template!r} exit={code}"
+            yield f"{tag} stdout", repr(stdout.getvalue())
+            yield f"{tag} stderr", repr(stderr.getvalue())
             for path in sorted(Path(out).iterdir()):
                 if path != zero:
-                    yield f"{tag} file {path.name} {path.read_bytes()!r}"
+                    yield f"{tag} file {path.name}", repr(path.read_bytes())
 
 
 SECTIONS = (("solver", records), ("cli", _cli_records))
 
 
+def _excerpt(line: str, at: int) -> str:
+    """Up to 160 characters of `line` around column `at`, one line."""
+    return repr(line[max(0, at - 60):at + 100])
+
+
 def main(argv):
-    if len(argv) != 2:
-        print("usage: python tests/differential.py OUT", file=sys.stderr)
+    if len(argv) not in (2, 3):
+        print("usage: python tests/differential.py OUT [REF]", file=sys.stderr)
         return 2
     digest = hashlib.md5()
     count = 0
-    with open(argv[1], "w") as out:
+    first = None  # (section, record number, key, our line, REF's line)
+    with open(argv[1], "w") as out, \
+            (open(argv[2]) if len(argv) == 3 else contextlib.nullcontext()) as ref:
         for name, section in SECTIONS:
             part = hashlib.md5()
             start = count
-            for line in section():
-                line += "\n"
+            for key, text in section():
+                line = f"{key} {text}\n"
                 out.write(line)
                 digest.update(line.encode())
                 part.update(line.encode())
                 count += 1
+                if ref is not None and first is None:
+                    theirs = ref.readline()
+                    if theirs != line:
+                        first = (name, count, key, line, theirs)
             print(f"{name}: {count - start} records, md5 {part.hexdigest()}")
+        if ref is not None and first is None:
+            theirs = ref.readline()
+            if theirs:
+                first = (SECTIONS[-1][0], count + 1, "(past the end of OUT)", "", theirs)
     print(f"{count} records, md5 {digest.hexdigest()}")
-    return 0
+    if ref is None:
+        return 0
+    if first is None:
+        print(f"identical to {argv[2]}")
+        return 0
+    name, number, key, ours, theirs = first
+    at = next((i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b), min(len(ours), len(theirs)))
+    print(f"first difference: section {name}, record {number}, key {key!r}, column {at}")
+    print(f"  OUT: {_excerpt(ours, at) if ours else '(no record)'}")
+    print(f"  REF: {_excerpt(theirs, at) if theirs else '(no record)'}")
+    return 1
 
 
 if __name__ == "__main__":
