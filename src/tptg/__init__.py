@@ -24,31 +24,18 @@ from .model import (
     max_constants,
     validate_assumptions,
 )
-from .semantics import DigitalState, bound_time, build, reweigh, state_index
+from .semantics import DigitalState, bound_time, build, reweigh
 from .solver import (
     Objective,
     SolveResult,
-    bounded_expected_price,
-    check_determinacy,
     expected_price,
     prob_reach,
     qualitative_reach,
     solve,
     synthesize,
 )
-from .digitization import (
-    DigitalPath,
-    TimedPath,
-    accumulated_duration,
-    digital_path_in_game,
-    digitize_path,
-    digitize_scalar,
-    estimate,
-    random_timed_path,
-    simulate,
-    uniform_profile,
-)
-from .dsl import ModelSource, parse, parse_property, print_model
+from .simulation import estimate, simulate, uniform_profile
+from .dsl import ModelSource, parse, parse_property
 from .elaborate import instantiate, to_tptg
 from .casestudies import (
     gen_nonrepudiation,

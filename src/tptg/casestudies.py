@@ -1,7 +1,8 @@
 """Built-in generators for the two shipped case studies.
 
-Both generators emit model text (so generated models parse, print and
-round-trip like hand-written ones) and elaborate it to a timed game.
+Both generators emit model text (so generated models parse, and
+round-trip through the tests' printer, like hand-written ones) and
+elaborate it to a timed game.
 For 0 < p < 1 the probability parameter is declared as the constant `p`,
 and the branches it weighs read `p` and `1-p`, so texts for two such
 values differ in that constant alone; at p = 0 and p = 1 the branches of

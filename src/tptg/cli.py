@@ -15,13 +15,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import casestudies
-from .digitization import estimate, simulate, uniform_profile
 from .dsl import ModelSource, PropertyAst, parse, parse_property
 from .elaborate import describe_property, instantiate, to_tptg
 from .errors import ModelError, ParseError, StateLimitError, _gc_paused
 from .game import Tsg, coalition_game, game_stats, to_json_dict
 from .model import Tptg, errors_only, validate_assumptions
 from .semantics import DEFAULT_STATE_LIMIT, bound_time, build, reweigh
+from .simulation import estimate, simulate, uniform_profile
 from .solver import Objective, solve, time_bounded
 
 EXIT_OK = 0

@@ -398,8 +398,3 @@ def bound_time(game: Tsg, target: str, bound: int, state_limit: int = DEFAULT_ST
         moves=tuple(all_moves),
         labels=labels,
     )
-
-
-def state_index(game: Tsg) -> dict[tuple[str, tuple[int, ...]], int]:
-    """Lookup from (location, clock values) to state index for a built game."""
-    return {s: i for i, s in enumerate(game.states) if isinstance(s, DigitalState)}

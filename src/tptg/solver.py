@@ -21,12 +21,13 @@ probability-1 set. A solve skips that check on a game with no cyclic SCC,
 where its own values cannot stall; `synthesize`, handed any values, always
 runs it. The certificate runs the pass on the induced Markov chain, a view
 with one chosen move per reached state and none elsewhere, whose values must
-match on the reached states within ``10 * tol``. `check_determinacy` pins
-each side in the same kind of view. A view that only drops moves shares the
-cached SCCs; an SCC marked cyclic may then have no cycle, which the
-almost-sure loop and the sweeps' own re-split handle. No reverse index spans
-the game: the almost-sure rounds and tie-settling layers run one layered
-`_attractor` over a map of one cyclic SCC's moves.
+match on the reached states within ``10 * tol``. A view that only drops
+moves shares the cached SCCs; an SCC marked cyclic may then have no cycle,
+which the almost-sure loop and the sweeps' own re-split handle. No reverse
+index spans the game: the almost-sure rounds and tie-settling layers run one
+layered `_attractor` over a map of one cyclic SCC's moves. The step-bounded
+price and the determinacy bracket, which no stage of the pipeline runs, live
+with the tests in ``tests/reference_solves.py``.
 """
 
 import math
@@ -43,7 +44,7 @@ DEFAULT_MAX_ITERS = 10**6
 #: slack for the monotonicity check on value-iteration sweeps
 _MONOTONE_SLACK = 1e-9
 
-KINDS = ("prob-reach", "exp-price", "bounded-exp-price")
+KINDS = ("prob-reach", "exp-price")
 DIRECTIONS = ("maxmin", "minmax")
 
 
@@ -54,14 +55,13 @@ class Objective:
 
     Direction fixes the goals of the two sides: under ``maxmin`` player 1
     maximizes the quantity and player 2 minimizes it; ``minmax`` swaps the
-    roles. `horizon` applies to the bounded kind only; `price` records which
-    price structure the game was built with (informational).
+    roles. `price` records which price structure the game was built with
+    (informational).
     """
 
     kind: str
     direction: str
     target: Union[str, frozenset]
-    horizon: int | None = None
     price: str | None = None
 
     def __post_init__(self):
@@ -71,9 +71,6 @@ class Objective:
             raise ModelError(f"unknown objective kind {self.kind!r}")
         if self.direction not in DIRECTIONS:
             raise ModelError(f"unknown direction {self.direction!r}")
-        if self.kind == "bounded-exp-price":
-            if self.horizon is None or self.horizon < 0:
-                raise ModelError("bounded objective needs a horizon n >= 0")
 
 
 @dataclass
@@ -98,7 +95,7 @@ class SolveResult:
                 "kind": self.objective.kind,
                 "direction": self.objective.direction,
                 "target": target if isinstance(target, str) else sorted(target),
-                "horizon": self.objective.horizon,
+                "horizon": None,  # no objective has a horizon; the key keeps the schema
                 "price": self.objective.price,
             },
             "value": self.initial_value,
@@ -255,7 +252,7 @@ def prob_reach(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> SolveResult:
     """Optimal probability of reaching the target under the given direction."""
-    return _solve(game, Objective("prob-reach", direction, targets), tol, max_iters)
+    return solve(game, Objective("prob-reach", direction, targets), tol, max_iters)
 
 
 def expected_price(
@@ -273,13 +270,19 @@ def expected_price(
     side's profile does not force the target almost surely from every
     finite-valued state.
     """
-    return _solve(game, Objective("exp-price", direction, targets), tol, max_iters)
+    return solve(game, Objective("exp-price", direction, targets), tol, max_iters)
 
 
 @_gc_paused
-def _solve(game: Tsg, objective: Objective, tol: float, max_iters: int) -> SolveResult:
+def solve(
+    game: Tsg,
+    objective: Objective,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
+) -> SolveResult:
     """The pass's values and sets, then the checks on its strategy; the
-    result records `objective` itself."""
+    result records `objective` itself. The certificate checks the play
+    induced from the initial state."""
     _check_two_players(game)
     _check_tol(tol)
     target_set = _target_set(game, objective.target)
@@ -304,29 +307,6 @@ def _solve(game: Tsg, objective: Objective, tol: float, max_iters: int) -> Solve
     return result
 
 
-def bounded_expected_price(
-    game: Tsg,
-    targets: Union[str, Iterable[int]],
-    n: int,
-    direction: str = "maxmin",
-) -> list[float]:
-    """Optimal expected price over exactly `n` backup steps (no tolerance)."""
-    _check_two_players(game)
-    if n < 0:
-        raise ModelError("horizon must be non-negative")
-    target_set = _target_set(game, targets)
-    opt = _opt_for(game, direction)
-    values = [0.0] * len(game.states)
-    for _ in range(n):
-        step = list(values)
-        for s, moves in enumerate(game.moves):
-            if s in target_set or not moves:
-                continue
-            step[s] = opt[s](_backups(moves, values, True))
-        values = step
-    return values
-
-
 @_gc_paused
 def time_bounded(game: Tsg, objective: Objective, top: int, tol: float = DEFAULT_TOL,
                  max_iters: int = DEFAULT_MAX_ITERS) -> tuple[list[list[float]], bool] | None:
@@ -341,7 +321,7 @@ def time_bounded(game: Tsg, objective: Objective, top: int, tol: float = DEFAULT
     cell backs up from vectors of its own."""
     _check_two_players(game)
     _check_tol(tol)
-    if objective.kind == "bounded-exp-price" or top < 0:
+    if top < 0:
         raise ModelError("a time-bounded solve needs a probability or price objective and a bound >= 0")
     if not isinstance(game.states[game.initial], DigitalState):
         raise ModelError("a time-bounded solve needs a game built from a timed model")
@@ -665,8 +645,6 @@ def synthesize(
         if not values.converged:
             raise ModelError("refusing to synthesize from non-converged values")
         values = values.values
-    if objective.kind not in ("prob-reach", "exp-price"):
-        raise ModelError(f"no memoryless synthesis for kind {objective.kind!r}")
     target_set = _target_set(game, objective.target)
     result, choice, _ = _pass(game, objective, target_set, tol, 0, list(values))
     return _profiles(game, objective, result.values, choice, tol, stall_check=True)
@@ -757,63 +735,3 @@ def _check_chain(pairs, tol: float):
             f"synthesized profile fails its optimality certificate: induced chain "
             f"deviates by {worst:.3e} (> {10 * tol:.1e})"
         )
-
-
-def solve(
-    game: Tsg,
-    objective: Objective,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> SolveResult:
-    """Dispatch on the objective kind; the result records `objective` itself.
-    The certificate checks the play induced from the initial state."""
-    _check_tol(tol)
-    if objective.kind != "bounded-exp-price":
-        return _solve(game, objective, tol, max_iters)
-    values = bounded_expected_price(game, objective.target, objective.horizon, objective.direction)
-    return SolveResult(objective, values, values[game.initial], objective.horizon, 0.0, True)
-
-
-def check_determinacy(
-    game: Tsg,
-    targets: Union[str, Iterable[int]],
-    kind: str = "prob-reach",
-    direction: str = "maxmin",
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> tuple[float, float]:
-    """Certified bracket around the game value at the initial state.
-
-    Solves the game, extracts an optimal profile pair, then re-solves twice
-    with one side pinned to its strategy while the other optimizes freely.
-    The pinned-coalition value is what that side can guarantee, so the pair
-    brackets both optimization orders; a gap below ``2 * tol`` certifies
-    determinacy and strategy optimality at this accuracy.
-    """
-    _check_two_players(game)
-    target_set = _target_set(game, targets)
-    if kind not in ("prob-reach", "exp-price"):
-        raise ModelError(f"determinacy check supports prob-reach and exp-price, not {kind!r}")
-    objective = Objective(kind, direction, target_set)
-    result = _solve(game, objective, tol, max_iters)
-    if not result.converged:
-        raise ModelError("determinacy check needs a converged solve")
-    # each side pinned to its strategy in a view that only drops moves, so
-    # shares the cached SCCs
-    strategy = result.strategy
-    guaranteed1, guaranteed2 = (
-        _solve(
-            game.derive(moves=tuple(
-                tuple(m for m in ms if m.label == strategy[s]) if s in strategy and game.owner[s] == player else ms
-                for s, ms in enumerate(game.moves)
-            )),
-            objective, tol, max_iters,
-        ).initial_value
-        for player in game.players
-    )
-    # With player 1 pinned, the free opponent drives the value to player 1's
-    # guarantee (the pessimistic optimization order); pinning player 2 gives
-    # the optimistic one. Return (pessimistic, optimistic) for player 1.
-    if direction == "maxmin":
-        return guaranteed1, guaranteed2
-    return guaranteed2, guaranteed1

@@ -1,26 +1,29 @@
-"""Dense-time paths, their integer digitizations, and Monte Carlo estimation.
+"""Dense-time paths of a timed model and their integer digitizations.
+
+The digital-clocks result (Kwiatkowska, Norman, Parker & Sproston, FMSD
+2006), which the source paper lifts to games, says the integer-time game
+keeps the dense-time probabilities and expected prices. The tests check it
+on dense runs: a random dense path, rounded by the digitization operator,
+must replay as a path of the built game. None of this is a stage of the
+pipeline, so it lives here, next to the exact oracle.
 
 Dense-time machinery works in exact rational arithmetic throughout: the
 rounding operator's boundary case (a duration landing exactly on the
-rounding threshold) must not depend on floating-point luck. The simulator
-and estimator cross-validate solver outputs on explicit games.
+rounding threshold) must not depend on floating-point luck.
 """
 
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from statistics import NormalDist
-from typing import Callable, Mapping, Sequence, Union
+from typing import Union
 
-from .errors import ModelError
-from .game import Tsg, TsgPath
-from .model import Tptg, max_constants
-from .semantics import state_index
+from tptg.errors import ModelError
+from tptg.game import Tsg, TsgPath
+from tptg.model import Tptg, max_constants
+from tptg.semantics import DigitalState
 
 Rational = Union[int, Fraction]
-
-_Z99 = NormalDist().inv_cdf(0.995)
 
 
 def _as_fraction(value: Rational, what: str) -> Fraction:
@@ -159,7 +162,7 @@ def digitize_path(path: TimedPath, epsilon: Rational) -> DigitalPath:
 
 def digital_path_in_game(dpath: DigitalPath, game: Tsg) -> TsgPath:
     """Replay a digital path inside a built game; raises if any step is invalid."""
-    index = state_index(game)
+    index = {s: i for i, s in enumerate(game.states) if isinstance(s, DigitalState)}
     try:
         start = index[(dpath.locations[0], dpath.values[0])]
     except KeyError:
@@ -221,153 +224,3 @@ def random_timed_path(
         path.extend(duration, action, picked.resets, picked.target)
     return path
 
-
-@dataclass
-class SimulationRun:
-    path: TsgPath
-    hit: bool
-    censored: bool
-    price: float
-
-
-Profile = Union[dict[int, str], tuple, Callable[[TsgPath], str]]
-
-
-def _profile_fn(profile: Profile) -> Callable[[TsgPath], str]:
-    if callable(profile):
-        return profile
-    if isinstance(profile, tuple):
-        merged: dict[int, str] = {}
-        for part in profile:
-            merged.update(part)
-        profile = merged
-    table: Mapping[int, str] = profile
-
-    def choose(path: TsgPath) -> str:
-        state = path.last
-        if state not in table:
-            raise ModelError(f"profile undefined at reached state {state}")
-        return table[state]
-
-    return choose
-
-
-def uniform_profile(rng: random.Random) -> Callable[[TsgPath], str]:
-    """Scripted profile choosing uniformly among available moves."""
-
-    def choose(path: TsgPath) -> str:
-        moves = path.game.moves[path.last]
-        return moves[rng.randrange(len(moves))].label
-
-    return choose
-
-
-def simulate(
-    game: Tsg,
-    profile: Profile,
-    targets: Union[str, frozenset[int]],
-    seed: int = 0,
-    max_steps: int = 10_000,
-    rng: random.Random | None = None,
-) -> SimulationRun:
-    """One reproducible run; stops on target, deadlock, or the step bound.
-
-    The accumulated price covers every move up to and including the one that
-    enters the target; runs starting inside the target cost nothing.
-    """
-    if max_steps < 0:
-        raise ModelError(f"the step bound must be at least 0, not {max_steps}")
-    rng = rng if rng is not None else random.Random(seed)
-    target_set = game.label_states(targets) if isinstance(targets, str) else targets
-    choose = _profile_fn(profile)
-    path = TsgPath(game)
-    price = 0.0
-    if game.initial in target_set:
-        return SimulationRun(path, hit=True, censored=False, price=0.0)
-    for _ in range(max_steps):
-        state = path.last
-        if not game.moves[state]:
-            return SimulationRun(path, hit=False, censored=False, price=price)
-        label = choose(path)
-        move = game.move(state, label)
-        price += move.price
-        draw = rng.random()
-        acc = 0.0
-        target = move.branches[-1][0]
-        for candidate, p in move.branches:
-            acc += p
-            if draw <= acc:
-                target = candidate
-                break
-        path.extend(label, target)
-        if target in target_set:
-            return SimulationRun(path, hit=True, censored=False, price=price)
-    return SimulationRun(path, hit=False, censored=True, price=price)
-
-
-@dataclass
-class Estimate:
-    samples: int
-    hits: int
-    censored: int
-    probability: float
-    probability_halfwidth: float
-    price: float | None
-    price_halfwidth: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "hits": self.hits,
-            "censored": self.censored,
-            "probability": self.probability,
-            "probability_ci99": self.probability_halfwidth,
-            "price": self.price,
-            "price_ci99": self.price_halfwidth,
-        }
-
-
-def _mean_halfwidth(values: Sequence[float]) -> tuple[float, float]:
-    n = len(values)
-    mean = sum(values) / n
-    if n < 2:
-        return mean, 0.0
-    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, _Z99 * math.sqrt(variance / n)
-
-
-def estimate(
-    game: Tsg,
-    profile: Profile,
-    targets: Union[str, frozenset[int]],
-    samples: int,
-    max_steps: int = 10_000,
-    seed: int = 0,
-) -> Estimate:
-    """Monte Carlo estimates with 99% normal-approximation intervals.
-
-    Censored runs (step bound hit) count as misses for the probability
-    estimate and are reported separately; the price estimate averages over
-    hitting runs only.
-    """
-    if samples < 1:
-        raise ModelError("need at least one sample")
-    rng = random.Random(seed)
-    hits = 0
-    censored = 0
-    indicator: list[float] = []
-    prices: list[float] = []
-    for _ in range(samples):
-        run = simulate(game, profile, targets, max_steps=max_steps, rng=rng)
-        indicator.append(1.0 if run.hit else 0.0)
-        if run.hit:
-            hits += 1
-            prices.append(run.price)
-        elif run.censored:
-            censored += 1
-    probability, prob_hw = _mean_halfwidth(indicator)
-    if prices:
-        price, price_hw = _mean_halfwidth(prices)
-    else:
-        price, price_hw = None, None
-    return Estimate(samples, hits, censored, probability, prob_hw, price, price_hw)

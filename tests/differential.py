@@ -11,11 +11,13 @@ outcome: values as hex, ``prob0``, ``prob1``, ``iterations``, ``residual``,
 and ``expected_price`` solve, or its refusal message; the profile pair
 ``synthesize`` extracts from the solve's own values, or its refusal;
 ``bounded_expected_price`` at horizon 5; and ``check_determinacy``
-brackets. A second section runs a fixed list of
+brackets. Those last two come from ``tests/reference_solves.py``, which
+drives the tree's solver. A second section runs a fixed list of
 ``tptg.cli.main`` calls in-process and records, per call, the argv, the exit
 code, stdout, stderr and the bytes of every ``--json``, ``--csv`` or
 ``--traces`` file it writes, so a CLI refactor is checked byte for byte. It
-uses the public API and the CLI only, so it runs on any tree that has them.
+uses the public API, the CLI and the test-side references only, so it runs
+on any tree that has them.
 The file name keeps pytest from collecting it.
 """
 
@@ -36,14 +38,13 @@ from tptg import ModelError, Move, cli, make_game  # noqa: E402
 from tptg.solver import (  # noqa: E402
     DIRECTIONS,
     Objective,
-    bounded_expected_price,
-    check_determinacy,
     expected_price,
     prob_reach,
     synthesize,
 )
 
 from gamegen import random_game  # noqa: E402
+from reference_solves import bounded_expected_price, check_determinacy  # noqa: E402
 from test_cli import ZERO_DELAY_CYCLE  # noqa: E402
 
 SOLVERS = (("prob-reach", prob_reach), ("exp-price", expected_price))

@@ -37,7 +37,6 @@ from tptg.solver import (
     _reach_maximizer,
     _smallest,
     _target_set,
-    bounded_expected_price,
 )
 from tptg.solver import _attractor as _layered_attractor
 
@@ -461,14 +460,4 @@ def solve(game: Tsg, objective: Objective, tol: float = DEFAULT_TOL, max_iters: 
     _check_tol(tol)
     if objective.kind == "prob-reach":
         return prob_reach(game, objective.target, objective.direction, tol, max_iters)
-    if objective.kind == "exp-price":
-        return expected_price(game, objective.target, objective.direction, tol, max_iters)
-    values = bounded_expected_price(game, objective.target, objective.horizon, objective.direction)
-    return SolveResult(
-        objective=objective,
-        values=values,
-        initial_value=values[game.initial],
-        iterations=objective.horizon,
-        residual=0.0,
-        converged=True,
-    )
+    return expected_price(game, objective.target, objective.direction, tol, max_iters)

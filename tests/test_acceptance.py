@@ -8,23 +8,19 @@ from fractions import Fraction
 
 import tptg
 from tptg import (
-    bounded_expected_price,
-    check_determinacy,
     coalition_game,
-    digitize_path,
-    digitize_scalar,
-    digital_path_in_game,
     estimate,
     expected_price,
     parse,
-    print_model,
     prob_reach,
-    random_timed_path,
 )
 from tptg.casestudies import nonrepudiation_text, taskgraph_text
 
+from dense_time import digital_path_in_game, digitize_path, digitize_scalar, random_timed_path
 from gamegen import random_game, random_tptg
 from oracle import brute_force_solve
+from printer import print_model
+from reference_solves import bounded_expected_price, check_determinacy
 
 TOL = 1e-8
 

@@ -19,12 +19,13 @@ import tptg
 from tptg import ModelError, casestudies
 from tptg.cli import main, property_game
 from tptg.game import move_successors, strongly_connected
-from tptg.solver import _certify, _opt_for, check_determinacy
+from tptg.solver import _certify, _opt_for
 
 import retired_certificate
 import retired_scc
 from retired_solver import _backup
 from gamegen import random_game, reshaped
+from reference_solves import check_determinacy
 from test_cli import SHIPPED_SWEEPS
 
 SOLVERS = (tptg.prob_reach, tptg.expected_price)

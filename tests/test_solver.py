@@ -12,8 +12,6 @@ from tptg import (
     ModelError,
     Move,
     Objective,
-    bounded_expected_price,
-    check_determinacy,
     coalition_game,
     expected_price,
     from_json,
@@ -26,6 +24,7 @@ from tptg import (
 
 from gamegen import random_game, random_tptg
 from oracle import brute_force_solve
+from reference_solves import bounded_expected_price, check_determinacy
 
 
 def two_action_game():
@@ -359,6 +358,16 @@ def test_solve_records_the_callers_objective():
     assert result.objective is objective
     assert result.initial_value == 3.0
     assert result.to_json_dict()["objective"]["price"] == "time"
+
+
+def test_an_objective_refuses_an_unknown_kind_or_direction():
+    with pytest.raises(ModelError, match="unknown objective kind 'reach'"):
+        Objective("reach", "maxmin", "goal")
+    # the step-bounded price is a test-side reference, not an objective kind
+    with pytest.raises(ModelError, match="unknown objective kind 'bounded-exp-price'"):
+        Objective("bounded-exp-price", "maxmin", "goal")
+    with pytest.raises(ModelError, match="unknown direction 'maxmn'"):
+        Objective("prob-reach", "maxmn", "goal")
 
 
 def test_unknown_direction_is_refused():

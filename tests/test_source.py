@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import sys
+import types
 
 import tptg
 
@@ -33,6 +34,34 @@ def test_the_package_imports_only_the_standard_library():
                 imported.add(node.module.split(".")[0])
     assert "fractions" in imported
     assert sorted(imported - sys.stdlib_module_names) == []
+
+
+#: every name `import tptg` exports, submodules aside
+PUBLIC_NAMES = {
+    "Atom", "ClockConstraint", "DEADLOCK_LABEL", "Diagnostic", "DigitalState",
+    "ModelError", "ModelSource", "Move", "Objective", "ParseError",
+    "PriceStructure", "ProbBranch", "SolveResult", "StateLimitError", "TRUE",
+    "Tptg", "Tsg", "TsgPath", "bound_time", "build", "clock_ge", "clock_le",
+    "coalition_game", "compose", "errors_only", "estimate", "expected_price",
+    "from_json", "game_stats", "gen_nonrepudiation", "gen_taskgraph",
+    "instantiate", "make_game", "max_constants", "nonrepudiation_source",
+    "nonrepudiation_text", "parse", "parse_property", "prob_reach",
+    "qualitative_reach", "reweigh", "simulate", "solve", "synthesize",
+    "taskgraph_source", "taskgraph_text", "to_json", "to_tptg",
+    "uniform_profile", "validate_assumptions",
+}
+
+
+def test_the_public_names_are_pinned():
+    # the definition guard below counts a use in the tests as a use, so it
+    # would let test-only code return to the runtime through an export; a
+    # change to the public API must show up here as a diff
+    exported = {
+        name
+        for name, value in vars(tptg).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC_NAMES
 
 
 def _referenced_names(node) -> list[str]:

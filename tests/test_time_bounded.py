@@ -177,8 +177,6 @@ def test_the_kernel_refuses_what_it_cannot_solve(fig1_game):
     view = tptg.coalition_game(fig1_game, ["sender"])
     with pytest.raises(ModelError, match="needs a probability or price objective and a bound >= 0"):
         time_bounded(view, Objective("prob-reach", "maxmin", "done"), -1)
-    with pytest.raises(ModelError, match="needs a probability or price objective"):
-        time_bounded(view, Objective("bounded-exp-price", "maxmin", "done", horizon=3), 4)
     with pytest.raises(ModelError, match="tolerance must be a finite number"):
         time_bounded(view, Objective("prob-reach", "maxmin", "done"), 4, tol=-1.0)
     plain = tptg.make_game([[tptg.Move("a", ((1, 1.0),), 0.0, 1)], []], owner=[1, 2], labels={"goal": {1}})
