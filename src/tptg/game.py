@@ -116,8 +116,8 @@ class Tsg:
     is the player controlling state i, `moves[i]` its available moves in a
     fixed deterministic order, and `labels` names sets of states. `origin`
     is ``(model, price)`` on a game `semantics.build` or `semantics.reweigh`
-    returned, and None on every other game and on every view `derive`
-    makes; equality, `repr` and JSON ignore it.
+    returned, and None on every other game: no field holds it, so only
+    `derive` hands it on, and equality, `repr`, JSON and `replace` ignore it.
     """
 
     states: tuple
@@ -126,7 +126,6 @@ class Tsg:
     owner: tuple[Player, ...]
     moves: tuple[tuple[Move, ...], ...]
     labels: Mapping[str, frozenset[int]]
-    origin: tuple | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -156,6 +155,10 @@ class Tsg:
         return frozenset(i for i, p in enumerate(self.owner) if p == player)
 
     @property
+    def origin(self) -> tuple | None:
+        return self.__dict__.get("_origin")
+
+    @property
     @_gc_paused
     def components(self) -> tuple[tuple[tuple[int, ...], bool], ...]:
         """Strongly connected components of the positive-branch graph over all
@@ -171,17 +174,17 @@ class Tsg:
             shared[:] = None, components
         return components
 
-    def derive(self, **changes) -> "Tsg":
+    def derive(self, origin: tuple | None = None, **changes) -> "Tsg":
         """Copy with other owners or players (`coalition_game`), with moves
         dropped, or with other move prices or branch probabilities, each
         branch's target and positivity kept (`semantics.reweigh`), and no
         other change to branches or move order, sharing the components,
         computed or not: every edge of the copy is an edge of this game, so
-        their order stays successors first. The copy carries no `origin`
-        unless `changes` gives one."""
-        changes.setdefault("origin", None)
+        their order stays successors first. The copy's `origin` is `origin`,
+        which only `semantics.build` and `semantics.reweigh` give."""
         view = replace(self, **changes)
         view.__dict__["_components"] = self.__dict__.setdefault("_components", [self.moves, None])
+        view.__dict__["_origin"] = origin
         return view
 
     def validate(self) -> list[str]:

@@ -212,39 +212,29 @@ def build(
         owner=tuple(model.owner[s.location] for s in states),
         moves=tuple(all_moves),
         labels=labels,
-        origin=(model, price),
-    )
+    ).derive(origin=(model, price))
 
 
 def _reweighed(m: Move, state: DigitalState, weight: tuple, saturated: tuple[int, ...]) -> tuple:
     """The branches of `m`, a move of `state`, under the `weight` of its
-    changed distribution (the branches' floats, their exact target, reset
-    indices and probability, the clocks any branch resets, and the collided
-    branches found so far), as `build` computes them."""
-    floats, exact, clocks, found = weight
+    changed distribution (the branches' floats, and their exact target,
+    reset indices and probability), as `build` computes them: where branches
+    collided, the exact probabilities of each landing are summed in
+    first-branch order, as `_Lowered.moves` sums them."""
+    floats, exact = weight
     branches = m.branches
     if len(branches) == len(floats):
         return tuple([(t, f) for (t, _), f in zip(branches, floats)])
-    # branches collided. Two land together where their targets match and each
-    # clock that only one of them resets reads 0 after the delay: the delay is
-    # 0 and the clock was 0. So the reset clocks reading 0 fix the landings,
-    # whose exact probabilities are summed once per such set, in first-branch
-    # order as `_Lowered.moves`; later moves reuse the floats
     location, values = state
     t = m.time
-    zeros = 0 if t else sum(1 << k for k, i in enumerate(clocks) if values[i] == 0)
-    known = found.get(zeros)  # the branches of a move with the same landings
-    if known is None:
-        advanced = tuple([v + t if v + t < k else k for v, k in zip(values, saturated)])
-        outcomes: dict = {}
-        for target, resets, prob in exact:
-            landed = tuple([0 if i in resets else v for i, v in enumerate(advanced)]) if resets else advanced
-            outcomes[target, landed] = outcomes.get((target, landed), 0) + prob
-        known = [(None, float(q)) for q in outcomes.values()]
-    if len(known) != len(branches):
+    advanced = tuple([v + t if v + t < k else k for v, k in zip(values, saturated)])
+    outcomes: dict = {}
+    for target, resets, prob in exact:
+        landed = tuple([0 if i in resets else v for i, v in enumerate(advanced)]) if resets else advanced
+        outcomes[target, landed] = outcomes.get((target, landed), 0) + prob
+    if len(outcomes) != len(branches):
         raise ModelError(f"state ({location}, {values}) was not built from this model")
-    found[zeros] = reweighed = tuple([(s, f) for (s, _), (_, f) in zip(branches, known)])
-    return reweighed
+    return tuple([(s, float(q)) for (s, _), q in zip(branches, outcomes.values())])
 
 
 @_gc_paused
@@ -300,8 +290,6 @@ def reweigh(game: Tsg, model: Tptg, price: str | None = None) -> Tsg | None:
         weights.setdefault(location, {})[action] = (
             tuple(float(b.prob) for b in dist),
             tuple((b.target, tuple(sorted(position[x] for x in b.resets)), b.prob) for b in dist),
-            sorted({position[x] for b in dist for x in b.resets}),
-            {},
         )
     same = source_price == price
     new_moves = []
@@ -325,7 +313,8 @@ def reweigh(game: Tsg, model: Tptg, price: str | None = None) -> Tsg | None:
 
 def spell_delays(moves: Sequence[Move], cap: int) -> list[Move]:
     """A state's moves in a game with no clock, each delay-1 move (which stands
-    for every longer delay) spelled out for the delays 1..`cap`."""
+    for every longer delay) spelled out for the delays 1..`cap`, delay-major,
+    as `bound_time` and `solver.time_bounded` read them."""
     now = [m for m in moves if m.time == 0]
     later = [m for m in moves if m.time == 1]
     return now + [
@@ -349,8 +338,8 @@ def bound_time(game: Tsg, target: str, bound: int, state_limit: int = DEFAULT_ST
     breadth-first from ``(game.initial, 0)``. The observer-clock model
     builds the same game because no delay reaches `build`'s cap: every
     invariant bounds every clock (`validate_assumptions`). A model with no
-    clock caps every delay at 1, which stands for every longer one
-    (`spell_delays`).
+    clock caps every delay at 1, which stands for every longer one: each
+    state is spelled out to delay `bound` + 1 once (`spell_delays`).
     """
     if bound < 0:
         raise ModelError("time bound must be non-negative")
@@ -359,15 +348,16 @@ def bound_time(game: Tsg, target: str, bound: int, state_limit: int = DEFAULT_ST
         raise ModelError("bound_time needs a game built from a timed model")
     cap = bound + 1
     width = cap + 1  # a state is keyed s * width + e, s a state of `game`
-    clockless = not game.states[game.initial].values
+    moves = game.moves
+    if not game.states[game.initial].values:
+        moves = [spell_delays(ms, cap) for ms in moves]
     keys = [game.initial * width]
     index = {keys[0]: 0}
     all_moves = []
     for key in keys:  # the breadth-first queue, growing as it is walked
         s, e = divmod(key, width)
-        moves = spell_delays(game.moves[s], cap) if clockless else game.moves[s]
         row = []
-        for action, old, price, time in moves:
+        for action, old, price, time in moves[s]:
             landed = e + time if e + time < cap else cap
             branches = []
             for t, p in old:

@@ -126,11 +126,16 @@ class Estimate:
 
 def _mean_halfwidth(values: Sequence[float]) -> tuple[float, float]:
     n = len(values)
-    mean = sum(values) / n
+    total = 0.0  # added in order on every version (`sum` compensates from 3.12)
+    for v in values:
+        total += v
+    mean = total / n
     if n < 2:
         return mean, 0.0
-    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, _Z99 * math.sqrt(variance / n)
+    squares = 0.0
+    for v in values:
+        squares += (v - mean) ** 2
+    return mean, _Z99 * math.sqrt(squares / (n - 1) / n)
 
 
 def estimate(

@@ -36,7 +36,7 @@ from typing import Collection, Iterable, Sequence, Union
 
 from .errors import ModelError, _gc_paused
 from .game import Move, Tsg, move_successors, strongly_connected
-from .semantics import DigitalState
+from .semantics import DigitalState, spell_delays
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 10**6
@@ -331,35 +331,36 @@ def time_bounded(game: Tsg, objective: Objective, top: int, tol: float = DEFAULT
         if cyclic:
             return None
         order.append(states[0])
+    if not game.states[game.initial].values:  # a delay-1 move stands for every longer one
+        moves = [spell_delays(ms, top + 1) for ms in moves]
     live = max_iters >= 1
-    levels, chain = _budgets(game, objective, _target_set(game, objective.target), order, top, live)
+    levels, chain = _budgets(game, moves, objective, _target_set(game, objective.target), order, top, live)
     if live:
         _check_chain([pair for pairs in zip(levels, chain) for pair in zip(*pairs)], tol)
     return levels, live
 
 
-def _budgets(game: Tsg, objective: Objective, targets, order, top: int, live: bool):
+def _budgets(game: Tsg, moves, objective: Objective, targets, order, top: int, live: bool):
     """Values per budget 0..`top`, and those of the chain of the chosen
-    moves, from one visit per (state, budget) cell. A move of delay d reads
-    budget b - d, or an exhausted one past b (probability 0, price
+    moves, from one visit per (state, budget) cell of `moves`, which with no
+    clock `spell_delays` spelled out to delay `top` + 1. A move of delay d
+    reads budget b - d, or an exhausted one past b (probability 0, price
     infinite); zero-delay moves read budget b, `order` visiting successors
-    first. With no clock a delay-1 move stands for each delay 1..b + 1,
-    priced as `spell_delays` prices it. A sure flag, that the reaching side
-    forces the target, gives the pass's start value; where the pass backs up
-    (if `live`), a value takes the best backup and the first optimal move,
-    elsewhere the first keeping the flag. The chain backs up that move the
-    same way from its own values and sure flags, never from the values."""
+    first. Past delay b + 1 a row follows the exhausted delay-(b + 1) row of
+    its pair and backs up the same, unsure, so the best backup, the side's
+    flag and the first index of either stay. A sure flag, that the reaching
+    side forces the target, gives the pass's start value; where the pass
+    backs up (if `live`), a value takes the best backup and the first
+    optimal move, elsewhere the first keeping the flag. The chain backs up
+    that move the same way from its own values and sure flags, never from
+    the values."""
     prices = objective.kind == "exp-price"
     maximizer = _reach_maximizer(objective.direction)
     reacher = game.players[1 - maximizer if prices else maximizer]
     opt, n, inf = _opt_for(game, objective.direction), len(game.moves), math.inf
-    clockless = not game.states[game.initial].values  # a delay-1 move stands for every longer one
     plans = []  # per state in `order` but the targets: it, its side reaching, min or max, its rows
     for s in [s for s in order if s not in targets]:
-        rows = [(tuple([(t, p) for t, p in m.branches if p > 0]), m.price, m.time) for m in game.moves[s]]
-        if clockless:  # each delay-1 row with the price of the zero-delay row it pairs with
-            now = [row for row in rows if row[2] == 0]
-            rows = now, [(r[0], r0[1], r[1] - r0[1]) for r0, r in zip(now, [r for r in rows if r[2] == 1])]
+        rows = [(tuple([(t, p) for t, p in m.branches if p > 0]), m.price, m.time) for m in moves[s]]
         plans.append((s, game.owner[s] == reacher, opt[s], rows))
     start = (0.0, inf) if prices else (1.0, 0.0)  # the value of a sure and of an unsure state
     spent = ([start[1]] * n, [False] * n)
@@ -369,9 +370,6 @@ def _budgets(game: Tsg, objective: Objective, targets, order, top: int, live: bo
     for b in range(top + 1):
         values, sure, cvalues, csure = first[:], known[:], first[:], known[:]
         for s, reaching, best_of, rows in plans:
-            if clockless:
-                now, later = rows
-                rows = now + [(branches, p0 + t * dp, t) for t in range(1, b + 2) for branches, p0, dp in later]
             if not rows:
                 continue
             step, flags = [], []

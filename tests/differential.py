@@ -43,9 +43,8 @@ from tptg.solver import (  # noqa: E402
     synthesize,
 )
 
-from gamegen import random_game  # noqa: E402
+from gamegen import ZERO_DELAY_CYCLE, random_game  # noqa: E402
 from reference_solves import bounded_expected_price, check_determinacy  # noqa: E402
-from test_cli import ZERO_DELAY_CYCLE  # noqa: E402
 
 SOLVERS = (("prob-reach", prob_reach), ("exp-price", expected_price))
 

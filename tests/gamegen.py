@@ -1,5 +1,6 @@
-"""Test helpers: random explicit games, random timed models, and an
-independent brute-force enumerator of the integer-time state space.
+"""Test helpers: random explicit games, random timed models, a timed model
+with a zero-delay cycle, and an independent brute-force enumerator of the
+integer-time state space.
 
 The enumerator deliberately re-derives everything from the model definition
 (its own ceilings, saturating addition, and per-unit intermediate invariant
@@ -223,3 +224,29 @@ def naive_digital_reach(model: Tptg) -> set[tuple[str, tuple[int, ...]]]:
                         seen.add(successor)
                         stack.append(successor)
     return seen
+
+
+#: a model whose s -> u -> s cycle takes no time, so no induction over the
+#: time budget applies to it
+ZERO_DELAY_CYCLE = """\
+player a, b;
+clock x, y;
+automaton m {
+  init s;
+  location s {
+    inv x <= 2 & y <= 9;
+    [try] true -> 1/3: {} & done + 1/3: {} & u + 1/3: {} & fail;
+    [wait] x >= 2 -> 1: {x} & s;
+  }
+  location u {
+    inv x <= 2 & y <= 9;
+    [back] true -> 1: {} & s;
+    [slow] x >= 1 -> 1/2: {x} & s + 1/2: {} & fail;
+  }
+  location done { inv x <= 2 & y <= 9; }
+  location fail { inv x <= 2 & y <= 9; }
+}
+compose m;
+owner { u -> b; * -> a; }
+label done = done;
+"""

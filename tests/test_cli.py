@@ -12,6 +12,8 @@ import pytest
 from tptg import cli, semantics
 from tptg.cli import main
 
+from gamegen import ZERO_DELAY_CYCLE
+
 
 @pytest.fixture()
 def fig1_file(tmp_path, fig1_text):
@@ -701,30 +703,6 @@ def _check_value(model_args, prop, bound, out) -> float:
     assert main(["check", *model_args, "--prop", bounded, "--json", str(out)]) == 0
     (record,) = json.loads(out.read_text())
     return record["value"]
-
-
-ZERO_DELAY_CYCLE = """\
-player a, b;
-clock x, y;
-automaton m {
-  init s;
-  location s {
-    inv x <= 2 & y <= 9;
-    [try] true -> 1/3: {} & done + 1/3: {} & u + 1/3: {} & fail;
-    [wait] x >= 2 -> 1: {x} & s;
-  }
-  location u {
-    inv x <= 2 & y <= 9;
-    [back] true -> 1: {} & s;
-    [slow] x >= 1 -> 1/2: {x} & s + 1/2: {} & fail;
-  }
-  location done { inv x <= 2 & y <= 9; }
-  location fail { inv x <= 2 & y <= 9; }
-}
-compose m;
-owner { u -> b; * -> a; }
-label done = done;
-"""
 
 
 @pytest.mark.parametrize("model_args, prop, values", [

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from tptg import (
     simulate,
     uniform_profile,
 )
+from tptg.simulation import _Z99, _mean_halfwidth
 
 from dense_time import (
     TimedPath,
@@ -226,6 +228,14 @@ def test_estimate_censoring_reported():
     game = make_game(moves, owner=[1, 1], labels={"goal": {1}}, players=(1, 2))
     out = estimate(game, {0: "spin"}, "goal", samples=10, max_steps=5, seed=0)
     assert out.censored == 10 and out.probability == 0.0 and out.price is None
+
+
+def test_the_mean_and_interval_add_in_order_on_every_python():
+    # `sum` compensates from Python 3.12 on, which gives these a mean of 1/3
+    # and `simulate --json` other bytes on another version; in order it is 0
+    mean, halfwidth = _mean_halfwidth([1e16, 1.0, -1e16])
+    assert mean.hex() == (0.0).hex()
+    assert halfwidth == _Z99 * math.sqrt((1e32 + 1.0 + 1e32) / 2 / 3)
 
 
 def test_estimate_requires_samples():

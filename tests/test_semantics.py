@@ -348,8 +348,7 @@ def test_a_21_value_p_sweep_reweighs_each_interior_row_like_build():
 def test_reweigh_refuses_a_state_whose_collided_branches_would_land_apart():
     # a delay-0 move whose branches collided, at a state whose record is
     # altered so that a clock only one branch resets reads 1: the branches
-    # would land apart, so the game was not built from this model; a move
-    # with the same landings seen before it changes nothing
+    # would land apart, so the game was not built from this model
     quarter = tptg.to_tptg(tptg.parse(tptg.taskgraph_text(1, 1, "1/4")))
     half = tptg.instantiate(quarter, {"p": Fraction(1, 2)})
     game = tptg.build(quarter, price="time")
@@ -370,7 +369,7 @@ def test_reweigh_refuses_a_state_whose_collided_branches_would_land_apart():
     values[clocks.index(min(apart))] = 1
     states = list(game.states)
     states[s] = type(state)(state.location, tuple(values))
-    altered = dataclasses.replace(game, states=tuple(states))
+    altered = game.derive(states=tuple(states), origin=game.origin)
     with pytest.raises(ModelError, match="was not built from this model"):
         tptg.reweigh(altered, half, "time")
 
@@ -437,7 +436,7 @@ def test_reweigh_refuses_a_game_that_build_or_reweigh_did_not_return():
     model = tptg.gen_taskgraph(0, 0, 1)
     game = tptg.build(model, price="time")
     assert game.origin[0] is model and game.origin[1] == "time"
-    bare = dataclasses.replace(game, origin=None)
+    bare = dataclasses.replace(game)
     assert bare == game and repr(bare) == repr(game)
     reweighed = tptg.reweigh(game, model, "energy")
     assert reweighed.origin[0] is model and reweighed.origin[1] == "energy"
@@ -451,6 +450,21 @@ def test_reweigh_refuses_a_game_that_build_or_reweigh_did_not_return():
         assert other.origin is None, name
         with pytest.raises(ModelError, match="reweigh needs a game that build or reweigh returned"):
             tptg.reweigh(other, model, "energy")
+
+
+def test_a_copy_of_a_built_game_carries_no_origin():
+    # `origin` is no field: a `replace` of a built game and a `Tsg` made
+    # from its fields carry none, and `derive` hands on only the one given
+    model = tptg.gen_taskgraph(0, 0, 1)
+    game = tptg.build(model, price="time")
+    assert "origin" not in {f.name for f in dataclasses.fields(tptg.Tsg)}
+    copy = dataclasses.replace(game, labels=dict(game.labels))
+    assert copy == game and copy.origin is None
+    assert tptg.Tsg(**{f.name: getattr(game, f.name) for f in dataclasses.fields(game)}).origin is None
+    assert game.derive().origin is None
+    assert game.derive(origin=game.origin).origin is game.origin
+    with pytest.raises(ModelError, match="reweigh needs a game that build or reweigh returned"):
+        tptg.reweigh(copy, model, "energy")
 
 
 def _assert_builds_like_retired_builder(model, price=None, observer=None):

@@ -143,6 +143,30 @@ def test_the_kernel_spells_out_the_delays_of_a_clockless_model():
         _assert_equals_bound_time(game, *case)
 
 
+def test_each_route_spells_each_state_of_a_clockless_game_once_per_call(monkeypatch, fig1_game):
+    # `bound_time` and the kernel spell out a state's delays once per call,
+    # up to one past the bound, not once per (state, elapsed) key or per
+    # (state, budget) cell; a game with clocks is never spelled out
+    game = tptg.build(tptg.to_tptg(tptg.parse(CLOCKLESS)), "time")
+    spell, calls = tptg.semantics.spell_delays, []
+
+    def counted(moves, cap):
+        calls.append(cap)
+        return spell(moves, cap)
+
+    for module in (tptg.semantics, tptg.solver):
+        monkeypatch.setattr(module, "spell_delays", counted, raising=False)
+    tptg.bound_time(game, "n", 25)
+    assert calls == [26] * 4 == [26] * len(game)
+    calls.clear()
+    time_bounded(tptg.coalition_game(game, ["p"]), Objective("exp-price", "minmax", "n"), 25)
+    assert calls == [26] * 4
+    calls.clear()
+    tptg.bound_time(fig1_game, "done", 25)
+    time_bounded(tptg.coalition_game(fig1_game, ["sender"]), Objective("prob-reach", "maxmin", "done"), 25)
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_the_one_visit_chain_equals_the_two_pass_oracle(monkeypatch, fig1_model, name):
     # one `_budgets` call per solve returns the values and the chain of the
