@@ -172,8 +172,8 @@ def property_game(
 def _solved(args, model: Tptg, props: list[PropertyAst], state_limit: int, games: dict):
     """(prop, result, states of its game) for each property of `model` in
     turn, over the game cache `games`; a property that fails leaves the
-    earlier ones yielded. No game is yielded, so none outlives its row of a
-    sweep but those `games` holds."""
+    earlier ones yielded. No game is yielded, but a result holds its game
+    until its strategy is read."""
     for prop in props:
         objective, game = property_game(model, prop, state_limit, games)
         yield prop, solve(game, objective, tol=args.tol, max_iters=args.max_iters), len(game.states)
@@ -198,7 +198,7 @@ def cmd_check(args) -> int:
             f"states={states}"
         )
         print(f"{describe_property(prop)} = {result.initial_value:.6f} ({detail})")
-        records.append(result.to_json_dict())
+        records += [result.to_json_dict()] if args.json else []  # a record reads the whole strategy
         worst = _exit_code(worst, result.converged)
     payload = records[0] if args.command == "synth" and len(records) == 1 else records
     if args.json:
@@ -264,6 +264,7 @@ def cmd_sweep(args) -> int:
         for _, result, _ in _solved(args, model, row_props, state_limit, games):
             cells.append(f"{result.initial_value:.10g}")
             worst = _exit_code(worst, result.converged)
+            del result  # it holds its game and backups, while the next is solved or the row built
         rows.append(cells)
     text = "\n".join(",".join(row) for row in rows) + "\n"
     if args.csv:

@@ -1,33 +1,38 @@
 """Optimal values and strategies for two-player explicit games.
 
-A solve is one successors-first pass over the strongly connected components
-(SCCs) of the game's cached decomposition (`Tsg.components`). A state on no
-cycle gets one visit, from its successors' final data, in which one walk of
-each move's positive branches gives its backup in binary64 and its work
-towards the round in which the whole-game almost-sure loop would drop the
-state. The round gives the probability-0 and -1 sets and the avoiding side's
-spoilers; the backups its value and a one-step-optimal move, ties broken
-towards the (delay, action)-smallest, but the reaching side's towards the
-earliest layer of the attractor of the target. A cyclic SCC runs the
-almost-sure loop on its states, Gauss-Seidel sweeps the SCCs of its
-undecided states until one sweep changes less than the tolerance, and layers
-its states from its exits' layers. Strategies are pinned by views of the
-game that only drop moves, and each view is evaluated by the same pass. An
+A solve is a values pass, then a choice step. The values pass is one
+successors-first pass over the strongly connected components (SCCs) of the
+game's cached decomposition (`Tsg.components`). A state on no cycle gets one
+visit, from its successors' final data, in which one walk of each move's
+positive branches gives its backups in binary64 and its work towards the
+round in which the whole-game almost-sure loop would drop the state; the
+round gives the probability-0 and -1 sets, the backups its value. A cyclic
+SCC runs the almost-sure loop on its states and Gauss-Seidel sweeps the SCCs
+of its undecided states until one sweep changes less than the tolerance.
+The pass keeps each state's backups over the final values. The choice step
+picks a one-step-optimal move per state of a successors-first part of the
+SCCs closed under optimal moves, ties broken towards the (delay,
+action)-smallest, but the reaching side's towards the earliest layer of the
+attractor of the target, which a cyclic SCC layers from its exits' layers;
+the rounds give the avoiding side's spoilers. A solve chooses on the closure
+of the initial state, which holds the play its certificate checks (on every
+SCC for the stall check), and on every SCC at the first read of its
+`strategy`. Strategies are pinned by views of the game that only drop
+moves, and each view is evaluated by the values pass. An
 expected-price solve is refused when the payer's chosen moves do not force
 the target almost surely from every finite-valued state (values iterated
 from below credit a zero-price cycle as free): the qualitative pass on the
 view keeping only the payer's chosen moves must put every such state in its
 probability-1 set. A solve skips that check on a game with no cyclic SCC,
 where its own values cannot stall; `synthesize`, handed any values, always
-runs it. The certificate runs the pass on the induced Markov chain, a view
-with one chosen move per reached state and none elsewhere, whose values must
+runs it. The certificate evaluates the induced Markov chain, a view with
+one chosen move per reached state and none elsewhere, whose values must
 match on the reached states within ``10 * tol``. A view that only drops
 moves shares the cached SCCs; an SCC marked cyclic may then have no cycle,
 which the almost-sure loop and the sweeps' own re-split handle. No reverse
 index spans the game: the almost-sure rounds and tie-settling layers run one
 layered `_attractor` over a map of one cyclic SCC's moves. The step-bounded
-price and the determinacy bracket, which no stage of the pipeline runs, live
-with the tests in ``tests/reference_solves.py``.
+price and the determinacy bracket are in ``tests/reference_solves.py``.
 """
 
 import math
@@ -75,6 +80,11 @@ class Objective:
 
 @dataclass
 class SolveResult:
+    """A solve's values, sets and merged profile pair. `strategy` is read and
+    assigned as any field, but a converged `solve` makes it on its first
+    read: until then the result holds the game, the values pass's backups
+    and rounds, and the moves already chosen."""
+
     objective: Objective
     values: list[float]
     initial_value: float
@@ -106,6 +116,18 @@ class SolveResult:
                 {"state": s, "action": a} for s, a in sorted(self.strategy.items())
             ],
         }
+
+
+def _strategy(result: SolveResult):
+    """`SolveResult.strategy`: as assigned, or made on its first read by the
+    function a solve left in ``_pending``."""
+    pending = vars(result).pop("_pending", None)
+    if pending is not None:
+        vars(result)["strategy"] = pending()
+    return vars(result)["strategy"]
+
+
+SolveResult.strategy = property(_strategy, lambda result, value: vars(result).update(strategy=value, _pending=None))
 
 
 def _target_set(game: Tsg, targets: Union[str, Iterable[int]]) -> frozenset[int]:
@@ -195,8 +217,7 @@ def _cyclic_rounds(game, states, targets, reacher, rounds):
     """Set the drop rounds of one cyclic SCC whose exits have theirs: round r
     of the almost-sure loop shrinks the candidates to the attractor of
     `targets` over the moves that stay among them. Once the last exit has
-    dropped, the first round that drops nothing is final. Returns the
-    SCC's reverse index and its states of the reaching side."""
+    dropped, the first round that drops nothing is final."""
     moves = game.moves
     inside = set(states)
     preds = _predecessors(moves, states)
@@ -221,7 +242,7 @@ def _cyclic_rounds(game, states, targets, reacher, rounds):
         live = dict.fromkeys(seeds + [t for t in exits if rounds[t] > r], 0)
         dropped = candidate.difference(_attractor(preds, live, exists, usable)[0])
         if not dropped and r > last:
-            return preds, exists
+            return
         for s in dropped:
             rounds[s] = r
         candidate -= dropped
@@ -242,6 +263,13 @@ def _opt_for(game: Tsg, direction: str) -> list:
     """Per-state choice of max or min for the one-step backup."""
     maximizer = game.players[_reach_maximizer(direction)]
     return [max if p == maximizer else min for p in game.owner]
+
+
+def _sides(game: Tsg, objective: Objective):
+    """Whether `objective` prices, its reaching side and each state's max or min."""
+    prices = objective.kind == "exp-price"
+    maximizer = _reach_maximizer(objective.direction)
+    return prices, game.players[1 - maximizer if prices else maximizer], _opt_for(game, objective.direction)
 
 
 def prob_reach(
@@ -280,13 +308,13 @@ def solve(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> SolveResult:
-    """The pass's values and sets, then the checks on its strategy; the
-    result records `objective` itself. The certificate checks the play
+    """The values pass's values and sets, then the checks on its strategy;
+    the result records `objective` itself. The certificate checks the play
     induced from the initial state."""
     _check_two_players(game)
     _check_tol(tol)
     target_set = _target_set(game, objective.target)
-    result, choice, _ = _pass(game, objective, target_set, tol, max_iters)
+    result, steps, rounds = _pass(game, objective, target_set, tol, max_iters)
     stuck = sum(1 for s, moves in enumerate(game.moves) if not moves and s not in target_set)
     infinite = len(game.states) - len(result.prob1)
     treatment = "infinite price" if objective.kind == "exp-price" else "probability 0"
@@ -299,9 +327,13 @@ def solve(
     if result.converged:
         # with its own values a game with no cycle cannot stall: each finite
         # value is backed up from finite-valued successors, successors first
-        cyclic = any(c for _, c in game.components)
-        p1, p2 = _profiles(game, objective, result.values, choice, tol, cyclic)
-        result.strategy = {**p1, **p2}
+        every, passed = game.components, (game, objective, target_set, tol, result.values, steps, rounds)
+        stall = objective.kind == "exp-price" and any(c for _, c in every)
+        visit = every if stall else _demanded(game, objective, tol, steps)
+        choice = _choose(*passed, visit)
+        _check(game, objective, result.values, choice, tol, stall)
+        pair = lambda: _profiles(game, choice if visit is every else _choose(*passed, every))
+        vars(result)["_pending"] = lambda: dict.__or__(*pair())  # no cycle through `result` to collect
     else:
         result.warnings.append("value iteration did not converge; no strategy synthesized")
     return result
@@ -354,10 +386,8 @@ def _budgets(game: Tsg, moves, objective: Objective, targets, order, top: int, l
     optimal move, elsewhere the first keeping the flag. The chain backs up
     that move the same way from its own values and sure flags, never from
     the values."""
-    prices = objective.kind == "exp-price"
-    maximizer = _reach_maximizer(objective.direction)
-    reacher = game.players[1 - maximizer if prices else maximizer]
-    opt, n, inf = _opt_for(game, objective.direction), len(game.moves), math.inf
+    prices, reacher, opt = _sides(game, objective)
+    n, inf = len(game.moves), math.inf
     plans = []  # per state in `order` but the targets: it, its side reaching, min or max, its rows
     for s in [s for s in order if s not in targets]:
         rows = [(tuple([(t, p) for t, p in m.branches if p > 0]), m.price, m.time) for m in moves[s]]
@@ -478,29 +508,22 @@ def _optimal(backups: list[float], best: float, tol: float) -> list[int]:
 
 
 def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=None, components=None):
-    """The one successors-first visit of `game.components` behind a solve:
-    the result without warnings or strategy, the chosen move index per state
-    and the drop rounds. With `fixed`, the values are held at that vector.
-    After a cyclic SCC ends above `tol`, the pass gives rounds and start values.
-    With `components`, a successors-first part of `game.components` closed
-    under moves, the pass visits those alone; other states keep value 0.
-    """
-    prices = objective.kind == "exp-price"
-    moves, owner = game.moves, game.owner
+    """The values pass, one successors-first visit of `game.components`:
+    the result without warnings or strategy, each state's move backups over
+    the final values, and the drop rounds. With `fixed`, the values are held
+    at that vector. After a cyclic SCC ends above `tol`, the pass gives
+    rounds and start values. With `components`, a successors-first part of
+    `game.components` closed under moves, the pass visits those alone;
+    other states keep value 0."""
+    prices, reacher, opt = _sides(game, objective)
+    moves, owner, inf = game.moves, game.owner, math.inf
     n = len(moves)
-    inf = math.inf
-    maximizer = _reach_maximizer(objective.direction)
-    # the reaching side: maximizer of probability, or payer of price
-    reacher = game.players[1 - maximizer if prices else maximizer]
-    opt = _opt_for(game, objective.direction)
     live = fixed is None
     values = [0.0] * n if live else fixed
     converged = not live or max_iters >= 1  # until an SCC hits the cap
     most, worst = (1, 0.0) if converged else (0, inf)
     backups = 0
-    rounds = [0] * n
-    layer = [0 if s in target_set else inf for s in range(n)]
-    choice: dict[int, int] = {}
+    rounds, steps = [0] * n, [None] * n
     for states, cyclic in game.components if components is None else components:
         if not cyclic:
             # one loop over the moves and one walk of each one's positive branches:
@@ -512,7 +535,7 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
             target = s in target_set
             reaching = owner[s] == reacher
             works = 0 if reaching or not ms else inf
-            step = []  # backups
+            steps[s] = step = []  # backups
             for m in ms:
                 branches = m.branches
                 if len(branches) == 1 and branches[0][1] > 0:
@@ -537,50 +560,15 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
             e = rounds[s] = inf if target else works + 1
             if live:
                 values[s] = (0.0 if e == inf else inf) if prices else (1.0 if e == inf else 0.0)
-            if not converged or not ms:
-                continue
-            best = step[0] if len(step) == 1 else opt[s](step)
-            if live and ((e == inf and not target) if prices else 1 < e < inf):
-                old = values[s]  # raised as `_update` raises it
-                if best < old - _MONOTONE_SLACK:
-                    raise ModelError(f"non-monotone sweep at state {s}: {old} -> {best}")
-                values[s] = best
-                backups += 1
-            c = 0
-            if len(ms) > 1:  # the first tied move, as `_optimal` finds them
-                slack = 0.0 if math.isinf(best) else 2 * tol * max(1.0, abs(best))
-                c = tie = -1
-                for i, b in enumerate(step):
-                    if b == best or abs(b - best) <= slack:
-                        if c >= 0:
-                            tie = i  # a second move ties
-                            break
-                        c = i
-                if tie > 0:
-                    # the (delay, action)-smallest, the earliest on equal keys; the
-                    # reaching side settles on a tied move into the earliest layer
-                    settle = reaching and not target
-                    key = (inf, inf, "")  # above every (layer, delay, action) key
-                    for i in _optimal(step, best, tol):
-                        m = ms[i]
-                        low = inf if settle else 0
-                        for t, p in m.branches if settle else ():
-                            if p > 0 and layer[t] < low:
-                                low = layer[t]
-                        k = (low, m.time or 0, m.action)
-                        if k < key:
-                            c, key = i, k
-            if not target:
-                low = inf
-                for t, p in ms[c].branches:
-                    if p > 0 and layer[t] < low:
-                        low = layer[t]
-                layer[s] = low + 1
-            if prices and e != inf and not reaching and math.isinf(values[s]):
-                c = _spoiler(ms, e, rounds)  # the avoider witnesses the infinity
-            choice[s] = c
+                if converged and ms and ((e == inf and not target) if prices else 1 < e < inf):
+                    best = step[0] if len(step) == 1 else opt[s](step)
+                    old = values[s]  # raised as `_update` raises it
+                    if best < old - _MONOTONE_SLACK:
+                        raise ModelError(f"non-monotone sweep at state {s}: {old} -> {best}")
+                    values[s] = best
+                    backups += 1
             continue
-        preds, exists = _cyclic_rounds(game, states, target_set, reacher, rounds)
+        _cyclic_rounds(game, states, target_set, reacher, rounds)
         active = []
         for s in states:
             e = rounds[s]
@@ -595,30 +583,96 @@ def _pass(game: Tsg, objective: Objective, target_set, tol, max_iters, fixed=Non
             most, worst, backups = max(most, sweeps), max(worst, residual), backups + count
             if not converged:
                 continue
-        usable = {}
         for s in states:
-            if moves[s]:
-                step = _backups(moves[s], values, prices)
-                optimal = _optimal(step, opt[s](step), tol)
-                choice[s] = _smallest(moves[s], optimal)
-                usable[s] = optimal if owner[s] == reacher and s not in target_set else (choice[s],)
-        joined, hits = _attractor(preds, {t: layer[t] for t in preds if layer[t] != inf}, exists, usable)
-        for s, k in joined.items():
-            layer[s] = k
-            if s in exists and s in hits:
-                choice[s] = _smallest(moves[s], hits[s])
-        for s in states:
-            e = rounds[s]
-            if prices and e != inf and owner[s] != reacher and moves[s] and math.isinf(values[s]):
-                # at infinite-value states the avoider must witness the infinity
-                choice[s] = _spoiler(moves[s], e, rounds)
+            steps[s] = _backups(moves[s], values, prices)
     result = SolveResult(
         objective, values, values[game.initial], most, worst, converged,
         prob0=None if prices else frozenset(s for s, e in enumerate(rounds) if e == 1),
         prob1=frozenset(s for s, e in enumerate(rounds) if e == inf),
         backups=backups,
     )
-    return result, choice, rounds
+    return result, steps, rounds
+
+
+def _choose(game: Tsg, objective: Objective, target_set, tol, values, steps, rounds, components) -> dict[int, int]:
+    """The choice step: a move index per state of `components`, successors
+    first and closed under optimal moves, from the values pass's output."""
+    prices, reacher, opt = _sides(game, objective)
+    moves, owner, inf, choice = game.moves, game.owner, math.inf, {}
+    layer = [inf] * len(moves)
+    for t in target_set:
+        layer[t] = 0
+    for states, cyclic in components:
+        if not cyclic:
+            s = states[0]
+            ms, step = moves[s], steps[s]
+            if not ms:
+                continue
+            target, reaching, c = s in target_set, owner[s] == reacher, 0
+            if len(ms) > 1:
+                # the (delay, action)-smallest tied move, the earliest on equal keys;
+                # the reaching side settles on a tied move into the earliest layer
+                optimal = _optimal(step, opt[s](step), tol)
+                c, key, settle = optimal[0], (inf, inf, ""), reaching and not target
+                for i in optimal if len(optimal) > 1 else ():
+                    m = ms[i]
+                    low = inf if settle else 0
+                    for t, p in m.branches if settle else ():
+                        if p > 0 and layer[t] < low:
+                            low = layer[t]
+                    k = (low, m.time or 0, m.action)
+                    if k < key:
+                        c, key = i, k
+            if not target:
+                low = inf
+                for t, p in ms[c].branches:
+                    if p > 0 and layer[t] < low:
+                        low = layer[t]
+                layer[s] = low + 1
+            if prices and not reaching and rounds[s] != inf and math.isinf(values[s]):
+                c = _spoiler(ms, rounds[s], rounds)  # the avoider witnesses the infinity
+            choice[s] = c
+            continue
+        preds = _predecessors(moves, states)
+        exists = {s for s in states if owner[s] == reacher}
+        usable = {}
+        for s in states:
+            if moves[s]:
+                optimal = _optimal(steps[s], opt[s](steps[s]), tol)
+                c = choice[s] = _smallest(moves[s], optimal)
+                usable[s] = optimal if s in exists and s not in target_set else (c,)
+                if prices and s not in exists and rounds[s] != inf and math.isinf(values[s]):
+                    choice[s] = _spoiler(moves[s], rounds[s], rounds)  # the avoider witnesses the infinity
+        joined, hits = _attractor(preds, {t: layer[t] for t in preds if layer[t] != inf}, exists, usable)
+        for s, k in joined.items():
+            layer[s] = k
+            if s in exists and s in hits:
+                choice[s] = _smallest(moves[s], hits[s])
+    return choice
+
+
+def _demanded(game: Tsg, objective: Objective, tol, steps):
+    """The SCCs, successors first, of the closure of the initial state under
+    optimal moves (spoilers among them), cyclic SCCs whole: its play and the
+    layers its tie-breaks read. Past an eighth of the states, every SCC."""
+    moves, opt = game.moves, _opt_for(game, objective.direction)
+    reached, demanded, count = bytearray(len(moves)), [], 0
+    reached[game.initial] = 1
+    for component in reversed(game.components):  # predecessors first
+        states, cyclic = component
+        if not (any(reached[s] for s in states) if cyclic else reached[states[0]]):
+            continue
+        demanded.append(component)
+        count += len(states)
+        if 8 * count > len(moves):
+            return game.components
+        for s in states:
+            step = steps[s]
+            for i in (0,) if len(step) == 1 else _optimal(step, opt[s](step), tol) if step else ():
+                for t, p in moves[s][i].branches:
+                    if p > 0:
+                        reached[t] = 1
+    return demanded[::-1]
 
 
 def synthesize(
@@ -628,14 +682,10 @@ def synthesize(
     tol: float = DEFAULT_TOL,
 ) -> tuple[dict[int, str], dict[int, str]]:
     """Optimal memoryless deterministic profile pair extracted from values,
-    by the solve's pass with the values held fixed.
-
-    Each state picks a one-step-optimal move; ties break towards the (delay,
-    action)-smallest move, except that the side trying to reach the target
-    prefers a tied move that makes progress towards it (otherwise a
-    value-preserving loop could stall forever). At states of infinite
-    expected price the avoiding side plays a spoiling move. The zero-price
-    stall check and the certificate then run as after a solve.
+    by the solve's values pass with the values held fixed, then its choice
+    step on every SCC. The reaching side's tie-break towards the attractor's
+    earliest layer keeps a value-preserving loop from stalling forever. The
+    zero-price stall check and the certificate then run as after a solve.
     """
     _check_two_players(game)
     _check_tol(tol)
@@ -644,13 +694,14 @@ def synthesize(
             raise ModelError("refusing to synthesize from non-converged values")
         values = values.values
     target_set = _target_set(game, objective.target)
-    result, choice, _ = _pass(game, objective, target_set, tol, 0, list(values))
-    return _profiles(game, objective, result.values, choice, tol, stall_check=True)
+    result, steps, rounds = _pass(game, objective, target_set, tol, 0, list(values))
+    choice = _choose(game, objective, target_set, tol, result.values, steps, rounds, game.components)
+    _check(game, objective, result.values, choice, tol, stall_check=True)
+    return _profiles(game, choice)
 
 
-def _profiles(game: Tsg, objective: Objective, values, choice, tol: float, stall_check: bool):
-    """A converged pass's choice as a profile pair, once it passes the stall
-    check (if asked) and the certificate."""
+def _check(game: Tsg, objective: Objective, values, choice, tol: float, stall_check: bool):
+    """Refuse `choice` unless it passes the stall check, if asked, and the certificate."""
     if stall_check and objective.kind == "exp-price":
         # iteration from below credits zero-price cycles as free; its values
         # are the game's when the payer's profile forces the target almost
@@ -670,6 +721,10 @@ def _profiles(game: Tsg, objective: Objective, values, choice, tol: float, stall
                 f"give the stalling moves positive prices"
             )
     _certify(game, objective, values, choice, tol)
+
+
+def _profiles(game: Tsg, choice) -> tuple[dict[int, str], dict[int, str]]:
+    """`choice` as a profile pair of move labels."""
     profiles: tuple[dict[int, str], dict[int, str]] = ({}, {})
     labels: dict[tuple, str] = {}  # one label per distinct (delay, action)
     moves, owner, first = game.moves, game.owner, game.players[0]
@@ -713,8 +768,8 @@ def _certify(
                     reached.add(t)
                     stack.append(t)
     # The induced Markov chain, a view keeping each reached state's chosen
-    # move and sharing the cached SCCs, is evaluated by the solve's own pass
-    # over the SCCs the walk reached.
+    # move and sharing the cached SCCs, is evaluated by the solve's values
+    # pass over the SCCs the walk reached.
     view = game.derive(moves=tuple(chain))
     visited = [c for c in game.components if not reached.isdisjoint(c[0])]
     check = _pass(view, objective, _target_set(game, objective.target), tol, DEFAULT_MAX_ITERS,

@@ -132,7 +132,11 @@ def test_an_expected_price_solve_runs_one_unpinned_almost_sure_pass(monkeypatch)
     def recorded(view, objective, targets, tol, max_iters, *fixed):
         out = pass_of(view, objective, targets, tol, max_iters, *fixed)
         if view is game:
-            passes.append(out)
+            # with the choices of the choice step on every SCC, which a read
+            # of the strategy or `synthesize` runs on the pass's backups
+            result, steps, rounds = out
+            choice = tptg.solver._choose(view, objective, targets, tol, result.values, steps, rounds, view.components)
+            passes.append((result, choice, rounds))
         elif max_iters == 0:  # not the certificate's pass
             stalls.append(out[2])
         return out

@@ -19,10 +19,11 @@ import tptg
 from tptg import ModelError, casestudies
 from tptg.cli import main, property_game
 from tptg.game import move_successors, strongly_connected
-from tptg.solver import _certify, _opt_for
+from tptg.solver import _certify, _choose, _opt_for, _pass, _target_set
 
 import retired_certificate
 import retired_scc
+import retired_solver
 from retired_solver import _backup
 from gamegen import random_game, reshaped
 from reference_solves import check_determinacy
@@ -67,6 +68,14 @@ def _agree(game, objective, vector, choice, tol) -> str:
     return new
 
 
+def _every_choice(game, objective, vector, tol):
+    """The choice step on every SCC over the values pass with `vector` held
+    fixed: the choices a read of a solve's strategy, or `synthesize`, makes."""
+    targets = _target_set(game, objective.target)
+    result, steps, rounds = _pass(game, objective, targets, tol, 0, list(vector))
+    return _choose(game, objective, targets, tol, result.values, steps, rounds, game.components)
+
+
 def _perturbed(game, objective, vector, choice):
     """`choice` with the move of one state the chain reaches swapped for one
     that is worse for the state's owner under `vector` by far more than the
@@ -99,13 +108,18 @@ def _splits_a_cyclic_scc(game, choice) -> bool:
 def _check_solve(solve, perturbations=None) -> tuple[int, int, int]:
     """Compare both certificates on what `solve()` certifies, and on up to
     `perturbations` perturbed profiles of each; returns the counts of both
-    and of the certified chains that split a cached cyclic SCC."""
+    and of the certified chains that split a cached cyclic SCC. A solve
+    certifies the choices it made where the play goes, which must be those
+    of the choice step on every SCC; the perturbed profiles swap a move of
+    the latter, so a swapped move may lead anywhere."""
     certified = perturbed = split = 0
     for game, objective, vector, choice, tol in _certificates(solve):
         _agree(game, objective, vector, choice, tol)
+        every = _every_choice(game, objective, vector, tol)
+        assert choice.items() <= every.items()
         certified += 1
         split += _splits_a_cyclic_scc(game, choice)
-        swaps = itertools.islice(_perturbed(game, objective, vector, choice), perturbations)
+        swaps = itertools.islice(_perturbed(game, objective, vector, every), perturbations)
         for swapped in swaps:
             assert _agree(game, objective, vector, swapped, tol).startswith(
                 "synthesized profile fails its optimality certificate"
@@ -223,3 +237,91 @@ def test_certificates_and_pinned_solves_share_the_game_decomposition(monkeypatch
     bracket = check_determinacy(fresh, objective.target, objective.kind, objective.direction)
     assert len(searches) == 1
     assert bracket == (value, value)
+
+
+def _closure(game, objective, values, tol):
+    """States reached from the initial state under optimal and spoiling
+    moves, worked out with the retired path's backups and spoilers."""
+    prices = objective.kind == "exp-price"
+    targets = game.label_states(objective.target)
+    payer = game.players[1 - tptg.solver._reach_maximizer(objective.direction)]
+    spoilers = retired_solver._almost_sure(game, targets, payer)[1] if prices else {}
+    opt = _opt_for(game, objective.direction)
+    reached, stack = {game.initial}, [game.initial]
+    while stack:
+        s = stack.pop()
+        backups = [_backup(m, values, prices) for m in game.moves[s]]
+        best = opt[s](backups) if backups else 0.0
+        slack = 0.0 if best == float("inf") else 2 * tol * max(1.0, abs(best))
+        keep = {i for i, b in enumerate(backups) if b == best or abs(b - best) <= slack}
+        if s in spoilers and values[s] == float("inf"):
+            keep.add(spoilers[s])
+        for i in keep:
+            for t, p in game.moves[s][i].branches:
+                if p > 0 and t not in reached:
+                    reached.add(t)
+                    stack.append(t)
+    return reached
+
+
+def _taskgraph_time():
+    source = casestudies.taskgraph_source(1, 1, "1/2")
+    prop = tptg.parse_property(TASKGRAPH_TIME[-1], source)
+    return property_game(tptg.to_tptg(source), prop, tptg.semantics.DEFAULT_STATE_LIMIT, {})
+
+
+def test_a_solve_chooses_moves_only_where_the_play_goes(monkeypatch):
+    # the certificate reads choices on the play alone, so a solve runs the
+    # choice step on the closure of the initial state under optimal and
+    # spoiling moves, and formats no label; the first read of `strategy`
+    # chooses everywhere, as `synthesize` and the retired path do
+    objective, game = _taskgraph_time()
+    tol = tptg.solver.DEFAULT_TOL
+    choose, visited, labels = tptg.solver._choose, [], []
+
+    def recorded(*args):
+        visited.append([s for states, _ in args[-1] for s in states])
+        return choose(*args)
+
+    monkeypatch.setattr(tptg.solver, "_choose", recorded)
+    with monkeypatch.context() as patch:
+        patch.setattr(tptg.Move, "label", property(lambda m: labels.append(m) or m.action))
+        result = tptg.solve(game, objective)
+    [chosen] = visited
+    closure = _closure(game, objective, result.values, tol)
+    assert set(chosen) <= closure and len(closure) < len(game.states) // 10
+    assert labels == []
+    strategy = result.strategy
+    assert len(visited) == 2 and len(visited[1]) == len(game.states) == 2690
+    p1, p2 = tptg.synthesize(game, objective, result)
+    assert strategy == {**p1, **p2}
+    assert strategy == retired_solver.solve(game, objective).strategy
+
+
+def test_the_certificate_bites_on_the_play_and_not_off_it(monkeypatch):
+    # a value raised by 1e-3 in the values pass's output is refused on the
+    # play the certificate walks and accepted outside the closure of optimal
+    # and spoiling moves, where no choice is read
+    objective, game = _taskgraph_time()
+    tol = tptg.solver.DEFAULT_TOL
+    solved = tptg.solve(game, objective)
+    play = set(retired_certificate.chain_reachable(game, solved.strategy))
+    closure = _closure(game, objective, solved.values, tol)
+    finite = [s for s, v in enumerate(solved.values) if v < float("inf")]
+    on_play = min(s for s in finite if s in play and s != game.initial)
+    off = min(s for s in finite if s not in closure)
+    pass_of = tptg.solver._pass
+
+    def raised(state):
+        def values_pass(view, objective, targets, tol, max_iters, *rest):
+            out = pass_of(view, objective, targets, tol, max_iters, *rest)
+            if view is game and not rest:
+                out[0].values[state] += 1e-3
+            return out
+        return values_pass
+
+    monkeypatch.setattr(tptg.solver, "_pass", raised(on_play))
+    with pytest.raises(ModelError, match="fails its optimality certificate"):
+        tptg.solve(game, objective)
+    monkeypatch.setattr(tptg.solver, "_pass", raised(off))
+    assert tptg.solve(game, objective).values[off] == solved.values[off] + 1e-3

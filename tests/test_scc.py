@@ -117,10 +117,23 @@ def test_long_acyclic_chain_is_one_backward_pass():
     moves = [[Move("step", ((s + 1, 1.0),), price=1.0)] for s in range(length)] + [[]]
     owner = [1, 2] * (length // 2) + [1]
     game = make_game(moves, owner=owner, labels={"goal": {length}}, players=(1, 2))
-    result = tptg.expected_price(game, "goal", "maxmin")
+    # the play reaches every state, so the solve's choice step visits every
+    # SCC and the first read of the strategy, afterwards, reuses its choices;
+    # neither recurses, which 50,000 states past the recursion limit would show
+    choose, visits = tptg.solver._choose, []
+
+    def counted(*args):
+        visits.append(len(args[-1]))
+        return choose(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tptg.solver, "_choose", counted)
+        result = tptg.expected_price(game, "goal", "maxmin")
+        assert visits == [length + 1]
+        assert len(result.strategy) == length
+        assert visits == [length + 1]
     assert result.converged and result.iterations == 1 and result.residual == 0.0
     assert result.initial_value == length
-    assert len(result.strategy) == length
 
 
 def _trivial_then_cyclic_game():
