@@ -206,6 +206,79 @@ def cmd_check(args) -> int:
     return worst
 
 
+def _chunks(rows: list) -> list[list]:
+    """`rows` cut into contiguous chunks whose sizes differ by at most one,
+    one per CPU this process may run on, and one where the platform cannot
+    tell which those are."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = min(len(rows), usable)
+    size, extra = divmod(len(rows), max(count, 1))
+    ends = [i * size + min(i, extra) for i in range(count + 1)]
+    return [rows[begin:end] for begin, end in zip(ends, ends[1:])]
+
+
+def _pickled_outcome(run, chunk) -> bytes:
+    """``(True, run(chunk))``, or ``(False, the exception it raised)``, pickled."""
+    import pickle  # in the forked child, so that it adds nothing to the caller's memory
+
+    try:
+        return pickle.dumps((True, run(chunk)))
+    except BaseException as exc:
+        return pickle.dumps((False, exc))
+
+
+def _run_chunks(run, chunks: list) -> list:
+    """``[run(chunk) for chunk in chunks]``, each chunk after the first run in
+    a forked child while this process runs the first. A child sends back its
+    result, or the exception it raised, pickled through a pipe, and always
+    ends in `os._exit`, so it never unwinds into the caller's frames or
+    flushes the caller's buffers. The exception of the earliest failing chunk
+    is raised, and on every exit each child still running is killed and every
+    child reaped."""
+    if len(chunks) < 2:
+        return [run(chunk) for chunk in chunks]
+    import signal
+
+    children = []  # (pid, read end of its pipe) per child not yet reaped, in chunk order
+    try:
+        for chunk in chunks[1:]:
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child, which leaves only here
+                try:
+                    with open(writer, "wb") as pipe:
+                        pipe.write(_pickled_outcome(run, chunk))
+                finally:
+                    os._exit(0)
+            os.close(writer)
+            children.append((pid, reader))
+        results = [run(chunks[0])]
+        import pickle  # after the caller's chunk, so that it adds nothing to the chunk's peak memory
+
+        while children:
+            pid, reader = children[0]
+            with open(reader, "rb", closefd=False) as pipe:
+                message = pipe.read()
+            os.waitpid(pid, 0)
+            del children[0]
+            os.close(reader)
+            if not message:
+                raise ChildProcessError("a sweep's worker process ended without a result")
+            done, outcome = pickle.loads(message)
+            if not done:
+                raise outcome
+            results.append(outcome)
+        return results
+    finally:
+        for pid, reader in children:
+            os.close(reader)
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except ProcessLookupError:  # reaped already
+                pass
+
+
 def cmd_sweep(args) -> int:
     source_text = model_text(args)
     source = parse(source_text)
@@ -219,7 +292,7 @@ def cmd_sweep(args) -> int:
     if args.param == "T":  # a column is its property at each row's bound
         props = [replace(prop, bound=None) for prop in props]
     rows = [[args.param] + [describe_property(p) for p in props]]
-    worst, games, held, checked = EXIT_OK, {}, None, values
+    worst, games, checked = EXIT_OK, {}, values
     if args.param == "T":
         model = to_tptg(source)  # a time bound leaves the model unchanged
         bounds = []
@@ -241,31 +314,42 @@ def cmd_sweep(args) -> int:
             worst = _exit_code(worst, converged)
         else:
             rows += [[raw, *cells] for raw, *cells in zip(values, *columns)]
-            checked = ()
-    for raw in checked:
-        if args.param == "T":
-            row_props = [replace(prop, bound=int(raw)) for prop in props]
-        else:
-            # a row whose text differs from that of the last elaborated row
-            # in constant values alone instantiates that row's model; a row
-            # reweighs the row before's game of each price where it can
-            value = raw if args.param == "p" else _number(int, raw, args.param)
-            row_text = model_text(argparse.Namespace(**{**vars(args), args.param: value}))
-            shape = _CONST.sub(r"const \1", row_text)
-            if held is not None and shape == held[0]:
-                constants = {name: Fraction(v) for name, v in _CONST.findall(row_text)}
-                model = instantiate(held[1], constants)
-            else:  # the games of a model of another shape go before this one is elaborated
-                games.clear()
-                model = to_tptg(source if row_text == source_text else parse(row_text))
-                held = shape, model
-            row_props = props
-        cells = [raw]
-        for _, result, _ in _solved(args, model, row_props, state_limit, games):
-            cells.append(f"{result.initial_value:.10g}")
-            worst = _exit_code(worst, result.converged)
-            del result  # it holds its game and backups, while the next is solved or the row built
-        rows.append(cells)
+            checked = []
+
+    def run(chunk: list) -> tuple[list[list[str]], int]:
+        """The cells of each row of `chunk` in turn and their worst exit code,
+        over the game cache as it stands: empty, or the T route's unbounded
+        games."""
+        code, held, cells = EXIT_OK, None, []
+        for raw in chunk:
+            if args.param == "T":
+                row_model, row_props = model, [replace(prop, bound=int(raw)) for prop in props]
+            else:
+                # a row whose text differs from that of the last elaborated row
+                # in constant values alone instantiates that row's model; a row
+                # reweighs the row before's game of each price where it can
+                value = raw if args.param == "p" else _number(int, raw, args.param)
+                row_text = model_text(argparse.Namespace(**{**vars(args), args.param: value}))
+                shape = _CONST.sub(r"const \1", row_text)
+                if held is not None and shape == held[0]:
+                    constants = {name: Fraction(v) for name, v in _CONST.findall(row_text)}
+                    row_model = instantiate(held[1], constants)
+                else:  # the games of a model of another shape go before this one is elaborated
+                    games.clear()
+                    row_model = to_tptg(source if row_text == source_text else parse(row_text))
+                    held = shape, row_model
+                row_props = props
+            row = [raw]
+            for _, result, _ in _solved(args, row_model, row_props, state_limit, games):
+                row.append(f"{result.initial_value:.10g}")
+                code = _exit_code(code, result.converged)
+                del result  # it holds its game and backups, while the next is solved or the row built
+            cells.append(row)
+        return cells, code
+
+    for cells, code in _run_chunks(run, _chunks(checked)):
+        rows += cells
+        worst = max(worst, code)  # EXIT_OK or EXIT_NOT_CONVERGED
     text = "\n".join(",".join(row) for row in rows) + "\n"
     if args.csv:
         Path(args.csv).write_text(text, encoding="utf-8")

@@ -20,6 +20,9 @@ class StateLimitError(ModelError):
         self.limit = limit
         self.explored = explored
 
+    def __reduce__(self):  # rebuilt from its fields, so that it pickles and copies
+        return type(self), (self.limit, self.explored)
+
 
 class ParseError(ValueError):
     """Syntax or local semantic error in model text, with source position."""
@@ -34,6 +37,9 @@ class ParseError(ValueError):
         self.line = line
         self.column = column
         self.hint = hint
+
+    def __reduce__(self):  # rebuilt from its fields, so that it pickles and copies
+        return type(self), (self.message, self.line, self.column, self.hint)
 
 
 def summarize(problems: Sequence) -> str:

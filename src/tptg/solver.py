@@ -757,24 +757,23 @@ def _certify(
     # recorded choices.
     moves = game.moves
     chain = [()] * len(moves)
-    reached = {game.initial}
-    stack = [game.initial]
-    while stack:
-        s = stack.pop()
+    reached, play = bytearray(len(moves)), [game.initial]
+    reached[game.initial] = 1
+    for s in play:  # which grows as the walk reaches states
         if s in choice:
             chain[s] = (moves[s][choice[s]],)
             for t, p in chain[s][0].branches:
-                if p > 0 and t not in reached:
-                    reached.add(t)
-                    stack.append(t)
+                if p > 0 and not reached[t]:
+                    reached[t] = 1
+                    play.append(t)
     # The induced Markov chain, a view keeping each reached state's chosen
     # move and sharing the cached SCCs, is evaluated by the solve's values
     # pass over the SCCs the walk reached.
     view = game.derive(moves=tuple(chain))
-    visited = [c for c in game.components if not reached.isdisjoint(c[0])]
+    visited = [c for c in game.components if (any(reached[s] for s in c[0]) if c[1] else reached[c[0][0]])]
     check = _pass(view, objective, _target_set(game, objective.target), tol, DEFAULT_MAX_ITERS,
                   None, visited)[0].values
-    _check_chain([(vector[s], check[s]) for s in reached], tol)
+    _check_chain([(vector[s], check[s]) for s in play], tol)
 
 
 def _check_chain(pairs, tol: float):

@@ -32,3 +32,12 @@ def taskgraph_k1_p1():
     model = tptg.gen_taskgraph(1, 1, 1)
     game = tptg.build(model, price="time")
     return model, game
+
+
+@pytest.fixture
+def one_chunk(monkeypatch):
+    """A sweep's rows run as one chunk in the calling process, so that a hook
+    there sees every row: in a forked chunk, a hook counts in the child."""
+    from tptg import cli
+
+    monkeypatch.setattr(cli, "_chunks", lambda rows: [rows] if rows else [])

@@ -96,6 +96,7 @@ def test_a_cyclic_scc_waits_for_the_last_exit_round():
     assert 3 not in _almost_sure(game, targets, 1)[0]
 
 
+@pytest.mark.usefixtures("one_chunk")
 @pytest.mark.parametrize("name, views", [
     ("honest_termination_by_T.csv", 4),  # the unbounded game, once per property
     ("taskgraph_expected_by_p.csv", 10),

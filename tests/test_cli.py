@@ -1,8 +1,10 @@
+import copy
 import hashlib
 import importlib.resources
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import weakref
@@ -11,6 +13,7 @@ import pytest
 
 from tptg import cli, semantics
 from tptg.cli import main
+from tptg.errors import ParseError, StateLimitError
 
 from gamegen import ZERO_DELAY_CYCLE
 
@@ -445,6 +448,7 @@ def _count_builds(monkeypatch) -> list:
     return calls
 
 
+@pytest.mark.usefixtures("one_chunk")
 def test_shipped_sweeps_build_once_per_model(monkeypatch, tmp_path):
     results = pathlib.Path(__file__).resolve().parent.parent / "results"
     # one model for 16 values of T, whose game every bound is solved on;
@@ -457,6 +461,7 @@ def test_shipped_sweeps_build_once_per_model(monkeypatch, tmp_path):
         assert regenerated.read_bytes() == (results / name).read_bytes(), name
 
 
+@pytest.mark.usefixtures("one_chunk")
 def test_a_p_sweep_reweighs_the_games_of_the_row_before(monkeypatch, capsys):
     # the honest model's two properties, one time-bounded, one priced,
     # share one cache; p=1/100 builds the first game, 1/10 and 1/2 reweigh the
@@ -493,6 +498,7 @@ def test_a_p_sweep_reweighs_the_games_of_the_row_before(monkeypatch, capsys):
     assert len({id(games) for games in caches}) == 1  # one cache, carried across rows
 
 
+@pytest.mark.usefixtures("one_chunk")
 def test_a_p_sweep_holds_no_game_of_the_model_before_a_build(monkeypatch, tmp_path):
     # neither the game cache nor the row loop keeps a game of the row
     # before, held or viewed, alive when a row builds: at p=1, the p=3/4
@@ -528,6 +534,7 @@ def test_a_p_sweep_holds_no_game_of_the_model_before_a_build(monkeypatch, tmp_pa
     assert builds[2][0] == 16
 
 
+@pytest.mark.usefixtures("one_chunk")
 def test_a_p_sweep_holds_no_game_while_it_elaborates_a_row(monkeypatch, tmp_path):
     # a row whose text differs in more than constant values goes through the
     # front end with no game held: at p=1/4 the p=0 games, and at p=1 the
@@ -586,6 +593,7 @@ def test_a_check_reuses_the_held_game_of_each_price(monkeypatch, capsys):
 TWENTY_ONE_PS = ",".join(["0", *(f"{i}/20" for i in range(1, 20)), "1"])
 
 
+@pytest.mark.usefixtures("one_chunk")
 def test_a_p_sweep_runs_the_front_end_three_times(monkeypatch, tmp_path, capsys):
     # the model's parse, then p=0, the first interior p and p=1, whose
     # texts differ in more than the constant p; p=1 is the model's own
@@ -610,6 +618,7 @@ def test_a_p_sweep_runs_the_front_end_three_times(monkeypatch, tmp_path, capsys)
     capsys.readouterr()
 
 
+@pytest.mark.usefixtures("one_chunk")
 def test_every_game_a_p_sweep_holds_equals_its_build(monkeypatch, tmp_path):
     # the 21-value sweep reweighs 36 of its 42 games; each held game equals
     # the build of its model and price, down to the float bits
@@ -648,6 +657,7 @@ def test_a_T_sweep_heads_each_column_with_its_property_unbounded(capsys):
     assert [row.split(",")[:2] for row in rows[1:]] == [row.split(",") for row in alone[1:]]
 
 
+@pytest.mark.usefixtures("one_chunk")
 def test_a_sweep_checks_prerequisites_only_where_it_builds(monkeypatch, tmp_path):
     # reweigh runs no prerequisite check, so each sweep checks once per build
     calls = []
@@ -737,6 +747,7 @@ def test_a_T_sweep_cell_equals_a_check_of_its_bound_alone(model_args, prop, valu
         assert max(iterations) > 1  # some bound's game has a cycle to iterate
 
 
+@pytest.mark.usefixtures("one_chunk")
 def test_a_zero_delay_cycle_T_sweep_holds_one_derived_game_at_a_time(monkeypatch, tmp_path):
     # the two properties share target and price, so each row derives one
     # game, and neither the cache nor the row loop keeps the row before's
@@ -766,6 +777,146 @@ def test_a_zero_delay_cycle_T_sweep_holds_one_derived_game_at_a_time(monkeypatch
     ]) == 0
     assert alive == [0] * 6  # one derivation per row, the row before's freed
     assert len(refs) == 6 + 2 * 6  # and a view per property and row
+
+
+def _usable_cpus(monkeypatch, count: int):
+    """`count` CPUs usable by this process, as `os.sched_getaffinity` tells them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_sweep_cuts_its_rows_into_one_contiguous_chunk_per_usable_cpu(monkeypatch):
+    for cpus in (1, 2, 3, 8):
+        _usable_cpus(monkeypatch, cpus)
+        for count in range(12):
+            rows = [str(i) for i in range(count)]
+            chunks = cli._chunks(rows)
+            assert len(chunks) == min(count, cpus) and all(chunks)
+            assert [row for chunk in chunks for row in chunk] == rows
+            sizes = [len(chunk) for chunk in chunks]
+            assert max(sizes, default=0) - min(sizes, default=0) <= 1
+    monkeypatch.delattr(os, "sched_getaffinity")  # where the platform cannot tell
+    assert cli._chunks(["0", "1", "2"]) == [["0", "1", "2"]]
+
+
+def test_the_error_types_survive_pickling_and_copying():
+    # a forked chunk sends the error it raised back through a pipe
+    for error in (StateLimitError(5, 7), ParseError("bad", 1, 2, "hint"), ParseError("bad", 3, 4)):
+        for copied in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+            assert type(copied) is type(error)
+            assert str(copied) == str(error) and copied.args == error.args
+            assert vars(copied) == vars(error)
+
+
+CHUNKED_SWEEPS = {
+    "p": SHIPPED_SWEEPS["taskgraph_expected_by_p.csv"],
+    "p-21": [arg if arg != "0,1/4,1/2,3/4,1" else TWENTY_ONE_PS
+             for arg in SHIPPED_SWEEPS["taskgraph_expected_by_p.csv"]],
+    "k1": ["sweep", "--gen", "taskgraph", "--k2", "0", "--p", "1/2", "--param", "k1", "--values", "0,1,2,1,0",
+           "--prop", "Emin [ F all_done ] price time coalition {sched}"],
+    "zero-delay-cycle-T": ["sweep", "{zero}", "--prop", "Pmax [ F done ] coalition {a}",
+                           "--prop", "Pmin [ F done ] coalition {}", "--param", "T", "--values", "3,0,7,3,12,1"],
+}
+
+
+def _sweep_outcomes(monkeypatch, capsys, tmp_path, argv, cpu_counts) -> list:
+    """(exit code, stdout, stderr) of `argv` and of `argv` with `--csv`, with
+    the CSV's bytes, at each count of usable CPUs."""
+    zero = tmp_path / "zero.tptg"
+    zero.write_text(ZERO_DELAY_CYCLE)
+    argv = [str(zero) if arg == "{zero}" else arg for arg in argv]
+    outcomes = []
+    for cpus in cpu_counts:
+        _usable_cpus(monkeypatch, cpus)
+        code = main(argv)
+        printed = capsys.readouterr()
+        csv = tmp_path / f"{cpus}.csv"
+        csv_code = main(argv + ["--csv", str(csv)])
+        written = csv.read_bytes() if csv.exists() else None
+        outcomes.append((code, printed.out, printed.err, csv_code, written, capsys.readouterr().err))
+        _no_child_left()
+    return outcomes
+
+
+@pytest.mark.parametrize("name", CHUNKED_SWEEPS)
+def test_every_chunk_count_gives_the_bytes_of_one_chunk(name, monkeypatch, capsys, tmp_path):
+    argv = CHUNKED_SWEEPS[name]
+    rows = len(argv[argv.index("--values") + 1].split(","))
+    one, *chunked = _sweep_outcomes(monkeypatch, capsys, tmp_path, argv, (1, 2, 3, rows))
+    assert one[0] == 0 and one[1].encode() == one[4] and one[1].count("\n") == rows + 1
+    assert chunked == [one] * 3
+
+
+def test_one_chunk_and_the_T_kernel_run_in_process(monkeypatch, tmp_path):
+    def refused():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refused)
+    _usable_cpus(monkeypatch, 1)
+    taskgraph = SHIPPED_SWEEPS["taskgraph_expected_by_p.csv"]
+    assert main(taskgraph + ["--csv", str(tmp_path / "p.csv")]) == 0
+    _usable_cpus(monkeypatch, 4)  # the T sweep's induction over the budget has no row loop
+    assert main(SHIPPED_SWEEPS["honest_termination_by_T.csv"] + ["--csv", str(tmp_path / "T.csv")]) == 0
+
+
+@pytest.mark.parametrize("argv, error", [
+    # p=2 is out of range, in the last chunk at any count
+    ([arg if arg != "0,1/4,1/2,3/4,1" else "1/4,1/2,3/4,2" for arg in SHIPPED_SWEEPS["taskgraph_expected_by_p.csv"]],
+     "error: parameter p must lie in [0, 1]\n"),
+    # k1=0 and 1 build 339 and 925 states, k1=2 would build 1,753
+    (["sweep", "--gen", "taskgraph", "--k2", "0", "--p", "1/2", "--param", "k1", "--values", "0,1,0,2",
+      "--state-limit", "1000", "--prop", "Emin [ F all_done ] price time coalition {sched}"],
+     "error: state limit of 1000 exceeded after exploring 1000 states; "
+     "raise the limit (--state-limit / TPTG_STATE_LIMIT) to continue\n"),
+], ids=["p-out-of-range", "state-limit"])
+def test_an_error_in_a_later_chunk_reads_as_in_one_chunk(argv, error, monkeypatch, capsys, tmp_path):
+    rows = len(argv[argv.index("--values") + 1].split(","))
+    one, *chunked = _sweep_outcomes(monkeypatch, capsys, tmp_path, argv, (1, 2, 3, rows))
+    assert one == (1, "", error, 1, None, error)
+    assert chunked == [one] * 3
+
+
+def test_a_non_converging_later_chunk_exits_2(monkeypatch, capsys, tmp_path):
+    # at p=1 a branch of the rounds' cycle is lost, and one sweep converges
+    argv = ["sweep", "--gen", "nonrepudiation", "--variant", "honest", "--max-iters", "1",
+            "--prop", "Emin [ F terminated_ok ] price time coalition {O, R}", "--param", "p", "--values", "1,1,1/2"]
+    one, *chunked = _sweep_outcomes(monkeypatch, capsys, tmp_path, argv, (1, 2, 3))
+    assert one[0] == one[3] == 2 and one[1].count("\n") == 4
+    assert chunked == [one] * 2
+    _usable_cpus(monkeypatch, 1)
+    assert main(argv[:-1] + ["1,1"]) == 0
+
+
+def test_no_child_outlives_a_sweep(monkeypatch, capsys):
+    # after an error in the caller's own chunk, after a child's and after an
+    # interrupt, with the other chunks still running
+    taskgraph = SHIPPED_SWEEPS["taskgraph_expected_by_p.csv"]
+    _usable_cpus(monkeypatch, 3)
+    for values in ("2,0,1/4,1/2,3/4,1", "0,1/4,1/2,3/4,1,2"):
+        argv = [arg if arg != "0,1/4,1/2,3/4,1" else values for arg in taskgraph]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: parameter p must lie in [0, 1]\n"
+        _no_child_left()
+    caller, solved = os.getpid(), cli._solved
+
+    def interrupted(*args):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        return solved(*args)
+
+    monkeypatch.setattr(cli, "_solved", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(taskgraph)
+    _no_child_left()
+    # a child that ends without a result is an error, not a hang
+    monkeypatch.setattr(cli, "_solved", lambda *args: os._exit(0) if os.getpid() != caller else solved(*args))
+    assert main(taskgraph) == 1
+    assert capsys.readouterr().err.endswith("ended without a result\n")
+    _no_child_left()
 
 
 @pytest.mark.parametrize("values, message", [

@@ -346,6 +346,7 @@ def test_the_nonrep_sweep_decomposes_no_game(monkeypatch, tmp_path):
     assert _decompositions(monkeypatch, tmp_path, "honest_termination_by_T.csv") == 0
 
 
+@pytest.mark.usefixtures("one_chunk")
 def test_the_taskgraph_sweep_decomposes_each_built_game_once(monkeypatch, tmp_path):
     # one per built game: p=0, 1/4 and 1; reweigh and coalition
     # views share it

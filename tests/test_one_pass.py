@@ -139,6 +139,7 @@ def test_backups_count_each_state_backup_once():
     assert "backups" not in result.to_json_dict()
 
 
+@pytest.mark.usefixtures("one_chunk")
 def test_the_taskgraph_sweep_searches_each_built_game_once(monkeypatch, tmp_path):
     # one search per built game for `Tsg.components` (5 models: p=0, 1/4
     # and 1 are built, 1/2 and 3/4 reweigh the game of the row before); the
@@ -193,6 +194,7 @@ def test_no_solve_builds_a_reverse_index_over_the_whole_game(monkeypatch, tmp_pa
     assert maps > 1000
 
 
+@pytest.mark.usefixtures("one_chunk")
 @pytest.mark.parametrize("name, solves, acyclic_backups", [
     ("honest_termination_by_T.csv", 0, 0),  # by induction over the time budget
     ("taskgraph_expected_by_p.csv", 10, 20234),

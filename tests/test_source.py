@@ -177,3 +177,26 @@ def test_only_one_helper_pauses_the_garbage_collector():
     name, first, last = helpers[0]
     assert len(toggles) == 2
     assert all(path == name and first <= line <= last for path, line in toggles)
+
+
+def test_only_the_command_line_forks():
+    # a sweep's chunks are the one place a process is started, and a forked
+    # child leaves through `os._exit` alone; the library layers stay
+    # single-process
+    calls, imported = [], set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                if node.attr.startswith(("fork", "_exit", "spawn", "exec", "posix_spawn")) or node.attr in (
+                    "system", "popen",
+                ):
+                    calls.append((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+                if node.module == "os":
+                    calls += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+                calls += [(path.name, "os as " + a.asname) for a in node.names if a.name == "os" and a.asname]
+    assert sorted(calls) == [("cli.py", "_exit"), ("cli.py", "fork")]
+    assert imported.isdisjoint({"multiprocessing", "concurrent", "subprocess", "threading", "_thread"})
